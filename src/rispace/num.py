@@ -59,13 +59,14 @@ def to_float(x: Real) -> float:
 
 
 def exact_float(x: Real) -> bool:
-    """True when float(x) round-trips exactly back to x."""
+    """True when float(x) and its shortest text repr(float(x)) both read
+    back exactly as x, so x may travel as a float or a decimal."""
     if isinstance(x, float):
         return True
     f = to_float(x)
     if math.isinf(f):
         return False
-    return Fraction(f) == x
+    return Fraction(f) == x and Fraction(repr(f)) == x
 
 
 def _int_nth_root(a: int, n: int) -> int:

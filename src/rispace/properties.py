@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import jsonio
-from .ergodic import apply, cesaro, iterate_apply, maximal_truncated, permutation_limit
+from .ergodic import _cycles, apply, cesaro, iterate_apply, maximal_truncated, permutation_limit
 from .num import INF, NEG_INF, Real, json_real, to_float
 from .rearrange import (
     dilate,
@@ -938,34 +938,19 @@ def _p_maximal_dominates(rng, size):
 
 
 def _perm_symbol(rng, size) -> AtomicSymbol:
+    # not gen_atomic_symbol: that draws from rng differently, which would
+    # change every later input of the permutation properties
     m = rng.randint(2, 4 + size)
     targets = list(range(m))
     rng.shuffle(targets)
     return AtomicSymbol(atomic_finite(m), tuple((j, targets[j]) for j in range(m)), None)
 
 
-def _max_cycle_len(sym: AtomicSymbol) -> int:
-    seen: set[int] = set()
-    best = 1
-    for j0 in range(sym.space.count):
-        if j0 in seen:
-            continue
-        cyc = [j0]
-        seen.add(j0)
-        j = sym.image_of(j0)
-        while j != j0:
-            cyc.append(j)
-            seen.add(j)
-            j = sym.image_of(j)
-        best = max(best, len(cyc))
-    return best
-
-
 def _p_permutation_rate(rng, size):
     sym = _perm_symbol(rng, size)
     f = gen_seq(rng, size, sym.space)
     tf = permutation_limit(sym, f)
-    ell = _max_cycle_len(sym)
+    ell = max(map(len, _cycles(sym)))
     sup_f = _sup_abs(f)
     for n in (1, 2, 5, 9, 16):
         gap = _sup_abs(subtract(cesaro(sym, f, n), tf))

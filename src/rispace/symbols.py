@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .num import INF, NEG_INF, Real, as_real, is_finite, log_real, nth_root
+from .num import INF, NEG_INF, Real, as_real, is_finite, log_real, nth_root, rational_pow
 from .space import (
     ATOMIC_FINITE,
     ATOMIC_N,
@@ -344,11 +344,11 @@ def _density_at(br: Branch, y) -> Real:
     if isinstance(f, PowerOnUnit):
         if y == 0:
             return INF
-        return Fraction(1, f.n) * _real_pow(y, Fraction(1 - f.n, f.n))
+        return Fraction(1, f.n) * rational_pow(y, Fraction(1 - f.n, f.n))
     if isinstance(f, ShiftedPower):
         if y == 1:
             return INF
-        return Fraction(1, f.n) * _real_pow(y - 1, Fraction(1 - f.n, f.n))
+        return Fraction(1, f.n) * rational_pow(y - 1, Fraction(1 - f.n, f.n))
     # ExpRecip: inverse is y -> 1/(1 - log y); derivative 1/(y (1 - log y)^2)
     if y == 0:
         return INF
@@ -356,36 +356,26 @@ def _density_at(br: Branch, y) -> Real:
     return 1.0 / (float(y) * u * u)
 
 
-def _real_pow(x: Real, e: Fraction) -> Real:
-    from .num import rational_pow
-
-    return rational_pow(x, e)
-
-
 def measure_bound(sym: Symbol) -> Real:
     """The smallest A with mu(phi^{-1} E) <= A mu(E); +inf when unbounded."""
     if isinstance(sym, AtomicSymbol):
-        best = 0
-        for k, c in _atomic_counts(sym, 1).items():
-            best = max(best, c)
-        if sym.space.kind != ATOMIC_FINITE:
-            best = max(best, 1)
-        return Fraction(best)
+        _, a, _ = next(_atomic_sweep(sym, 1))
+        return a
     if any(isinstance(br.form, _UNBOUNDED_FORMS) for br in sym.branches):
         # each of these forms has an inverse derivative that blows up inside
         # its image, so no finite A works
         return INF
     best: Real = Fraction(0)
-    for _, _, dens in _affine_density_regions(sym):
-        best = max(best, dens)
+    for _, _, base, _ in _density_regions(sym):
+        best = max(best, base)
     return best
 
 
 def lower_bound(sym: Symbol) -> Real:
     """The smallest C with mu(E) <= C mu(phi^{-1} E) over finite-measure E."""
     if isinstance(sym, AtomicSymbol):
-        worst = _atomic_min_count(sym, 1)
-        return INF if worst == 0 else Fraction(1, worst)
+        _, _, c = next(_atomic_sweep(sym, 1))
+        return INF if c == 0 else 1 / c
     ess_inf: Real = INF
     for x, y, base, special in _density_regions(sym):
         if special is None:
@@ -398,13 +388,6 @@ def lower_bound(sym: Symbol) -> Real:
     if ess_inf == INF:  # pragma: no cover - cannot happen with nonempty regions
         raise AssertionError("empty region sweep")
     return 1 / ess_inf
-
-
-def _affine_density_regions(sym: IntervalSymbol):
-    """(x, y, density) over the domain for all-affine symbols; exact sweep."""
-    for x, y, base, special in _density_regions(sym):
-        assert special is None
-        yield x, y, base
 
 
 def _density_regions(sym: IntervalSymbol):
@@ -435,7 +418,6 @@ def _density_regions(sym: IntervalSymbol):
             continue
         base: Real = Fraction(0)
         special = None
-        mid_known = None
         for br in sym.branches:
             lo_i, hi_i = br.image()
             if lo_i <= x and y <= hi_i:
@@ -466,60 +448,50 @@ class PowerBounds:
 
 
 def _atomic_window(sym: AtomicSymbol, horizon: int) -> tuple[int, int]:
+    """Source range outside which orbits follow the pure shift for the whole
+    horizon: the span of the table's indices and images, padded on each side
+    by horizon * |c| + 2 whatever the sign of those indices."""
     keys = [j for j, _ in sym.table]
     vals = [k for _, k in sym.table]
     hi = max(keys + vals, default=0) + 1
     lo = min(keys + vals + [0], default=0)
     c = abs(sym.shift or 0)
-    pad = horizon * c + hi + 2
+    pad = horizon * c + 2
     if sym.space.kind == ATOMIC_Z:
         return (lo - pad, hi + pad)
     return (0, hi + pad)
 
 
-def _atomic_counts(sym: AtomicSymbol, n: int, horizon: int | None = None) -> dict[int, int]:
-    """target -> #preimages under phi^n over a complete target range.
+def _atomic_sweep(sym: AtomicSymbol, horizon: int):
+    """Yield (n, max, min) of the preimage counts of phi^n, n = 1..horizon.
 
-    Every valid target outside the returned range has exactly one preimage:
-    the window is wide enough that sources beyond it follow the pure shift
-    for the whole horizon, and windowed orbits cannot escape the range.
+    One forward pass moves the window's sources along their orbits.  Sources
+    outside the window follow the pure shift and contribute one preimage to
+    each target they reach, and windowed orbits cannot escape the counted
+    target range, so every valid target beyond it has exactly one preimage.
     """
     if sym.space.kind == ATOMIC_FINITE:
-        counts: dict[int, int] = {k: 0 for k in range(sym.space.count)}
         pos = list(range(sym.space.count))
-        for _ in range(n):
+        for n in range(1, horizon + 1):
             pos = [sym.image_of(j) for j in pos]
-        for t in pos:
-            counts[t] += 1
-        return counts
+            hits = Counter(pos)
+            counts = [hits[t] for t in range(sym.space.count)]
+            yield n, Fraction(max(counts)), Fraction(min(counts))
+        return
     c = sym.shift
-    lo_w, hi_w = _atomic_window(sym, horizon if horizon is not None else n)
+    lo_w, hi_w = _atomic_window(sym, horizon)
     pos = list(range(lo_w, hi_w))
-    for _ in range(n):
+    for n in range(1, horizon + 1):
         pos = [sym.image_of(j) for j in pos]
-    pad = n * abs(c) + 1
-    if sym.space.kind == ATOMIC_N:
-        t_lo, t_hi = 0, hi_w + pad
-    else:
-        t_lo, t_hi = lo_w - pad, hi_w + pad
-    counts = {t: 0 for t in range(t_lo, t_hi)}
-    for t in pos:
-        counts[t] += 1
-    # sources outside the window follow the pure shift and contribute one
-    # preimage to each target they reach
-    for t in range(t_lo, t_hi):
-        j = t - n * c
-        if (j < lo_w or j >= hi_w) and sym.space.valid_index(j):
-            counts[t] += 1
-    return counts
-
-
-def _atomic_min_count(sym: AtomicSymbol, n: int, horizon: int | None = None) -> int:
-    counts = _atomic_counts(sym, n, horizon)
-    worst = min(counts.values(), default=0)
-    if sym.space.kind != ATOMIC_FINITE:
-        worst = min(worst, 1)  # generic targets far out get exactly one
-    return worst
+        hits = Counter(pos)
+        pad = n * abs(c) + 1
+        t_lo = 0 if sym.space.kind == ATOMIC_N else lo_w - pad
+        counts = [1]  # the generic target beyond the counted range
+        for t in range(t_lo, hi_w + pad):
+            j = t - n * c
+            outside = (j < lo_w or j >= hi_w) and sym.space.valid_index(j)
+            counts.append(hits[t] + outside)
+        yield n, Fraction(max(counts)), Fraction(min(counts))
 
 
 def atomic_power(sym: AtomicSymbol, k: int) -> AtomicSymbol:
@@ -549,71 +521,66 @@ def atomic_power(sym: AtomicSymbol, k: int) -> AtomicSymbol:
     return AtomicSymbol(sym.space, tuple(table), c)
 
 
-def power_measure_bound(sym: Symbol, horizon: int, depth: int = 12) -> PowerBounds:
-    """A_n for n = 1..horizon.
+def _all_affine(sym: IntervalSymbol) -> bool:
+    return all(_affine_like(br.form) for br in sym.branches)
 
-    Exact for atomic symbols and for all-affine interval symbols (transfer
-    density iteration); otherwise a certified lower bound from a dyadic test
-    family, flagged by certified=False.
+
+def _bound_sweep(sym: Symbol, horizon: int, depth: int):
+    """Yield (n, A_n, C_n) for n = 1..horizon from one forward pass, where
+    C_n mu(E) <= mu(phi^{-n} E) <= A_n mu(E).
+
+    Both columns come from the same data: preimage counts for atomic
+    symbols, the n-step transfer density for all-affine interval symbols
+    (both exact), and the ratios mu(phi^{-n} E) / mu(E) over the dyadic test
+    family otherwise (A_n then only a lower estimate of the true bound).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     if isinstance(sym, AtomicSymbol):
-        # one forward pass shared by every n, so the cost is linear in the
-        # horizon rather than quadratic
-        per = []
-        if sym.space.kind == ATOMIC_FINITE:
-            pos = list(range(sym.space.count))
-            for n in range(1, horizon + 1):
-                pos = [sym.image_of(j) for j in pos]
-                per.append((n, Fraction(max(Counter(pos).values()))))
-        else:
-            c = sym.shift
-            lo_w, hi_w = _atomic_window(sym, horizon)
-            pos = list(range(lo_w, hi_w))
-            for n in range(1, horizon + 1):
-                pos = [sym.image_of(j) for j in pos]
-                hits = Counter(pos)
-                pad = n * abs(c) + 1
-                t_lo = 0 if sym.space.kind == ATOMIC_N else lo_w - pad
-                a = 1  # beyond the counted range every target has one source
-                for t in range(t_lo, hi_w + pad):
-                    cnt = hits.get(t, 0)
-                    j = t - n * c
-                    if (j < lo_w or j >= hi_w) and sym.space.valid_index(j):
-                        cnt += 1
-                    if cnt > a:
-                        a = cnt
-                per.append((n, Fraction(a)))
-        sup = max(a for _, a in per)
-        return PowerBounds(tuple(per), sup, True)
-    if all(_affine_like(br.form) for br in sym.branches):
-        per = []
+        yield from _atomic_sweep(sym, horizon)
+    elif _all_affine(sym):
         rho = _transfer_density_unit(sym)
-        current = rho
         for n in range(1, horizon + 1):
             if n > 1:
-                current = _transfer_once(sym, current)
-            per.append((n, max(current.vals)))
-        sup = max(a for _, a in per)
-        return PowerBounds(tuple(per), sup, True)
+                rho = _transfer_once(sym, rho)
+            yield n, max(rho.vals), min(rho.vals)
+    else:
+        family = _dyadic_family(sym.space, depth)
+        sets = family
+        for n in range(1, horizon + 1):
+            sets = [preimage(sym, E) for E in sets]
+            a: Real = Fraction(0)
+            c: Real = INF
+            for E0, En in zip(family, sets):
+                m0, mn = E0.measure(), En.measure()
+                if mn == INF:
+                    a = INF
+                elif m0 != INF:
+                    r = mn / m0
+                    a = max(a, r)
+                    c = min(c, r)
+            yield n, a, c
+
+
+def _power_bounds(sym: Symbol, horizon: int, depth: int) -> tuple[PowerBounds, Real]:
+    """The A_n column as PowerBounds, and the witness min C_n, from one sweep."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     per = []
-    family = _dyadic_family(sym.space, depth)
-    sets = family
-    for n in range(1, horizon + 1):
-        sets = [preimage(sym, E) for E in sets]
-        best: Real = Fraction(0)
-        for E0, En in zip(family, sets):
-            m0 = E0.measure()
-            mn = En.measure()
-            if mn == INF:
-                best = INF
-                break
-            if m0 != INF:
-                best = max(best, mn / m0)
-        per.append((n, best))
-    sup = max(a for _, a in per)
-    return PowerBounds(tuple(per), sup, False)
+    witness: Real = INF
+    for n, a, c in _bound_sweep(sym, horizon, depth):
+        per.append((n, a))
+        witness = min(witness, c)
+    certified = isinstance(sym, AtomicSymbol) or _all_affine(sym)
+    return PowerBounds(tuple(per), max(a for _, a in per), certified), witness
+
+
+def power_measure_bound(sym: Symbol, horizon: int, depth: int = 12) -> PowerBounds:
+    """A_n for n = 1..horizon: the A_n column of one forward sweep.
+
+    Exact for atomic symbols (preimage counts) and for all-affine interval
+    symbols (transfer density iteration); otherwise a certified lower bound
+    from a dyadic test family of the given depth, flagged by certified=False.
+    """
+    return _power_bounds(sym, horizon, depth)[0]
 
 
 def _transfer_density_unit(sym: IntervalSymbol) -> StepFn:
@@ -714,46 +681,15 @@ class SymbolAnalysis:
 def check_condition_I(sym: Symbol, horizon: int, depth: int = 12) -> SymbolAnalysis:
     """Assemble the boundedness diagnostics used by the ergodic estimates.
 
-    condition_I3 is verified for iterates up to the horizon: the witness is
-    the largest constant C with C mu(E) <= mu(phi^{-i} E) observed across the
-    test family (exact ess-inf of the i-step density where the catalog
-    permits, dyadic sampling otherwise).
+    One forward sweep over n = 1..horizon gives both the power bounds A_n and
+    the condition (I3) witness min_n C_n, the largest constant C with
+    C mu(E) <= mu(phi^{-n} E) for every n up to the horizon (exact from
+    counts or the n-step density where the catalog permits, sampled on the
+    dyadic test family otherwise).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     A = measure_bound(sym)
     C = lower_bound(sym)
-    pb = power_measure_bound(sym, horizon, depth)
-    witness: Real = INF
-    if isinstance(sym, AtomicSymbol):
-        for n in range(1, horizon + 1):
-            worst = _atomic_min_count(sym, n, horizon)
-            witness = min(witness, Fraction(worst))
-            if witness == 0:
-                break
-    elif all(_affine_like(br.form) for br in sym.branches):
-        rho = _transfer_density_unit(sym)
-        for n in range(1, horizon + 1):
-            if n > 1:
-                rho = _transfer_once(sym, rho)
-            witness = min(witness, min(rho.vals))
-            if witness == 0:
-                break
-    else:
-        family = _dyadic_family(sym.space, depth)
-        sets = family
-        for n in range(1, horizon + 1):
-            sets = [preimage(sym, E) for E in sets]
-            for E0, En in zip(family, sets):
-                m0, mn = E0.measure(), En.measure()
-                if m0 != INF and mn != INF:
-                    witness = min(witness, mn / m0)
-            if witness == 0:
-                break
-    if isinstance(sym, AtomicSymbol):
-        strictly = _atomic_min_count(sym, 1) >= 1
-    else:
-        strictly = is_finite(lower_bound(sym))
+    pb, witness = _power_bounds(sym, horizon, depth)
     B = Fraction(0) if A == INF else min(Fraction(1), 1 / A)
     return SymbolAnalysis(
         measure_bound=A,
@@ -762,7 +698,9 @@ def check_condition_I(sym: Symbol, horizon: int, depth: int = 12) -> SymbolAnaly
         condition_I1=(A <= 1),
         condition_I3=(witness > 0),
         condition_I3_witness=witness,
+        # every catalog branch has an absolutely continuous inverse (and the
+        # only atomic null set is empty), so null sets pull back to null sets
         nonsingular=True,
-        strictly_nonsingular=strictly,
+        strictly_nonsingular=is_finite(C),
         dilation_B=B,
     )

@@ -162,7 +162,11 @@ def test_number_spellings():
 
 
 def test_json_numbers_survive_the_full_cycle():
-    f = step(halfline(), [Fraction(1, 3)], [Fraction(1, 10), 0])
-    text = jsonio.dumps(jsonio.measfn_to_obj(f))
-    back = jsonio.measfn_from_obj(jsonio.loads(text))
-    assert back == f  # exact, no float contamination
+    for f in (
+        step(halfline(), [Fraction(1, 3)], [Fraction(1, 10), 0]),
+        # a double cut whose shortest float text reads back as another decimal
+        step(halfline(), [Fraction(16385, 262144)], [1, 0]),
+    ):
+        text = jsonio.dumps(jsonio.measfn_to_obj(f))
+        back = jsonio.measfn_from_obj(jsonio.loads(text))
+        assert back == f  # exact, no float contamination

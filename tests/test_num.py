@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rispace.num import (
@@ -46,6 +46,7 @@ def test_is_finite():
 
 
 @given(st.fractions(max_denominator=10**6))
+@example(Fraction(16385, 262144))  # a double whose shortest repr is another decimal
 def test_fmt_real_round_trips_fractions(x):
     assert as_real(fmt_real(x)) == x
 

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rispace import (
@@ -41,6 +41,7 @@ from rispace.examples import (
     translation_line,
     unilateral_shift,
 )
+from rispace.space import ATOMIC_FINITE, ATOMIC_Z
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +235,31 @@ def test_atomic_power_frozen():
 
 
 def test_condition_I_catalog():
+    # the witness and the power bounds are pinned for one symbol per sweep
+    # path: permutation, counted atomic shift, affine transfer density and
+    # the dyadic probe
+    perm = check_condition_I(demo_permutation(), 5)
+    assert perm.condition_I3_witness == 1
+    assert perm.power_bounds.per_n == tuple((n, 1) for n in range(1, 6))
     good = check_condition_I(translation_line(), 5)
     assert good.condition_I1 and good.nonsingular and good.dilation_B == 1
+    assert good.condition_I3_witness == 1
+    assert good.power_bounds.per_n == tuple((n, 1) for n in range(1, 6))
     bad = check_condition_I(power_symbol(2), 5)
     assert not bad.condition_I1
     assert bad.condition_I3  # lower bound exists even though A = inf
     assert bad.measure_bound == INF and bad.lower_bound == 2
     assert bad.dilation_B == 0
+    assert float(bad.condition_I3_witness) == pytest.approx(0.04285587582459982, rel=1e-12)
+    assert bad.power_bounds.per_n[:2] == ((1, 64), (2, 512))
+    assert [float(a) for _, a in bad.power_bounds.per_n[2:]] == pytest.approx(
+        [1448.1546878700494, 2435.4961715255727, 3158.4477704354626], rel=1e-12
+    )
     ns = check_condition_I(nonsurjective_shift(), 5)
     assert not ns.condition_I1  # power bounds grow without bound
     assert ns.dilation_B == Fraction(1, 2)
+    assert ns.condition_I3_witness == 1
+    assert ns.power_bounds.per_n == tuple((n, n + 1) for n in range(1, 6))
     shp = check_condition_I(shifted_power_symbol(2), 5)
     assert not shp.strictly_nonsingular  # [0,1) has an empty preimage
 
@@ -260,11 +276,38 @@ def _finite_symbol(draw):
     return AtomicSymbol(atomic_finite(n), tuple((j, images[j]) for j in range(n)))
 
 
-@given(_finite_symbol(), st.integers(0, 5))
+@st.composite
+def _infinite_symbol(draw):
+    """Symbols on Z or N with a table in [-6, 6] and a shift in [-2, 2]."""
+    on_z = draw(st.booleans())
+    sp = atomic_z() if on_z else atomic_n()
+    shift = draw(st.integers(-2, 2))
+    lo = -6 if on_z else 0
+    keys = set(draw(st.lists(st.integers(lo, 6), max_size=5)))
+    if not on_z and shift < 0:
+        keys |= set(range(-shift))  # 0..-c-1 must not fall off N
+    images = draw(st.lists(st.integers(lo, 6), min_size=len(keys), max_size=len(keys)))
+    return AtomicSymbol(sp, tuple(zip(sorted(keys), images)), shift)
+
+
+_atomic_symbol = st.one_of(_finite_symbol(), _infinite_symbol())
+_ALL_NEGATIVE_TABLE = AtomicSymbol(atomic_z(), ((-4, -5),), 0)
+
+
+def _indices(sym, reach):
+    """Every atom of a finite space; on Z and N the indices below `reach` in
+    absolute value, far past the table on each side."""
+    if sym.space.kind == ATOMIC_FINITE:
+        return range(sym.space.count)
+    return range(-reach if sym.space.kind == ATOMIC_Z else 0, reach)
+
+
+@given(_atomic_symbol, st.integers(0, 5))
+@example(_ALL_NEGATIVE_TABLE, 3)
 @settings(max_examples=80)
 def test_atomic_power_matches_orbit(sym, k):
     pk = atomic_power(sym, k)
-    for j in range(sym.space.count):
+    for j in _indices(sym, 50):
         pos = j
         for _ in range(k):
             pos = sym.image_of(pos)
@@ -281,13 +324,28 @@ def test_measure_bound_is_max_preimage_count(sym):
     assert lower_bound(sym) == want_lower
 
 
-@given(_finite_symbol(), st.integers(1, 4))
+def _preimage_counts(pm):
+    """#preimages under pm of each target near the table.
+
+    On Z and N the sources reach far enough that these counts are complete,
+    and the leading 1 stands for the targets far out, which have exactly one.
+    """
+    sources = _indices(pm, 60)
+    images = [pm.image_of(j) for j in sources]
+    if pm.space.kind == ATOMIC_FINITE:
+        return [images.count(t) for t in sources]
+    return [1] + [images.count(t) for t in _indices(pm, 20)]
+
+
+@given(_atomic_symbol, st.integers(1, 4))
+@example(_ALL_NEGATIVE_TABLE, 3)
 @settings(max_examples=60)
 def test_power_bound_matches_iterated_preimage(sym, horizon):
     pb = power_measure_bound(sym, horizon)
     assert pb.certified
-    n = sym.space.count
+    witness = INF
     for m in range(1, horizon + 1):
-        pm = atomic_power(sym, m)
-        counts = [sum(1 for j in range(n) if pm.image_of(j) == t) for t in range(n)]
+        counts = _preimage_counts(atomic_power(sym, m))
         assert pb.at(m) == max(counts)
+        witness = min(witness, min(counts))
+    assert check_condition_I(sym, horizon).condition_I3_witness == witness
