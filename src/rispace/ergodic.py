@@ -109,10 +109,7 @@ class CesaroTrajectory:
     means: tuple[tuple[int, MeasFn], ...]
 
     def mean(self, n: int) -> MeasFn:
-        for m, g in self.means:
-            if m == n:
-                return g
-        raise KeyError(n)
+        return dict(self.means)[n]
 
 
 def cesaro(sym: Symbol, f: MeasFn, n: int) -> MeasFn:

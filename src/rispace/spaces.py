@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Union
 
 from .num import INF, Real, as_real, is_finite, log_real, rational_pow
-from .rearrange import _hardy_at, is_rearranged, rearrangement
+from .rearrange import _hardy_sweep, is_rearranged, rearrangement
 from .space import AtomicSet, MeasureSpace, interval_set
 from .stepfn import MeasFn, StepFn, indicator, integrate, pointwise_mul, seq
 
@@ -317,27 +317,32 @@ def _marc_strong(r: StepFn, phi: QuasiconcaveFn) -> Real:
     most one sign change (minus to plus), so it is quasi-convex and the
     supremum over the crossing is attained at its endpoints; hence the grid
     of candidates below is exhaustive, together with the limits at 0 (always
-    0) and at infinity (computed analytically per profile).
+    0) and at infinity (computed analytically per profile).  One Hardy sweep
+    over the sorted grid and t = inf gives every H: O(n log n) for n pieces.
+    The grid is then visited in its set order, which decides ties between a
+    float and a Fraction value.
     """
     if all(v == 0 for v in r.vals):
         return Fraction(0)
     candidates = set(r.cuts) | set(phi_breakpoints(phi))
-    best: Real = _marc_strong_limit(r, phi)
+    grid = [*sorted(candidates), INF]
+    hardy = dict(zip(grid, _hardy_sweep(r, grid)))
+    best: Real = _marc_strong_limit(r, phi, hardy[INF])
     if best == INF:
         return INF
     for t in candidates:
-        g = phi_at(phi, t) * _hardy_at(r, t) / t
-        best = max(best, g)
+        best = max(best, phi_at(phi, t) * hardy[t] / t)
     return best
 
 
-def _marc_strong_limit(r: StepFn, phi: QuasiconcaveFn) -> Real:
+def _marc_strong_limit(r: StepFn, phi: QuasiconcaveFn, h_inf: Real) -> Real:
+    """lim Phi(t) H(t)/t as t -> inf, given H(inf) = int_0^inf f*."""
     v_tail = r.vals[-1]
     if isinstance(phi, Power):
         if v_tail > 0:
             return INF
         if phi.alpha == 1:
-            return _hardy_at(r, INF)
+            return h_inf
         return Fraction(0)
     if isinstance(phi, LogClip):
         # Phi == 1 eventually, so g(t) -> f**(inf) = tail value.
@@ -346,7 +351,7 @@ def _marc_strong_limit(r: StepFn, phi: QuasiconcaveFn) -> Real:
     last_v = phi.knots[-1][1]
     if v_tail > 0:
         return INF if s > 0 else last_v * v_tail
-    return s * _hardy_at(r, INF) if s > 0 else Fraction(0)
+    return s * h_inf if s > 0 else Fraction(0)
 
 
 def fundamental_function(spec: NormSpec, t) -> Real:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .num import INF, NEG_INF, Real, as_real, is_finite
@@ -75,13 +76,6 @@ class StepFn:
         for i, v in enumerate(self.vals):
             yield bounds[i], bounds[i + 1], v
 
-    def support_bound(self) -> Real:
-        """Supremum of |f|'s support (right-tail value 0 assumed checked by caller)."""
-        left, right = self.space.domain
-        if self.vals[-1] != 0:
-            return right
-        return self.cuts[-1] if self.cuts else left
-
 
 def step(space: MeasureSpace, cuts, vals) -> StepFn:
     """Build a StepFn, canonicalizing adjacent equal values."""
@@ -133,13 +127,14 @@ class AtomSeq:
                 raise ValueError("values must be finite")
             prev = j
 
+    @cached_property
+    def _values(self) -> dict[int, Real]:
+        return dict(self.entries)
+
     def value_at(self, j: int) -> Real:
         if not self.space.valid_index(j):
             raise ValueError(f"index {j} outside the space's range")
-        for k, v in self.entries:
-            if k == j:
-                return v
-        return self.tail
+        return self._values.get(j, self.tail)
 
     def as_dict(self) -> dict[int, Real]:
         return dict(self.entries)

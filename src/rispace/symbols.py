@@ -27,6 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .num import INF, NEG_INF, Real, as_real, is_finite, log_real, nth_root, rational_pow
@@ -257,13 +258,15 @@ class AtomicSymbol:
     def as_dict(self) -> dict[int, int]:
         return dict(self.table)
 
+    @cached_property
+    def _images(self) -> dict[int, int]:
+        return dict(self.table)
+
     def image_of(self, j: int) -> int:
         if not self.space.valid_index(j):
             raise ValueError(f"index {j} outside the space's range")
-        for jj, k in self.table:
-            if jj == j:
-                return k
-        return j + self.shift
+        k = self._images.get(j)
+        return j + self.shift if k is None else k
 
     def is_permutation(self) -> bool:
         if self.space.kind != ATOMIC_FINITE:
@@ -441,10 +444,7 @@ class PowerBounds:
     certified: bool
 
     def at(self, n: int) -> Real:
-        for m, a in self.per_n:
-            if m == n:
-                return a
-        raise KeyError(n)
+        return dict(self.per_n)[n]
 
 
 def _atomic_window(sym: AtomicSymbol, horizon: int) -> tuple[int, int]:
@@ -560,17 +560,14 @@ def _bound_sweep(sym: Symbol, horizon: int, depth: int):
             yield n, a, c
 
 
-def _power_bounds(sym: Symbol, horizon: int, depth: int) -> tuple[PowerBounds, Real]:
-    """The A_n column as PowerBounds, and the witness min C_n, from one sweep."""
+def _power_bounds(sym: Symbol, horizon: int, depth: int) -> tuple[PowerBounds, list[Real]]:
+    """The A_n column as PowerBounds, and the C_n column, from one sweep."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    per = []
-    witness: Real = INF
-    for n, a, c in _bound_sweep(sym, horizon, depth):
-        per.append((n, a))
-        witness = min(witness, c)
+    rows = list(_bound_sweep(sym, horizon, depth))
+    per = tuple((n, a) for n, a, _ in rows)
     certified = isinstance(sym, AtomicSymbol) or _all_affine(sym)
-    return PowerBounds(tuple(per), max(a for _, a in per), certified), witness
+    return PowerBounds(per, max(a for _, a in per), certified), [c for _, _, c in rows]
 
 
 def power_measure_bound(sym: Symbol, horizon: int, depth: int = 12) -> PowerBounds:
@@ -687,9 +684,12 @@ def check_condition_I(sym: Symbol, horizon: int, depth: int = 12) -> SymbolAnaly
     counts or the n-step density where the catalog permits, sampled on the
     dyadic test family otherwise).
     """
-    A = measure_bound(sym)
-    C = lower_bound(sym)
-    pb, witness = _power_bounds(sym, horizon, depth)
+    pb, cs = _power_bounds(sym, horizon, depth)
+    if pb.certified:  # the exact first row holds the one-step bounds
+        A, C = pb.at(1), (INF if cs[0] == 0 else 1 / cs[0])
+    else:
+        A, C = measure_bound(sym), lower_bound(sym)
+    witness = min(cs)
     B = Fraction(0) if A == INF else min(Fraction(1), 1 / A)
     return SymbolAnalysis(
         measure_bound=A,

@@ -50,6 +50,36 @@ def rearr_value_oracle(f, t):
     return best
 
 
+def _abs_levels(f):
+    if isinstance(f, AtomSeq):
+        return sorted({abs(v) for _, v in f.entries} | {abs(f.tail), Fraction(0)})
+    return sorted({abs(v) for v in f.vals} | {Fraction(0)})
+
+
+def hardy_oracle(f, t):
+    """int_0^t f* by the layer-cake formula int_0^inf min(t, mu{|f| > s}) ds.
+
+    Between two consecutive values lo < hi of |f| the distribution is the
+    constant dist(lo), so the s-integral is a finite sum over the value set;
+    f* itself is never formed.
+    """
+    levels = _abs_levels(f)
+    total = Fraction(0)
+    for lo, hi in zip(levels, levels[1:]):
+        total += (hi - lo) * min(t, dist_oracle(f, lo))
+    return total
+
+
+def star_cuts_oracle(f):
+    """The cuts of f*: the finite positive values of the distribution."""
+    return sorted({dist_oracle(f, s) for s in _abs_levels(f)} - {Fraction(0), INF})
+
+
+def star_tail_oracle(f):
+    """f*(inf): the least value s of |f| (or 0) with mu{|f| > s} finite."""
+    return min(s for s in _abs_levels(f) if dist_oracle(f, s) != INF)
+
+
 def lp_grid_oracle(f: StepFn, p, cells=1 << 15):
     """Lp norm by midpoint sampling.  Error ~ (#jumps) * cell / support."""
     lo, hi = _finite_support(f)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rispace import (
     INF,
+    StepFn,
     add,
     atomic_n,
     atomic_z,
@@ -26,7 +27,13 @@ from rispace import (
     step,
 )
 
-from .oracles import dist_oracle, rearr_value_oracle
+from .oracles import (
+    dist_oracle,
+    hardy_oracle,
+    rearr_value_oracle,
+    star_cuts_oracle,
+    star_tail_oracle,
+)
 
 
 def test_rearrangement_of_a_two_step_function():
@@ -167,3 +174,79 @@ def test_rearrangement_is_nonincreasing_and_equimeasurable(f):
     assert is_rearranged(rf)
     assert equimeasurable(f, rf)
     assert equimeasurable(rf, rf)
+
+
+def _deep(draw):
+    """A deep dyadic with a large numerator: n / 2^k, n <= 2^64, k <= 60."""
+    return Fraction(draw(st.integers(1, 2**64)), 2 ** draw(st.integers(0, 60)))
+
+
+@st.composite
+def deep_fn(draw, tail=None):
+    """A function with deep-dyadic cuts and values on the half-line, an
+    interval, N or Z.  Values come from a small pool, so levels repeat
+    across pieces; ``tail`` fixes the value at infinity (half-line or N)."""
+    pool = [_deep(draw) for _ in range(draw(st.integers(1, 4)))] + [Fraction(0)]
+
+    def val():
+        v = draw(st.sampled_from(pool))
+        return -v if draw(st.booleans()) else v
+
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["halfline", "n"] if tail else ["halfline", "interval", "n", "z"]))
+    if kind == "halfline":
+        cuts = sorted({_deep(draw) for _ in range(n)})
+        return step(halfline(), cuts, [val() for _ in cuts] + [val() if tail is None else tail])
+    if kind == "interval":
+        length = _deep(draw)
+        cuts = sorted({length * Fraction(draw(st.integers(1, 2**20 - 1)), 2**20) for _ in range(n)})
+        return step(interval(length), cuts, [val() for _ in range(len(cuts) + 1)])
+    if kind == "n":
+        entries = {draw(st.integers(0, 12)): val() for _ in range(n)}
+        return seq(atomic_n(_deep(draw)), entries, tail=val() if tail is None else tail)
+    return seq(atomic_z(_deep(draw)), {draw(st.integers(-12, 12)): val() for _ in range(n)})
+
+
+@st.composite
+def _hlp_pair(draw):
+    f = draw(deep_fn())
+    how = draw(st.sampled_from(["free", "bumped", "same tail"]))
+    if how == "free":
+        return f, draw(deep_fn())
+    if how == "same tail":
+        return f, draw(deep_fn(tail=star_tail_oracle(f)))
+    # the same cuts with |g| >= |f| piece by piece: a true pair
+    def bump():
+        return draw(st.sampled_from([Fraction(0), _deep(draw)]))
+
+    if isinstance(f, StepFn):
+        return f, step(f.space, f.cuts, [abs(v) + bump() for v in f.vals])
+    entries = {j: abs(v) + bump() for j, v in f.entries}
+    return f, seq(f.space, entries, tail=abs(f.tail))
+
+
+def _hlp_oracle(f, g) -> bool:
+    """H_f <= H_g by the layer-cake integral at every cut of either
+    rearrangement, inside every piece between them, and one step beyond."""
+    if star_tail_oracle(f) > star_tail_oracle(g):
+        return False
+    cuts = sorted(set(star_cuts_oracle(f)) | set(star_cuts_oracle(g)))
+    grid = cuts + [(a + b) / 2 for a, b in zip([0, *cuts], cuts)] + [(cuts or [0])[-1] + 1]
+    return all(hardy_oracle(f, t) <= hardy_oracle(g, t) for t in grid)
+
+
+@given(deep_fn(), st.data())
+def test_hardy_integral_matches_layer_cake_oracle(f, data):
+    cuts = star_cuts_oracle(f)
+    inside = [(a + b) / 2 for a, b in zip([0, *cuts], cuts)] + [(cuts or [0])[-1] + 1]
+    anywhere = st.builds(Fraction, st.integers(1, 2**64), st.integers(1, 2**60))
+    t = data.draw(st.sampled_from([*cuts, *inside, INF]) | anywhere)
+    assert hardy_integral(f, t) == hardy_oracle(f, t)
+
+
+@given(_hlp_pair())
+def test_hlp_leq_matches_layer_cake_oracle(pair):
+    f, g = pair
+    assert hlp_leq(f, g) == _hlp_oracle(f, g)
+    assert hlp_leq(g, f) == _hlp_oracle(g, f)
+    assert hlp_leq(f, f)

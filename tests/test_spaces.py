@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from rispace import (
     constant,
     fundamental_function,
     halfline,
+    hlp_leq,
     interval,
     logclip_norm_of_log_profile,
     norm_eval,
@@ -32,7 +34,14 @@ from rispace import (
     xi_seminorm,
 )
 
-from .oracles import lorentz_quad_oracle, lp_grid_oracle
+from .oracles import (
+    hardy_oracle,
+    lorentz_quad_oracle,
+    lp_grid_oracle,
+    star_cuts_oracle,
+    star_tail_oracle,
+)
+from .test_rearrange import deep_fn
 
 SP = halfline()
 F0 = step(SP, [1, 2], [1, 3, 0])  # the house example; |F0|* = 3,1
@@ -207,3 +216,65 @@ def test_xi_dominated_by_weight_l1_times_sup(f, c):
     w = XiWeight(step(SP, [c], [1, 0]))
     sup = max(f.vals)
     assert xi_seminorm(w, f) <= c * sup
+
+
+# each profile with the points where it changes analytic form
+_PROFILES = [
+    (Power(Fraction(1, 2)), []),
+    (Power(1), []),
+    (LogClip(), [Fraction(1)]),
+    (StepApprox(((Fraction(1, 2), Fraction(1, 2)), (2, Fraction(3, 2))), Fraction(1, 4)),
+     [Fraction(1, 2), Fraction(2)]),
+    (StepApprox(((1, 1),), 0), [Fraction(1)]),
+]
+
+
+def _marc_strong_oracle(f, phi, knots):
+    """max Phi(t) H(t)/t over the cuts of f* and the profile's knots, with H
+    from the layer-cake oracle.  For these profiles the limit at infinity
+    never exceeds that max (Phi(t)/t only decreases, and f** does too) unless
+    a positive tail meets an unbounded profile, where the norm is infinite."""
+    if star_tail_oracle(f) > 0 and phi_at(phi, INF) == INF:
+        return INF
+    grid = set(star_cuts_oracle(f)) | set(knots)
+    return max((phi_at(phi, t) * hardy_oracle(f, t) / t for t in grid), default=Fraction(0))
+
+
+@given(deep_fn(), st.sampled_from(_PROFILES))
+def test_marc_strong_matches_layer_cake_oracle(f, profile):
+    phi, knots = profile
+    assert norm_eval(MarcStrong(f.space, phi), f) == _marc_strong_oracle(f, phi, knots)
+
+
+@pytest.mark.parametrize("k, kind", [(4, float), (2**59, Fraction)])
+def test_marc_strong_logclip_tie_keeps_its_type(k, kind):
+    # Phi(t) f**(t) is the float Phi(1/k) at t = 1/k and the same value as a
+    # Fraction at t = 1, where Phi = 1; the candidate grid's set order visits
+    # 1/4 before 1 but 1 before 2^-59, and the first one visited wins the tie
+    t0 = Fraction(1, k)
+    x = phi_at(LogClip(), t0)
+    b = (Fraction(x) - t0) / (1 - t0)
+    f = step(SP, [t0, 1], [1, b, 0])
+    got = norm_eval(MarcStrong(SP, LogClip()), f)
+    assert got == x and type(got) is kind
+
+
+def test_marc_strong_logclip_result_type():
+    at_quarter = norm_eval(MarcStrong(SP, LogClip()), step(SP, [Fraction(1, 4)], [1, 0]))
+    assert type(at_quarter) is float and at_quarter == phi_at(LogClip(), Fraction(1, 4))
+    beyond_one = norm_eval(MarcStrong(SP, LogClip()), step(SP, [2], [1, 0]))
+    assert type(beyond_one) is Fraction and beyond_one == 1
+
+
+def test_hardy_sweeps_scale_to_2000_pieces():
+    # integrating f* from 0 again for every candidate took 56 s (hlp_leq) and
+    # 24 s (MarcStrong) on a 2-core machine; one sweep takes well under 1 s
+    n = 2000
+    f = step(SP, [Fraction(k, 7) for k in range(1, n)], [Fraction(n - k, 3) for k in range(n - 1)] + [0])
+    g = step(SP, f.cuts, [v + Fraction(1, 2**50) for v in f.vals[:-1]] + [0])
+    start = time.perf_counter()
+    assert hlp_leq(f, g)
+    assert time.perf_counter() - start < 10
+    start = time.perf_counter()
+    assert norm_eval(MarcStrong(SP, Power(Fraction(1, 2))), f) > 0
+    assert time.perf_counter() - start < 10
