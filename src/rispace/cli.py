@@ -8,25 +8,22 @@ Three subcommands:
 * ``verify`` — run the randomized property suite, print one line per
   property, and write minimized counterexamples to a JSON file on failure.
 * ``eval CMD`` — evaluate one operation on a JSON input document (``--in``
-  or stdin), validating the document against the shipped schemas first.
+  or stdin).  Each field of the document is read by its strict ``jsonio``
+  decoder, which is the only validation; a key the operation does not use
+  is an error.
 
 Outputs are deterministic: fixed seeds, sorted JSON keys, shortest
 round-trip number formatting, and ``inf`` for infinities.  Exit codes:
-0 success, 1 a verdict or property failed, 2 usage or schema error,
+0 success, 1 a verdict or property failed, 2 usage or input error,
 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
-import json
 import os
 import sys
 import tempfile
-from importlib.resources import files
-
-import jsonschema
 
 from . import jsonio
 from .ergodic import apply, cesaro, maximal_truncated
@@ -39,7 +36,7 @@ from .symbols import check_condition_I
 
 
 class UsageError(Exception):
-    """Bad input from the user: malformed JSON, schema violation, bad flags."""
+    """Bad input from the user: malformed JSON, an invalid payload, bad flags."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,32 +77,6 @@ def _write_text(path: str, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-@functools.lru_cache(maxsize=None)
-def _schema(name: str) -> dict:
-    return json.loads(
-        files("rispace.schemas").joinpath(f"{name}.schema.json").read_text()
-    )
-
-
-def _validated(obj: dict, field: str, schema: str, decode) -> object:
-    if field not in obj:
-        raise UsageError(f"input is missing the {field!r} field")
-    try:
-        jsonschema.validate(obj[field], _schema(schema))
-    except jsonschema.ValidationError as e:
-        raise UsageError(f"{field} does not match the {schema} schema: {e.message}") from None
-    return decode(obj[field])
-
-
-def _int_field(obj: dict, field: str) -> int:
-    if field not in obj:
-        raise UsageError(f"input is missing the {field!r} field")
-    value = obj[field]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{field} must be an integer")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -177,62 +148,50 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eval_rearrange(obj):
-    f = _validated(obj, "function", "measfn", jsonio.measfn_from_obj)
-    return jsonio.measfn_to_obj(rearrangement(f))
-
-
-def _eval_norm(obj):
-    spec = _validated(obj, "spec", "normspec", jsonio.normspec_from_obj)
-    f = _validated(obj, "function", "measfn", jsonio.measfn_from_obj)
-    return {"value": json_real(norm_eval(spec, f))}
-
-
-def _eval_xi(obj):
-    if "weight" not in obj:
-        raise UsageError("input is missing the 'weight' field")
-    try:
-        jsonschema.validate({"weight": obj["weight"]}, _schema("xiweight"))
-    except jsonschema.ValidationError as e:
-        raise UsageError(f"weight does not match the xiweight schema: {e.message}") from None
-    w = jsonio.xiweight_from_obj({"weight": obj["weight"]})
-    f = _validated(obj, "function", "measfn", jsonio.measfn_from_obj)
-    return {"value": json_real(xi_seminorm(w, f))}
-
-
-def _eval_apply(obj):
-    sym = _validated(obj, "symbol", "symbol", jsonio.symbol_from_obj)
-    f = _validated(obj, "function", "measfn", jsonio.measfn_from_obj)
-    return jsonio.measfn_to_obj(apply(sym, f))
-
-
-def _eval_cesaro(obj):
-    sym = _validated(obj, "symbol", "symbol", jsonio.symbol_from_obj)
-    f = _validated(obj, "function", "measfn", jsonio.measfn_from_obj)
-    n = _int_field(obj, "n")
+def _positive(x, where: str) -> int:
+    n = jsonio.int_from_obj(x, where)
     if n < 1:
-        raise UsageError("n must be >= 1")
-    return jsonio.measfn_to_obj(cesaro(sym, f, n))
+        raise ValueError(f"{where} must be >= 1")
+    return n
 
 
-def _eval_maximal(obj):
-    sym = _validated(obj, "symbol", "symbol", jsonio.symbol_from_obj)
-    f = _validated(obj, "function", "measfn", jsonio.measfn_from_obj)
-    k = _int_field(obj, "K")
-    if k < 1:
-        raise UsageError("K must be >= 1")
-    return jsonio.measfn_to_obj(maximal_truncated(sym, f, k))
+# payload field -> its decoder, called as decode(value, field name)
+_FIELDS = {
+    "function": jsonio.measfn_from_obj,
+    "spec": jsonio.normspec_from_obj,
+    "symbol": jsonio.symbol_from_obj,
+    "weight": lambda w, _: jsonio.xiweight_from_obj({"weight": w}),
+    "n": _positive,
+    "K": _positive,
+    "horizon": _positive,
+}
+
+# operation -> (its payload fields, its evaluation on their decoded values)
+_OPERATIONS = {
+    "rearrange": (("function",), lambda f: jsonio.measfn_to_obj(rearrangement(f))),
+    "norm": (("spec", "function"), lambda spec, f: {"value": json_real(norm_eval(spec, f))}),
+    "xi": (("weight", "function"), lambda w, f: {"value": json_real(xi_seminorm(w, f))}),
+    "apply": (("symbol", "function"), lambda sym, f: jsonio.measfn_to_obj(apply(sym, f))),
+    "cesaro": (
+        ("symbol", "function", "n"),
+        lambda sym, f, n: jsonio.measfn_to_obj(cesaro(sym, f, n)),
+    ),
+    "maximal": (
+        ("symbol", "function", "K"),
+        lambda sym, f, k: jsonio.measfn_to_obj(maximal_truncated(sym, f, k)),
+    ),
+    "analyze-symbol": (
+        ("symbol", "horizon"),
+        lambda sym, h: jsonio.analysis_to_obj(check_condition_I(sym, h)),
+    ),
+}
 
 
-def _make_eval_analyze(horizon: int):
-    def _eval_analyze(obj):
-        sym = _validated(obj, "symbol", "symbol", jsonio.symbol_from_obj)
-        h = obj.get("horizon", horizon)
-        if isinstance(h, bool) or not isinstance(h, int) or h < 1:
-            raise UsageError("horizon must be a positive integer")
-        return jsonio.analysis_to_obj(check_condition_I(sym, h))
-
-    return _eval_analyze
+def _decode(obj, fields: tuple, defaults: dict) -> list:
+    """The payload's fields in order, each read by its decoder; a field
+    without a default is required, and any other key is an error."""
+    jsonio.check_object(obj, "input", [f for f in fields if f not in defaults], fields)
+    return [_FIELDS[name](obj.get(name, defaults.get(name)), name) for name in fields]
 
 
 def _cmd_eval(args) -> int:
@@ -243,24 +202,12 @@ def _cmd_eval(args) -> int:
         text = sys.stdin.read()
     try:
         obj = jsonio.loads(text)
-    except (json.JSONDecodeError, ValueError) as e:
-        raise UsageError(f"input is not valid JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise UsageError("input must be a JSON object")
-    handlers = {
-        "rearrange": _eval_rearrange,
-        "norm": _eval_norm,
-        "xi": _eval_xi,
-        "apply": _eval_apply,
-        "cesaro": _eval_cesaro,
-        "maximal": _eval_maximal,
-        "analyze-symbol": _make_eval_analyze(args.horizon),
-    }
+    except ValueError as e:
+        raise UsageError(f"cannot read the input: {e}") from None
+    fields, evaluate = _OPERATIONS[args.operation]
     try:
-        result = handlers[args.operation](obj)
-    except UsageError:
-        raise
-    except (ValueError, KeyError) as e:
+        result = evaluate(*_decode(obj, fields, {"horizon": args.horizon}))
+    except ValueError as e:
         raise UsageError(str(e)) from None
     text = jsonio.dumps(result)
     if args.outfile:
@@ -306,9 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evp = sub.add_parser("eval", help="evaluate one operation on a JSON document")
     evp.add_argument(
         "operation",
-        choices=(
-            "rearrange", "norm", "xi", "apply", "cesaro", "maximal", "analyze-symbol"
-        ),
+        choices=tuple(_OPERATIONS),
     )
     evp.add_argument("--in", dest="infile", help="input file (default: stdin)")
     evp.add_argument("--out", dest="outfile", help="output file (default: stdout)")

@@ -41,15 +41,15 @@ class MeasureSpace:
     def __post_init__(self):
         if self.kind in _LEBESGUE_KINDS:
             if self.kind == LEBESGUE_INTERVAL:
-                if self.length is None or self.length <= 0:
-                    raise ValueError("interval length must be positive")
+                if self.length is None or not (0 < self.length < INF):
+                    raise ValueError("interval length must be positive and finite")
             elif self.length is not None:
                 raise ValueError(f"{self.kind} takes no length")
             if self.atom_mass is not None or self.count is not None:
                 raise ValueError(f"{self.kind} takes no atomic parameters")
         elif self.kind in _ATOMIC_KINDS:
-            if self.atom_mass is None or self.atom_mass <= 0:
-                raise ValueError("atom_mass must be positive")
+            if self.atom_mass is None or not (0 < self.atom_mass < INF):
+                raise ValueError("atom_mass must be positive and finite")
             if self.kind == ATOMIC_FINITE:
                 if self.count is None or self.count < 1:
                     raise ValueError("count must be >= 1")

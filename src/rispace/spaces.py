@@ -69,6 +69,8 @@ class StepApprox:
         object.__setattr__(self, "final_slope", as_real(self.final_slope))
         if not knots:
             raise ValueError("need at least one knot")
+        if not all(is_finite(t) and is_finite(v) for t, v in knots) or not is_finite(self.final_slope):
+            raise ValueError("knots and final_slope must be finite")
         prev = Fraction(0)
         for t, _ in knots:
             if not t > prev:

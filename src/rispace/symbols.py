@@ -58,6 +58,8 @@ class Affine:
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_real(self.alpha))
         object.__setattr__(self, "beta", as_real(self.beta))
+        if not (is_finite(self.alpha) and is_finite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
 

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import subprocess
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rispace import jsonio
 from rispace.cli import main, parse_schedule
+
+from .payloads import eval_payload, mutated
 
 
 def run_cli(*argv):
@@ -227,3 +234,74 @@ def test_console_script_is_installed():
     out = subprocess.run(["rispace", "--help"], capture_output=True, text=True)
     assert out.returncode == 0
     assert "run-example" in out.stdout and "verify" in out.stdout and "eval" in out.stdout
+
+
+# ---------------------------------------------------------------------------
+# eval on invalid input: exit 2, never an internal error
+# ---------------------------------------------------------------------------
+
+
+def _eval_error(tmp_path, capsys, payload, operation):
+    """stderr of an eval run that must exit 2."""
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(payload))
+    assert run_cli("eval", operation, "--in", str(src)) == 2
+    return capsys.readouterr().err
+
+
+_HALFLINE = {"kind": "lebesgue_halfline"}
+
+
+@pytest.mark.parametrize(
+    "operation, payload",
+    [
+        # zero denominators: a breakpoint, a branch end, a spec's p
+        ("rearrange", {"function": dict(HALFLINE_FN, breakpoints=[0, "1/0", 2])}),
+        ("analyze-symbol", {"symbol": {"space": {"kind": "lebesgue_interval", "length": 1},
+                                       "branches": [{"lo": "1/0", "hi": 1, "form": {
+                                           "kind": "affine", "alpha": 1, "beta": 0}}]}}),
+        ("norm", {"spec": {"kind": "lp", "space": _HALFLINE, "p": "1/0"}, "function": HALFLINE_FN}),
+        # non-finite catalog parameters
+        ("analyze-symbol", {"symbol": {"space": _HALFLINE, "branches": [
+            {"lo": 0, "hi": "inf", "form": {"kind": "affine", "alpha": "inf", "beta": 0}}]}}),
+        ("analyze-symbol", {"symbol": {"space": _HALFLINE, "branches": [
+            {"lo": 0, "hi": "inf", "form": {"kind": "affine", "alpha": 1, "beta": "inf"}}]}}),
+        ("rearrange", {"function": {"space": {"kind": "atomic_z", "atom_mass": "inf"},
+                                    "entries": [[0, 1]]}}),
+        ("rearrange", {"function": {"space": {"kind": "lebesgue_interval", "length": "inf"},
+                                    "breakpoints": [0, "inf"], "values": [1]}}),
+    ],
+)
+def test_eval_bad_number_exits_2(tmp_path, capsys, operation, payload):
+    assert _eval_error(tmp_path, capsys, payload, operation).startswith("error:")
+
+
+def test_eval_huge_exponent_exits_2(tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_text('{"function": {"space": {"kind": "lebesgue_halfline"}, '
+                   '"breakpoints": [0, 1e10000000], "values": [1], "right_tail": 0}}')
+    assert run_cli("eval", "rearrange", "--in", str(src)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_eval_unknown_field_exits_2(tmp_path, capsys):
+    err = _eval_error(tmp_path, capsys, {"function": HALFLINE_FN, "extra": 1}, "rearrange")
+    assert "'extra'" in err
+
+
+_OPERATIONS = ("rearrange", "norm", "xi", "apply", "cesaro", "maximal", "analyze-symbol")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_OPERATIONS), st.integers(0, 2**32), st.data())
+def test_eval_on_mutated_payloads_exits_0_or_2(operation, seed, data):
+    payload = data.draw(mutated(eval_payload(operation, seed)))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(payload))), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = run_cli("eval", operation)
+    assert rc in (0, 2), stderr.getvalue()
+    if rc == 2:
+        assert stderr.getvalue().startswith("error:")
+    else:
+        json.loads(stdout.getvalue())

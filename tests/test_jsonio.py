@@ -1,6 +1,11 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rispace import (
     INF,
@@ -29,6 +34,9 @@ from rispace import (
 )
 from rispace import jsonio
 from rispace.examples import shifted_power_symbol
+
+from .payloads import measfn_obj, mutated, normspec_obj, symbol_obj, wire, xiweight_obj
+from .test_rearrange import deep_fn
 
 
 def test_dumps_is_deterministic_and_newline_terminated():
@@ -170,3 +178,119 @@ def test_json_numbers_survive_the_full_cycle():
         text = jsonio.dumps(jsonio.measfn_to_obj(f))
         back = jsonio.measfn_from_obj(jsonio.loads(text))
         assert back == f  # exact, no float contamination
+
+
+# ---------------------------------------------------------------------------
+# Strict decoding, and conformance of the decoders to the shipped schemas
+# ---------------------------------------------------------------------------
+
+_HALFLINE_FN = {
+    "space": {"kind": "lebesgue_halfline"},
+    "breakpoints": [0, 1],
+    "values": [1],
+    "right_tail": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "decode, obj",
+    [
+        # a fractional index and a string index
+        (jsonio.measfn_from_obj, {"space": {"kind": "atomic_z"}, "entries": [[2.5, 1], ["3", 2]]}),
+        # a boolean and a fractional table entry
+        (jsonio.symbol_from_obj, {"space": {"kind": "atomic_z"}, "table": [[True, 1.9]], "shift": 1}),
+        # a key the object does not use, at each level
+        (jsonio.measfn_from_obj, dict(_HALFLINE_FN, left_tail=0)),
+        (jsonio.measfn_from_obj, dict(_HALFLINE_FN, space={"kind": "lebesgue_halfline", "length": 1})),
+        (jsonio.normspec_from_obj, {"kind": "lp", "space": {"kind": "lebesgue_halfline"}, "p": 1, "q": 1}),
+        # number strings off the schemas' spelling, and a boolean number
+        (jsonio.measfn_from_obj, dict(_HALFLINE_FN, values=["1\n"])),
+        (jsonio.measfn_from_obj, dict(_HALFLINE_FN, values=[" 1"])),
+        (jsonio.measfn_from_obj, dict(_HALFLINE_FN, values=["1_0"])),
+        (jsonio.measfn_from_obj, dict(_HALFLINE_FN, values=[True])),
+        (jsonio.measfn_from_obj, dict(_HALFLINE_FN, values=["1/0"])),
+        # a pair with a third item, and a missing key
+        (jsonio.measfn_from_obj, {"space": {"kind": "atomic_z"}, "entries": [[0, 1, 2]]}),
+        (jsonio.measfn_from_obj, {"space": {"kind": "lebesgue_halfline"}, "breakpoints": [0]}),
+        # a boolean index, a key of the other set layout, overlapping intervals
+        (jsonio.set_from_obj, {"space": {"kind": "atomic_z"}, "indices": [True]}),
+        (jsonio.set_from_obj, {"space": {"kind": "atomic_z"}, "intervals": []}),
+        (jsonio.set_from_obj, {"space": {"kind": "lebesgue_line"}, "intervals": [[0, 2], [1, 3]]}),
+        # an xi weight off the half-line
+        (jsonio.xiweight_from_obj, {"weight": {"space": {"kind": "lebesgue_interval", "length": 1},
+                                               "breakpoints": [0, 1], "values": [1]}}),
+    ],
+)
+def test_decoders_are_strict(decode, obj):
+    with pytest.raises(ValueError):
+        decode(obj)
+
+
+def test_decoder_errors_name_the_object():
+    with pytest.raises(ValueError, match=r"function\.breakpoints\[1\]"):
+        jsonio.measfn_from_obj(dict(_HALFLINE_FN, breakpoints=[0, "one"]))
+    with pytest.raises(ValueError, match=r"symbol\.branches\[0\]\.form"):
+        jsonio.symbol_from_obj({"space": {"kind": "lebesgue_interval", "length": 1},
+                                "branches": [{"lo": 0, "hi": 1, "form": {"kind": "nope"}}]})
+
+
+def test_huge_exponents_are_refused_at_parse_time():
+    with pytest.raises(ValueError):
+        jsonio.loads('{"x": 1e5000}')
+    with pytest.raises(ValueError):
+        jsonio.measfn_from_obj(dict(_HALFLINE_FN, values=["1e5000"]))
+    assert jsonio.loads('{"x": 1e300}')["x"] == 10**300
+
+
+def test_deep_nesting_is_a_value_error():
+    with pytest.raises(ValueError):
+        jsonio.loads("[" * 100_000 + "]" * 100_000)
+
+
+_SCHEMAS = Path(jsonio.__file__).parent / "schemas"
+
+
+def _validator(name: str):
+    schema = json.loads((_SCHEMAS / f"{name}.schema.json").read_text())
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+# schema -> (its decoder, a generator of valid payloads from a seed)
+_KINDS = {
+    "measfn": (jsonio.measfn_from_obj, measfn_obj),
+    "normspec": (jsonio.normspec_from_obj, normspec_obj),
+    "symbol": (jsonio.symbol_from_obj, symbol_obj),
+    "xiweight": (jsonio.xiweight_from_obj, xiweight_obj),
+}
+_VALIDATORS = {name: _validator(name) for name in _KINDS}
+
+
+@st.composite
+def _payloads(draw):
+    """(schema name, a valid payload for it), deep functions included."""
+    name = draw(st.sampled_from(sorted(_KINDS)))
+    if name == "measfn" and draw(st.booleans()):
+        return name, jsonio.measfn_to_obj(draw(deep_fn()))
+    return name, _KINDS[name][1](draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_payloads())
+def test_generated_payloads_decode_and_match_their_schema(named):
+    name, payload = named
+    _VALIDATORS[name].validate(payload)
+    _KINDS[name][0](wire(payload))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_decoders_accept_only_what_their_schema_accepts(data):
+    name, payload = data.draw(_payloads())
+    bad = data.draw(mutated(payload))
+    for obj in (bad, wire(bad)):
+        try:
+            _KINDS[name][0](obj)
+        except ValueError:
+            continue
+        errors = [e.message for e in _VALIDATORS[name].iter_errors(obj)]
+        assert not errors, f"{name} decoder accepted a payload its schema rejects: {errors}"

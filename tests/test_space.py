@@ -125,3 +125,10 @@ def test_interval_additivity_from_disjoint_pieces(raw):
         x = lo + width
     E = interval_set(sp, pairs)
     assert E.measure() == sum(b - a for a, b in pairs)
+
+
+def test_non_finite_space_parameters_are_rejected():
+    for build in (lambda: interval(INF), lambda: atomic_n(INF), lambda: atomic_z(INF),
+                  lambda: atomic_finite(3, INF)):
+        with pytest.raises(ValueError):
+            build()

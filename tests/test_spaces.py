@@ -278,3 +278,9 @@ def test_hardy_sweeps_scale_to_2000_pieces():
     start = time.perf_counter()
     assert norm_eval(MarcStrong(SP, Power(Fraction(1, 2))), f) > 0
     assert time.perf_counter() - start < 10
+
+
+def test_step_approx_parameters_must_be_finite():
+    for knots, slope in ((((INF, 1),), 0), (((1, INF),), 0), (((1, 1),), INF)):
+        with pytest.raises(ValueError):
+            StepApprox(knots, slope)

@@ -349,3 +349,9 @@ def test_power_bound_matches_iterated_preimage(sym, horizon):
         assert pb.at(m) == max(counts)
         witness = min(witness, min(counts))
     assert check_condition_I(sym, horizon).condition_I3_witness == witness
+
+
+def test_affine_parameters_must_be_finite():
+    for alpha, beta in ((INF, 0), (-INF, 0), (1, INF), (1, -INF)):
+        with pytest.raises(ValueError):
+            Affine(alpha, beta)
