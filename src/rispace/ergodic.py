@@ -3,8 +3,9 @@
 Everything is computed exactly on the step/sequence representations:
 ``apply`` pulls the level decomposition of f back through the symbol's
 preimage machinery, Cesàro means accumulate iterates with rational weights,
-and the truncated maximal operator is a pointwise max of finitely many
-partial averages.  Limits are only ever produced by oracles (orbit averages
+and the truncated maximal operator is one sweep over the iterates of |f|,
+index by index or cell by cell, that reads each partial average only where
+it can be the largest.  Limits are only ever produced by oracles (orbit averages
 for finite permutations); nothing is extrapolated.
 """
 
@@ -25,11 +26,10 @@ from .stepfn import (
     MeasFn,
     StepFn,
     abs_fn,
-    add,
     linear_combine,
-    pointwise_max,
     scale,
     seq,
+    step,
     subtract,
 )
 from .symbols import AtomicSymbol, IntervalSymbol, Symbol, _fn_from_pieces
@@ -47,30 +47,41 @@ def apply(sym: Symbol, f: MeasFn) -> MeasFn:
     the preimages of the pieces tile the domain up to null sets, so the
     result is again a step function.  For atomic symbols only finitely many
     indices can disagree with the tail behavior f(j + c)."""
+    _check_acts_on(sym, f)
+    if isinstance(sym, AtomicSymbol):
+        return _apply_atomic(sym, f)
+    return _apply_interval(sym, f)
+
+
+def _check_acts_on(sym: Symbol, f: MeasFn) -> None:
     if f.space != sym.space:
         raise ValueError("function and symbol live on different spaces")
     if isinstance(sym, AtomicSymbol):
         if not isinstance(f, AtomSeq):
             raise ValueError("atomic symbols act on atom sequences")
-        return _apply_atomic(sym, f)
-    if not isinstance(f, StepFn):
+    elif not isinstance(f, StepFn):
         raise ValueError("interval symbols act on step functions")
-    return _apply_interval(sym, f)
 
 
 def _apply_atomic(sym: AtomicSymbol, f: AtomSeq) -> AtomSeq:
+    return seq(sym.space, _pull_back(sym, f._values, f.tail), tail=f.tail)
+
+
+def _pull_back(sym: AtomicSymbol, values: dict[int, Real], tail: Real) -> dict[int, Real]:
+    """The entries of h ∘ phi for the sequence h with the given entries over
+    the tail, each different from the tail."""
     cand = {j for j, _ in sym.table}
     if sym.shift is None:
         cand.update(range(sym.space.count))
     else:
-        # off the table phi(j) = j + c, so only pullbacks of f's entries
+        # off the table phi(j) = j + c, so only pullbacks of h's entries
         # can differ from the tail
-        for e, _ in f.entries:
+        for e in values:
             j = e - sym.shift
             if sym.space.valid_index(j):
                 cand.add(j)
-    entries = [(j, f.value_at(sym.image_of(j))) for j in sorted(cand)]
-    return seq(sym.space, entries, tail=f.tail)
+    pulled = ((j, values.get(sym.image_of(j), tail)) for j in cand)
+    return {j: v for j, v in pulled if v != tail}
 
 
 def _apply_interval(sym: IntervalSymbol, f: StepFn) -> StepFn:
@@ -249,21 +260,77 @@ def decomposition_check(sym: AtomicSymbol, f: AtomSeq) -> Decomposition:
 
 
 def maximal_truncated(sym: Symbol, f: MeasFn, K: int) -> MeasFn:
-    """max_{1<=n<=K} (1/n) sum_{i<n} |T^i f|, exact on the common refinement.
+    """max_{1<=n<=K} (1/n) S_n with S_n = sum_{i<n} |T^i f|, exact.
 
-    |T^i f| = T^i |f| because T is positive, so one pass over the iterates
-    of |f| suffices."""
+    |T^i f| = T^i |f| because T is positive, so the iterates of |f| are
+    formed once and swept together: index by index for atom sequences, cell
+    by cell over the union of the iterates' cuts for step functions.  As
+    |f| >= 0, S_n is constant between the iterates that are nonzero at a
+    point and S_n/n falls there, so the maximum is attained at some n = i+1
+    with T^i |f| nonzero; only those n are visited (all n where a tail over
+    N adds at every step).  Ties keep the smaller n."""
     if K < 1:
         raise ValueError("truncation K must be >= 1")
     g = abs_fn(f)
-    best = g
-    running = g
-    cur = g
-    for n in range(2, K + 1):
-        cur = apply(sym, cur)
-        running = add(running, cur)
-        best = pointwise_max(best, scale(Fraction(1, n), running))
-    return best
+    if K == 1:
+        return g
+    _check_acts_on(sym, g)
+    weights = [Fraction(1, n) for n in range(1, K + 1)]
+    if isinstance(sym, AtomicSymbol):
+        return _maximal_atomic(sym, g, weights)
+    iterates = [g]
+    for _ in range(K - 1):
+        iterates.append(apply(sym, iterates[-1]))
+    return _maximal_interval(iterates, weights)
+
+
+def _peak_mean(events, weights: list[Fraction]) -> Real:
+    """max over the (i, v) events, in increasing i, of weights[i] times the
+    running sum of v; the first maximum wins, and no events give 0."""
+    total: Real = Fraction(0)
+    best = None
+    for i, v in events:
+        total += v
+        m = weights[i] * total
+        if best is None or m > best:
+            best = m
+    return Fraction(0) if best is None else best
+
+
+def _maximal_atomic(sym: AtomicSymbol, g: AtomSeq, weights: list[Fraction]) -> AtomSeq:
+    tail = g.tail
+    iterates = [g._values]
+    for _ in range(len(weights) - 1):
+        iterates.append(_pull_back(sym, iterates[-1], tail))
+    events: dict[int, list] = {}
+    for i, it in enumerate(iterates):
+        for j, v in it.items():
+            events.setdefault(j, []).append((i, v))
+    if tail != 0:
+        # a tail over N adds to S_n at every step, so every n counts
+        events = {j: [(i, it.get(j, tail)) for i, it in enumerate(iterates)] for j in events}
+    peaks = {j: _peak_mean(ev, weights) for j, ev in events.items()}
+    return seq(sym.space, peaks, tail=_peak_mean(((i, tail) for i in range(len(weights))), weights))
+
+
+def _maximal_interval(iterates: list[StepFn], weights: list[Fraction]) -> StepFn:
+    # the (iterate, value) switches at each cut; active holds the iterates
+    # that are nonzero on the current cell
+    switches: dict[Real, list] = {}
+    for i, h in enumerate(iterates):
+        for c, v in zip(h.cuts, h.vals[1:]):
+            switches.setdefault(c, []).append((i, v))
+    active = {i: h.vals[0] for i, h in enumerate(iterates) if h.vals[0] != 0}
+    cuts = sorted(switches)
+    vals = [_peak_mean(sorted(active.items()), weights)]
+    for c in cuts:
+        for i, v in switches[c]:
+            if v == 0:
+                del active[i]
+            else:
+                active[i] = v
+        vals.append(_peak_mean(sorted(active.items()), weights))
+    return step(iterates[0].space, cuts, vals)
 
 
 def weak_type_ratio(

@@ -10,6 +10,7 @@ safely in comparisons and as dict keys.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -113,7 +114,23 @@ def nth_root(x: Real, n: int) -> Real:
     rq = _int_nth_root(x.denominator, n)
     if rp**n == x.numerator and rq**n == x.denominator:
         return Fraction(rp, rq)
-    return to_float(x) ** (1.0 / n)
+    fx = to_float(x)
+    if _normal(fx):
+        return fx ** (1.0 / n)
+    # x overflows or underflows a double, its root need not: take the
+    # integer root of x 2^(n k), about 64 bits wide, and scale back by 2^-k
+    p, q = x.numerator, x.denominator
+    k = 64 - (p.bit_length() - q.bit_length()) // n
+    m = (p << n * k) // q if k >= 0 else p // (q << -n * k)
+    try:
+        return math.ldexp(_int_nth_root(m, n), -k)
+    except OverflowError:
+        return INF
+
+
+def _normal(fx: float) -> bool:
+    """True for a positive double that is neither subnormal nor inf."""
+    return sys.float_info.min <= fx < INF
 
 
 def rational_pow(x: Real, e: Real) -> Real:
@@ -134,7 +151,10 @@ def rational_pow(x: Real, e: Real) -> Real:
             return INF
         return Fraction(0)
     if isinstance(e, float):
-        return to_float(x) ** e
+        fx = to_float(x)
+        if isinstance(x, float) or _normal(fx):
+            return fx ** e
+        return _split_pow(x, e)
     if e < 0:
         inv = rational_pow(x, -e)
         if isinstance(inv, Fraction):
@@ -148,6 +168,23 @@ def rational_pow(x: Real, e: Real) -> Real:
     if isinstance(root, Fraction):
         return root**e.numerator
     return root ** e.numerator if abs(e.numerator) < 512 else to_float(x) ** to_float(e)
+
+
+def _split_pow(x: Fraction, e: float) -> float:
+    """x ** e for a positive rational x outside the double range: x = y 2^s
+    with y in (1/2, 2), so x^e = y^e 2^(s e), where s e is split exactly into
+    its integer and fractional parts."""
+    s = x.numerator.bit_length() - x.denominator.bit_length()
+    if abs(e) > 1000:
+        # |s| > 1020, so |s e| > 10^6 (or inf): far past the double range
+        return INF if (s > 0) == (e > 0) else 0.0
+    y = x.numerator / (x.denominator << s) if s >= 0 else (x.numerator << -s) / x.denominator
+    w = s * Fraction(e)
+    i = math.floor(w)
+    try:
+        return math.ldexp(y**e * 2.0 ** float(w - i), i)
+    except OverflowError:
+        return INF
 
 
 def log_real(x: Real) -> float:

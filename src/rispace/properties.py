@@ -133,9 +133,11 @@ def _dyadic(rng: random.Random, lo: int, hi: int, den: int = 4) -> Fraction:
 
 
 def _sorted_cuts(rng: random.Random, size: int, lo, hi) -> list[Fraction]:
-    pool = [Fraction(i, _DEN) for i in range(int(lo * _DEN) + 1, int(hi * _DEN))]
+    # random.sample draws by index, so sampling the integers draws the same
+    # cuts as sampling a pool of Fractions would, at the cost of k of them
+    pool = range(int(lo * _DEN) + 1, int(hi * _DEN))
     k = min(len(pool), rng.randint(0, size + 1))
-    return sorted(rng.sample(pool, k))
+    return [Fraction(i, _DEN) for i in sorted(rng.sample(pool, k))]
 
 
 def gen_lebesgue_space(rng: random.Random, size: int) -> MeasureSpace:

@@ -65,12 +65,10 @@ def _levels(f: MeasFn) -> dict[Real, Real]:
             levels[abs(f.tail)] = INF
         return levels
     for a, b, v in f.pieces():
-        if v == 0:
-            continue
-        key = abs(v)
-        width = INF if (b == INF or a == -INF) else b - a
-        prev = levels.get(key, Fraction(0))
-        levels[key] = INF if (prev == INF or width == INF) else prev + width
+        if v != 0:
+            # a ray's width b - a is INF, and INF absorbs every other width
+            key = abs(v)
+            levels[key] = levels.get(key, Fraction(0)) + (b - a)
     return levels
 
 

@@ -149,6 +149,34 @@ def maximal_dict_oracle(image_of, f_value_at, indices, K):
     return out
 
 
+def maximal_iterate_oracle(iterates, x):
+    """max_n (1/n) sum_{i<n} h_i(x) for the iterates h_i = T^i |f|, each
+    evaluated at the point x on its own."""
+    acc = Fraction(0)
+    best = None
+    for n, h in enumerate(iterates, 1):
+        acc += h.value_at(x)
+        cur = acc / n
+        best = cur if best is None or cur > best else best
+    return best
+
+
+def refinement_points(fns):
+    """A point inside every cell of the common refinement of step functions
+    on one space: cell midpoints, and one past the last cut on a ray."""
+    lo, hi = fns[0].space.domain
+    bounds = [lo, *sorted(set().union(*(f.cuts for f in fns))), hi]
+    points = []
+    for a, b in zip(bounds, bounds[1:]):
+        if a == -INF:
+            points.append(Fraction(0) if b == INF else b - 1)
+        elif b == INF:
+            points.append(a + 1)
+        else:
+            points.append((a + b) / 2)
+    return points
+
+
 def _finite_support(f: StepFn):
     lo, hi = f.space.domain
     if f.vals[-1] != 0:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from rispace import (
     AtomicSymbol,
     Lp,
     XiWeight,
+    abs_fn,
     apply,
     atomic_finite,
     atomic_n,
@@ -36,7 +38,14 @@ from rispace.examples import (
     unilateral_shift,
 )
 
-from .oracles import cesaro_dict_oracle, maximal_dict_oracle
+from .oracles import (
+    cesaro_dict_oracle,
+    maximal_dict_oracle,
+    maximal_iterate_oracle,
+    refinement_points,
+)
+from .test_rearrange import _deep
+from .test_symbols import _infinite_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +309,65 @@ def test_cesaro_matches_dict_oracle(pair, n):
     assert all(got.value_at(j) == want[j] for j in range(sym.space.count))
 
 
-@given(_atomic_instance(), st.integers(1, 9))
-@settings(max_examples=80)
+@st.composite
+def _infinite_instance(draw):
+    """A Z or N symbol with a table, and a sequence near its window; over N
+    the sequence may have a nonzero tail."""
+    sym = draw(_infinite_symbol())
+    lo = -8 if sym.space == atomic_z() else 0
+    entries = draw(st.dictionaries(st.integers(lo, 8), st.fractions(-6, 6, max_denominator=4), max_size=6))
+    tail = 0 if lo else draw(st.sampled_from([0, 0, 1, Fraction(-5, 2), Fraction(1, 3)]))
+    return sym, seq(sym.space, entries, tail=tail)
+
+
+@given(_atomic_instance() | _infinite_instance(), st.integers(1, 9))
+@settings(max_examples=160)
 def test_maximal_matches_dict_oracle(pair, K):
     sym, f = pair
-    want = maximal_dict_oracle(sym.image_of, f.value_at, range(sym.space.count), K)
+    if sym.space.count is not None:
+        indices = range(sym.space.count)
+    else:
+        # orbits move by at most 2 a step, so the window is past every index
+        # whose first K iterates meet the table or f's entries
+        reach = 8 + 2 * K + 2
+        indices = range(-reach if sym.space == atomic_z() else 0, reach)
+    want = maximal_dict_oracle(sym.image_of, f.value_at, indices, K)
     got = maximal_truncated(sym, f, K)
-    assert all(got.value_at(j) == want[j] for j in range(sym.space.count))
+    assert all(got.value_at(j) == want[j] for j in indices)
+    if sym.space.count is None:
+        far = 10**6
+        assert got.tail == maximal_dict_oracle(sym.image_of, f.value_at, [far], K)[far]
+
+
+@st.composite
+def _interval_instance(draw):
+    """translation_line or power_symbol(2) with a step function whose cuts
+    and values are deep dyadics, rays on the line included."""
+    sym = draw(st.sampled_from([translation_line(), power_symbol(2)]))
+    pool = [_deep(draw) for _ in range(draw(st.integers(1, 3)))] + [Fraction(0)]
+    n = draw(st.integers(0, 5))
+    if sym.space == line():
+        cuts = sorted({_deep(draw) * draw(st.sampled_from([-1, 1])) for _ in range(n)})
+    else:
+        cuts = sorted({Fraction(draw(st.integers(1, 2**40 - 1)), 2**40) for _ in range(n)})
+    vals = [draw(st.sampled_from(pool)) * draw(st.sampled_from([-1, 1])) for _ in range(len(cuts) + 1)]
+    return sym, step(sym.space, cuts, vals)
+
+
+@given(_interval_instance(), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_maximal_matches_iterate_oracle_on_interval_symbols(pair, K):
+    sym, f = pair
+    iterates = [iterate_apply(sym, abs_fn(f), i) for i in range(K)]
+    got = maximal_truncated(sym, f, K)
+    for x in refinement_points([got, *iterates]):
+        assert got.value_at(x) == maximal_iterate_oracle(iterates, x)
+
+
+def test_maximal_scales_to_K_2000_on_the_shift():
+    # K running sums built as whole sequences cost O(K^2), about a minute
+    # at this K; the sweep is linear in K
+    t0 = time.monotonic()
+    m = maximal_truncated(bilateral_shift(), seq(atomic_z(), {0: 1}), 2000)
+    assert time.monotonic() - t0 < 5
+    assert m.value_at(-1999) == Fraction(1, 2000) and m.value_at(-2000) == 0

@@ -15,6 +15,7 @@ from rispace.num import (
     json_real,
     log_real,
     nth_root,
+    rational_pow,
     to_float,
 )
 
@@ -77,6 +78,36 @@ def test_nth_root_exact_on_perfect_powers():
     assert nth_root(Fraction(81), 4) == Fraction(3)
     r = nth_root(Fraction(2), 2)
     assert isinstance(r, float) and math.isclose(r, math.sqrt(2))
+
+
+def test_nth_root_of_rationals_outside_the_float_range():
+    # 10**401 overflows a double and 10**-401 underflows to 0, but both
+    # square roots are ordinary doubles
+    big = nth_root(Fraction(10**401), 2)
+    assert math.isclose(big, math.sqrt(10) * 1e200, rel_tol=1e-15)
+    tiny = nth_root(Fraction(1, 10**401), 2)
+    assert tiny != 0
+    assert math.isclose(tiny, 1e-200 / math.sqrt(10), rel_tol=1e-15)
+    # 3 2^-1100 is below the subnormal range; its cube root is 6^(1/3) 2^-367
+    assert math.isclose(nth_root(Fraction(3, 2**1100), 3), math.ldexp(6 ** (1 / 3), -367), rel_tol=1e-15)
+    # a root that is itself past the double range stays inf
+    assert nth_root(Fraction(2 ** 4100 + 1), 2) == INF
+
+
+def test_nth_root_normal_range_keeps_the_float_power():
+    for x in (Fraction(2), Fraction(1, 3), Fraction(10**300 + 1), Fraction(1, 10**300 + 7)):
+        for n in (2, 3, 7):
+            assert nth_root(x, n) == float(x) ** (1.0 / n)
+
+
+def test_rational_pow_float_exponent_outside_the_float_range():
+    assert math.isclose(rational_pow(Fraction(10**401), 0.5), math.sqrt(10) * 1e200, rel_tol=1e-13)
+    assert math.isclose(rational_pow(Fraction(1, 10**401), 0.5), 1e-200 / math.sqrt(10), rel_tol=1e-13)
+    assert math.isclose(rational_pow(Fraction(1, 2**1100), -0.25), 2.0**275, rel_tol=1e-13)
+    assert rational_pow(Fraction(10**401), INF) == INF and rational_pow(Fraction(1, 10**401), INF) == 0
+    assert rational_pow(Fraction(10**401), -INF) == 0 and rational_pow(Fraction(1, 10**401), -INF) == INF
+    # inside the range the plain float power is kept
+    assert rational_pow(Fraction(1, 3), 0.7) == (1 / 3) ** 0.7
 
 
 def test_log_real_handles_big_fractions():

@@ -47,3 +47,24 @@ def test_input_validation():
         verify_suite(trials=0)
     with pytest.raises(ValueError):
         verify_suite(names=["no-such-property"])
+
+
+def test_sorted_cuts_draws_what_a_fraction_pool_draws():
+    import random
+    from fractions import Fraction
+
+    from rispace.properties import _DEN, _sorted_cuts
+
+    def by_pool(rng, size, lo, hi):
+        pool = [Fraction(i, _DEN) for i in range(int(lo * _DEN) + 1, int(hi * _DEN))]
+        k = min(len(pool), rng.randint(0, size + 1))
+        return sorted(rng.sample(pool, k))
+
+    bounds = [(Fraction(0), Fraction(4)), (Fraction(0), Fraction(6)), (Fraction(-3), Fraction(3)),
+              (Fraction(-5, 3), Fraction(7, 2)), (Fraction(0), Fraction(1, 8)), (Fraction(1), Fraction(1))]
+    for seed in range(2000):
+        size = seed % 9
+        lo, hi = bounds[seed % len(bounds)]
+        a, b = random.Random(seed), random.Random(seed)
+        assert _sorted_cuts(a, size, lo, hi) == by_pool(b, size, lo, hi)
+        assert a.random() == b.random()

@@ -250,3 +250,33 @@ def test_hlp_leq_matches_layer_cake_oracle(pair):
     assert hlp_leq(f, g) == _hlp_oracle(f, g)
     assert hlp_leq(g, f) == _hlp_oracle(g, f)
     assert hlp_leq(f, f)
+
+
+def _levels_by_piece(f):
+    """The level map of a step function by testing every piece for a ray."""
+    levels = {}
+    for a, b, v in f.pieces():
+        if v == 0:
+            continue
+        width = INF if (b == INF or a == -INF) else b - a
+        prev = levels.get(abs(v), Fraction(0))
+        levels[abs(v)] = INF if (prev == INF or width == INF) else prev + width
+    return levels
+
+
+@st.composite
+def _ray_fn(draw):
+    """A step function on the line or the half-line whose rays may carry a
+    level that also occurs on bounded pieces."""
+    sp = draw(st.sampled_from([line(), halfline()]))
+    lo = -8 if sp == line() else 1
+    cuts = sorted(set(draw(st.lists(st.integers(lo, 8), max_size=6))))
+    vals = draw(st.lists(st.integers(-3, 3), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    return step(sp, cuts, vals)
+
+
+@given((deep_fn() | _ray_fn()).filter(lambda f: isinstance(f, StepFn)))
+def test_levels_match_the_piece_by_piece_ray_test(f):
+    from rispace.rearrange import _levels
+
+    assert list(_levels(f).items()) == list(_levels_by_piece(f).items())

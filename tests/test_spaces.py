@@ -60,6 +60,17 @@ def test_lp_against_grid_oracle():
         assert float(got) == pytest.approx(lp_grid_oracle(F0, p), rel=1e-3)
 
 
+def test_norms_of_huge_and_tiny_functions_stay_finite_and_positive():
+    # ||10^200 chi[0,2)||_2 = sqrt(2) 10^200 is a finite double, though the
+    # integral 2 10^400 is not
+    big = step(SP, [2], [Fraction(10**200), 0])
+    assert norm_eval(Lp(SP, 2), big) == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+    # chi[0, 3 2^-1100) is nonzero, so are its norms
+    tiny = step(SP, [Fraction(3, 2**1100)], [1, 0])
+    assert norm_eval(Lorentz(SP, 2, 1), tiny) > 0
+    assert norm_eval(Lp(SP, 2), tiny) == pytest.approx(math.sqrt(3) * 2.0**-550, rel=1e-15)
+
+
 def test_lorentz_frozen_and_quadrature():
     chi4 = step(SP, [4], [1, 0])
     assert norm_eval(Lorentz(SP, 2, 1), chi4) == 4
