@@ -268,7 +268,8 @@ def maximal_truncated(sym: Symbol, f: MeasFn, K: int) -> MeasFn:
     |f| >= 0, S_n is constant between the iterates that are nonzero at a
     point and S_n/n falls there, so the maximum is attained at some n = i+1
     with T^i |f| nonzero; only those n are visited (all n where a tail over
-    N adds at every step).  Ties keep the smaller n."""
+    N adds at every step).  Ties keep the smaller n.  Float-valued step
+    functions are rounded as the sum of whole step functions rounds them."""
     if K < 1:
         raise ValueError("truncation K must be >= 1")
     g = abs_fn(f)
@@ -281,6 +282,8 @@ def maximal_truncated(sym: Symbol, f: MeasFn, K: int) -> MeasFn:
     iterates = [g]
     for _ in range(K - 1):
         iterates.append(apply(sym, iterates[-1]))
+    if any(isinstance(v, float) for v in g.vals):
+        return _maximal_interval_float(iterates, weights)
     return _maximal_interval(iterates, weights)
 
 
@@ -303,12 +306,13 @@ def _maximal_atomic(sym: AtomicSymbol, g: AtomSeq, weights: list[Fraction]) -> A
     for _ in range(len(weights) - 1):
         iterates.append(_pull_back(sym, iterates[-1], tail))
     events: dict[int, list] = {}
-    for i, it in enumerate(iterates):
-        for j, v in it.items():
-            events.setdefault(j, []).append((i, v))
-    if tail != 0:
+    if tail == 0:
+        for i, it in enumerate(iterates):
+            for j, v in it.items():
+                events.setdefault(j, []).append((i, v))
+    else:
         # a tail over N adds to S_n at every step, so every n counts
-        events = {j: [(i, it.get(j, tail)) for i, it in enumerate(iterates)] for j in events}
+        events = {j: [(i, it.get(j, tail)) for i, it in enumerate(iterates)] for j in set().union(*iterates)}
     peaks = {j: _peak_mean(ev, weights) for j, ev in events.items()}
     return seq(sym.space, peaks, tail=_peak_mean(((i, tail) for i in range(len(weights))), weights))
 
@@ -331,6 +335,41 @@ def _maximal_interval(iterates: list[StepFn], weights: list[Fraction]) -> StepFn
                 active[i] = v
         vals.append(_peak_mean(sorted(active.items()), weights))
     return step(iterates[0].space, cuts, vals)
+
+
+def _maximal_interval_float(iterates: list[StepFn], weights: list[Fraction]) -> StepFn:
+    """max_n S_n/n for float values, rounded as the sum of whole step
+    functions rounds: on the union of the iterates' cuts, S_n and S_n/n each
+    run left to right from their first cell by one jump per cut.  S_n's jump
+    adds S_{n-1}'s and the iterate's, skipping a zero one; the mean's is 1/n
+    times S_n's."""
+    cuts = sorted(dict.fromkeys(c for h in iterates for c in h.cuts))
+    running = _on_cells(iterates[0], cuts)
+    best = running
+    for h, w in zip(iterates[1:], weights[1:]):
+        cur = _on_cells(h, cuts)
+        total = [running[0] + cur[0]]
+        mean = [w * total[0]]
+        for k in range(1, len(cuts) + 1):
+            ds, dc = running[k] - running[k - 1], cur[k] - cur[k - 1]
+            jump = ds + dc if ds and dc else ds or dc
+            total.append(total[-1] + jump if jump else total[-1])
+            d = total[k] - total[k - 1]
+            mean.append(mean[-1] + w * d if d else mean[-1])
+        running = total
+        best = [max(b, m) for b, m in zip(best, mean)]
+    return step(iterates[0].space, cuts, best)
+
+
+def _on_cells(h: StepFn, cuts: list[Real]) -> list[Real]:
+    """h's value on each cell of a refinement of its cuts."""
+    vals = [h.vals[0]]
+    i = 0
+    for c in cuts:
+        if i < len(h.cuts) and h.cuts[i] == c:
+            i += 1
+        vals.append(h.vals[i])
+    return vals
 
 
 def weak_type_ratio(

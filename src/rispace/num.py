@@ -167,7 +167,11 @@ def rational_pow(x: Real, e: Real) -> Real:
     root = nth_root(x, e.denominator)
     if isinstance(root, Fraction):
         return root**e.numerator
-    return root ** e.numerator if abs(e.numerator) < 512 else to_float(x) ** to_float(e)
+    try:
+        return root ** e.numerator if abs(e.numerator) < 512 else to_float(x) ** to_float(e)
+    except OverflowError:
+        # e > 0 here: the power is past the double range
+        return INF
 
 
 def _split_pow(x: Fraction, e: float) -> float:

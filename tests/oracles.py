@@ -161,6 +161,20 @@ def maximal_iterate_oracle(iterates, x):
     return best
 
 
+def maximal_chain_oracle(sym, f, K):
+    """max_{n<=K} S_n/n built from whole functions: S_n = S_{n-1} + T^{n-1}|f|
+    by add, each mean by scale, the maximum by pointwise_max.  Its float
+    rounding is the one maximal_truncated keeps wherever the tail is 0."""
+    from rispace import abs_fn, add, apply, pointwise_max, scale
+
+    best = running = cur = abs_fn(f)
+    for n in range(2, K + 1):
+        cur = apply(sym, cur)
+        running = add(running, cur)
+        best = pointwise_max(best, scale(Fraction(1, n), running))
+    return best
+
+
 def refinement_points(fns):
     """A point inside every cell of the common refinement of step functions
     on one space: cell midpoints, and one past the last cut on a ray."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rispace import (
     AtomicSymbol,
     Lp,
+    StepFn,
     XiWeight,
     abs_fn,
     apply,
@@ -40,6 +41,7 @@ from rispace.examples import (
 
 from .oracles import (
     cesaro_dict_oracle,
+    maximal_chain_oracle,
     maximal_dict_oracle,
     maximal_iterate_oracle,
     refinement_points,
@@ -362,6 +364,31 @@ def test_maximal_matches_iterate_oracle_on_interval_symbols(pair, K):
     got = maximal_truncated(sym, f, K)
     for x in refinement_points([got, *iterates]):
         assert got.value_at(x) == maximal_iterate_oracle(iterates, x)
+
+
+_FLOAT_SCALES = [0.1, 1 / 3, 0.7, 3e-17, 1e20]
+
+
+@st.composite
+def _float_instance(draw):
+    """An atomic or interval instance above with some of its values
+    turned into floats, and a zero tail."""
+    sym, f = draw(st.one_of(_interval_instance(), _atomic_instance(), _infinite_instance()))
+
+    def fl(v):
+        return v * draw(st.sampled_from(_FLOAT_SCALES)) if draw(st.booleans()) else v
+
+    if isinstance(f, StepFn):
+        return sym, step(f.space, f.cuts, [fl(v) for v in f.vals])
+    return sym, seq(f.space, {j: fl(v) for j, v in f.entries})
+
+
+@given(_float_instance(), st.integers(1, 8))
+@settings(max_examples=120, deadline=None)
+def test_maximal_float_values_round_as_the_running_sum_chain(pair, K):
+    # repr tells a float from a Fraction and shows every bit of a float
+    sym, f = pair
+    assert repr(maximal_truncated(sym, f, K)) == repr(maximal_chain_oracle(sym, f, K))
 
 
 def test_maximal_scales_to_K_2000_on_the_shift():

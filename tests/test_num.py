@@ -94,6 +94,15 @@ def test_nth_root_of_rationals_outside_the_float_range():
     assert nth_root(Fraction(2 ** 4100 + 1), 2) == INF
 
 
+def test_rational_pow_of_a_float_root_past_the_double_range_is_inf():
+    # the cube root of 2 10^600 is an ordinary double, its square is not
+    assert rational_pow(Fraction(2 * 10**600), Fraction(2, 3)) == INF
+    assert rational_pow(Fraction(10**401), Fraction(3, 2)) == INF
+    assert rational_pow(Fraction(2 * 10**600), Fraction(-2, 3)) == 0
+    assert rational_pow(Fraction(10**401), Fraction(1025, 2)) == INF
+    assert math.isclose(rational_pow(Fraction(2 * 10**600), Fraction(1, 3)), 2 ** (1 / 3) * 1e200, rel_tol=1e-15)
+
+
 def test_nth_root_normal_range_keeps_the_float_power():
     for x in (Fraction(2), Fraction(1, 3), Fraction(10**300 + 1), Fraction(1, 10**300 + 7)):
         for n in (2, 3, 7):

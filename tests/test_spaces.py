@@ -69,6 +69,8 @@ def test_norms_of_huge_and_tiny_functions_stay_finite_and_positive():
     tiny = step(SP, [Fraction(3, 2**1100)], [1, 0])
     assert norm_eval(Lorentz(SP, 2, 1), tiny) > 0
     assert norm_eval(Lp(SP, 2), tiny) == pytest.approx(math.sqrt(3) * 2.0**-550, rel=1e-15)
+    # ||10^350 chi[0,2)||_{3/2} = 2^(2/3) 10^350 is past the double range
+    assert norm_eval(Lp(SP, Fraction(3, 2)), step(SP, [2], [Fraction(10**350), 0])) == INF
 
 
 def test_lorentz_frozen_and_quadrature():
