@@ -25,14 +25,14 @@ from .stepfn import (
     AtomSeq,
     MeasFn,
     StepFn,
+    _on_cells,
     abs_fn,
     linear_combine,
-    scale,
     seq,
     step,
     subtract,
 )
-from .symbols import AtomicSymbol, IntervalSymbol, Symbol, _fn_from_pieces
+from .symbols import AtomicSymbol, IntervalSymbol, Symbol, _atomic_preimage, _fn_from_pieces
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +49,7 @@ def apply(sym: Symbol, f: MeasFn) -> MeasFn:
     indices can disagree with the tail behavior f(j + c)."""
     _check_acts_on(sym, f)
     if isinstance(sym, AtomicSymbol):
-        return _apply_atomic(sym, f)
+        return seq(sym.space, _pull_back(sym, f._values), tail=f.tail)
     return _apply_interval(sym, f)
 
 
@@ -63,25 +63,11 @@ def _check_acts_on(sym: Symbol, f: MeasFn) -> None:
         raise ValueError("interval symbols act on step functions")
 
 
-def _apply_atomic(sym: AtomicSymbol, f: AtomSeq) -> AtomSeq:
-    return seq(sym.space, _pull_back(sym, f._values, f.tail), tail=f.tail)
-
-
-def _pull_back(sym: AtomicSymbol, values: dict[int, Real], tail: Real) -> dict[int, Real]:
-    """The entries of h ∘ phi for the sequence h with the given entries over
-    the tail, each different from the tail."""
-    cand = {j for j, _ in sym.table}
-    if sym.shift is None:
-        cand.update(range(sym.space.count))
-    else:
-        # off the table phi(j) = j + c, so only pullbacks of h's entries
-        # can differ from the tail
-        for e in values:
-            j = e - sym.shift
-            if sym.space.valid_index(j):
-                cand.add(j)
-    pulled = ((j, values.get(sym.image_of(j), tail)) for j in cand)
-    return {j: v for j, v in pulled if v != tail}
+def _pull_back(sym: AtomicSymbol, values: dict[int, Real]) -> dict[int, Real]:
+    """The entries of h ∘ phi for a sequence h given by its entries off its
+    tail.  Every value listed must differ from h's tail; then h ∘ phi leaves
+    the tail exactly on phi^{-1}(the listed indices)."""
+    return {j: values[sym.image_of(j)] for j in _atomic_preimage(sym, values)}
 
 
 def _apply_interval(sym: IntervalSymbol, f: StepFn) -> StepFn:
@@ -124,22 +110,18 @@ class CesaroTrajectory:
 
 
 def cesaro(sym: Symbol, f: MeasFn, n: int) -> MeasFn:
-    """(1/n) sum_{i<n} T^i f, exact."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if _is_finite_permutation(sym):
-        return _permutation_cesaro(sym, f, n)
-    iterates = [f]
-    cur = f
-    for _ in range(n - 1):
-        cur = apply(sym, cur)
-        iterates.append(cur)
-    w = Fraction(1, n)
-    return linear_combine([w] * n, iterates)
+    """C_n f = (1/n) sum_{i<n} T^i f, exact: the one-snapshot schedule, so
+    one linear combination of the n iterates with weights 1/n."""
+    return cesaro_schedule(sym, f, (n,)).means[0][1]
 
 
 def cesaro_schedule(sym: Symbol, f: MeasFn, schedule: Sequence[int]) -> CesaroTrajectory:
-    """Means C_n f along an increasing schedule, sharing iterates."""
+    """Means C_n f along an increasing schedule, sharing iterates.
+
+    Each snapshot is one linear combination of the previous snapshot C_m (m
+    = 0 at the first) and the iterates since it:
+    C_n = (m/n) C_m + (1/n) sum_{m<=i<n} T^i f.  Finite permutations take
+    the closed form along cycles instead."""
     ns = [int(n) for n in schedule]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise ValueError("schedule must be strictly increasing and positive")
@@ -148,7 +130,6 @@ def cesaro_schedule(sym: Symbol, f: MeasFn, schedule: Sequence[int]) -> CesaroTr
         return CesaroTrajectory(sym, f, tuple(ns), means)
     wanted = set(ns)
     out = []
-    running = None
     buffer = [f]
     cur = f
     for n in range(1, ns[-1] + 1):
@@ -156,13 +137,14 @@ def cesaro_schedule(sym: Symbol, f: MeasFn, schedule: Sequence[int]) -> CesaroTr
             cur = apply(sym, cur)
             buffer.append(cur)
         if n in wanted:
-            # fold the buffered iterates into the running sum only at
-            # snapshots, so a dense schedule costs one sweep per snapshot
-            # instead of one per step
-            parts = ([running] if running is not None else []) + buffer
-            running = parts[0] if len(parts) == 1 else linear_combine([1] * len(parts), parts)
+            w = Fraction(1, n)
+            if out:
+                m, mean = out[-1]
+                mean = linear_combine([m * w] + [w] * len(buffer), [mean] + buffer)
+            else:
+                mean = linear_combine([w] * n, buffer)
             buffer = []
-            out.append((n, scale(Fraction(1, n), running)))
+            out.append((n, mean))
     return CesaroTrajectory(sym, f, tuple(ns), tuple(out))
 
 
@@ -304,7 +286,7 @@ def _maximal_atomic(sym: AtomicSymbol, g: AtomSeq, weights: list[Fraction]) -> A
     tail = g.tail
     iterates = [g._values]
     for _ in range(len(weights) - 1):
-        iterates.append(_pull_back(sym, iterates[-1], tail))
+        iterates.append(_pull_back(sym, iterates[-1]))
     events: dict[int, list] = {}
     if tail == 0:
         for i, it in enumerate(iterates):
@@ -359,17 +341,6 @@ def _maximal_interval_float(iterates: list[StepFn], weights: list[Fraction]) -> 
         running = total
         best = [max(b, m) for b, m in zip(best, mean)]
     return step(iterates[0].space, cuts, best)
-
-
-def _on_cells(h: StepFn, cuts: list[Real]) -> list[Real]:
-    """h's value on each cell of a refinement of its cuts."""
-    vals = [h.vals[0]]
-    i = 0
-    for c in cuts:
-        if i < len(h.cuts) and h.cuts[i] == c:
-            i += 1
-        vals.append(h.vals[i])
-    return vals
 
 
 def weak_type_ratio(

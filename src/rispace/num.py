@@ -163,7 +163,13 @@ def rational_pow(x: Real, e: Real) -> Real:
     if e.denominator == 1:
         if isinstance(x, Fraction):
             return x ** e.numerator
-        return x ** int(e)
+        try:
+            p = x ** int(e)
+        except OverflowError:
+            p = 0.0
+        # a power past the double range, or subnormal and so short of bits,
+        # is the exact power of x's value; a later root brings it back
+        return p if _normal(p) else Fraction(x) ** e.numerator
     root = nth_root(x, e.denominator)
     if isinstance(root, Fraction):
         return root**e.numerator

@@ -136,9 +136,6 @@ class AtomSeq:
             raise ValueError(f"index {j} outside the space's range")
         return self._values.get(j, self.tail)
 
-    def as_dict(self) -> dict[int, Real]:
-        return dict(self.entries)
-
 
 def seq(space: MeasureSpace, entries, tail=0) -> AtomSeq:
     """Build an AtomSeq from a dict/pairs, dropping entries equal to the tail."""
@@ -249,24 +246,26 @@ def subtract(f: MeasFn, g: MeasFn) -> MeasFn:
 # ---------------------------------------------------------------------------
 
 
+def _on_cells(h: StepFn, cuts: list[Real]) -> list[Real]:
+    """h's value on each cell of a refinement of its cuts."""
+    vals = [h.vals[0]]
+    i = 0
+    for c in cuts:
+        if i < len(h.cuts) and h.cuts[i] == c:
+            i += 1
+        vals.append(h.vals[i])
+    return vals
+
+
 def _refine(f: StepFn, g: StepFn):
-    """Yield (a, b, fv, gv) over the union partition."""
+    """The union of f's and g's cuts, and each one's values on its cells."""
     cuts = sorted(set(f.cuts) | set(g.cuts))
-    left, right = f.space.domain
-    bounds = [left] + cuts + [right]
-    fi = gi = 0
-    for a, b in zip(bounds, bounds[1:]):
-        while fi < len(f.cuts) and f.cuts[fi] <= a:
-            fi += 1
-        while gi < len(g.cuts) and g.cuts[gi] <= a:
-            gi += 1
-        yield a, b, f.vals[fi], g.vals[gi]
+    return cuts, _on_cells(f, cuts), _on_cells(g, cuts)
 
 
 def _seq_pairs(f: AtomSeq, g: AtomSeq):
-    idx = sorted({j for j, _ in f.entries} | {j for j, _ in g.entries})
-    fd, gd = f.as_dict(), g.as_dict()
-    for j in idx:
+    fd, gd = f._values, g._values
+    for j in sorted(fd.keys() | gd.keys()):
         yield j, fd.get(j, f.tail), gd.get(j, g.tail)
 
 
@@ -278,7 +277,8 @@ def pointwise_leq(f: MeasFn, g: MeasFn) -> bool:
         if f.tail > g.tail:
             return False
         return all(fv <= gv for _, fv, gv in _seq_pairs(f, g))
-    return all(fv <= gv for _, _, fv, gv in _refine(f, g))
+    _, fvals, gvals = _refine(f, g)
+    return all(fv <= gv for fv, gv in zip(fvals, gvals))
 
 
 def pointwise_map(op, f: MeasFn, g: MeasFn) -> MeasFn:
@@ -289,12 +289,8 @@ def pointwise_map(op, f: MeasFn, g: MeasFn) -> MeasFn:
         tail = op(f.tail, g.tail)
         ent = {j: op(fv, gv) for j, fv, gv in _seq_pairs(f, g)}
         return seq(f.space, ent, tail=tail)
-    cuts, vals = [], []
-    for a, b, fv, gv in _refine(f, g):
-        if a not in (NEG_INF,) and vals:
-            cuts.append(a)
-        vals.append(op(fv, gv))
-    return step(f.space, cuts, vals)
+    cuts, fvals, gvals = _refine(f, g)
+    return step(f.space, cuts, [op(fv, gv) for fv, gv in zip(fvals, gvals)])
 
 
 def pointwise_max(f: MeasFn, g: MeasFn) -> MeasFn:

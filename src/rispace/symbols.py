@@ -257,9 +257,6 @@ class AtomicSymbol:
                             f"index {j} would map to the negative index {j + self.shift}"
                         )
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.table)
-
     @cached_property
     def _images(self) -> dict[int, int]:
         return dict(self.table)
@@ -291,18 +288,7 @@ def preimage(sym: Symbol, E):
     if isinstance(sym, AtomicSymbol):
         if isinstance(E, AtomicSet) and E.cofinite:
             return preimage(sym, E.complement()).complement()
-        hit = set()
-        tbl = sym.as_dict()
-        members = E.atoms
-        for j, k in sym.table:
-            if k in members:
-                hit.add(j)
-        if sym.shift is not None:
-            for s in members:
-                j = s - sym.shift
-                if sym.space.valid_index(j) and j not in tbl:
-                    hit.add(j)
-        return AtomicSet(sym.space, frozenset(hit))
+        return AtomicSet(sym.space, frozenset(_atomic_preimage(sym, E.atoms)))
     pieces = []
     for u, v in E.intervals:
         for br in sym.branches:
@@ -312,6 +298,20 @@ def preimage(sym: Symbol, E):
     return IntervalSet(sym.space, _normalize_intervals(pieces, allow_overlap=True))
 
 
+def _atomic_preimage(sym: AtomicSymbol, targets) -> set[int]:
+    """phi^{-1}(targets) for a finite collection of indices: the table rows
+    that land in it, plus j = t - c for each target t whose pullback by the
+    shift rule is a valid index off the table."""
+    hit = {j for j, k in sym.table if k in targets}
+    if sym.shift is not None:
+        images = sym._images
+        for t in targets:
+            j = t - sym.shift
+            if j not in images and sym.space.valid_index(j):
+                hit.add(j)
+    return hit
+
+
 def preimage_measure(sym: Symbol, E) -> Real:
     return preimage(sym, E).measure()
 
@@ -319,9 +319,6 @@ def preimage_measure(sym: Symbol, E) -> Real:
 # ---------------------------------------------------------------------------
 # Density bookkeeping for interval symbols
 # ---------------------------------------------------------------------------
-
-_UNBOUNDED_FORMS = (PowerOnUnit, ShiftedPower, ExpRecip)
-
 
 def _affine_at(f: Affine, t) -> Real:
     if t == INF:
@@ -341,11 +338,9 @@ def _affine_like(form: BranchForm):
 
 
 def _density_at(br: Branch, y) -> Real:
-    """|d/dy branch^{-1}(y)| inside the branch's image (limits at endpoints)."""
+    """|d/dy branch^{-1}(y)| inside the image of a non-affine branch (limits
+    at endpoints)."""
     f = br.form
-    ab = _affine_like(f)
-    if ab is not None:
-        return 1 / abs(ab[0])
     if isinstance(f, PowerOnUnit):
         if y == 0:
             return INF
@@ -361,26 +356,37 @@ def _density_at(br: Branch, y) -> Real:
     return 1.0 / (float(y) * u * u)
 
 
+def _certified(sym: Symbol) -> bool:
+    """True when the bound sweep is exact: atomic, or every branch affine."""
+    return isinstance(sym, AtomicSymbol) or all(_affine_like(br.form) for br in sym.branches)
+
+
+def _reciprocal(c: Real) -> Real:
+    """The least C with mu(E) <= C mu(phi^{-1} E) when c is the largest
+    constant with c mu(E) <= mu(phi^{-1} E)."""
+    return INF if c == 0 else 1 / c
+
+
 def measure_bound(sym: Symbol) -> Real:
-    """The smallest A with mu(phi^{-1} E) <= A mu(E); +inf when unbounded."""
-    if isinstance(sym, AtomicSymbol):
-        _, a, _ = next(_atomic_sweep(sym, 1))
-        return a
-    if any(isinstance(br.form, _UNBOUNDED_FORMS) for br in sym.branches):
-        # each of these forms has an inverse derivative that blows up inside
-        # its image, so no finite A works
-        return INF
-    best: Real = Fraction(0)
-    for _, _, base, _ in _density_regions(sym):
-        best = max(best, base)
-    return best
+    """The smallest A with mu(phi^{-1} E) <= A mu(E); +inf when unbounded.
+
+    Certified symbols read A from the first row of the bound sweep.  Every
+    other symbol has a non-affine branch, and each of those catalog forms has
+    an inverse derivative that blows up inside its image, so no finite A
+    works."""
+    if _certified(sym):
+        return next(_bound_sweep(sym, 1))[1]
+    return INF
 
 
 def lower_bound(sym: Symbol) -> Real:
-    """The smallest C with mu(E) <= C mu(phi^{-1} E) over finite-measure E."""
-    if isinstance(sym, AtomicSymbol):
-        _, _, c = next(_atomic_sweep(sym, 1))
-        return INF if c == 0 else 1 / c
+    """The smallest C with mu(E) <= C mu(phi^{-1} E) over finite-measure E.
+
+    Certified symbols read the density infimum from the first row of the
+    bound sweep; otherwise it is the least density over the regions of
+    ``_density_regions``."""
+    if _certified(sym):
+        return _reciprocal(next(_bound_sweep(sym, 1))[2])
     ess_inf: Real = INF
     for x, y, base, special in _density_regions(sym):
         if special is None:
@@ -388,11 +394,7 @@ def lower_bound(sym: Symbol) -> Real:
         else:
             here = base + min(_density_at(special, x), _density_at(special, y))
         ess_inf = min(ess_inf, here)
-    if ess_inf == 0:
-        return INF
-    if ess_inf == INF:  # pragma: no cover - cannot happen with nonempty regions
-        raise AssertionError("empty region sweep")
-    return 1 / ess_inf
+    return _reciprocal(ess_inf)
 
 
 def _density_regions(sym: IntervalSymbol):
@@ -523,11 +525,7 @@ def atomic_power(sym: AtomicSymbol, k: int) -> AtomicSymbol:
     return AtomicSymbol(sym.space, tuple(table), c)
 
 
-def _all_affine(sym: IntervalSymbol) -> bool:
-    return all(_affine_like(br.form) for br in sym.branches)
-
-
-def _bound_sweep(sym: Symbol, horizon: int, depth: int):
+def _bound_sweep(sym: Symbol, horizon: int):
     """Yield (n, A_n, C_n) for n = 1..horizon from one forward pass, where
     C_n mu(E) <= mu(phi^{-n} E) <= A_n mu(E).
 
@@ -538,14 +536,14 @@ def _bound_sweep(sym: Symbol, horizon: int, depth: int):
     """
     if isinstance(sym, AtomicSymbol):
         yield from _atomic_sweep(sym, horizon)
-    elif _all_affine(sym):
+    elif _certified(sym):
         rho = _transfer_density_unit(sym)
         for n in range(1, horizon + 1):
             if n > 1:
                 rho = _transfer_once(sym, rho)
             yield n, max(rho.vals), min(rho.vals)
     else:
-        family = _dyadic_family(sym.space, depth)
+        family = _dyadic_family(sym.space)
         sets = family
         for n in range(1, horizon + 1):
             sets = [preimage(sym, E) for E in sets]
@@ -562,24 +560,24 @@ def _bound_sweep(sym: Symbol, horizon: int, depth: int):
             yield n, a, c
 
 
-def _power_bounds(sym: Symbol, horizon: int, depth: int) -> tuple[PowerBounds, list[Real]]:
+def _power_bounds(sym: Symbol, horizon: int) -> tuple[PowerBounds, list[Real]]:
     """The A_n column as PowerBounds, and the C_n column, from one sweep."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    rows = list(_bound_sweep(sym, horizon, depth))
+    rows = list(_bound_sweep(sym, horizon))
     per = tuple((n, a) for n, a, _ in rows)
-    certified = isinstance(sym, AtomicSymbol) or _all_affine(sym)
-    return PowerBounds(per, max(a for _, a in per), certified), [c for _, _, c in rows]
+    return PowerBounds(per, max(a for _, a in per), _certified(sym)), [c for _, _, c in rows]
 
 
-def power_measure_bound(sym: Symbol, horizon: int, depth: int = 12) -> PowerBounds:
+def power_measure_bound(sym: Symbol, horizon: int) -> PowerBounds:
     """A_n for n = 1..horizon: the A_n column of one forward sweep.
 
     Exact for atomic symbols (preimage counts) and for all-affine interval
-    symbols (transfer density iteration); otherwise a certified lower bound
-    from a dyadic test family of the given depth, flagged by certified=False.
+    symbols (transfer density iteration); otherwise a lower bound of the
+    true A_n from the dyadic test family down to scale 2^-12, flagged by
+    certified=False.
     """
-    return _power_bounds(sym, horizon, depth)[0]
+    return _power_bounds(sym, horizon)[0]
 
 
 def _transfer_density_unit(sym: IntervalSymbol) -> StepFn:
@@ -637,13 +635,17 @@ def _fn_from_pieces(sp: MeasureSpace, pieces) -> StepFn:
     return step(sp, cuts, vals)
 
 
-def _dyadic_family(sp: MeasureSpace, depth: int):
+# the dyadic test family reaches down to intervals of length 2^-_DYADIC_DEPTH
+_DYADIC_DEPTH = 12
+
+
+def _dyadic_family(sp: MeasureSpace):
     """Test intervals concentrated at the catalog's blow-up points 0 and 1."""
     from .space import interval_set
 
     left, right = sp.domain
     raw = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))]
-    for j in range(depth + 1):
+    for j in range(_DYADIC_DEPTH + 1):
         h = Fraction(1, 2**j)
         raw.append((Fraction(0), h))
         raw.append((h / 2, h))
@@ -677,20 +679,23 @@ class SymbolAnalysis:
     dilation_B: Real
 
 
-def check_condition_I(sym: Symbol, horizon: int, depth: int = 12) -> SymbolAnalysis:
+def check_condition_I(sym: Symbol, horizon: int) -> SymbolAnalysis:
     """Assemble the boundedness diagnostics used by the ergodic estimates.
 
     One forward sweep over n = 1..horizon gives both the power bounds A_n and
     the condition (I3) witness min_n C_n, the largest constant C with
     C mu(E) <= mu(phi^{-n} E) for every n up to the horizon (exact from
     counts or the n-step density where the catalog permits, sampled on the
-    dyadic test family otherwise).
+    dyadic test family otherwise).  For a certified symbol the sweep's first
+    row is the one-step pair (A, C), as in ``measure_bound`` and
+    ``lower_bound``; any other symbol has A = inf and C from
+    ``lower_bound``.
     """
-    pb, cs = _power_bounds(sym, horizon, depth)
-    if pb.certified:  # the exact first row holds the one-step bounds
-        A, C = pb.at(1), (INF if cs[0] == 0 else 1 / cs[0])
+    pb, cs = _power_bounds(sym, horizon)
+    if pb.certified:
+        A, C = pb.at(1), _reciprocal(cs[0])
     else:
-        A, C = measure_bound(sym), lower_bound(sym)
+        A, C = INF, lower_bound(sym)
     witness = min(cs)
     B = Fraction(0) if A == INF else min(Fraction(1), 1 / A)
     return SymbolAnalysis(

@@ -2,7 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rispace import (
@@ -23,6 +23,7 @@ from rispace import (
     interval,
     iterate_apply,
     line,
+    linear_combine,
     maximal_truncated,
     permutation_limit,
     seq,
@@ -132,14 +133,13 @@ def test_cesaro_indicator_halfline_staircase():
     assert m.value_at(100) == 1
 
 
-def test_cesaro_schedule_matches_single_calls():
+def test_cesaro_schedule_rejects_bad_schedules():
     f = step(line(), [0, 1], [0, 1, 0])
-    traj = cesaro_schedule(translation_line(), f, (1, 2, 4, 8))
-    assert tuple(n for n, _ in traj.means) == (1, 2, 4, 8)
-    for n, mean in traj.means:
-        assert mean == cesaro(translation_line(), f, n)
+    for schedule in ((2, 2), (3, 1), (0, 1), ()):
+        with pytest.raises(ValueError):
+            cesaro_schedule(translation_line(), f, schedule)
     with pytest.raises(ValueError):
-        cesaro_schedule(translation_line(), f, (2, 2))
+        cesaro(translation_line(), f, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +389,42 @@ def test_maximal_float_values_round_as_the_running_sum_chain(pair, K):
     # repr tells a float from a Fraction and shows every bit of a float
     sym, f = pair
     assert repr(maximal_truncated(sym, f, K)) == repr(maximal_chain_oracle(sym, f, K))
+
+
+def _mean_reference(sym, f, n):
+    """C_n f as one combination of the n iterates, each formed by apply."""
+    return linear_combine([Fraction(1, n)] * n, [iterate_apply(sym, f, i) for i in range(n)])
+
+
+@st.composite
+def _float_cut_instance(draw):
+    """power_symbol(2) with a step function whose cuts are floats."""
+    cuts = sorted(set(draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4))))
+    vals = draw(st.lists(st.fractions(-6, 6, max_denominator=4), min_size=len(cuts) + 1,
+                         max_size=len(cuts) + 1))
+    return power_symbol(2), step(interval(1), cuts, vals)
+
+
+@given(_atomic_instance() | _infinite_instance() | _interval_instance() | _float_cut_instance(),
+       st.sets(st.integers(1, 9), min_size=1, max_size=4))
+@example((translation_line(), step(line(), [0, 1], [0, 1, 0])), {1, 2, 4, 8})
+@settings(max_examples=150, deadline=None)
+def test_cesaro_schedule_matches_single_calls(pair, schedule):
+    sym, f = pair
+    ns = sorted(schedule)
+    traj = cesaro_schedule(sym, f, ns)
+    assert tuple(n for n, _ in traj.means) == tuple(ns)
+    for n, mean in traj.means:
+        assert mean == _mean_reference(sym, f, n)
+
+
+@given(_float_instance(), st.integers(1, 8))
+@settings(max_examples=120, deadline=None)
+def test_cesaro_float_values_round_as_one_combination(pair, n):
+    # the weights 1/n go on each iterate; repr shows every bit of a float
+    sym, f = pair
+    assume(not (isinstance(sym, AtomicSymbol) and sym.is_permutation()))
+    assert repr(cesaro(sym, f, n)) == repr(_mean_reference(sym, f, n))
 
 
 def test_maximal_scales_to_K_2000_on_the_shift():

@@ -71,6 +71,12 @@ def test_norms_of_huge_and_tiny_functions_stay_finite_and_positive():
     assert norm_eval(Lp(SP, 2), tiny) == pytest.approx(math.sqrt(3) * 2.0**-550, rel=1e-15)
     # ||10^350 chi[0,2)||_{3/2} = 2^(2/3) 10^350 is past the double range
     assert norm_eval(Lp(SP, Fraction(3, 2)), step(SP, [2], [Fraction(10**350), 0])) == INF
+    # float values whose integer power leaves the double range or is
+    # subnormal: the power is taken on the float's exact value, and the root
+    # comes back into range
+    for p, v in ((2, 1e200), (3, 1e120), (2, 1e-200), (3, 1e-120), (2, 3e-162), (3, 1e-105)):
+        got = norm_eval(Lp(SP, p), step(SP, [2], [v, 0]))
+        assert got == pytest.approx(2.0 ** (1 / p) * v, rel=1e-15)
 
 
 def test_lorentz_frozen_and_quadrature():

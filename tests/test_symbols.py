@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,7 @@ from rispace.examples import (
     translation_line,
     unilateral_shift,
 )
+from rispace.properties import gen_interval_symbol
 from rispace.space import ATOMIC_FINITE, ATOMIC_Z
 
 
@@ -322,6 +324,38 @@ def test_measure_bound_is_max_preimage_count(sym):
     assert measure_bound(sym) == max(counts)
     want_lower = INF if 0 in counts else 1
     assert lower_bound(sym) == want_lower
+
+
+def _test_interval(x, y):
+    """[x, y) when it is finite, else a unit interval at its finite end."""
+    if x == -INF and y == INF:
+        return Fraction(0), Fraction(1)
+    if y == INF:
+        return x, x + 1
+    if x == -INF:
+        return y - 1, y
+    return x, y
+
+
+def test_one_step_bounds_of_affine_symbols_match_cell_ratios():
+    # the transfer density is constant between consecutive image and domain
+    # endpoints, so mu(phi^{-1} E) / mu(E) on one test interval per cell is
+    # its exact value there
+    for seed in range(300):
+        rng = random.Random(seed)
+        sym = gen_interval_symbol(rng, rng.randint(1, 5), affine_only=True)
+        points = set(sym.space.domain)
+        for br in sym.branches:
+            points.update(br.image())
+        pts = sorted(points)
+        ratios = []
+        for x, y in zip(pts, pts[1:]):
+            a, b = _test_interval(x, y)
+            ratios.append(preimage_measure(sym, interval_set(sym.space, [(a, b)])) / (b - a))
+        assert measure_bound(sym) == max(ratios)
+        assert lower_bound(sym) == (INF if min(ratios) == 0 else 1 / min(ratios))
+        analysis = check_condition_I(sym, 1)
+        assert (analysis.measure_bound, analysis.lower_bound) == (measure_bound(sym), lower_bound(sym))
 
 
 def _preimage_counts(pm):
