@@ -65,6 +65,14 @@ def parse_schedule(text: str) -> tuple[int, ...]:
     return sched
 
 
+def _positive(x, where: str) -> int:
+    """A positive integer, from a payload field or a flag."""
+    n = jsonio.int_from_obj(x, where)
+    if n < 1:
+        raise UsageError(f"{where} must be >= 1")
+    return n
+
+
 def _write_text(path: str, text: str) -> None:
     """Atomic write: the file either holds the old content or the new."""
     directory = os.path.dirname(path) or "."
@@ -93,8 +101,8 @@ def _cmd_run_example(args) -> int:
     result = run_example(
         args.example_id,
         seed=args.seed,
-        trials=args.trials,
-        horizon=args.horizon,
+        trials=_positive(args.trials, "--trials"),
+        horizon=_positive(args.horizon, "--horizon"),
         schedule=schedule,
     )
     out = args.out
@@ -125,9 +133,8 @@ def _cmd_run_example(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suite = verify_suite(
-        seed=args.seed, trials=args.trials, inject_failure=args.inject_failure
-    )
+    trials = _positive(args.trials, "--trials")
+    suite = verify_suite(seed=args.seed, trials=trials, inject_failure=args.inject_failure)
     for r in suite.results:
         print(r.line())
     if not suite.ok:
@@ -146,13 +153,6 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
-
-
-def _positive(x, where: str) -> int:
-    n = jsonio.int_from_obj(x, where)
-    if n < 1:
-        raise ValueError(f"{where} must be >= 1")
-    return n
 
 
 # payload field -> its decoder, called as decode(value, field name)

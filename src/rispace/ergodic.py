@@ -25,11 +25,11 @@ from .stepfn import (
     AtomSeq,
     MeasFn,
     StepFn,
+    _merged_seq,
+    _merged_step,
     _on_cells,
     abs_fn,
     linear_combine,
-    seq,
-    step,
     subtract,
 )
 from .symbols import AtomicSymbol, IntervalSymbol, Symbol, _atomic_preimage, _fn_from_pieces
@@ -49,7 +49,7 @@ def apply(sym: Symbol, f: MeasFn) -> MeasFn:
     indices can disagree with the tail behavior f(j + c)."""
     _check_acts_on(sym, f)
     if isinstance(sym, AtomicSymbol):
-        return seq(sym.space, _pull_back(sym, f._values), tail=f.tail)
+        return _merged_seq(sym.space, _pull_back(sym, f._values).items(), f.tail)
     return _apply_interval(sym, f)
 
 
@@ -183,7 +183,7 @@ def _permutation_cesaro(sym: AtomicSymbol, f: AtomSeq, n: int) -> AtomSeq:
         for m, j in enumerate(cyc):
             s = q * total + (prefix[m + r] - prefix[m])
             values[j] = s * Fraction(1, n)
-    return seq(sym.space, sorted(values.items()))
+    return _merged_seq(sym.space, values.items())
 
 
 def permutation_limit(sym: AtomicSymbol, f: AtomSeq) -> AtomSeq:
@@ -196,7 +196,7 @@ def permutation_limit(sym: AtomicSymbol, f: AtomSeq) -> AtomSeq:
         avg = sum(f.value_at(j) for j in cyc) * Fraction(1, len(cyc))
         for j in cyc:
             values[j] = avg
-    return seq(sym.space, sorted(values.items()))
+    return _merged_seq(sym.space, values.items())
 
 
 def _require_permutation(sym: Symbol) -> None:
@@ -228,7 +228,7 @@ def decomposition_check(sym: AtomicSymbol, f: AtomSeq) -> Decomposition:
         g[cyc[0]] = Fraction(0)
         for j in cyc[:-1]:
             g[sym.image_of(j)] = g[j] - rng.value_at(j)
-    witness = seq(sym.space, sorted(g.items()))
+    witness = _merged_seq(sym.space, g.items())
     exact = (
         apply(sym, kernel) == kernel
         and subtract(witness, apply(sym, witness)) == rng
@@ -296,7 +296,8 @@ def _maximal_atomic(sym: AtomicSymbol, g: AtomSeq, weights: list[Fraction]) -> A
         # a tail over N adds to S_n at every step, so every n counts
         events = {j: [(i, it.get(j, tail)) for i, it in enumerate(iterates)] for j in set().union(*iterates)}
     peaks = {j: _peak_mean(ev, weights) for j, ev in events.items()}
-    return seq(sym.space, peaks, tail=_peak_mean(((i, tail) for i in range(len(weights))), weights))
+    peak_tail = _peak_mean(((i, tail) for i in range(len(weights))), weights)
+    return _merged_seq(sym.space, peaks.items(), peak_tail)
 
 
 def _maximal_interval(iterates: list[StepFn], weights: list[Fraction]) -> StepFn:
@@ -316,7 +317,7 @@ def _maximal_interval(iterates: list[StepFn], weights: list[Fraction]) -> StepFn
             else:
                 active[i] = v
         vals.append(_peak_mean(sorted(active.items()), weights))
-    return step(iterates[0].space, cuts, vals)
+    return _merged_step(iterates[0].space, cuts, vals)
 
 
 def _maximal_interval_float(iterates: list[StepFn], weights: list[Fraction]) -> StepFn:
@@ -340,7 +341,7 @@ def _maximal_interval_float(iterates: list[StepFn], weights: list[Fraction]) -> 
             mean.append(mean[-1] + w * d if d else mean[-1])
         running = total
         best = [max(b, m) for b, m in zip(best, mean)]
-    return step(iterates[0].space, cuts, best)
+    return _merged_step(iterates[0].space, cuts, best)
 
 
 def weak_type_ratio(

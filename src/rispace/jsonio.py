@@ -124,7 +124,8 @@ def _shown(x) -> str:
 
 
 def _num(x, where: str) -> Real:
-    """A JSON number, or a string in the schemas' number spelling."""
+    """A JSON number, or a string in the schemas' number spelling; a finite
+    float (as ``json_real`` writes an exact double) reads as its exact value."""
     if isinstance(x, str):
         if not _NUMBER_TEXT.fullmatch(x):
             raise ValueError(f"{where}: {_shown(x)} is not a number")
@@ -138,7 +139,7 @@ def _num(x, where: str) -> Real:
         raise ValueError(f"{where}: expected a number, got {_shown(x)}")
     if isinstance(x, float) and math.isnan(x):
         raise ValueError(f"{where}: NaN is not a number here")
-    return as_real(x)
+    return Fraction(x) if isinstance(x, float) and math.isfinite(x) else as_real(x)
 
 
 def int_from_obj(x, where: str) -> int:

@@ -46,7 +46,8 @@ def as_real(x) -> Real:
 
 
 def is_finite(x: Real) -> bool:
-    return not (isinstance(x, float) and math.isinf(x))
+    """False for a float inf or NaN; a Fraction is always finite."""
+    return not (isinstance(x, float) and not math.isfinite(x))
 
 
 def to_float(x: Real) -> float:

@@ -28,7 +28,6 @@ from .stepfn import (
     abs_fn,
     integrate,
     pointwise_mul,
-    step,
 )
 
 _HALFLINE = halfline()
@@ -73,7 +72,8 @@ def _levels(f: MeasFn) -> dict[Real, Real]:
 
 
 def rearrangement(f: MeasFn) -> StepFn:
-    """The non-increasing rearrangement f* as a StepFn on the half-line."""
+    """The non-increasing rearrangement f* as a StepFn on the half-line,
+    canonical by construction: distinct decreasing levels, positive widths."""
     levels = _levels(f)
     cuts: list[Real] = []
     vals: list[Real] = []
@@ -81,11 +81,14 @@ def rearrangement(f: MeasFn) -> StepFn:
     for v in sorted(levels, reverse=True):
         vals.append(v)
         if levels[v] == INF:  # this level fills the rest of the half-line
-            return step(_HALFLINE, cuts, vals)
-        pos = pos + levels[v]
+            return StepFn(_HALFLINE, tuple(cuts), tuple(vals))
+        end = pos + levels[v]
+        if not pos < end:  # a float width below the rounding of pos
+            raise ValueError("cuts must be strictly increasing")
+        pos = end
         cuts.append(pos)
     vals.append(Fraction(0))
-    return step(_HALFLINE, cuts, vals)
+    return StepFn(_HALFLINE, tuple(cuts), tuple(vals))
 
 
 def is_rearranged(f: MeasFn) -> bool:

@@ -6,7 +6,8 @@ infinite rays (values there are the "tails").  An ``AtomSeq`` stores a
 sequence by its finitely many exceptional entries plus a default value (the
 default may be nonzero only over N).  Values stay ``Fraction`` whenever the
 inputs are rational, so identities like canonical equality after a linear
-combination are exact, not epsilon-true.
+combination are exact, not epsilon-true.  Build both with ``step``/``seq``,
+which check outside input; the operations below share their merges.
 """
 
 from __future__ import annotations
@@ -32,36 +33,17 @@ class UndefinedIntegralError(ValueError):
 
 @dataclass(frozen=True)
 class StepFn:
-    """Canonical piecewise-constant function on a Lebesgue space.
+    """Canonical piecewise-constant function on a Lebesgue space; build it
+    with ``step``.
 
     ``cuts`` are strictly increasing points in the open interior of the
-    domain; ``vals`` has one more element than ``cuts`` and lists the value on
-    each piece left to right.  Adjacent pieces never share a value.
+    domain; ``vals`` has one more element than ``cuts`` and lists the finite
+    value on each piece left to right.  Adjacent pieces never share a value.
     """
 
     space: MeasureSpace
     cuts: tuple[Real, ...]
     vals: tuple[Real, ...]
-
-    def __post_init__(self):
-        if self.space.is_atomic:
-            raise ValueError("StepFn needs a Lebesgue space")
-        if len(self.vals) != len(self.cuts) + 1:
-            raise ValueError("need exactly len(cuts)+1 piece values")
-        left, right = self.space.domain
-        prev = None
-        for c in self.cuts:
-            if not (left < c < right):
-                raise ValueError(f"cut {c} outside the open domain interior")
-            if prev is not None and not prev < c:
-                raise ValueError("cuts must be strictly increasing")
-            prev = c
-        for v in self.vals:
-            if not is_finite(v):
-                raise ValueError("piece values must be finite")
-        for a, b in zip(self.vals, self.vals[1:]):
-            if a == b:
-                raise ValueError("not canonical: adjacent pieces share a value")
 
     def value_at(self, x) -> Real:
         left, right = self.space.domain
@@ -77,55 +59,54 @@ class StepFn:
             yield bounds[i], bounds[i + 1], v
 
 
-def step(space: MeasureSpace, cuts, vals) -> StepFn:
-    """Build a StepFn, canonicalizing adjacent equal values."""
-    cuts = [as_real(c) for c in cuts]
-    vals = [as_real(v) for v in vals]
-    if len(vals) != len(cuts) + 1:
-        raise ValueError("need exactly len(cuts)+1 piece values")
+def _merged_step(space: MeasureSpace, cuts, vals) -> StepFn:
+    """The StepFn of len(cuts)+1 piece values with adjacent equal values
+    merged; a non-finite value raises.  Cuts are taken as they are."""
     ccuts: list[Real] = []
     cvals: list[Real] = [vals[0]]
     for c, v in zip(cuts, vals[1:]):
-        if v == cvals[-1]:
-            continue
-        ccuts.append(c)
-        cvals.append(v)
+        if v != cvals[-1]:
+            ccuts.append(c)
+            cvals.append(v)
+    if not all(map(is_finite, cvals)):
+        raise ValueError("piece values must be finite")
     return StepFn(space, tuple(ccuts), tuple(cvals))
 
 
+def step(space: MeasureSpace, cuts, vals) -> StepFn:
+    """Build a StepFn from outside input: coerce, merge adjacent equal
+    values, and check the result."""
+    cuts = [as_real(c) for c in cuts]
+    vals = [as_real(v) for v in vals]
+    if space.is_atomic:
+        raise ValueError("StepFn needs a Lebesgue space")
+    if len(vals) != len(cuts) + 1:
+        raise ValueError("need exactly len(cuts)+1 piece values")
+    f = _merged_step(space, cuts, vals)
+    bounds = (space.domain[0], *f.cuts, space.domain[1])
+    if any(not a < b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError("cuts must increase strictly inside the open domain")
+    return f
+
+
 def constant(space: MeasureSpace, v) -> StepFn:
-    return StepFn(space, (), (as_real(v),))
+    return step(space, (), (v,))
 
 
 @dataclass(frozen=True)
 class AtomSeq:
-    """Sequence over an atomic space: finitely many entries over a default.
+    """Sequence over an atomic space: finitely many entries over a default;
+    build it with ``seq``.
 
     ``tail`` is the value at every index not listed in ``entries``; it may be
     nonzero only over N (the only atomic catalog space where a constant
-    nonzero tail arises).  Entries never equal the tail.
+    nonzero tail arises).  Entries are sorted by index and never equal the
+    tail; all values are finite.
     """
 
     space: MeasureSpace
     entries: tuple[tuple[int, Real], ...]
     tail: Real = field(default=Fraction(0))
-
-    def __post_init__(self):
-        if not self.space.is_atomic:
-            raise ValueError("AtomSeq needs an atomic space")
-        if self.tail != 0 and self.space.kind != ATOMIC_N:
-            raise ValueError("nonzero tail is only supported over N")
-        prev = None
-        for j, v in self.entries:
-            if not self.space.valid_index(j):
-                raise ValueError(f"index {j} outside the space's range")
-            if prev is not None and j <= prev:
-                raise ValueError("entries must be sorted by index")
-            if v == self.tail:
-                raise ValueError("entry equal to the tail value is not canonical")
-            if not is_finite(v):
-                raise ValueError("values must be finite")
-            prev = j
 
     @cached_property
     def _values(self) -> dict[int, Real]:
@@ -137,17 +118,34 @@ class AtomSeq:
         return self._values.get(j, self.tail)
 
 
+def _merged_seq(space: MeasureSpace, items, tail: Real = Fraction(0)) -> AtomSeq:
+    """The AtomSeq of the (index, value) items that differ from the tail,
+    sorted by index; a non-finite entry or tail raises."""
+    entries = tuple(sorted((j, v) for j, v in items if v != tail))
+    if not (is_finite(tail) and all(is_finite(v) for _, v in entries)):
+        raise ValueError("values must be finite")
+    return AtomSeq(space, entries, tail)
+
+
 def seq(space: MeasureSpace, entries, tail=0) -> AtomSeq:
-    """Build an AtomSeq from a dict/pairs, dropping entries equal to the tail."""
+    """Build an AtomSeq from outside input (a dict or (index, value) pairs):
+    coerce, drop entries equal to the tail, sort, and check the result."""
     tail = as_real(tail)
     items = entries.items() if isinstance(entries, dict) else entries
-    cleaned = sorted((int(j), as_real(v)) for j, v in items)
-    return AtomSeq(space, tuple((j, v) for j, v in cleaned if v != tail), tail)
+    s = _merged_seq(space, [(int(j), as_real(v)) for j, v in items], tail)
+    if not space.is_atomic:
+        raise ValueError("AtomSeq needs an atomic space")
+    if tail != 0 and space.kind != ATOMIC_N:
+        raise ValueError("nonzero tail is only supported over N")
+    indices = [j for j, _ in s.entries]
+    if not all(map(space.valid_index, indices)) or len(set(indices)) < len(indices):
+        raise ValueError("indices must be distinct and in the space's range")
+    return s
 
 
 def seq_from_values(space: MeasureSpace, values) -> AtomSeq:
     """AtomSeq from a dense list starting at index 0."""
-    return seq(space, list(enumerate(as_real(v) for v in values)))
+    return seq(space, enumerate(values))
 
 
 MeasFn = Union[StepFn, AtomSeq]
@@ -212,7 +210,7 @@ def linear_combine(coeffs, fns) -> MeasFn:
             for j, v in f.entries:
                 acc[j] = acc.get(j, Fraction(0)) + c * v - base
         # acc[j] holds the deviation from the summed tail at j
-        return seq(sp, {j: tail + d for j, d in acc.items()}, tail=tail)
+        return _merged_seq(sp, ((j, tail + d) for j, d in acc.items()), tail)
     # step functions: collect jump events
     base = sum(c * f.vals[0] for c, f in zip(coeffs, fns))
     jumps: dict[Real, Real] = {}
@@ -226,7 +224,7 @@ def linear_combine(coeffs, fns) -> MeasFn:
     vals = [base]
     for cut in cuts:
         vals.append(vals[-1] + jumps[cut])
-    return step(sp, cuts, vals)
+    return _merged_step(sp, cuts, vals)
 
 
 def scale(c, f: MeasFn) -> MeasFn:
@@ -282,15 +280,15 @@ def pointwise_leq(f: MeasFn, g: MeasFn) -> bool:
 
 
 def pointwise_map(op, f: MeasFn, g: MeasFn) -> MeasFn:
-    """Binary pointwise operation on a common refinement, canonical."""
+    """Binary pointwise operation on a common refinement, canonical; op
+    maps two values to a Fraction or float."""
     if f.space != g.space:
         raise ValueError("functions live on different spaces")
     if isinstance(f, AtomSeq):
         tail = op(f.tail, g.tail)
-        ent = {j: op(fv, gv) for j, fv, gv in _seq_pairs(f, g)}
-        return seq(f.space, ent, tail=tail)
+        return _merged_seq(f.space, ((j, op(fv, gv)) for j, fv, gv in _seq_pairs(f, g)), tail)
     cuts, fvals, gvals = _refine(f, g)
-    return step(f.space, cuts, [op(fv, gv) for fv, gv in zip(fvals, gvals)])
+    return _merged_step(f.space, cuts, [op(fv, gv) for fv, gv in zip(fvals, gvals)])
 
 
 def pointwise_max(f: MeasFn, g: MeasFn) -> MeasFn:
@@ -303,8 +301,8 @@ def pointwise_mul(f: MeasFn, g: MeasFn) -> MeasFn:
 
 def abs_fn(f: MeasFn) -> MeasFn:
     if isinstance(f, AtomSeq):
-        return seq(f.space, {j: abs(v) for j, v in f.entries}, tail=abs(f.tail))
-    return step(f.space, f.cuts, [abs(v) for v in f.vals])
+        return _merged_seq(f.space, ((j, abs(v)) for j, v in f.entries), abs(f.tail))
+    return _merged_step(f.space, f.cuts, [abs(v) for v in f.vals])
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .space import (
     MeasureSpace,
     _normalize_intervals,
 )
-from .stepfn import StepFn, linear_combine, step
+from .stepfn import StepFn, _merged_step, constant, linear_combine
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +537,9 @@ def _bound_sweep(sym: Symbol, horizon: int):
     if isinstance(sym, AtomicSymbol):
         yield from _atomic_sweep(sym, horizon)
     elif _certified(sym):
-        rho = _transfer_density_unit(sym)
+        rho = constant(sym.space, 1)
         for n in range(1, horizon + 1):
-            if n > 1:
-                rho = _transfer_once(sym, rho)
+            rho = _transfer_once(sym, rho)
             yield n, max(rho.vals), min(rho.vals)
     else:
         family = _dyadic_family(sym.space)
@@ -580,22 +579,13 @@ def power_measure_bound(sym: Symbol, horizon: int) -> PowerBounds:
     return _power_bounds(sym, horizon)[0]
 
 
-def _transfer_density_unit(sym: IntervalSymbol) -> StepFn:
-    """Density of E -> mu(phi^{-1} E): sum of 1/|alpha| over covering images."""
-    parts = []
-    for br in sym.branches:
-        alpha, _ = _affine_like(br.form)
-        lo_i, hi_i = br.image()
-        parts.append(_fn_from_pieces(sym.space, [(lo_i, hi_i, 1 / abs(alpha))]))
-    return linear_combine([1] * len(parts), parts)
-
-
 def _transfer_once(sym: IntervalSymbol, rho: StepFn) -> StepFn:
     """Density of phi^{-(n+1)} from the density rho of phi^{-n}:
     rho'(y) = sum_b rho(inv_b(y)) / |alpha_b| on the image of b."""
     parts = []
     for br in sym.branches:
         alpha, beta = _affine_like(br.form)
+        form = Affine(alpha, beta)
         w = 1 / abs(alpha)
         pieces = []
         for a, b, v in rho.pieces():
@@ -603,8 +593,8 @@ def _transfer_once(sym: IntervalSymbol, rho: StepFn) -> StepFn:
             hi = min(b, br.hi)
             if not lo < hi or v == 0:
                 continue
-            fa = _affine_at(Affine(alpha, beta), lo)
-            fb = _affine_at(Affine(alpha, beta), hi)
+            fa = _affine_at(form, lo)
+            fb = _affine_at(form, hi)
             if alpha > 0:
                 pieces.append((fa, fb, w * v))
             else:
@@ -632,7 +622,7 @@ def _fn_from_pieces(sp: MeasureSpace, pieces) -> StepFn:
     vals = [s[2] for s in segs]
     if not vals:
         vals = [Fraction(0)]
-    return step(sp, cuts, vals)
+    return _merged_step(sp, cuts, vals)
 
 
 # the dyadic test family reaches down to intervals of length 2^-_DYADIC_DEPTH

@@ -7,7 +7,7 @@ import random
 
 from hypothesis import strategies as st
 
-from rispace import halfline, jsonio
+from rispace import XiWeight, halfline, jsonio
 from rispace.properties import gen_fn, gen_normspec, gen_space, gen_symbol, gen_weight
 
 # what a mutation may put in place of a value: wrong JSON types, a boolean
@@ -68,24 +68,40 @@ def _rng(seed: int):
     return random.Random(seed), seed % 3 + 1
 
 
-def measfn_obj(seed: int) -> dict:
+def measfn(seed: int):
     rng, size = _rng(seed)
-    return jsonio.measfn_to_obj(gen_fn(rng, size, gen_space(rng, size), compact=rng.random() < 0.7))
+    return gen_fn(rng, size, gen_space(rng, size), compact=rng.random() < 0.7)
+
+
+def normspec(seed: int):
+    rng, size = _rng(seed)
+    return gen_normspec(rng, size, gen_space(rng, size))
+
+
+def symbol(seed: int):
+    rng, size = _rng(seed)
+    return gen_symbol(rng, size)
+
+
+def xiweight(seed: int) -> XiWeight:
+    rng, size = _rng(seed)
+    return XiWeight(gen_weight(rng, size))
+
+
+def measfn_obj(seed: int) -> dict:
+    return jsonio.measfn_to_obj(measfn(seed))
 
 
 def normspec_obj(seed: int) -> dict:
-    rng, size = _rng(seed)
-    return jsonio.normspec_to_obj(gen_normspec(rng, size, gen_space(rng, size)))
+    return jsonio.normspec_to_obj(normspec(seed))
 
 
 def symbol_obj(seed: int) -> dict:
-    rng, size = _rng(seed)
-    return jsonio.symbol_to_obj(gen_symbol(rng, size))
+    return jsonio.symbol_to_obj(symbol(seed))
 
 
 def xiweight_obj(seed: int) -> dict:
-    rng, size = _rng(seed)
-    return {"weight": jsonio.measfn_to_obj(gen_weight(rng, size))}
+    return jsonio.xiweight_to_obj(xiweight(seed))
 
 
 def eval_payload(operation: str, seed: int) -> dict:

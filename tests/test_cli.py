@@ -101,6 +101,20 @@ def test_verify_inject_failure(tmp_path, capsys):
     assert failures["seed"] == 42
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run-example", "shift-n", "--trials", "0"),
+        ("run-example", "counterex-sv-power", "--horizon", "0"),
+        ("verify", "--trials", "0"),
+    ],
+)
+def test_count_flags_below_one_exit_2(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be >= 1" in err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from rispace import (
     cesaro_schedule,
     convergence_report,
     decomposition_check,
+    dilate,
     halfline,
     interval,
     iterate_apply,
@@ -26,6 +27,9 @@ from rispace import (
     linear_combine,
     maximal_truncated,
     permutation_limit,
+    pointwise_max,
+    pointwise_mul,
+    rearrangement,
     seq,
     seq_from_values,
     spec_label,
@@ -47,7 +51,7 @@ from .oracles import (
     maximal_iterate_oracle,
     refinement_points,
 )
-from .test_rearrange import _deep
+from .test_rearrange import _deep, deep_fn
 from .test_symbols import _infinite_symbol
 
 
@@ -434,3 +438,44 @@ def test_maximal_scales_to_K_2000_on_the_shift():
     m = maximal_truncated(bilateral_shift(), seq(atomic_z(), {0: 1}), 2000)
     assert time.monotonic() - t0 < 5
     assert m.value_at(-1999) == Fraction(1, 2000) and m.value_at(-2000) == 0
+
+
+# ---------------------------------------------------------------------------
+# the producers' results are canonical without a check of their own
+# ---------------------------------------------------------------------------
+
+
+def _assert_canonical(r):
+    """r is what step or seq builds from r's own fields, down to the repr."""
+    if isinstance(r, StepFn):
+        again = step(r.space, r.cuts, r.vals)
+    else:
+        again = seq(r.space, r.entries, r.tail)
+    assert again == r and repr(again) == repr(r)
+
+
+@given(_atomic_instance() | _infinite_instance() | _interval_instance() | _float_instance()
+       | _float_cut_instance(),
+       st.sampled_from([Fraction(-3, 2), Fraction(1), 0.7]), st.integers(1, 5), deep_fn())
+@settings(max_examples=150, deadline=None)
+def test_producers_are_canonical(pair, c, n, deep):
+    sym, f = pair
+    g = apply(sym, f)
+    results = [
+        g,
+        linear_combine([c, 1], [f, g]),
+        linear_combine([c, 1, -c], [f, g, f]),  # f's jumps cancel
+        pointwise_max(f, g),
+        pointwise_mul(f, g),
+        abs_fn(f),
+        rearrangement(f),
+        rearrangement(deep),
+        dilate(rearrangement(deep), abs(c)),
+        cesaro(sym, f, n),
+        maximal_truncated(sym, f, n),
+    ]
+    if isinstance(sym, AtomicSymbol) and sym.is_permutation():
+        parts = decomposition_check(sym, f)
+        results += [permutation_limit(sym, f), parts.kernel_part, parts.range_part, parts.witness]
+    for r in results:
+        _assert_canonical(r)

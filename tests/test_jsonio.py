@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -35,7 +36,18 @@ from rispace import (
 from rispace import jsonio
 from rispace.examples import shifted_power_symbol
 
-from .payloads import measfn_obj, mutated, normspec_obj, symbol_obj, wire, xiweight_obj
+from .payloads import (
+    measfn,
+    measfn_obj,
+    mutated,
+    normspec,
+    normspec_obj,
+    symbol,
+    symbol_obj,
+    wire,
+    xiweight,
+    xiweight_obj,
+)
 from .test_rearrange import deep_fn
 
 
@@ -178,6 +190,48 @@ def test_json_numbers_survive_the_full_cycle():
         text = jsonio.dumps(jsonio.measfn_to_obj(f))
         back = jsonio.measfn_from_obj(jsonio.loads(text))
         assert back == f  # exact, no float contamination
+
+
+def _numbers(x):
+    """The numbers inside a value object, fields in order."""
+    if isinstance(x, (int, float, Fraction)) and not isinstance(x, bool):
+        yield x
+    elif dataclasses.is_dataclass(x):
+        for field in dataclasses.fields(x):
+            yield from _numbers(getattr(x, field.name))
+    elif isinstance(x, tuple):
+        for v in x:
+            yield from _numbers(v)
+
+
+def test_encoded_spec_decodes_in_memory():
+    # json_real writes the knot 15/4 as the float 3.75; read as a float it
+    # made the profile fail its quasiconcavity check
+    spec = MarcWeak(halfline(), StepApprox(((2, 2), (Fraction(15, 4), Fraction(53, 16))),
+                                           Fraction(53, 60)))
+    back = jsonio.normspec_from_obj(jsonio.normspec_to_obj(spec))
+    assert back == spec and repr(back) == repr(spec)
+
+
+# value type -> (a generator of objects from a seed, its encoder, its decoder)
+_CODECS = {
+    "measfn": (measfn, jsonio.measfn_to_obj, jsonio.measfn_from_obj),
+    "normspec": (normspec, jsonio.normspec_to_obj, jsonio.normspec_from_obj),
+    "symbol": (symbol, jsonio.symbol_to_obj, jsonio.symbol_from_obj),
+    "xiweight": (xiweight, jsonio.xiweight_to_obj, jsonio.xiweight_from_obj),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_CODECS)), st.integers(0, 2**32))
+def test_generated_objects_decode_in_memory_to_themselves(name, seed):
+    generate, encode, decode = _CODECS[name]
+    obj = generate(seed)
+    back = decode(encode(obj))
+    assert back == obj
+    pairs = list(zip(_numbers(obj), _numbers(back)))
+    assert len(pairs) == len(list(_numbers(obj))) == len(list(_numbers(back)))
+    assert not any(isinstance(a, Fraction) and isinstance(b, float) for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------

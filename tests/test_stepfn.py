@@ -9,6 +9,7 @@ from rispace import (
     UndefinedIntegralError,
     abs_fn,
     add,
+    atomic_finite,
     atomic_n,
     atomic_z,
     constant,
@@ -40,9 +41,71 @@ def test_step_validation():
     with pytest.raises(ValueError):
         step(halfline(), [2, 1], [1, 2, 0])  # cuts must increase
     with pytest.raises(ValueError):
+        step(halfline(), [1, 1], [1, 2, 0])  # ... strictly
+    with pytest.raises(ValueError):
         step(halfline(), [1], [1, 2, 3])  # len mismatch
     with pytest.raises(ValueError):
+        step(halfline(), [], [])
+    with pytest.raises(ValueError):
         step(halfline(), [-1], [1, 0])  # cut outside domain
+    with pytest.raises(ValueError):
+        step(halfline(), [0], [1, 0])  # a cut at the left end
+    with pytest.raises(ValueError):
+        step(interval(2), [2], [1, 0])  # a cut at the right end
+    with pytest.raises(ValueError):
+        step(atomic_n(), [], [1])  # a Lebesgue space only
+    with pytest.raises(ValueError):
+        step(halfline(), [1], ["inf", 0])  # finite values only
+    with pytest.raises(ValueError):
+        step(line(), [0], [1, float("nan")])
+    # a computed value can still be non-finite: 1e308 * 10.0 is inf, and
+    # inf + 1e308 * (0 - 10.0) is NaN
+    with pytest.raises(ValueError):
+        scale(1e308, step(halfline(), [1], [10.0, 0]))
+    with pytest.raises(ValueError):
+        scale(1e308, seq(atomic_n(), {0: 10.0}))
+    # seq
+    with pytest.raises(ValueError):
+        seq(halfline(), {0: 1})  # an atomic space only
+    with pytest.raises(ValueError):
+        seq(atomic_z(), {}, tail=1)  # a nonzero tail only over N
+    with pytest.raises(ValueError):
+        seq(atomic_finite(3), {0: 2}, tail=1)
+    with pytest.raises(ValueError):
+        seq(atomic_n(), {-1: 1})  # valid indices only
+    with pytest.raises(ValueError):
+        seq(atomic_finite(3), {3: 1})
+    with pytest.raises(ValueError):
+        seq(atomic_n(), [(1, 2), (1, 5)])  # no index twice
+    with pytest.raises(ValueError):
+        seq(atomic_n(), {0: "-inf"})  # finite values only
+    with pytest.raises(ValueError):
+        seq(atomic_n(), {}, tail="inf")
+    with pytest.raises(ValueError):
+        seq_from_values(atomic_finite(2), [1, 2, 3])
+    # constant
+    with pytest.raises(ValueError):
+        constant(atomic_n(), 1)
+    with pytest.raises(ValueError):
+        constant(halfline(), "inf")
+
+
+def test_checks_run_on_the_merged_result():
+    # what merging drops is never checked: equal values need no cut between
+    # them, and an entry equal to the tail is no entry
+    one = constant(halfline(), 1)
+    assert step(halfline(), [2, 1], [1, 1, 1]) == one
+    assert step(halfline(), [-1], [1, 1]) == one
+    assert seq(atomic_n(), [(1, 0), (1, 5)]) == seq(atomic_n(), {1: 5})
+    assert seq(atomic_n(), {-1: 0, 2: 3}).entries == ((2, 3),)
+    assert seq(atomic_n(), [(3, 1), (0, 2)]).entries == ((0, 2), (3, 1))
+
+
+def test_outside_values_are_coerced_exactly():
+    assert repr(constant(halfline(), 2).vals) == "(Fraction(2, 1),)"
+    f = step(halfline(), [1], ["1/3", 0])
+    assert repr(f) == repr(step(halfline(), [Fraction(1)], [Fraction(1, 3), Fraction(0)]))
+    assert repr(seq_from_values(atomic_n(), [4, 0]).entries) == "((0, Fraction(4, 1)),)"
 
 
 def test_value_at_and_domain_guard():
