@@ -28,7 +28,6 @@ import tempfile
 from . import jsonio
 from .ergodic import apply, cesaro, maximal_truncated
 from .examples import DEFAULT_SEED, EXAMPLE_IDS, run_example
-from .num import json_real
 from .properties import verify_suite
 from .rearrange import rearrangement
 from .spaces import norm_eval, xi_seminorm
@@ -168,22 +167,13 @@ _FIELDS = {
 
 # operation -> (its payload fields, its evaluation on their decoded values)
 _OPERATIONS = {
-    "rearrange": (("function",), lambda f: jsonio.measfn_to_obj(rearrangement(f))),
-    "norm": (("spec", "function"), lambda spec, f: {"value": json_real(norm_eval(spec, f))}),
-    "xi": (("weight", "function"), lambda w, f: {"value": json_real(xi_seminorm(w, f))}),
-    "apply": (("symbol", "function"), lambda sym, f: jsonio.measfn_to_obj(apply(sym, f))),
-    "cesaro": (
-        ("symbol", "function", "n"),
-        lambda sym, f, n: jsonio.measfn_to_obj(cesaro(sym, f, n)),
-    ),
-    "maximal": (
-        ("symbol", "function", "K"),
-        lambda sym, f, k: jsonio.measfn_to_obj(maximal_truncated(sym, f, k)),
-    ),
-    "analyze-symbol": (
-        ("symbol", "horizon"),
-        lambda sym, h: jsonio.analysis_to_obj(check_condition_I(sym, h)),
-    ),
+    "rearrange": (("function",), rearrangement),
+    "norm": (("spec", "function"), lambda spec, f: {"value": norm_eval(spec, f)}),
+    "xi": (("weight", "function"), lambda w, f: {"value": xi_seminorm(w, f)}),
+    "apply": (("symbol", "function"), apply),
+    "cesaro": (("symbol", "function", "n"), cesaro),
+    "maximal": (("symbol", "function", "K"), maximal_truncated),
+    "analyze-symbol": (("symbol", "horizon"), check_condition_I),
 }
 
 
@@ -209,7 +199,7 @@ def _cmd_eval(args) -> int:
         result = evaluate(*_decode(obj, fields, {"horizon": args.horizon}))
     except ValueError as e:
         raise UsageError(str(e)) from None
-    text = jsonio.dumps(result)
+    text = jsonio.dumps(jsonio.to_obj(result))
     if args.outfile:
         _write_text(args.outfile, text)
     else:

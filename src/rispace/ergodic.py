@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Union
 
 from .num import INF, Real, fmt_real, json_real
 from .rearrange import distribution_at
+from .spaces import LogClip, Lorentz, Lp, MarcStrong, MarcWeak, Power, StepApprox, WeakLp
 from .spaces import NormSpec, XiWeight, fundamental_function, norm_eval, xi_seminorm
 from .stepfn import (
     AtomSeq,
@@ -408,9 +409,6 @@ class ErgodicReport:
 
 
 def spec_label(spec: Union[NormSpec, XiWeight]) -> str:
-    from .spaces import Lorentz, Lp, MarcStrong, MarcWeak, WeakLp
-    from .spaces import LogClip, Power, StepApprox
-
     def phi_label(phi):
         if isinstance(phi, Power):
             return f"t^{fmt_real(phi.alpha)}"

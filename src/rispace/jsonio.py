@@ -21,10 +21,17 @@ kind requires and no key its kind does not use.  Whatever the input, they
 return a value or raise ``ValueError`` with a message that names the object
 at fault, such as ``function.breakpoints[2]``.  The schemas in ``schemas/``
 document the same format.
+
+A catalog record (a norm spec, a quasiconcave profile, a branch form) travels
+as its ``kind`` plus its dataclass fields, each field read and written by the
+one codec of its name; only ``final_slope`` may be omitted, and reads as 0.  A
+new norm, profile or form kind is one entry in its family's kind table plus
+its schema.  ``to_obj`` encodes any result, once, where it leaves the program.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -40,6 +47,7 @@ from .space import (
     LEBESGUE_INTERVAL,
     LEBESGUE_LINE,
     AtomicSet,
+    IntervalSet,
     MeasureSpace,
     interval_set,
 )
@@ -55,7 +63,7 @@ from .spaces import (
     WeakLp,
     XiWeight,
 )
-from .stepfn import AtomSeq, MeasFn, seq, step
+from .stepfn import AtomSeq, MeasFn, StepFn, seq, step
 from .symbols import (
     Affine,
     AffineTail,
@@ -94,10 +102,15 @@ def _decimal(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {_shown(text)}") from None
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def loads(text: str):
-    """json.loads with float literals read exactly."""
+    """json.loads with float literals read exactly, and without the non-JSON
+    literals Infinity, -Infinity and NaN that json.loads would accept."""
     try:
-        return json.loads(text, parse_float=_decimal)
+        return json.loads(text, parse_float=_decimal, parse_constant=_no_constant)
     except RecursionError:
         raise ValueError("the document nests too deeply") from None
 
@@ -359,45 +372,12 @@ def measfn_from_obj(obj, where: str = "function") -> MeasFn:
 # Symbols
 # ---------------------------------------------------------------------------
 
-_FORM_NAMES = {
-    Affine: "affine",
-    PowerOnUnit: "power_on_unit",
-    ShiftedPower: "shifted_power",
-    AffineTail: "affine_tail",
-    ExpRecip: "exp_recip",
-}
-_FORM_LAYOUTS = {
-    "affine": (("alpha", "beta"), ()),
-    "power_on_unit": (("n",), ()),
-    "shifted_power": (("n",), ()),
-    "affine_tail": (("n",), ()),
-    "exp_recip": ((), ()),
-}
-_INTEGER_FORMS = {"power_on_unit": PowerOnUnit, "shifted_power": ShiftedPower,
-                  "affine_tail": AffineTail}
-
-
-def _form_to_obj(form) -> dict:
-    out = {"kind": _FORM_NAMES[type(form)]}
-    if isinstance(form, Affine):
-        out["alpha"] = json_real(form.alpha)
-        out["beta"] = json_real(form.beta)
-    elif isinstance(form, (PowerOnUnit, ShiftedPower, AffineTail)):
-        out["n"] = form.n
-    return out
-
 
 def _form_from_obj(obj, where: str):
     if isinstance(obj, dict) and "kind" not in obj:  # the {"power": n} shorthand
         check_object(obj, where, ("power",))
         return _made(where, PowerOnUnit, int_from_obj(obj["power"], f"{where}.power"))
-    kind = _kind(obj, where, _FORM_LAYOUTS)
-    if kind == "affine":
-        alpha = _num(obj["alpha"], f"{where}.alpha")
-        return _made(where, Affine, alpha, _num(obj["beta"], f"{where}.beta"))
-    if kind == "exp_recip":
-        return ExpRecip()
-    return _made(where, _INTEGER_FORMS[kind], int_from_obj(obj["n"], f"{where}.n"))
+    return _record_from_obj(obj, where, _FORMS)
 
 
 def _branch_from_obj(obj, where: str) -> Branch:
@@ -421,7 +401,7 @@ def symbol_to_obj(sym: Symbol) -> dict:
             {
                 "lo": "-inf" if br.lo == NEG_INF else json_real(br.lo),
                 "hi": "inf" if br.hi == INF else json_real(br.hi),
-                "form": _form_to_obj(br.form),
+                "form": _record_to_obj(br.form),
             }
             for br in sym.branches
         ],
@@ -443,73 +423,73 @@ def symbol_from_obj(obj, where: str = "symbol") -> Symbol:
 
 
 # ---------------------------------------------------------------------------
-# Norm specs, quasiconcave functions, weights
+# Catalog records (norm specs, quasiconcave profiles, branch forms), weights
 # ---------------------------------------------------------------------------
 
-_PHI_LAYOUTS = {
-    "power": (("alpha",), ()),
-    "logclip": ((), ()),
-    "step_approx": (("knots",), ("final_slope",)),
-}
-_NORM_LAYOUTS = {
-    "lp": (("space", "p"), ()),
-    "lorentz": (("space", "p", "q"), ()),
-    "weak_lp": (("space", "p"), ()),
-    "marcinkiewicz_weak": (("space", "phi"), ()),
-    "marcinkiewicz_strong": (("space", "phi"), ()),
-}
+# one table per catalog family: wire kind -> record class
+_NORMS = {"lp": Lp, "lorentz": Lorentz, "weak_lp": WeakLp,
+          "marcinkiewicz_weak": MarcWeak, "marcinkiewicz_strong": MarcStrong}
+_PHIS = {"power": Power, "logclip": LogClip, "step_approx": StepApprox}
+_FORMS = {"affine": Affine, "power_on_unit": PowerOnUnit, "shifted_power": ShiftedPower,
+          "affine_tail": AffineTail, "exp_recip": ExpRecip}
+_KIND_OF = {cls: kind for kinds in (_NORMS, _PHIS, _FORMS) for kind, cls in kinds.items()}
+
+# the only field the wire may omit, and the value it then takes
+_DEFAULTS = {"final_slope": 0}
+
+
+def _record_to_obj(x) -> dict:
+    """A catalog record's wire object: its kind, then each field encoded."""
+    out = {"kind": _KIND_OF[type(x)]}
+    for field in dataclasses.fields(x):
+        out[field.name] = _FIELD_CODECS[field.name][0](getattr(x, field.name))
+    return out
+
+
+def _layout(cls) -> tuple:
+    """The (required, optional) keys beside "kind" of a record class."""
+    names = [field.name for field in dataclasses.fields(cls)]
+    return [n for n in names if n not in _DEFAULTS], [n for n in names if n in _DEFAULTS]
+
+
+def _record_from_obj(obj, where: str, kinds: dict):
+    """The record of one of the kinds' classes that obj encodes; its fields
+    are decoded in dataclass order, so the first fault is the one reported."""
+    cls = kinds[_kind(obj, where, {kind: _layout(c) for kind, c in kinds.items()})]
+    return _made(where, cls, *(
+        _FIELD_CODECS[field.name][1](obj.get(field.name, _DEFAULTS.get(field.name)),
+                                     f"{where}.{field.name}")
+        for field in dataclasses.fields(cls)
+    ))
 
 
 def phi_to_obj(phi) -> dict:
-    if isinstance(phi, Power):
-        return {"kind": "power", "alpha": json_real(phi.alpha)}
-    if isinstance(phi, LogClip):
-        return {"kind": "logclip"}
-    return {
-        "kind": "step_approx",
-        "knots": [[json_real(t), json_real(v)] for t, v in phi.knots],
-        "final_slope": json_real(phi.final_slope),
-    }
+    return _record_to_obj(phi)
 
 
 def phi_from_obj(obj, where: str = "phi"):
-    kind = _kind(obj, where, _PHI_LAYOUTS)
-    if kind == "power":
-        return _made(where, Power, _num(obj["alpha"], f"{where}.alpha"))
-    if kind == "logclip":
-        return LogClip()
-    knots = _array(obj["knots"], f"{where}.knots", _pair(_num, _num))
-    slope = _num(obj.get("final_slope", 0), f"{where}.final_slope")
-    return _made(where, StepApprox, tuple(knots), slope)
+    return _record_from_obj(obj, where, _PHIS)
 
 
 def normspec_to_obj(spec: NormSpec) -> dict:
-    base = {"space": space_to_obj(spec.space)}
-    if isinstance(spec, Lp):
-        return {"kind": "lp", "p": json_real(spec.p), **base}
-    if isinstance(spec, Lorentz):
-        return {"kind": "lorentz", "p": json_real(spec.p), "q": json_real(spec.q), **base}
-    if isinstance(spec, WeakLp):
-        return {"kind": "weak_lp", "p": json_real(spec.p), **base}
-    if isinstance(spec, MarcWeak):
-        return {"kind": "marcinkiewicz_weak", "phi": phi_to_obj(spec.phi), **base}
-    if isinstance(spec, MarcStrong):
-        return {"kind": "marcinkiewicz_strong", "phi": phi_to_obj(spec.phi), **base}
-    raise TypeError(f"not a norm spec: {spec!r}")
+    if type(spec) not in _NORMS.values():
+        raise TypeError(f"not a norm spec: {spec!r}")
+    return _record_to_obj(spec)
 
 
 def normspec_from_obj(obj, where: str = "spec") -> NormSpec:
-    kind = _kind(obj, where, _NORM_LAYOUTS)
-    sp = space_from_obj(obj["space"], f"{where}.space")
-    if kind == "lp":
-        return _made(where, Lp, sp, _num(obj["p"], f"{where}.p"))
-    if kind == "lorentz":
-        p, q = _num(obj["p"], f"{where}.p"), _num(obj["q"], f"{where}.q")
-        return _made(where, Lorentz, sp, p, q)
-    if kind == "weak_lp":
-        return _made(where, WeakLp, sp, _num(obj["p"], f"{where}.p"))
-    phi = phi_from_obj(obj["phi"], f"{where}.phi")
-    return _made(where, MarcWeak if kind == "marcinkiewicz_weak" else MarcStrong, sp, phi)
+    return _record_from_obj(obj, where, _NORMS)
+
+
+# record field -> (its encoder, its decoder), the same in every record kind
+_FIELD_CODECS = {
+    "space": (space_to_obj, space_from_obj),
+    "phi": (phi_to_obj, phi_from_obj),
+    "knots": (lambda knots: [[json_real(t), json_real(v)] for t, v in knots],
+              lambda x, where: tuple(_array(x, where, _pair(_num, _num)))),
+    "n": (lambda n: n, int_from_obj),
+    **dict.fromkeys(("p", "q", "alpha", "beta", "final_slope"), (json_real, _num)),
+}
 
 
 def xiweight_to_obj(w: XiWeight) -> dict:
@@ -538,3 +518,32 @@ def analysis_to_obj(ana: SymbolAnalysis) -> dict:
         "strictly_nonsingular": ana.strictly_nonsingular,
         "dilation_B": json_real(ana.dilation_B),
     }
+
+
+# ---------------------------------------------------------------------------
+# Any result
+# ---------------------------------------------------------------------------
+
+# value type -> its encoder
+_ENCODERS = {
+    MeasureSpace: space_to_obj, AtomicSet: set_to_obj, IntervalSet: set_to_obj,
+    StepFn: measfn_to_obj, AtomSeq: measfn_to_obj,
+    AtomicSymbol: symbol_to_obj, IntervalSymbol: symbol_to_obj,
+    XiWeight: xiweight_to_obj, SymbolAnalysis: analysis_to_obj,
+    **dict.fromkeys(_KIND_OF, _record_to_obj),
+}
+
+
+def to_obj(x):
+    """The JSON-ready image of a result: dicts, lists and tuples item by item,
+    strings, integers and booleans as they are, exact and float numbers
+    through ``json_real``, and every value type through its encoder."""
+    if isinstance(x, dict):
+        return {key: to_obj(v) for key, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [to_obj(v) for v in x]
+    if isinstance(x, (str, int)):
+        return x
+    if isinstance(x, (Fraction, float)):
+        return json_real(x)
+    return _ENCODERS[type(x)](x)

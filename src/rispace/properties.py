@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from . import jsonio
 from .ergodic import _cycles, apply, cesaro, iterate_apply, maximal_truncated, permutation_limit
-from .num import INF, NEG_INF, Real, json_real, to_float
+from .num import INF, NEG_INF, Real, to_float
 from .rearrange import (
     dilate,
     distribution_at,
@@ -379,10 +379,6 @@ def _sup_abs(f: AtomSeq) -> Fraction:
     return max((abs(v) for _, v in f.entries), default=Fraction(0))
 
 
-def _fn_obj(f: MeasFn) -> dict:
-    return jsonio.measfn_to_obj(f)
-
-
 def _sample_times(*fns: StepFn) -> list[Fraction]:
     """Positive probe points: the cuts plus midpoints and one point beyond."""
     grid = sorted({c for f in fns for c in f.cuts} | {Fraction(0)})
@@ -412,9 +408,9 @@ def _p_measure_additivity(rng, size):
     if _eq(used.measure(), total):
         return None
     return {
-        "sets": [jsonio.set_to_obj(E) for E in raw],
-        "union_measure": json_real(used.measure()),
-        "sum_of_parts": json_real(total),
+        "sets": raw,
+        "union_measure": used.measure(),
+        "sum_of_parts": total,
     }
 
 
@@ -425,7 +421,7 @@ def _p_measure_zero_iff_empty(rng, size):
         E = E.intersect(gen_set(rng, size, sp))
     if (E.measure() == 0) == E.is_empty():
         return None
-    return {"set": jsonio.set_to_obj(E), "measure": json_real(E.measure())}
+    return {"set": E, "measure": E.measure()}
 
 
 def _p_combine_canonical(rng, size):
@@ -450,7 +446,7 @@ def _p_combine_canonical(rng, size):
         )
     if ok:
         return None
-    return {"coeffs": [json_real(c) for c in coeffs], "fns": [_fn_obj(f) for f in fns]}
+    return {"coeffs": coeffs, "fns": fns}
 
 
 def _p_integrate_linear(rng, size):
@@ -463,9 +459,9 @@ def _p_integrate_linear(rng, size):
     if lhs == rhs:
         return None
     return {
-        "a": json_real(a), "b": json_real(b),
-        "f": _fn_obj(f), "g": _fn_obj(g),
-        "lhs": json_real(lhs), "rhs": json_real(rhs),
+        "a": a, "b": b,
+        "f": f, "g": g,
+        "lhs": lhs, "rhs": rhs,
     }
 
 
@@ -493,8 +489,8 @@ def _p_combine_pointwise(rng, size):
     for x in points:
         if h.value_at(x) != a * f.value_at(x) + b * g.value_at(x):
             return {
-                "a": json_real(a), "b": json_real(b),
-                "f": _fn_obj(f), "g": _fn_obj(g), "x": json_real(x),
+                "a": a, "b": b,
+                "f": f, "g": g, "x": x,
             }
     return None
 
@@ -514,7 +510,7 @@ def _p_rearrangement_equimeasurable(rng, size):
         probes.append((a + b) / 2)
     for s in probes:
         if not _eq(distribution_at(f, s), distribution_at(r, s)):
-            return {"f": _fn_obj(f), "s": json_real(s)}
+            return {"f": f, "s": s}
     return None
 
 
@@ -524,7 +520,7 @@ def _p_rearrangement_nonincreasing(rng, size):
     r = rearrangement(f)
     if is_rearranged(r):
         return None
-    return {"f": _fn_obj(f), "rearrangement": _fn_obj(r)}
+    return {"f": f, "rearrangement": r}
 
 
 def _p_quasi_subadditivity(rng, size):
@@ -535,7 +531,7 @@ def _p_quasi_subadditivity(rng, size):
     rh = rearrangement(add(f, g))
     for t in _sample_times(rh, rf, rg):
         if not _leq(rh.value_at(t), rf.value_at(t / 2) + rg.value_at(t / 2)):
-            return {"f": _fn_obj(f), "g": _fn_obj(g), "t": json_real(t)}
+            return {"f": f, "g": g, "t": t}
     return None
 
 
@@ -548,7 +544,7 @@ def _p_double_star_subadditive(rng, size):
         lhs = hardy_integral(h, t)
         rhs = hardy_integral(f, t) + hardy_integral(g, t)
         if not _leq(lhs, rhs):
-            return {"f": _fn_obj(f), "g": _fn_obj(g), "t": json_real(t)}
+            return {"f": f, "g": g, "t": t}
     return None
 
 
@@ -575,14 +571,14 @@ def _p_hardy_lemma(rng, size):
     sp = gen_space(rng, size)
     f, g = _hlp_pair(rng, size, sp)
     if not hlp_leq(f, g):
-        return {"f": _fn_obj(f), "g": _fn_obj(g), "note": "expected HLP order"}
+        return {"f": f, "g": g, "note": "expected HLP order"}
     w = gen_weight(rng, size)
     lhs = integrate(pointwise_mul(rearrangement(f), w))
     rhs = integrate(pointwise_mul(rearrangement(g), w))
     if _leq(lhs, rhs):
         return None
-    return {"f": _fn_obj(f), "g": _fn_obj(g), "w": _fn_obj(w),
-            "lhs": json_real(lhs), "rhs": json_real(rhs)}
+    return {"f": f, "g": g, "w": w,
+            "lhs": lhs, "rhs": rhs}
 
 
 def _p_dilate_composition(rng, size):
@@ -591,7 +587,7 @@ def _p_dilate_composition(rng, size):
     b = Fraction(rng.randint(1, 8), rng.choice([1, 2, 4]))
     if dilate(dilate(f, a), b) == dilate(f, a * b):
         return None
-    return {"f": _fn_obj(f), "a": json_real(a), "b": json_real(b)}
+    return {"f": f, "a": a, "b": b}
 
 
 def _p_hardy_littlewood(rng, size):
@@ -605,15 +601,15 @@ def _p_hardy_littlewood(rng, size):
         lhs, rhs = hardy_littlewood_pair(f, g)
         if lhs == rhs:
             return None
-        return {"f": _fn_obj(f), "g": _fn_obj(g),
-                "lhs": json_real(lhs), "rhs": json_real(rhs), "note": "expected equality"}
+        return {"f": f, "g": g,
+                "lhs": lhs, "rhs": rhs, "note": "expected equality"}
     f = gen_fn(rng, size, sp, compact=rng.random() < 0.7)
     g = gen_fn(rng, size, sp, compact=rng.random() < 0.7)
     lhs, rhs = hardy_littlewood_pair(f, g)
     if _leq(lhs, rhs):
         return None
-    return {"f": _fn_obj(f), "g": _fn_obj(g),
-            "lhs": json_real(lhs), "rhs": json_real(rhs)}
+    return {"f": f, "g": g,
+            "lhs": lhs, "rhs": rhs}
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +625,8 @@ def _p_norm_lattice(rng, size):
     nf, ng = norm_eval(spec, f), norm_eval(spec, g)
     if _leq(nf, ng):
         return None
-    return {"spec": jsonio.normspec_to_obj(spec), "f": _fn_obj(f), "g": _fn_obj(g),
-            "norm_f": json_real(nf), "norm_g": json_real(ng)}
+    return {"spec": spec, "f": f, "g": g,
+            "norm_f": nf, "norm_g": ng}
 
 
 def _shuffled_copy(rng, f: MeasFn) -> MeasFn:
@@ -682,12 +678,12 @@ def _p_norm_rearrangement_invariant(rng, size):
     g = _shuffled_copy(rng, f)
     spec = gen_normspec(rng, size, sp)
     if not equimeasurable(f, g):
-        return {"f": _fn_obj(f), "g": _fn_obj(g), "note": "shuffle broke equimeasurability"}
+        return {"f": f, "g": g, "note": "shuffle broke equimeasurability"}
     nf, ng = norm_eval(spec, f), norm_eval(spec, g)
     if _eq(nf, ng):
         return None
-    return {"spec": jsonio.normspec_to_obj(spec), "f": _fn_obj(f), "g": _fn_obj(g),
-            "norm_f": json_real(nf), "norm_g": json_real(ng)}
+    return {"spec": spec, "f": f, "g": g,
+            "norm_f": nf, "norm_g": ng}
 
 
 def _p_xi_triangle(rng, size):
@@ -699,8 +695,8 @@ def _p_xi_triangle(rng, size):
     rhs = xi_seminorm(w, f) + xi_seminorm(w, g)
     if _leq(lhs, rhs):
         return None
-    return {"w": _fn_obj(w.weight), "f": _fn_obj(f), "g": _fn_obj(g),
-            "lhs": json_real(lhs), "rhs": json_real(rhs)}
+    return {"w": w.weight, "f": f, "g": g,
+            "lhs": lhs, "rhs": rhs}
 
 
 def _p_xi_hardy_littlewood(rng, size):
@@ -711,21 +707,21 @@ def _p_xi_hardy_littlewood(rng, size):
     lhs, rhs = hardy_littlewood_pair(wfn, rearrangement(f))
     if _eq(xi, lhs) and _eq(xi, rhs):
         return None
-    return {"w": _fn_obj(wfn), "f": _fn_obj(f), "xi": json_real(xi),
-            "hl": [json_real(lhs), json_real(rhs)]}
+    return {"w": wfn, "f": f, "xi": xi,
+            "hl": [lhs, rhs]}
 
 
 def _p_hlp_norm_monotone(rng, size):
     sp = gen_space(rng, size)
     f, g = _hlp_pair(rng, size, sp)
     if not hlp_leq(f, g):
-        return {"f": _fn_obj(f), "g": _fn_obj(g), "note": "expected HLP order"}
+        return {"f": f, "g": g, "note": "expected HLP order"}
     spec = gen_normspec(rng, size, sp, hlp_safe=True)
     nf, ng = norm_eval(spec, f), norm_eval(spec, g)
     if _leq(nf, ng):
         return None
-    return {"spec": jsonio.normspec_to_obj(spec), "f": _fn_obj(f), "g": _fn_obj(g),
-            "norm_f": json_real(nf), "norm_g": json_real(ng)}
+    return {"spec": spec, "f": f, "g": g,
+            "norm_f": nf, "norm_g": ng}
 
 
 def _p_dilation_contraction(rng, size):
@@ -737,8 +733,8 @@ def _p_dilation_contraction(rng, size):
     nd, nr = norm_eval(spec, dilate(r, t)), norm_eval(spec, r)
     if _leq(nd, nr):
         return None
-    return {"spec": jsonio.normspec_to_obj(spec), "f": _fn_obj(f), "t": json_real(t),
-            "dilated": json_real(nd), "original": json_real(nr)}
+    return {"spec": spec, "f": f, "t": t,
+            "dilated": nd, "original": nr}
 
 
 def _p_norm_homogeneous(rng, size):
@@ -750,8 +746,8 @@ def _p_norm_homogeneous(rng, size):
     rhs = abs(c) * norm_eval(spec, f)
     if _eq(lhs, rhs):
         return None
-    return {"spec": jsonio.normspec_to_obj(spec), "f": _fn_obj(f), "c": json_real(c),
-            "lhs": json_real(lhs), "rhs": json_real(rhs)}
+    return {"spec": spec, "f": f, "c": c,
+            "lhs": lhs, "rhs": rhs}
 
 
 _BAD_PROFILE = StepApprox(((Fraction(1), Fraction(1)), (Fraction(2), Fraction(4))), Fraction(0))
@@ -761,16 +757,16 @@ def _p_quasiconcave_catalog(rng, size):
     phi = gen_phi(rng, size)
     ok, cert = quasiconcave_check(phi)
     if not ok:
-        return {"phi": jsonio.phi_to_obj(phi), "certificate": cert}
+        return {"phi": phi, "certificate": cert}
     if quasiconcave_check(_BAD_PROFILE)[0]:
         return {"note": "superlinear profile passed the check"}
     ts = sorted({Fraction(rng.randint(1, 32), 8) for _ in range(4)})
     for a, b in zip(ts, ts[1:]):
         if not _leq(phi_at(phi, a), phi_at(phi, b)):
-            return {"phi": jsonio.phi_to_obj(phi), "t": [json_real(a), json_real(b)],
+            return {"phi": phi, "t": [a, b],
                     "note": "profile decreased"}
         if not _leq(phi_at(phi, b) / b, phi_at(phi, a) / a):
-            return {"phi": jsonio.phi_to_obj(phi), "t": [json_real(a), json_real(b)],
+            return {"phi": phi, "t": [a, b],
                     "note": "phi(t)/t increased"}
     return None
 
@@ -801,8 +797,8 @@ def _p_preimage_boolean(rng, size):
         )
     if ok:
         return None
-    return {"symbol": jsonio.symbol_to_obj(sym),
-            "E": jsonio.set_to_obj(E), "F": jsonio.set_to_obj(F)}
+    return {"symbol": sym,
+            "E": E, "F": F}
 
 
 def _p_measure_bound_sound(rng, size):
@@ -813,10 +809,10 @@ def _p_measure_bound_sound(rng, size):
     E = gen_set(rng, size, sym.space)
     if _leq(preimage_measure(sym, E), a * E.measure()):
         return None
-    return {"symbol": jsonio.symbol_to_obj(sym), "E": jsonio.set_to_obj(E),
-            "bound": json_real(a),
-            "preimage_measure": json_real(preimage_measure(sym, E)),
-            "set_measure": json_real(E.measure())}
+    return {"symbol": sym, "E": E,
+            "bound": a,
+            "preimage_measure": preimage_measure(sym, E),
+            "set_measure": E.measure()}
 
 
 def _p_lower_bound_sound(rng, size):
@@ -827,10 +823,10 @@ def _p_lower_bound_sound(rng, size):
     E = gen_set(rng, size, sym.space)
     if _leq(E.measure(), c * preimage_measure(sym, E)):
         return None
-    return {"symbol": jsonio.symbol_to_obj(sym), "E": jsonio.set_to_obj(E),
-            "bound": json_real(c),
-            "preimage_measure": json_real(preimage_measure(sym, E)),
-            "set_measure": json_real(E.measure())}
+    return {"symbol": sym, "E": E,
+            "bound": c,
+            "preimage_measure": preimage_measure(sym, E),
+            "set_measure": E.measure()}
 
 
 def _p_power_bound_sound(rng, size):
@@ -844,9 +840,9 @@ def _p_power_bound_sound(rng, size):
     for n in range(1, horizon + 1):
         en = preimage(sym, en)
         if not _leq(en.measure(), pb.at(n) * E.measure()):
-            return {"symbol": jsonio.symbol_to_obj(sym), "E": jsonio.set_to_obj(E),
-                    "n": n, "bound": json_real(pb.at(n)),
-                    "iterated_measure": json_real(en.measure())}
+            return {"symbol": sym, "E": E,
+                    "n": n, "bound": pb.at(n),
+                    "iterated_measure": en.measure()}
     return None
 
 
@@ -859,7 +855,7 @@ def _p_atomic_power_preimage(rng, size):
         it = preimage(sym, it)
     if preimage(atomic_power(sym, k), E) == it:
         return None
-    return {"symbol": jsonio.symbol_to_obj(sym), "k": k, "E": jsonio.set_to_obj(E)}
+    return {"symbol": sym, "k": k, "E": E}
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +872,7 @@ def _p_compose_power_apply(rng, size):
         lhs = apply(sym, lhs)
     if lhs == apply(atomic_power(sym, k), f):
         return None
-    return {"symbol": jsonio.symbol_to_obj(sym), "k": k, "f": _fn_obj(f)}
+    return {"symbol": sym, "k": k, "f": f}
 
 
 def _p_iterate_dilation_estimate(rng, size):
@@ -892,8 +888,8 @@ def _p_iterate_dilation_estimate(rng, size):
     g = iterate_apply(sym, f, k)
     if pointwise_leq(rearrangement(g), dilate(rf, Fraction(1) / a)):
         return None
-    return {"symbol": jsonio.symbol_to_obj(sym), "f": _fn_obj(f),
-            "k": k, "bound": json_real(a)}
+    return {"symbol": sym, "f": f,
+            "k": k, "bound": a}
 
 
 def _p_cesaro_hlp(rng, size):
@@ -907,8 +903,8 @@ def _p_cesaro_hlp(rng, size):
     f = gen_fn(rng, size, sym.space)
     if hlp_leq(cesaro(sym, f, n), dilate(rearrangement(f), b)):
         return None
-    return {"symbol": jsonio.symbol_to_obj(sym), "f": _fn_obj(f),
-            "n": n, "B": json_real(b)}
+    return {"symbol": sym, "f": f,
+            "n": n, "B": b}
 
 
 def _p_apply_from_below(rng, size):
@@ -921,7 +917,7 @@ def _p_apply_from_below(rng, size):
     rg = rearrangement(apply(sym, f))
     if pointwise_leq(dilate(rf, c), rg):
         return None
-    return {"symbol": jsonio.symbol_to_obj(sym), "f": _fn_obj(f), "C": json_real(c)}
+    return {"symbol": sym, "f": f, "C": c}
 
 
 def _p_maximal_dominates(rng, size):
@@ -931,10 +927,10 @@ def _p_maximal_dominates(rng, size):
     m = maximal_truncated(sym, f, k_max)
     for n in range(1, k_max + 1):
         if not pointwise_leq(abs_fn(cesaro(sym, f, n)), m):
-            return {"symbol": jsonio.symbol_to_obj(sym), "f": _fn_obj(f),
+            return {"symbol": sym, "f": f,
                     "K": k_max, "n": n}
     if not pointwise_leq(m, maximal_truncated(sym, f, k_max + 1)):
-        return {"symbol": jsonio.symbol_to_obj(sym), "f": _fn_obj(f),
+        return {"symbol": sym, "f": f,
                 "K": k_max, "note": "not monotone in K"}
     return None
 
@@ -957,8 +953,8 @@ def _p_permutation_rate(rng, size):
     for n in (1, 2, 5, 9, 16):
         gap = _sup_abs(subtract(cesaro(sym, f, n), tf))
         if not gap <= Fraction(2 * ell) * sup_f / n:
-            return {"symbol": jsonio.symbol_to_obj(sym), "f": _fn_obj(f),
-                    "n": n, "gap": json_real(gap), "cycle_length": ell}
+            return {"symbol": sym, "f": f,
+                    "n": n, "gap": gap, "cycle_length": ell}
     return None
 
 
@@ -971,7 +967,7 @@ def _p_cesaro_paths_agree(rng, size):
                           [iterate_apply(sym, f, i) for i in range(n)])
     if fast == slow:
         return None
-    return {"symbol": jsonio.symbol_to_obj(sym), "f": _fn_obj(f), "n": n}
+    return {"symbol": sym, "f": f, "n": n}
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +1016,7 @@ def _p_injected_violation(rng, size):
     bound = add(rearrangement(f), rearrangement(g))
     if pointwise_leq(rearrangement(add(f, g)), bound):
         return None
-    return {"f": _fn_obj(f), "g": _fn_obj(g)}
+    return {"f": f, "g": g}
 
 
 # ---------------------------------------------------------------------------
@@ -1133,7 +1129,8 @@ def _run_property(prop: Property, seed: int, trials: int) -> PropertyResult:
             size, payload = s, found
             trial = -1  # reproduced during shrinking, not at an original trial
             break
-    counterexample = {"property": prop.name, "size": size, "trial": trial, "data": payload}
+    counterexample = {"property": prop.name, "size": size, "trial": trial,
+                      "data": jsonio.to_obj(payload)}
     return PropertyResult(prop.name, trials, failures, counterexample)
 
 

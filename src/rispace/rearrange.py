@@ -83,8 +83,9 @@ def rearrangement(f: MeasFn) -> StepFn:
         if levels[v] == INF:  # this level fills the rest of the half-line
             return StepFn(_HALFLINE, tuple(cuts), tuple(vals))
         end = pos + levels[v]
-        if not pos < end:  # a float width below the rounding of pos
-            raise ValueError("cuts must be strictly increasing")
+        if not pos < end:
+            raise ValueError(f"level {v} is narrower than the float rounding of its "
+                             f"position {pos}; exact cuts avoid this")
         pos = end
         cuts.append(pos)
     vals.append(Fraction(0))

@@ -39,6 +39,7 @@ from .space import (
     IntervalSet,
     MeasureSpace,
     _normalize_intervals,
+    interval_set,
 )
 from .stepfn import StepFn, _merged_step, constant, linear_combine
 
@@ -631,8 +632,6 @@ _DYADIC_DEPTH = 12
 
 def _dyadic_family(sp: MeasureSpace):
     """Test intervals concentrated at the catalog's blow-up points 0 and 1."""
-    from .space import interval_set
-
     left, right = sp.domain
     raw = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))]
     for j in range(_DYADIC_DEPTH + 1):

@@ -8,7 +8,15 @@ import random
 from hypothesis import strategies as st
 
 from rispace import XiWeight, halfline, jsonio
-from rispace.properties import gen_fn, gen_normspec, gen_space, gen_symbol, gen_weight
+from rispace.properties import (
+    gen_fn,
+    gen_normspec,
+    gen_phi,
+    gen_set,
+    gen_space,
+    gen_symbol,
+    gen_weight,
+)
 
 # what a mutation may put in place of a value: wrong JSON types, a boolean
 # for an integer, a non-integer, and number strings off the schemas' spelling
@@ -76,6 +84,21 @@ def measfn(seed: int):
 def normspec(seed: int):
     rng, size = _rng(seed)
     return gen_normspec(rng, size, gen_space(rng, size))
+
+
+def phi(seed: int):
+    rng, size = _rng(seed)
+    return gen_phi(rng, size)
+
+
+def space(seed: int):
+    rng, size = _rng(seed)
+    return gen_space(rng, size)
+
+
+def measurable_set(seed: int):
+    rng, size = _rng(seed)
+    return gen_set(rng, size, gen_space(rng, size))
 
 
 def symbol(seed: int):

@@ -290,6 +290,23 @@ def test_eval_bad_number_exits_2(tmp_path, capsys, operation, payload):
     assert _eval_error(tmp_path, capsys, payload, operation).startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "operation, payload",
+    [
+        # json.dumps writes these floats as the non-JSON literals Infinity,
+        # -Infinity and NaN, which the wire does not accept
+        ("norm", {"spec": {"kind": "lp", "space": _HALFLINE, "p": float("inf")},
+                  "function": HALFLINE_FN}),
+        ("analyze-symbol", {"symbol": {"space": {"kind": "lebesgue_line"}, "branches": [
+            {"lo": float("-inf"), "hi": "inf", "form": {"kind": "affine", "alpha": 2, "beta": 0}}]}}),
+        ("rearrange", {"function": dict(HALFLINE_FN, values=[1, float("nan")])}),
+    ],
+)
+def test_eval_non_json_literals_exit_2(tmp_path, capsys, operation, payload):
+    err = _eval_error(tmp_path, capsys, payload, operation)
+    assert err.startswith("error: cannot read the input:")
+
+
 def test_eval_huge_exponent_exits_2(tmp_path, capsys):
     src = tmp_path / "in.json"
     src.write_text('{"function": {"space": {"kind": "lebesgue_halfline"}, '

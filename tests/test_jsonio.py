@@ -33,15 +33,18 @@ from rispace import (
     seq,
     step,
 )
-from rispace import jsonio
+from rispace import check_condition_I, jsonio
 from rispace.examples import shifted_power_symbol
 
 from .payloads import (
     measfn,
     measfn_obj,
+    measurable_set,
     mutated,
     normspec,
     normspec_obj,
+    phi,
+    space,
     symbol,
     symbol_obj,
     wire,
@@ -59,6 +62,13 @@ def test_dumps_is_deterministic_and_newline_terminated():
 def test_loads_decodes_floats_as_fractions():
     obj = jsonio.loads('{"x": 0.1}')
     assert obj["x"] == Fraction(1, 10)  # not the binary double nearest 0.1
+
+
+def test_loads_refuses_non_json_literals():
+    # json.loads would read these as floats; the wire spells infinity "inf"
+    for literal in ("Infinity", "-Infinity", "NaN"):
+        with pytest.raises(ValueError, match=f"{literal} is not a JSON value"):
+            jsonio.loads(f'{{"p": {literal}}}')
 
 
 def test_space_round_trip():
@@ -217,6 +227,9 @@ def test_encoded_spec_decodes_in_memory():
 _CODECS = {
     "measfn": (measfn, jsonio.measfn_to_obj, jsonio.measfn_from_obj),
     "normspec": (normspec, jsonio.normspec_to_obj, jsonio.normspec_from_obj),
+    "phi": (phi, jsonio.phi_to_obj, jsonio.phi_from_obj),
+    "set": (measurable_set, jsonio.set_to_obj, jsonio.set_from_obj),
+    "space": (space, jsonio.space_to_obj, jsonio.space_from_obj),
     "symbol": (symbol, jsonio.symbol_to_obj, jsonio.symbol_from_obj),
     "xiweight": (xiweight, jsonio.xiweight_to_obj, jsonio.xiweight_from_obj),
 }
@@ -227,7 +240,20 @@ _CODECS = {
 def test_generated_objects_decode_in_memory_to_themselves(name, seed):
     generate, encode, decode = _CODECS[name]
     obj = generate(seed)
-    back = decode(encode(obj))
+    wire_obj = encode(obj)
+    # the one encoder for any result agrees with the kind-specific one
+    assert jsonio.to_obj(obj) == wire_obj
+    assert jsonio.to_obj({"value": [obj]}) == {"value": [wire_obj]}
+    if isinstance(obj, IntervalSymbol):
+        for br, br_obj in zip(obj.branches, wire_obj["branches"]):
+            assert jsonio.to_obj(br.form) == br_obj["form"]
+    if name == "symbol":
+        ana = check_condition_I(obj, 2)
+        assert jsonio.to_obj(ana) == jsonio.analysis_to_obj(ana)
+    if isinstance(obj, StepApprox):  # the one field the wire may omit
+        short = {key: v for key, v in wire_obj.items() if key != "final_slope"}
+        assert decode(short) == StepApprox(obj.knots, 0)
+    back = decode(wire_obj)
     assert back == obj
     pairs = list(zip(_numbers(obj), _numbers(back)))
     assert len(pairs) == len(list(_numbers(obj))) == len(list(_numbers(back)))

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from rispace import PROPERTIES, verify_suite
+from rispace import PROPERTIES, jsonio, properties, verify_suite
 
 
 def test_registry_names_are_unique_and_substantial():
@@ -34,6 +36,24 @@ def test_injected_failure_is_caught_and_shrunk():
     assert ce["size"] >= 1
     assert "data" in ce
     assert "FAIL injected-violation" in bad[0].line()
+
+
+def test_every_counterexample_encodes(monkeypatch):
+    # payloads are encoded only when a property fails, so force the failures:
+    # a value type missing from jsonio.to_obj would surface here
+    for name in ("_eq", "_leq", "hlp_leq", "pointwise_leq"):
+        monkeypatch.setattr(properties, name, lambda *args: False)
+    failing = set()
+    for prop in (*PROPERTIES, properties.INJECTED):
+        for seed in range(3):
+            ce = properties._run_property(prop, seed, 3).counterexample
+            if ce is None:
+                continue
+            text = jsonio.dumps(ce)
+            assert json.loads(text) == ce
+            assert jsonio.loads(text)["property"] == prop.name
+            failing.add(prop.name)
+    assert len(failing) >= 20
 
 
 def test_name_filter():

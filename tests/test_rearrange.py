@@ -61,7 +61,7 @@ def test_rearrangement_refuses_a_level_narrower_than_float_rounding():
     # the level 2 of width 1 lands at 1e17 + 1, which rounds to 1e17: f*
     # has no float cut for it
     f = step(halfline(), [1.0, 2.0, 1e17], [2, 1, 3, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="narrower than the float rounding of its position"):
         rearrangement(f)
 
 
