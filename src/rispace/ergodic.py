@@ -26,6 +26,7 @@ from .stepfn import (
     AtomSeq,
     MeasFn,
     StepFn,
+    _fn_from_pieces,
     _merged_seq,
     _merged_step,
     _on_cells,
@@ -33,7 +34,7 @@ from .stepfn import (
     linear_combine,
     subtract,
 )
-from .symbols import AtomicSymbol, IntervalSymbol, Symbol, _atomic_preimage, _fn_from_pieces
+from .symbols import AtomicSymbol, IntervalSymbol, Symbol, _atomic_preimage
 
 
 # ---------------------------------------------------------------------------

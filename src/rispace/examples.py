@@ -41,17 +41,6 @@ from .symbols import (
     measure_bound,
 )
 
-EXAMPLE_IDS = (
-    "counterex-sv",
-    "counterex-sv-power",
-    "counterex-l1",
-    "counterex-linfty",
-    "shift-n",
-    "shift-z",
-    "nonsurjective-shift",
-    "permutation-demo",
-)
-
 DEFAULT_SEED = 1729
 
 
@@ -455,6 +444,7 @@ _RUNNERS = {
     "nonsurjective-shift": _run_nonsurjective_shift,
     "permutation-demo": _run_permutation_demo,
 }
+EXAMPLE_IDS = tuple(_RUNNERS)
 
 
 def run_example(

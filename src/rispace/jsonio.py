@@ -5,13 +5,17 @@ precision, as exact strings ("3/7", "inf") otherwise; decoding accepts both
 forms everywhere, and float literals in the input text are read exactly as
 decimals (0.1 becomes 1/10), so a round trip never loses precision.
 
-Step functions serialize with the breakpoint layout fixed per space kind:
+A step function travels as its breakpoints, one value per gap between
+consecutive breakpoints (``values``), and its tails, by one rule read off the
+space's domain: a finite end of the domain is a breakpoint, and an infinite
+end carries a tail (``left_tail`` before the first breakpoint, ``right_tail``
+after the last).  Its instances:
 
-* half-line — breakpoints start at 0, ``values`` fills the gaps between
-  consecutive breakpoints, ``right_tail`` is the value on the final ray;
+* half-line — breakpoints start at 0; ``right_tail`` is the value on the
+  final ray;
 * interval — breakpoints start at 0 and end at the length; no tails;
-* line — ``left_tail`` before the first breakpoint, ``values`` between,
-  ``right_tail`` after (a constant has no breakpoints and equal tails).
+* line — no breakpoint is fixed; both tails (a constant has no breakpoints
+  and equal tails).
 
 The ``*_from_obj`` decoders are the input validator.  They are strict and
 total: JSON types are exact (a boolean is never a number, an integer field
@@ -38,7 +42,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .num import INF, NEG_INF, Real, as_real, json_real
+from .num import INF, NEG_INF, Real, as_real, is_finite, json_real
 from .space import (
     ATOMIC_FINITE,
     ATOMIC_N,
@@ -270,10 +274,7 @@ def set_to_obj(E) -> dict:
         }
     return {
         "space": space_to_obj(E.space),
-        "intervals": [
-            ["-inf" if a == NEG_INF else json_real(a), "inf" if b == INF else json_real(b)]
-            for a, b in E.intervals
-        ],
+        "intervals": [[json_real(a), json_real(b)] for a, b in E.intervals],
     }
 
 
@@ -295,14 +296,6 @@ def set_from_obj(obj, where: str = "set"):
 # Functions
 # ---------------------------------------------------------------------------
 
-# the keys beside "space" of a step function, per space kind
-_STEP_LAYOUTS = {
-    LEBESGUE_HALFLINE: (("breakpoints", "right_tail"), ("values",)),
-    LEBESGUE_INTERVAL: (("breakpoints",), ("values",)),
-    LEBESGUE_LINE: (("breakpoints", "left_tail", "right_tail"), ("values",)),
-}
-
-
 def measfn_to_obj(f: MeasFn) -> dict:
     if isinstance(f, AtomSeq):
         out = {
@@ -313,26 +306,18 @@ def measfn_to_obj(f: MeasFn) -> dict:
             out["tail_value"] = json_real(f.tail)
         return out
     sp = f.space
-    if sp.kind == LEBESGUE_HALFLINE:
-        return {
-            "space": space_to_obj(sp),
-            "breakpoints": [0] + [json_real(c) for c in f.cuts],
-            "values": [json_real(v) for v in f.vals[:-1]],
-            "right_tail": json_real(f.vals[-1]),
-        }
-    if sp.kind == LEBESGUE_INTERVAL:
-        return {
-            "space": space_to_obj(sp),
-            "breakpoints": [0] + [json_real(c) for c in f.cuts] + [json_real(sp.length)],
-            "values": [json_real(v) for v in f.vals],
-        }
-    return {
+    left, right = sp.domain
+    vals = [json_real(v) for v in f.vals]
+    out = {
         "space": space_to_obj(sp),
-        "breakpoints": [json_real(c) for c in f.cuts],
-        "left_tail": json_real(f.vals[0]),
-        "values": [json_real(v) for v in f.vals[1:-1]] if f.cuts else [],
-        "right_tail": json_real(f.vals[-1]),
+        "breakpoints": [json_real(c) for c in (left, *f.cuts, right) if is_finite(c)],
     }
+    if left == NEG_INF:
+        out["left_tail"] = vals[0]
+    out["values"] = vals[left == NEG_INF : len(vals) - (right == INF)]
+    if right == INF:
+        out["right_tail"] = vals[-1]
+    return out
 
 
 def measfn_from_obj(obj, where: str = "function") -> MeasFn:
@@ -342,30 +327,28 @@ def measfn_from_obj(obj, where: str = "function") -> MeasFn:
         entries = _array(obj["entries"], f"{where}.entries", _pair(int_from_obj, _num))
         tail = _num(obj.get("tail_value", 0), f"{where}.tail_value")
         return _made(where, seq, sp, entries, tail)
-    required, optional = _STEP_LAYOUTS[sp.kind]
-    check_object(obj, where, ("space", *required), optional)
+    # a finite end of the domain is a breakpoint, an infinite end carries a tail
+    left, right = sp.domain
+    tails = [key for key, end in (("left_tail", left), ("right_tail", right)) if not is_finite(end)]
+    check_object(obj, where, ("space", "breakpoints", *tails), ("values",))
     bps = _array(obj["breakpoints"], f"{where}.breakpoints", _num)
     values = _array(obj.get("values", []), f"{where}.values", _num)
     if any(not a < b for a, b in zip(bps, bps[1:])):
         raise ValueError(f"{where}: breakpoints must be strictly increasing")
     if len(values) != max(len(bps) - 1, 0):
         raise ValueError(f"{where}: need exactly one value per gap")
-    if sp.kind == LEBESGUE_HALFLINE:
-        if not bps or bps[0] != 0:
-            raise ValueError(f"{where}: half-line breakpoints must start at 0")
-        right = _num(obj["right_tail"], f"{where}.right_tail")
-        return _made(where, step, sp, bps[1:], values + [right])
-    if sp.kind == LEBESGUE_INTERVAL:
-        if len(bps) < 2 or bps[0] != 0 or bps[-1] != sp.length:
+    if (is_finite(left) and bps[:1] != [left]) or (is_finite(right) and bps[-1:] != [right]):
+        if is_finite(right):
             raise ValueError(f"{where}: interval breakpoints must run from 0 to the length")
-        return _made(where, step, sp, bps[1:-1], values)
-    left = _num(obj["left_tail"], f"{where}.left_tail")
-    right = _num(obj["right_tail"], f"{where}.right_tail")
-    if not bps:
-        if left != right:
+        raise ValueError(f"{where}: half-line breakpoints must start at 0")
+    cuts = bps[is_finite(left) : len(bps) - is_finite(right)]
+    left_tail = [_num(obj["left_tail"], f"{where}.left_tail")] if "left_tail" in tails else []
+    right_tail = [_num(obj["right_tail"], f"{where}.right_tail")] if "right_tail" in tails else []
+    if not bps:  # only the line gets here: its two rays are then one piece
+        if left_tail != right_tail:
             raise ValueError(f"{where}: a constant line function must have equal tails")
-        return _made(where, step, sp, [], [left])
-    return _made(where, step, sp, bps, [left] + values + [right])
+        return _made(where, step, sp, [], left_tail)
+    return _made(where, step, sp, cuts, left_tail + values + right_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +382,8 @@ def symbol_to_obj(sym: Symbol) -> dict:
         "space": space_to_obj(sym.space),
         "branches": [
             {
-                "lo": "-inf" if br.lo == NEG_INF else json_real(br.lo),
-                "hi": "inf" if br.hi == INF else json_real(br.hi),
+                "lo": json_real(br.lo),
+                "hi": json_real(br.hi),
                 "form": _record_to_obj(br.form),
             }
             for br in sym.branches

@@ -38,7 +38,6 @@ from .space import (
     LEBESGUE_HALFLINE,
     LEBESGUE_INTERVAL,
     LEBESGUE_LINE,
-    AtomicSet,
     MeasureSpace,
     atomic_finite,
     atomic_n,
@@ -637,39 +636,21 @@ def _shuffled_copy(rng, f: MeasFn) -> MeasFn:
         return seq(f.space, list(zip(idx, vals)), tail=f.tail)
     if not f.cuts:
         return f
-    sp = f.space
-    if sp.kind == LEBESGUE_LINE:
-        start = f.cuts[0]
-        widths = [b - a for a, b in zip(f.cuts, f.cuts[1:])]
-        pieces = list(zip(widths, f.vals[1:-1]))
-        rng.shuffle(pieces)
-        cuts, pos = [start], start
-        vals = [f.vals[0]]
-        for w, v in pieces:
-            pos += w
-            cuts.append(pos)
-            vals.append(v)
-        vals.append(f.vals[-1])
-        return step(sp, cuts, vals)
-    ends = list(f.cuts)
-    if sp.kind == LEBESGUE_INTERVAL:
-        ends = ends + [sp.length]
-        body = list(f.vals)
-        tail = None
-    else:
-        body = list(f.vals[:-1])
-        tail = f.vals[-1]
-    widths = [b - a for a, b in zip([Fraction(0)] + ends, ends)]
-    pieces = list(zip(widths, body))
-    rng.shuffle(pieces)
-    cuts, pos, vals = [], Fraction(0), []
-    for w, v in pieces:
+    # the finite-width pieces trade places, laid end to end from the first
+    # finite breakpoint; a ray keeps its value
+    pieces = list(f.pieces())
+    first = int(pieces[0][0] == NEG_INF)
+    last = len(pieces) - (pieces[-1][1] == INF)
+    body = [(b - a, v) for a, b, v in pieces[first:last]]
+    rng.shuffle(body)
+    pos = pieces[first][0]
+    cuts = [pos] if first else []
+    for w, _ in body:
         pos += w
         cuts.append(pos)
-        vals.append(v)
-    if tail is None:
-        return step(sp, cuts[:-1], vals)
-    return step(sp, cuts, vals + [tail])
+    vals = [*f.vals[:first], *(v for _, v in body), *f.vals[last:]]
+    # a finite right end is the last breakpoint laid, not a cut
+    return step(f.space, cuts[: len(f.cuts)], vals)
 
 
 def _p_norm_rearrangement_invariant(rng, size):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .num import INF, Real, as_real
-from .space import MeasureSpace, halfline
+from .space import halfline
 from .stepfn import (
     AtomSeq,
     MeasFn,
@@ -103,7 +103,7 @@ def is_rearranged(f: MeasFn) -> bool:
 
 def hardy_integral(f: MeasFn, t) -> Real:
     """Exact integral of f* over [0, t] (t = inf allowed)."""
-    t = as_real(t) if t != INF else INF
+    t = as_real(t)
     if not t > 0:
         raise ValueError("hardy_integral needs t > 0")
     return next(_hardy_sweep(rearrangement(f), [t]))

@@ -13,7 +13,6 @@ atomic side.  Preimages under the symbol catalog never leave this class.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -206,11 +205,7 @@ class IntervalSet:
 
 def interval_set(space: MeasureSpace, pairs: Iterable[tuple]) -> IntervalSet:
     """Public constructor: rejects overlapping input, merges touching pieces."""
-    prepared = []
-    for a, b in pairs:
-        a = a if a in (INF, NEG_INF) else as_real(a)
-        b = b if b in (INF, NEG_INF) else as_real(b)
-        prepared.append((a, b))
+    prepared = [(as_real(a), as_real(b)) for a, b in pairs]
     return IntervalSet(space, _normalize_intervals(prepared, allow_overlap=False))
 
 

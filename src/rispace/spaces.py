@@ -27,7 +27,7 @@ from typing import Union
 
 from .num import INF, Real, as_real, is_finite, log_real, rational_pow
 from .rearrange import _hardy_sweep, is_rearranged, rearrangement
-from .space import AtomicSet, MeasureSpace, interval_set
+from .space import ATOMIC_N, AtomicSet, MeasureSpace, interval_set
 from .stepfn import MeasFn, StepFn, indicator, integrate, pointwise_mul, seq
 
 
@@ -166,7 +166,7 @@ class Lp:
     p: Real  # in (0, inf]
 
     def __post_init__(self):
-        p = self.p if self.p == INF else as_real(self.p)
+        p = as_real(self.p)
         object.__setattr__(self, "p", p)
         if not p > 0:
             raise ValueError("p must be positive (inf allowed)")
@@ -196,15 +196,19 @@ class WeakLp:
             raise ValueError("p must be positive")
 
 
+def _check_profile(spec) -> None:
+    """The one construction check of MarcWeak and MarcStrong."""
+    ok, cert = quasiconcave_check(spec.phi)
+    if not ok:
+        raise ValueError(f"profile is not quasiconcave: {cert}")
+
+
 @dataclass(frozen=True)
 class MarcWeak:
     space: MeasureSpace
     phi: QuasiconcaveFn
 
-    def __post_init__(self):
-        ok, cert = quasiconcave_check(self.phi)
-        if not ok:
-            raise ValueError(f"profile is not quasiconcave: {cert}")
+    __post_init__ = _check_profile
 
 
 @dataclass(frozen=True)
@@ -212,10 +216,7 @@ class MarcStrong:
     space: MeasureSpace
     phi: QuasiconcaveFn
 
-    def __post_init__(self):
-        ok, cert = quasiconcave_check(self.phi)
-        if not ok:
-            raise ValueError(f"profile is not quasiconcave: {cert}")
+    __post_init__ = _check_profile
 
 
 NormSpec = Union[Lp, Lorentz, WeakLp, MarcWeak, MarcStrong]
@@ -269,12 +270,12 @@ def _lp(r: StepFn, p: Real) -> Real:
         total += rational_pow(v, p) * (b - a)
     if p == 1:
         return total
-    return rational_pow(total, 1 / Fraction(p) if isinstance(p, Fraction) else 1.0 / p)
+    return rational_pow(total, 1 / p)
 
 
 def _lorentz(r: StepFn, p: Real, q: Real) -> Real:
     rho = q / p
-    inv_q = 1 / q if isinstance(q, Fraction) else 1.0 / q
+    inv_q = 1 / q
     total: Real = Fraction(0)
     for a, b, v in r.pieces():
         if v == 0:
@@ -286,7 +287,7 @@ def _lorentz(r: StepFn, p: Real, q: Real) -> Real:
 
 
 def _weak_lp(r: StepFn, p: Real) -> Real:
-    inv_p = 1 / Fraction(p) if isinstance(p, Fraction) else 1.0 / p
+    inv_p = 1 / p
     best: Real = Fraction(0)
     for _, b, v in r.pieces():
         if v == 0:
@@ -358,7 +359,7 @@ def _marc_strong_limit(r: StepFn, phi: QuasiconcaveFn, h_inf: Real) -> Real:
 
 def fundamental_function(spec: NormSpec, t) -> Real:
     """Norm of an indicator of measure t; errors if no such set exists."""
-    t = t if t == INF else as_real(t)
+    t = as_real(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
@@ -369,7 +370,7 @@ def fundamental_function(spec: NormSpec, t) -> Real:
         raise ValueError(f"t={t} exceeds the space's total measure")
     if sp.is_atomic:
         if t == INF:
-            if sp.kind != "atomic_n":
+            if sp.kind != ATOMIC_N:
                 raise ValueError("no representable indicator of infinite measure here")
             f: MeasFn = seq(sp, {}, tail=1)
         else:

@@ -93,6 +93,21 @@ def constant(space: MeasureSpace, v) -> StepFn:
     return step(space, (), (v,))
 
 
+def _fn_from_pieces(sp: MeasureSpace, pieces) -> StepFn:
+    """StepFn equal to v on each listed disjoint (a, b, v) and 0 elsewhere."""
+    left, right = sp.domain
+    segs = []
+    cursor = left
+    for a, b, v in sorted(pieces):
+        if a > cursor:
+            segs.append((cursor, a, Fraction(0)))
+        segs.append((a, b, v))
+        cursor = b
+    if cursor < right:
+        segs.append((cursor, right, Fraction(0)))
+    return _merged_step(sp, [s[0] for s in segs[1:]], [s[2] for s in segs])
+
+
 @dataclass(frozen=True)
 class AtomSeq:
     """Sequence over an atomic space: finitely many entries over a default;
@@ -161,19 +176,7 @@ def indicator(space: MeasureSpace, E) -> MeasFn:
     if E.space != space:
         raise ValueError("set does not belong to this space")
     if isinstance(E, IntervalSet):
-        cuts: list[Real] = []
-        vals: list[Real] = [Fraction(0)]
-        left, right = space.domain
-        for a, b in E.intervals:
-            if a == left:
-                vals[0] = Fraction(1)
-            else:
-                cuts.append(a)
-                vals.append(Fraction(1))
-            if b < right:
-                cuts.append(b)
-                vals.append(Fraction(0))
-        return step(space, cuts, vals)
+        return _fn_from_pieces(space, [(a, b, Fraction(1)) for a, b in E.intervals])
     if isinstance(E, AtomicSet):
         if E.cofinite:
             if space.kind != ATOMIC_N:

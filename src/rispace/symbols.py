@@ -41,7 +41,7 @@ from .space import (
     _normalize_intervals,
     interval_set,
 )
-from .stepfn import StepFn, _merged_step, constant, linear_combine
+from .stepfn import StepFn, _fn_from_pieces, constant, linear_combine
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +120,8 @@ class Branch:
     form: BranchForm
 
     def __post_init__(self):
-        lo = self.lo if self.lo in (INF, NEG_INF) else as_real(self.lo)
-        hi = self.hi if self.hi in (INF, NEG_INF) else as_real(self.hi)
+        lo = as_real(self.lo)
+        hi = as_real(self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if not lo < hi:
@@ -605,25 +605,6 @@ def _transfer_once(sym: IntervalSymbol, rho: StepFn) -> StepFn:
     if not parts:
         return _fn_from_pieces(sym.space, [])
     return linear_combine([1] * len(parts), parts)
-
-
-def _fn_from_pieces(sp: MeasureSpace, pieces) -> StepFn:
-    """StepFn equal to v on each listed disjoint (a, b) and 0 elsewhere."""
-    left, right = sp.domain
-    segs = []
-    cursor = left
-    for a, b, v in sorted(pieces):
-        if a > cursor:
-            segs.append((cursor, a, Fraction(0)))
-        segs.append((a, b, v))
-        cursor = b
-    if cursor < right:
-        segs.append((cursor, right, Fraction(0)))
-    cuts = [s[0] for s in segs[1:]]
-    vals = [s[2] for s in segs]
-    if not vals:
-        vals = [Fraction(0)]
-    return _merged_step(sp, cuts, vals)
 
 
 # the dyadic test family reaches down to intervals of length 2^-_DYADIC_DEPTH

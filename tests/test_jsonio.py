@@ -111,6 +111,16 @@ def test_measfn_layouts_are_shaped_per_space():
     assert "right_tail" not in i
     l = jsonio.measfn_to_obj(step(line(), [0], [1, 2]))
     assert l["left_tail"] == 1 and l["right_tail"] == 2 and l["values"] == []
+    # a constant: a finite end is still a breakpoint, an infinite end a tail
+    h = jsonio.measfn_to_obj(step(halfline(), [], [5]))
+    assert list(h) == ["space", "breakpoints", "values", "right_tail"]
+    assert h["breakpoints"] == [0] and h["values"] == [] and h["right_tail"] == 5
+    i = jsonio.measfn_to_obj(step(interval(2), [], [5]))
+    assert list(i) == ["space", "breakpoints", "values"]
+    assert i["breakpoints"] == [0, 2] and i["values"] == [5]
+    l = jsonio.measfn_to_obj(step(line(), [], [5]))
+    assert list(l) == ["space", "breakpoints", "left_tail", "values", "right_tail"]
+    assert l["breakpoints"] == [] and l["values"] == [] and l["left_tail"] == l["right_tail"] == 5
 
 
 def test_measfn_count_mismatch_rejected():
@@ -126,14 +136,20 @@ def test_measfn_count_mismatch_rejected():
 
 
 def test_measfn_interval_endpoints_must_match_length():
-    with pytest.raises(ValueError):
-        jsonio.measfn_from_obj(
-            {
-                "space": {"kind": "lebesgue_interval", "length": 2},
-                "breakpoints": [0, 1, 3],
-                "values": [1, 2],
-            }
-        )
+    cases = [
+        ({"space": {"kind": "lebesgue_interval", "length": 2},
+          "breakpoints": [0, 1, 3], "values": [1, 2]},
+         "interval breakpoints must run from 0 to the length"),
+        ({"space": {"kind": "lebesgue_halfline"},
+          "breakpoints": [1, 2], "values": [1], "right_tail": 0},
+         "half-line breakpoints must start at 0"),
+        ({"space": {"kind": "lebesgue_line"},
+          "breakpoints": [], "left_tail": 1, "right_tail": 2},
+         "a constant line function must have equal tails"),
+    ]
+    for obj, message in cases:
+        with pytest.raises(ValueError, match=message):
+            jsonio.measfn_from_obj(obj)
 
 
 def test_symbol_round_trip():

@@ -69,6 +69,36 @@ def test_input_validation():
         verify_suite(names=["no-such-property"])
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_shuffled_copy_moves_only_finite_pieces(seed):
+    import random
+    from collections import Counter
+
+    from rispace import INF, NEG_INF, equimeasurable
+    from rispace.properties import _shuffled_copy, gen_fn
+    from rispace.space import halfline, interval, line
+
+    sp = (line(), halfline(), interval(5))[seed % 3]
+    rng = random.Random(seed)
+    f = gen_fn(rng, 6, sp, compact=False)
+    before = rng.getstate()
+    g = _shuffled_copy(rng, f)
+
+    def finite(h):
+        return Counter((b - a, v) for a, b, v in h.pieces() if a != NEG_INF and b != INF)
+
+    assert finite(g) == finite(f)
+    for i in (0, -1):  # a ray keeps its value
+        if sp.domain[i] in (NEG_INF, INF):
+            assert g.vals[i] == f.vals[i]
+    assert equimeasurable(f, g)
+    # the draws are one shuffle of a list as long as the finite pieces
+    replay = random.Random()
+    replay.setstate(before)
+    replay.shuffle(list(finite(f).elements()))
+    assert replay.getstate() == rng.getstate()
+
+
 def test_sorted_cuts_draws_what_a_fraction_pool_draws():
     import random
     from fractions import Fraction

@@ -122,6 +122,29 @@ def test_indicator():
     assert f.value_at(0) == 0 and f.value_at(2) == 1 and f.value_at(3) == 0
 
 
+@pytest.mark.parametrize(
+    "sp, pairs, cuts, vals",
+    [
+        (halfline(), [], [], [0]),
+        (halfline(), [(0, INF)], [], [1]),
+        (halfline(), [(0, 1), (2, 3)], [1, 2, 3], [1, 0, 1, 0]),
+        (halfline(), [(1, 2), (3, INF)], [1, 2, 3], [0, 1, 0, 1]),
+        (interval(4), [], [], [0]),
+        (interval(4), [(0, 4)], [], [1]),
+        (interval(4), [(0, 1), (3, 4)], [1, 3], [1, 0, 1]),
+        (interval(4), [(1, 2)], [1, 2], [0, 1, 0]),
+        (line(), [], [], [0]),
+        (line(), [(-INF, INF)], [], [1]),
+        (line(), [(-INF, -1), (2, INF)], [-1, 2], [1, 0, 1]),
+        (line(), [(-INF, 0)], [0], [1, 0]),
+        (line(), [(0, INF)], [0], [0, 1]),
+        (line(), [(-2, -1), (Fraction(1, 3), 5)], [-2, -1, Fraction(1, 3), 5], [0, 1, 0, 1, 0]),
+    ],
+)
+def test_indicator_of_interval_set_is_step_of_its_cuts(sp, pairs, cuts, vals):
+    assert indicator(sp, interval_set(sp, pairs)) == step(sp, cuts, vals)
+
+
 def test_seq_drops_tail_entries():
     f = seq(atomic_n(), {0: 1, 3: 0, 5: 2})
     assert f.entries == ((0, 1), (5, 2))
