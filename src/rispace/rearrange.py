@@ -5,14 +5,19 @@ finitely many levels of |f|, sort them in descending order, and lay them out
 left to right on [0, infinity) with their measures as widths.  A positive
 level of infinite measure becomes the rearrangement's tail value (the
 function then fails the absolutely-continuous-rearrangement property).
+That costs O(n log n) for n pieces (the sort of the levels), and it is paid
+once per function object: ``rearrangement`` keeps f* on the (immutable)
+function, and every norm and comparison reads it from there.
 
 The Hardy integral H(t) = integral of f* over [0, t] is piecewise linear in
 t, so one left-to-right sweep over the pieces of f* gives H at every point of
 a sorted grid.  That sweep is the one code path for H: ``hardy_integral``, the
-Hardy-Littlewood-Polya comparison and the MarcStrong norm all read it, so the
-last two cost O(n log n) for n pieces (the sort of the grid).  The comparison
-is exact: checking the union of breakpoints plus the terminal slopes is a
-complete decision procedure, not a sampling heuristic.
+Hardy-Littlewood-Polya comparison and the MarcStrong norm all read it.  Once
+f* and g* are known, the comparison is linear in their cuts (one merge of two
+sorted cut tuples, then one sweep); the MarcStrong norm sorts its grid, so it
+stays O(n log n).  The comparison is exact: checking the union of breakpoints
+plus the terminal slopes is a complete decision procedure, not a sampling
+heuristic.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .stepfn import (
     AtomSeq,
     MeasFn,
     StepFn,
+    _union,
     abs_fn,
     integrate,
     pointwise_mul,
@@ -43,13 +49,8 @@ def distribution_at(f: MeasFn, s) -> Real:
             return INF
         n = sum(1 for _, v in f.entries if abs(v) > s)
         return f.space.atom_mass * n
-    total: Real = Fraction(0)
-    for a, b, v in f.pieces():
-        if abs(v) > s:
-            if b == INF or a == -INF:
-                return INF
-            total += b - a
-    return total
+    # a ray's width b - a is INF, and INF absorbs every other width
+    return sum((b - a for a, b, v in f.pieces() if abs(v) > s), Fraction(0))
 
 
 def _levels(f: MeasFn) -> dict[Real, Real]:
@@ -73,7 +74,18 @@ def _levels(f: MeasFn) -> dict[Real, Real]:
 
 def rearrangement(f: MeasFn) -> StepFn:
     """The non-increasing rearrangement f* as a StepFn on the half-line,
-    canonical by construction: distinct decreasing levels, positive widths."""
+    canonical by construction: distinct decreasing levels, positive widths.
+
+    f* is computed once per function object and kept in the object's
+    ``__dict__``, beside its fields: the record is frozen, so f* never goes
+    stale, and equality, hashing, repr and the wire see only the fields."""
+    r = f.__dict__.get("_rearrangement")
+    if r is None:
+        r = f.__dict__["_rearrangement"] = _rearranged(f)
+    return r
+
+
+def _rearranged(f: MeasFn) -> StepFn:
     levels = _levels(f)
     cuts: list[Real] = []
     vals: list[Real] = []
@@ -131,13 +143,14 @@ def hlp_leq(f: MeasFn, g: MeasFn) -> bool:
 
     Both Hardy integrals are piecewise linear with breakpoints at the cuts of
     the two rearrangements, so it suffices to compare the terminal slopes
-    (the tail values) and then to sweep both over the sorted union of cuts
-    together, stopping at the first violation: O(n log n) for n cuts.
+    (the tail values) and then to sweep both over the merged cuts together,
+    stopping at the first violation.  Once f* and g* are known (each is
+    computed once per function object), this is linear in the cuts.
     """
     rf, rg = rearrangement(f), rearrangement(g)
     if rf.vals[-1] > rg.vals[-1]:
         return False
-    ts = sorted(set(rf.cuts) | set(rg.cuts))
+    ts = _union(rf.cuts, rg.cuts)
     return all(hf <= hg for hf, hg in zip(_hardy_sweep(rf, ts), _hardy_sweep(rg, ts)))
 
 

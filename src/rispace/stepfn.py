@@ -258,9 +258,32 @@ def _on_cells(h: StepFn, cuts: list[Real]) -> list[Real]:
     return vals
 
 
+def _union(xs, ys) -> list[Real]:
+    """The sorted union of two strictly increasing sequences, in one merge.
+    On a tie the element of xs is kept, as ``sorted(set(xs) | set(ys))``
+    keeps it, so a float equal to a Fraction keeps the type it has in xs."""
+    out: list[Real] = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        x, y = xs[i], ys[j]
+        if x < y:
+            out.append(x)
+            i += 1
+        elif y < x:
+            out.append(y)
+            j += 1
+        else:
+            out.append(x)
+            i += 1
+            j += 1
+    out += xs[i:]
+    out += ys[j:]
+    return out
+
+
 def _refine(f: StepFn, g: StepFn):
     """The union of f's and g's cuts, and each one's values on its cells."""
-    cuts = sorted(set(f.cuts) | set(g.cuts))
+    cuts = _union(f.cuts, g.cuts)
     return cuts, _on_cells(f, cuts), _on_cells(g, cuts)
 
 

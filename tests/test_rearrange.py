@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,12 @@ from hypothesis import strategies as st
 
 from rispace import (
     INF,
+    Lp,
+    MarcStrong,
+    Power,
     StepFn,
+    WeakLp,
+    XiWeight,
     add,
     atomic_n,
     atomic_z,
@@ -21,10 +27,13 @@ from rispace import (
     interval,
     is_acr,
     is_rearranged,
+    jsonio,
     line,
+    norm_eval,
     rearrangement,
     seq,
     step,
+    xi_seminorm,
 )
 
 from .oracles import (
@@ -61,6 +70,9 @@ def test_rearrangement_refuses_a_level_narrower_than_float_rounding():
     # the level 2 of width 1 lands at 1e17 + 1, which rounds to 1e17: f*
     # has no float cut for it
     f = step(halfline(), [1.0, 2.0, 1e17], [2, 1, 3, 0])
+    with pytest.raises(ValueError, match="narrower than the float rounding of its position"):
+        rearrangement(f)
+    # a call that raises keeps nothing on f, so the next one raises too
     with pytest.raises(ValueError, match="narrower than the float rounding of its position"):
         rearrangement(f)
 
@@ -288,3 +300,35 @@ def test_levels_match_the_piece_by_piece_ray_test(f):
     from rispace.rearrange import _levels
 
     assert list(_levels(f).items()) == list(_levels_by_piece(f).items())
+
+
+def _wire(f):
+    return hash(f), repr(f), jsonio.to_obj(f), jsonio.dumps(jsonio.to_obj(f))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: step(halfline(), [1, Fraction(5, 2)], [2, -3, Fraction(1, 4)]),
+    lambda: seq(atomic_n(Fraction(1, 3)), {0: 2, 4: -5}, tail=1),
+])
+def test_rearrangement_is_kept_on_the_function_and_nowhere_else(make):
+    f = make()
+    before = _wire(f)
+    r = rearrangement(f)
+    assert rearrangement(f) is r
+    assert f == make() and make() == f
+    assert _wire(f) == before == _wire(make())
+
+
+_XI = XiWeight(step(halfline(), [1, 3], [2, 1, 0]))
+
+
+@given(deep_fn(), deep_fn())
+def test_a_function_with_a_kept_rearrangement_evaluates_like_a_fresh_one(f, g):
+    rearrangement(f), rearrangement(g)
+    fresh_f, fresh_g = dataclasses.replace(f), dataclasses.replace(g)
+
+    def results(f, g):
+        specs = [Lp(f.space, 2), WeakLp(f.space, 1), MarcStrong(f.space, Power(Fraction(1, 2)))]
+        return [hlp_leq(f, g), hlp_leq(g, f), xi_seminorm(_XI, f), *(norm_eval(s, f) for s in specs)]
+
+    assert repr(results(f, g)) == repr(results(fresh_f, fresh_g))

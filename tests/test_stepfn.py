@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rispace import (
@@ -29,6 +29,7 @@ from rispace import (
     step,
     subtract,
 )
+from rispace.stepfn import _union
 
 
 def test_step_canonicalizes_adjacent_equal_values():
@@ -237,3 +238,35 @@ def test_integrate_is_linear(pair):
     f, g = pair
     assert integrate(add(f, g)) == integrate(f) + integrate(g)
     assert integrate(scale(-3, f)) == -3 * integrate(f)
+
+
+@st.composite
+def _cut_tuples(draw):
+    """Two strictly increasing tuples drawn from one pool of small fractions
+    and deep dyadics (2^k denominators, k <= 60); a value a float holds
+    exactly may be drawn as that float, so the tuples can tie across types."""
+    deep = st.builds(lambda n, k: Fraction(n, 2**k), st.integers(-2**64, 2**64), st.integers(0, 60))
+    small = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+    pool = sorted(draw(st.sets(deep | small, max_size=12)))
+
+    def pick():
+        return tuple(float(v) if float(v) == v and draw(st.booleans()) else v
+                     for v in pool if draw(st.booleans()))
+
+    return pick(), pick()
+
+
+@given(_cut_tuples())
+@example(((), ()))
+@example(((), (1.0, Fraction(3, 2))))
+@example(((Fraction(1), 2.0), (1.0, Fraction(2))))
+def test_union_merges_like_the_sorted_set_union(pair):
+    xs, ys = pair
+    got, want = _union(xs, ys), sorted(set(xs) | set(ys))
+    assert len(got) == len(want)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+    # on a tie the element of xs is the one kept
+    for v in got:
+        tied = [x for x in xs if x == v]
+        assert not tied or tied[0] is v
