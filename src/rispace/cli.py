@@ -112,10 +112,7 @@ def _cmd_run_example(args) -> int:
     verdict_obj = {
         "example": result.example_id,
         "verdict": "pass" if result.verdict else "fail",
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in result.checks
-        ],
+        "checks": jsonio.to_obj(result.checks),
     }
     _write_text(
         os.path.join(out, f"{result.example_id}-verdict.json"), jsonio.dumps(verdict_obj)

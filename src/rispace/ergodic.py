@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .num import INF, Real, fmt_real, json_real
+from . import jsonio
+from .num import INF, Real, fmt_real
 from .rearrange import distribution_at
 from .spaces import LogClip, Lorentz, Lp, MarcStrong, MarcWeak, Power, StepApprox, WeakLp
 from .spaces import NormSpec, XiWeight, fundamental_function, norm_eval, xi_seminorm
@@ -395,14 +395,8 @@ class ErgodicReport:
             w.writerow([fmt_real(x) for x in row])
         return buf.getvalue()
 
-    def to_json_obj(self) -> dict:
-        return {
-            "columns": list(self.columns),
-            "rows": [[json_real(x) for x in row] for row in self.rows],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        return jsonio.dumps(jsonio.to_obj(self))
 
     def column(self, name: str) -> list[Real]:
         i = self.columns.index(name)

@@ -26,16 +26,26 @@ return a value or raise ``ValueError`` with a message that names the object
 at fault, such as ``function.breakpoints[2]``.  The schemas in ``schemas/``
 document the same format.
 
-A catalog record (a norm spec, a quasiconcave profile, a branch form) travels
-as its ``kind`` plus its dataclass fields, each field read and written by the
-one codec of its name; only ``final_slope`` may be omitted, and reads as 0.  A
-new norm, profile or form kind is one entry in its family's kind table plus
-its schema.  ``to_obj`` encodes any result, once, where it leaves the program.
+Records travel by one rule: a record is its ``kind``, when it is a catalog
+record (a norm spec, a quasiconcave profile, a branch form), plus each of its
+dataclass fields that is not ``None`` (an ``AtomicSymbol`` without a shift
+rule has no ``shift``).  ``to_obj`` writes every record so, and one reader
+decodes it, each field by the one decoder of its name; ``final_slope`` may be
+omitted and reads as 0, and ``shift`` may be omitted or null.  Only the types
+whose wire is not their fields keep an encoder of their own:
+``measfn_to_obj`` for step functions and atom sequences (breakpoints and
+tails), ``set_to_obj`` for atomic sets (``indices``) and ``analysis_to_obj``
+for symbol analyses (power bounds flattened).  Spaces keep a decoder of their
+own, as an omitted ``atom_mass`` reads as 1.  A new norm, profile or form
+kind is one entry in its family's kind table plus its schema.  ``to_obj``
+encodes any result, once, where it leaves the program: ``eval`` output,
+``run-example`` reports and verdicts, and property counterexamples.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -51,7 +61,6 @@ from .space import (
     LEBESGUE_INTERVAL,
     LEBESGUE_LINE,
     AtomicSet,
-    IntervalSet,
     MeasureSpace,
     interval_set,
 )
@@ -179,18 +188,16 @@ def check_object(obj, where: str, required=(), optional=()) -> None:
             raise ValueError(f"{where}: unknown key {key!r}")
 
 
-def _kind(obj, where: str, layouts: dict) -> str:
-    """obj's "kind", once its other keys match the (required, optional)
-    layout of that kind."""
+def _kind(obj, where: str, kinds: dict) -> str:
+    """obj's "kind", one of the keys of kinds; the caller checks its other
+    keys."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: expected an object, got {_shown(obj)}")
     if "kind" not in obj:
         raise ValueError(f"{where}: missing 'kind'")
     kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in layouts:
+    if not isinstance(kind, str) or kind not in kinds:
         raise ValueError(f"{where}: unknown kind {_shown(kind)}")
-    required, optional = layouts[kind]
-    check_object(obj, where, ("kind", *required), optional)
     return kind
 
 
@@ -224,29 +231,20 @@ def _made(where: str, build, *args):
 # Spaces and sets
 # ---------------------------------------------------------------------------
 
+# space kind -> its (required, optional) keys; an omitted atom_mass reads as 1
 _SPACE_LAYOUTS = {
-    LEBESGUE_HALFLINE: ((), ()),
-    LEBESGUE_LINE: ((), ()),
-    LEBESGUE_INTERVAL: (("length",), ()),
-    ATOMIC_N: ((), ("atom_mass",)),
-    ATOMIC_Z: ((), ("atom_mass",)),
-    ATOMIC_FINITE: (("count",), ("atom_mass",)),
+    LEBESGUE_HALFLINE: (("kind",), ()),
+    LEBESGUE_LINE: (("kind",), ()),
+    LEBESGUE_INTERVAL: (("kind", "length"), ()),
+    ATOMIC_N: (("kind",), ("atom_mass",)),
+    ATOMIC_Z: (("kind",), ("atom_mass",)),
+    ATOMIC_FINITE: (("kind", "count"), ("atom_mass",)),
 }
-
-
-def space_to_obj(sp: MeasureSpace) -> dict:
-    out = {"kind": sp.kind}
-    if sp.kind == LEBESGUE_INTERVAL:
-        out["length"] = json_real(sp.length)
-    if sp.is_atomic:
-        out["atom_mass"] = json_real(sp.atom_mass)
-    if sp.kind == ATOMIC_FINITE:
-        out["count"] = sp.count
-    return out
 
 
 def space_from_obj(obj, where: str = "space") -> MeasureSpace:
     kind = _kind(obj, where, _SPACE_LAYOUTS)
+    check_object(obj, where, *_SPACE_LAYOUTS[kind])
     if kind == LEBESGUE_INTERVAL:
         return _made(where, MeasureSpace, kind, _num(obj["length"], f"{where}.length"))
     if kind in (LEBESGUE_HALFLINE, LEBESGUE_LINE):
@@ -267,15 +265,8 @@ def _space_in(obj, where: str) -> MeasureSpace:
 
 def set_to_obj(E) -> dict:
     if isinstance(E, AtomicSet):
-        return {
-            "space": space_to_obj(E.space),
-            "indices": sorted(E.atoms),
-            "cofinite": E.cofinite,
-        }
-    return {
-        "space": space_to_obj(E.space),
-        "intervals": [[json_real(a), json_real(b)] for a, b in E.intervals],
-    }
+        return {"space": to_obj(E.space), "indices": sorted(E.atoms), "cofinite": E.cofinite}
+    return to_obj(E)
 
 
 def set_from_obj(obj, where: str = "set"):
@@ -299,7 +290,7 @@ def set_from_obj(obj, where: str = "set"):
 def measfn_to_obj(f: MeasFn) -> dict:
     if isinstance(f, AtomSeq):
         out = {
-            "space": space_to_obj(f.space),
+            "space": to_obj(f.space),
             "entries": [[j, json_real(v)] for j, v in f.entries],
         }
         if f.space.kind == ATOMIC_N:
@@ -309,7 +300,7 @@ def measfn_to_obj(f: MeasFn) -> dict:
     left, right = sp.domain
     vals = [json_real(v) for v in f.vals]
     out = {
-        "space": space_to_obj(sp),
+        "space": to_obj(sp),
         "breakpoints": [json_real(c) for c in (left, *f.cuts, right) if is_finite(c)],
     }
     if left == NEG_INF:
@@ -352,61 +343,8 @@ def measfn_from_obj(obj, where: str = "function") -> MeasFn:
 
 
 # ---------------------------------------------------------------------------
-# Symbols
-# ---------------------------------------------------------------------------
-
-
-def _form_from_obj(obj, where: str):
-    if isinstance(obj, dict) and "kind" not in obj:  # the {"power": n} shorthand
-        check_object(obj, where, ("power",))
-        return _made(where, PowerOnUnit, int_from_obj(obj["power"], f"{where}.power"))
-    return _record_from_obj(obj, where, _FORMS)
-
-
-def _branch_from_obj(obj, where: str) -> Branch:
-    check_object(obj, where, ("lo", "hi", "form"))
-    lo, hi = _num(obj["lo"], f"{where}.lo"), _num(obj["hi"], f"{where}.hi")
-    return _made(where, Branch, lo, hi, _form_from_obj(obj["form"], f"{where}.form"))
-
-
-def symbol_to_obj(sym: Symbol) -> dict:
-    if isinstance(sym, AtomicSymbol):
-        out = {
-            "space": space_to_obj(sym.space),
-            "table": [[j, k] for j, k in sym.table],
-        }
-        if sym.shift is not None:
-            out["shift"] = sym.shift
-        return out
-    return {
-        "space": space_to_obj(sym.space),
-        "branches": [
-            {
-                "lo": json_real(br.lo),
-                "hi": json_real(br.hi),
-                "form": _record_to_obj(br.form),
-            }
-            for br in sym.branches
-        ],
-    }
-
-
-def symbol_from_obj(obj, where: str = "symbol") -> Symbol:
-    sp = _space_in(obj, where)
-    if sp.is_atomic:
-        check_object(obj, where, ("space", "table"), ("shift",))
-        table = _array(obj["table"], f"{where}.table", _pair(int_from_obj, int_from_obj))
-        shift = obj.get("shift")
-        if shift is not None:
-            shift = int_from_obj(shift, f"{where}.shift")
-        return _made(where, AtomicSymbol, sp, tuple(table), shift)
-    check_object(obj, where, ("space", "branches"))
-    branches = _array(obj["branches"], f"{where}.branches", _branch_from_obj)
-    return _made(where, IntervalSymbol, sp, tuple(branches))
-
-
-# ---------------------------------------------------------------------------
-# Catalog records (norm specs, quasiconcave profiles, branch forms), weights
+# Records: symbols, branches, catalog records (norm specs, quasiconcave
+# profiles, branch forms), weights
 # ---------------------------------------------------------------------------
 
 # one table per catalog family: wire kind -> record class
@@ -417,66 +355,70 @@ _FORMS = {"affine": Affine, "power_on_unit": PowerOnUnit, "shifted_power": Shift
           "affine_tail": AffineTail, "exp_recip": ExpRecip}
 _KIND_OF = {cls: kind for kinds in (_NORMS, _PHIS, _FORMS) for kind, cls in kinds.items()}
 
-# the only field the wire may omit, and the value it then takes
-_DEFAULTS = {"final_slope": 0}
+# the fields the wire may omit, and the value each then takes
+_DEFAULTS = {"final_slope": 0, "shift": None}
 
 
-def _record_to_obj(x) -> dict:
-    """A catalog record's wire object: its kind, then each field encoded."""
-    out = {"kind": _KIND_OF[type(x)]}
-    for field in dataclasses.fields(x):
-        out[field.name] = _FIELD_CODECS[field.name][0](getattr(x, field.name))
-    return out
-
-
+@functools.cache
 def _layout(cls) -> tuple:
-    """The (required, optional) keys beside "kind" of a record class."""
+    """The (required, optional) keys of a record class: "kind" for a catalog
+    class, then its fields, of which those in ``_DEFAULTS`` are optional."""
     names = [field.name for field in dataclasses.fields(cls)]
-    return [n for n in names if n not in _DEFAULTS], [n for n in names if n in _DEFAULTS]
+    kind = ["kind"] if cls in _KIND_OF else []
+    return kind + [n for n in names if n not in _DEFAULTS], [n for n in names if n in _DEFAULTS]
 
 
-def _record_from_obj(obj, where: str, kinds: dict):
-    """The record of one of the kinds' classes that obj encodes; its fields
-    are decoded in dataclass order, so the first fault is the one reported."""
-    cls = kinds[_kind(obj, where, {kind: _layout(c) for kind, c in kinds.items()})]
+def _fields_from_obj(obj, where: str, cls):
+    """The cls record that obj encodes: its keys must match cls's layout, and
+    its fields are decoded in dataclass order, so the first fault is the one
+    reported."""
+    check_object(obj, where, *_layout(cls))
     return _made(where, cls, *(
-        _FIELD_CODECS[field.name][1](obj.get(field.name, _DEFAULTS.get(field.name)),
-                                     f"{where}.{field.name}")
+        _FIELD_DECODERS[field.name](obj.get(field.name, _DEFAULTS.get(field.name)),
+                                    f"{where}.{field.name}")
         for field in dataclasses.fields(cls)
     ))
 
 
-def phi_to_obj(phi) -> dict:
-    return _record_to_obj(phi)
+def _record_from_obj(obj, where: str, kinds: dict):
+    """The record of one of the kinds' classes that obj encodes."""
+    return _fields_from_obj(obj, where, kinds[_kind(obj, where, kinds)])
+
+
+def _form_from_obj(obj, where: str):
+    if isinstance(obj, dict) and "kind" not in obj:  # the {"power": n} shorthand
+        check_object(obj, where, ("power",))
+        return _made(where, PowerOnUnit, int_from_obj(obj["power"], f"{where}.power"))
+    return _record_from_obj(obj, where, _FORMS)
+
+
+def symbol_from_obj(obj, where: str = "symbol") -> Symbol:
+    cls = AtomicSymbol if _space_in(obj, where).is_atomic else IntervalSymbol
+    return _fields_from_obj(obj, where, cls)
 
 
 def phi_from_obj(obj, where: str = "phi"):
     return _record_from_obj(obj, where, _PHIS)
 
 
-def normspec_to_obj(spec: NormSpec) -> dict:
-    if type(spec) not in _NORMS.values():
-        raise TypeError(f"not a norm spec: {spec!r}")
-    return _record_to_obj(spec)
-
-
 def normspec_from_obj(obj, where: str = "spec") -> NormSpec:
     return _record_from_obj(obj, where, _NORMS)
 
 
-# record field -> (its encoder, its decoder), the same in every record kind
-_FIELD_CODECS = {
-    "space": (space_to_obj, space_from_obj),
-    "phi": (phi_to_obj, phi_from_obj),
-    "knots": (lambda knots: [[json_real(t), json_real(v)] for t, v in knots],
-              lambda x, where: tuple(_array(x, where, _pair(_num, _num)))),
-    "n": (lambda n: n, int_from_obj),
-    **dict.fromkeys(("p", "q", "alpha", "beta", "final_slope"), (json_real, _num)),
+# record field -> its decoder, the same in every record
+_FIELD_DECODERS = {
+    "space": space_from_obj,
+    "phi": phi_from_obj,
+    "form": _form_from_obj,
+    "branches": lambda x, where: tuple(
+        _array(x, where, lambda br, at: _fields_from_obj(br, at, Branch))),
+    "table": lambda x, where: tuple(_array(x, where, _pair(int_from_obj, int_from_obj))),
+    # the schema lets a symbol spell "no shift rule" as null
+    "shift": lambda x, where: None if x is None else int_from_obj(x, where),
+    "knots": lambda x, where: tuple(_array(x, where, _pair(_num, _num))),
+    "n": int_from_obj,
+    **dict.fromkeys(("p", "q", "alpha", "beta", "final_slope", "lo", "hi"), _num),
 }
-
-
-def xiweight_to_obj(w: XiWeight) -> dict:
-    return {"weight": measfn_to_obj(w.weight)}
 
 
 def xiweight_from_obj(obj) -> XiWeight:
@@ -507,20 +449,19 @@ def analysis_to_obj(ana: SymbolAnalysis) -> dict:
 # Any result
 # ---------------------------------------------------------------------------
 
-# value type -> its encoder
+# value type -> its encoder, for the types whose wire is not their fields
 _ENCODERS = {
-    MeasureSpace: space_to_obj, AtomicSet: set_to_obj, IntervalSet: set_to_obj,
-    StepFn: measfn_to_obj, AtomSeq: measfn_to_obj,
-    AtomicSymbol: symbol_to_obj, IntervalSymbol: symbol_to_obj,
-    XiWeight: xiweight_to_obj, SymbolAnalysis: analysis_to_obj,
-    **dict.fromkeys(_KIND_OF, _record_to_obj),
+    StepFn: measfn_to_obj, AtomSeq: measfn_to_obj, AtomicSet: set_to_obj,
+    SymbolAnalysis: analysis_to_obj,
 }
 
 
 def to_obj(x):
     """The JSON-ready image of a result: dicts, lists and tuples item by item,
     strings, integers and booleans as they are, exact and float numbers
-    through ``json_real``, and every value type through its encoder."""
+    through ``json_real``, the types of ``_ENCODERS`` through their encoder,
+    and any other record as its kind, if it has one, and its fields that are
+    not None."""
     if isinstance(x, dict):
         return {key: to_obj(v) for key, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -529,4 +470,16 @@ def to_obj(x):
         return x
     if isinstance(x, (Fraction, float)):
         return json_real(x)
-    return _ENCODERS[type(x)](x)
+    encode = _ENCODERS.get(type(x))
+    if encode is not None:
+        return encode(x)
+    out = {"kind": _KIND_OF[type(x)]} if type(x) in _KIND_OF else {}
+    for field in dataclasses.fields(x):
+        value = getattr(x, field.name)
+        if value is not None:
+            out[field.name] = to_obj(value)
+    return out
+
+
+# the encoders of the records whose wire is their fields
+space_to_obj = symbol_to_obj = phi_to_obj = normspec_to_obj = xiweight_to_obj = to_obj

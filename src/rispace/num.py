@@ -19,6 +19,11 @@ Real = Union[Fraction, float]
 INF = math.inf
 NEG_INF = -math.inf
 
+# the most bits an exact power may take, estimated as |n| times the bits of
+# its base's numerator and denominator: past it a power is computed in floats,
+# so an extreme exponent costs no more than any other
+_POW_BITS = 1 << 20
+
 
 def as_real(x) -> Real:
     """Coerce a number (or an exact string like "3/7" or "0.1") to Real.
@@ -79,6 +84,8 @@ def _int_nth_root(a: int, n: int) -> int:
         return 0
     if n == 1:
         return a
+    if n >= a.bit_length():  # 1 <= a < 2**n
+        return 1
     # initial guess from floats, then Newton on integers
     try:
         r = int(round(a ** (1.0 / n)))
@@ -122,6 +129,8 @@ def nth_root(x: Real, n: int) -> Real:
     # integer root of x 2^(n k), about 64 bits wide, and scale back by 2^-k
     p, q = x.numerator, x.denominator
     k = 64 - (p.bit_length() - q.bit_length()) // n
+    if n * k > _POW_BITS:  # the scale 2^(n k) is over budget
+        return _split_pow(x, 1 / n)
     m = (p << n * k) // q if k >= 0 else p // (q << -n * k)
     try:
         return math.ldexp(_int_nth_root(m, n), -k)
@@ -135,7 +144,8 @@ def _normal(fx: float) -> bool:
 
 
 def rational_pow(x: Real, e: Real) -> Real:
-    """x ** e for x >= 0, exact whenever the result is rational.
+    """x ** e for x >= 0, exact whenever the result is rational and the
+    exact power is within budget (see ``_POW_BITS``), a float otherwise.
 
     e may be a Fraction or float; Fraction exponents attempt exact roots.
     """
@@ -152,32 +162,46 @@ def rational_pow(x: Real, e: Real) -> Real:
             return INF
         return Fraction(0)
     if isinstance(e, float):
-        fx = to_float(x)
-        if isinstance(x, float) or _normal(fx):
-            return fx ** e
-        return _split_pow(x, e)
+        return _float_pow(x, e)
     if e < 0:
         inv = rational_pow(x, -e)
         if isinstance(inv, Fraction):
             return 1 / inv
-        return 1.0 / inv
-    if e.denominator == 1:
-        if isinstance(x, Fraction):
-            return x ** e.numerator
+        return 1.0 / inv if inv else INF  # inv underflowed: x^e is past the double range
+    if e.denominator != 1:
+        root = nth_root(x, e.denominator)
+        if not isinstance(root, Fraction):
+            try:
+                return root ** e.numerator if abs(e.numerator) < 512 else to_float(x) ** to_float(e)
+            except OverflowError:
+                # e > 0 here: the power is past the double range
+                return INF
+        x = root
+    n = e.numerator
+    if isinstance(x, float):
         try:
-            p = x ** int(e)
+            p = x**n
         except OverflowError:
             p = 0.0
         # a power past the double range, or subnormal and so short of bits,
         # is the exact power of x's value; a later root brings it back
-        return p if _normal(p) else Fraction(x) ** e.numerator
-    root = nth_root(x, e.denominator)
-    if isinstance(root, Fraction):
-        return root**e.numerator
+        if _normal(p):
+            return p
+        x = Fraction(x)
+    if n * (x.numerator.bit_length() + x.denominator.bit_length()) <= _POW_BITS:
+        return x**n
+    return x if x == 1 else _float_pow(x, n)
+
+
+def _float_pow(x: Real, e) -> float:
+    """x ** e in doubles for x > 0: by ``_split_pow`` when x is off the double
+    range, and inf past it."""
+    fx = to_float(x)
+    if not (isinstance(x, float) or _normal(fx)):
+        return _split_pow(x, to_float(e))
     try:
-        return root ** e.numerator if abs(e.numerator) < 512 else to_float(x) ** to_float(e)
+        return fx ** to_float(e)
     except OverflowError:
-        # e > 0 here: the power is past the double range
         return INF
 
 

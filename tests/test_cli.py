@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rispace
 from rispace import jsonio
 from rispace.cli import main, parse_schedule
 
@@ -313,6 +317,29 @@ def test_eval_huge_exponent_exits_2(tmp_path, capsys):
                    '"breakpoints": [0, 1e10000000], "values": [1], "right_tail": 0}}')
     assert run_cli("eval", "rearrange", "--in", str(src)) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# exponents that once asked for exact powers like 3 ** 10**30
+_EXTREME = ("1e30", "1e300", "1e-30", "1e-300")
+_EXTREME_SPECS = [
+    *({"kind": kind, "space": _HALFLINE, "p": p} for kind in ("lp", "weak_lp") for p in _EXTREME),
+    *({"kind": "lorentz", "space": _HALFLINE, "p": p, "q": 1} for p in _EXTREME),
+    *({"kind": "lorentz", "space": _HALFLINE, "p": 2, "q": q} for q in _EXTREME),
+    *({"kind": kind, "space": _HALFLINE, "phi": {"kind": "power", "alpha": alpha}}
+      for kind in ("marcinkiewicz_weak", "marcinkiewicz_strong") for alpha in ("1e-30", "1e-300")),
+]
+
+
+@pytest.mark.parametrize("spec", _EXTREME_SPECS, ids=lambda spec: "-".join(
+    str(v["alpha"] if isinstance(v, dict) else v) for k, v in spec.items() if k != "space"))
+def test_eval_norm_with_an_extreme_exponent_finishes(spec):
+    # one process each, so that a hang fails this payload alone
+    payload = {"spec": spec, "function": {"space": _HALFLINE, "breakpoints": [0, "1/3"],
+                                          "values": [3], "right_tail": 0}}
+    env = dict(os.environ, PYTHONPATH=str(Path(rispace.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "rispace.cli", "eval", "norm"], env=env,
+                         input=json.dumps(payload), capture_output=True, text=True, timeout=30)
+    assert out.returncode in (0, 2), out.stderr
 
 
 def test_eval_unknown_field_exits_2(tmp_path, capsys):

@@ -13,16 +13,19 @@ from rispace import (
     Affine,
     AtomicSymbol,
     Branch,
+    ExpRecip,
     IntervalSymbol,
     LogClip,
     Lorentz,
     Lp,
+    MarcStrong,
     MarcWeak,
     Power,
     PowerOnUnit,
     StepApprox,
     WeakLp,
     XiWeight,
+    atomic_finite,
     atomic_n,
     atomic_set,
     atomic_z,
@@ -163,6 +166,15 @@ def test_symbol_round_trip():
         assert jsonio.symbol_from_obj(jsonio.symbol_to_obj(sym)) == sym
 
 
+def test_null_shift_reads_as_no_shift():
+    # the schema lets "shift" be null
+    finite = {"space": {"kind": "atomic_finite", "count": 2}, "table": [[0, 1], [1, 0]]}
+    assert jsonio.symbol_from_obj(dict(finite, shift=None)) == jsonio.symbol_from_obj(finite)
+    unbounded = {"space": {"kind": "atomic_z"}, "table": [[0, 1]], "shift": None}
+    with pytest.raises(ValueError, match="need a shift rule off the table window"):
+        jsonio.symbol_from_obj(unbounded)
+
+
 def test_symbol_power_shorthand():
     obj = {
         "space": {"kind": "lebesgue_interval", "length": 1},
@@ -190,6 +202,74 @@ def test_normspec_round_trip():
 def test_xiweight_round_trip():
     w = XiWeight(step(halfline(), [1, 4], [3, 1, 0]))
     assert jsonio.xiweight_from_obj(jsonio.xiweight_to_obj(w)) == w
+
+
+# jsonio.dumps(jsonio.to_obj(x)) for one value of each space kind, atomic
+# symbols with and without a shift, every branch form, and every norm and
+# profile kind, and an xi weight; each text is the same JSON on one line
+_WIRE_TEXTS = {
+    "lebesgue_halfline": (halfline(), '{"kind": "lebesgue_halfline"}'),
+    "lebesgue_line": (line(), '{"kind": "lebesgue_line"}'),
+    "lebesgue_interval": (interval(Fraction(5, 2)), '{"kind": "lebesgue_interval", "length": 2.5}'),
+    "atomic_n": (atomic_n(Fraction(1, 3)), '{"atom_mass": "1/3", "kind": "atomic_n"}'),
+    "atomic_z": (atomic_z(), '{"atom_mass": 1, "kind": "atomic_z"}'),
+    "atomic_finite": (atomic_finite(3, Fraction(1, 2)),
+                      '{"atom_mass": 0.5, "count": 3, "kind": "atomic_finite"}'),
+    "atomic symbol, shift": (
+        AtomicSymbol(atomic_z(), ((3, 0), (-1, 4)), shift=2),
+        '{"shift": 2, "space": {"atom_mass": 1, "kind": "atomic_z"}, "table": [[-1, 4], [3, 0]]}'),
+    "atomic symbol, no shift": (
+        AtomicSymbol(atomic_finite(2), ((0, 1), (1, 0))),
+        '{"space": {"atom_mass": 1, "count": 2, "kind": "atomic_finite"}, "table": [[0, 1], [1, 0]]}'),
+    "affine": (
+        IntervalSymbol(line(), (Branch(-INF, 0, Affine(2, -1)),
+                                Branch(0, INF, Affine(Fraction(1, 3), -1)))),
+        '{"branches": [{"form": {"alpha": 2, "beta": -1, "kind": "affine"}, "hi": 0, "lo": "-inf"},'
+        ' {"form": {"alpha": "1/3", "beta": -1, "kind": "affine"}, "hi": "inf", "lo": 0}],'
+        ' "space": {"kind": "lebesgue_line"}}'),
+    "power_on_unit": (
+        IntervalSymbol(interval(1), (Branch(0, 1, PowerOnUnit(3)),)),
+        '{"branches": [{"form": {"kind": "power_on_unit", "n": 3}, "hi": 1, "lo": 0}],'
+        ' "space": {"kind": "lebesgue_interval", "length": 1}}'),
+    "shifted_power, affine_tail": (
+        shifted_power_symbol(2),
+        '{"branches": [{"form": {"kind": "shifted_power", "n": 2}, "hi": 1, "lo": 0},'
+        ' {"form": {"kind": "affine_tail", "n": 2}, "hi": "inf", "lo": 1}],'
+        ' "space": {"kind": "lebesgue_halfline"}}'),
+    "exp_recip": (
+        IntervalSymbol(interval(1), (Branch(0, 1, ExpRecip()),)),
+        '{"branches": [{"form": {"kind": "exp_recip"}, "hi": 1, "lo": 0}],'
+        ' "space": {"kind": "lebesgue_interval", "length": 1}}'),
+    "lp": (Lp(halfline(), Fraction(3, 2)),
+           '{"kind": "lp", "p": 1.5, "space": {"kind": "lebesgue_halfline"}}'),
+    "lp inf": (Lp(atomic_z(), INF),
+               '{"kind": "lp", "p": "inf", "space": {"atom_mass": 1, "kind": "atomic_z"}}'),
+    "lorentz": (
+        Lorentz(interval(2), Fraction(7, 3), 1),
+        '{"kind": "lorentz", "p": "7/3", "q": 1, "space": {"kind": "lebesgue_interval", "length": 2}}'),
+    "weak_lp": (WeakLp(atomic_n(), Fraction(1, 3)),
+                '{"kind": "weak_lp", "p": "1/3", "space": {"atom_mass": 1, "kind": "atomic_n"}}'),
+    "marcinkiewicz_weak, logclip": (
+        MarcWeak(halfline(), LogClip()),
+        '{"kind": "marcinkiewicz_weak", "phi": {"kind": "logclip"},'
+        ' "space": {"kind": "lebesgue_halfline"}}'),
+    "marcinkiewicz_strong, power": (
+        MarcStrong(halfline(), Power(Fraction(2, 3))),
+        '{"kind": "marcinkiewicz_strong", "phi": {"alpha": "2/3", "kind": "power"},'
+        ' "space": {"kind": "lebesgue_halfline"}}'),
+    "step_approx": (StepApprox(((1, 1), (3, 2)), Fraction(1, 4)),
+                    '{"final_slope": 0.25, "kind": "step_approx", "knots": [[1, 1], [3, 2]]}'),
+    "xi weight": (
+        XiWeight(step(halfline(), [1, Fraction(4, 3)], [3, Fraction(1, 10), 0])),
+        '{"weight": {"breakpoints": [0, 1, "4/3"], "right_tail": 0,'
+        ' "space": {"kind": "lebesgue_halfline"}, "values": [3, "1/10"]}}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WIRE_TEXTS))
+def test_wire_texts_are_pinned(name):
+    value, text = _WIRE_TEXTS[name]
+    assert jsonio.dumps(jsonio.to_obj(value)) == jsonio.dumps(json.loads(text))
 
 
 def test_number_spellings():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rispace.num import (
     INF,
     NEG_INF,
+    _int_nth_root,
     as_real,
     exact_float,
     fmt_real,
@@ -117,6 +118,27 @@ def test_rational_pow_float_exponent_outside_the_float_range():
     assert rational_pow(Fraction(10**401), -INF) == 0 and rational_pow(Fraction(1, 10**401), -INF) == INF
     # inside the range the plain float power is kept
     assert rational_pow(Fraction(1, 3), 0.7) == (1 / 3) ** 0.7
+
+
+def test_powers_past_the_bit_budget_are_floats():
+    # each of these once asked for an exact power with an exponent of 10**30
+    assert rational_pow(Fraction(3), Fraction(10**30)) == INF
+    assert rational_pow(Fraction(1, 3), Fraction(10**300)) == 0.0
+    assert rational_pow(Fraction(1, 3), Fraction(-(10**30))) == INF
+    assert math.isclose(rational_pow(Fraction(3), Fraction(1, 10**30)), 1.0)
+    assert math.isclose(nth_root(Fraction(10**401), 10**300), 1.0)
+    assert math.isclose(nth_root(Fraction(1, 10**401), 10**300), 1.0)
+    # a power of 1 stays exact, and so does a power within the budget
+    one = rational_pow(Fraction(1), Fraction(10**300))
+    assert one == 1 and isinstance(one, Fraction)
+    assert rational_pow(Fraction(3, 2), Fraction(1000)) == Fraction(3**1000, 2**1000)
+    assert rational_pow(Fraction(9, 4), Fraction(2001, 2)) == Fraction(3**2001, 2**2001)
+
+
+def test_int_nth_root_of_an_index_past_the_bit_length_is_one():
+    assert _int_nth_root(3, 10**30) == 1
+    assert _int_nth_root(2**64 - 1, 64) == 1
+    assert _int_nth_root(2**64, 64) == 2
 
 
 def test_log_real_handles_big_fractions():
