@@ -20,7 +20,6 @@ from typing import Optional, Sequence, Union
 from . import jsonio
 from .num import INF, Real, fmt_real
 from .rearrange import distribution_at
-from .spaces import LogClip, Lorentz, Lp, MarcStrong, MarcWeak, Power, StepApprox, WeakLp
 from .spaces import NormSpec, XiWeight, fundamental_function, norm_eval, xi_seminorm
 from .stepfn import (
     AtomSeq,
@@ -404,28 +403,7 @@ class ErgodicReport:
 
 
 def spec_label(spec: Union[NormSpec, XiWeight]) -> str:
-    def phi_label(phi):
-        if isinstance(phi, Power):
-            return f"t^{fmt_real(phi.alpha)}"
-        if isinstance(phi, LogClip):
-            return "logclip"
-        if isinstance(phi, StepApprox):
-            return f"steps{len(phi.knots)}"
-        return type(phi).__name__
-
-    if isinstance(spec, Lp):
-        return f"L{fmt_real(spec.p)}"
-    if isinstance(spec, Lorentz):
-        return f"Lorentz({fmt_real(spec.p)},{fmt_real(spec.q)})"
-    if isinstance(spec, WeakLp):
-        return f"weak-L{fmt_real(spec.p)}"
-    if isinstance(spec, MarcWeak):
-        return f"m[{phi_label(spec.phi)}]"
-    if isinstance(spec, MarcStrong):
-        return f"M[{phi_label(spec.phi)}]"
-    if isinstance(spec, XiWeight):
-        return "xi"
-    raise TypeError(f"unlabelled spec {spec!r}")
+    return spec.label
 
 
 def convergence_report(

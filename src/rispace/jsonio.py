@@ -37,9 +37,10 @@ whose wire is not their fields keep an encoder of their own:
 tails), ``set_to_obj`` for atomic sets (``indices``) and ``analysis_to_obj``
 for symbol analyses (power bounds flattened).  Spaces keep a decoder of their
 own, as an omitted ``atom_mass`` reads as 1.  A new norm, profile or form
-kind is one entry in its family's kind table plus its schema.  ``to_obj``
-encodes any result, once, where it leaves the program: ``eval`` output,
-``run-example`` reports and verdicts, and property counterexamples.
+kind is one class, which states its own meaning, plus one entry in its
+family's kind table plus its schema.  ``to_obj`` encodes any result, once,
+where it leaves the program: ``eval`` output, ``run-example`` reports and
+verdicts, and property counterexamples.
 """
 
 from __future__ import annotations

@@ -231,9 +231,16 @@ def log_real(x: Real) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+def _refuse_nan(x: float) -> None:
+    if math.isnan(x):
+        raise ValueError("NaN is not a value; it cannot be written")
+
+
 def fmt_real(x: Real) -> str:
-    """Shortest round-trip text: float repr, exact "p/q" otherwise, "inf"."""
+    """Shortest round-trip text: float repr, exact "p/q" otherwise, "inf".
+    NaN has no text here and raises ValueError."""
     if isinstance(x, float):
+        _refuse_nan(x)
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
         if x == 0.0:
@@ -247,8 +254,10 @@ def fmt_real(x: Real) -> str:
 
 
 def json_real(x: Real):
-    """JSON image: a number when exactly representable, else "p/q" / "inf"."""
+    """JSON image: a number when exactly representable, else "p/q" / "inf".
+    NaN has no image and raises ValueError."""
     if isinstance(x, float):
+        _refuse_nan(x)
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
         return 0.0 if x == 0.0 else x

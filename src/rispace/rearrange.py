@@ -30,6 +30,7 @@ from .stepfn import (
     AtomSeq,
     MeasFn,
     StepFn,
+    _fn_from_pieces,
     _union,
     abs_fn,
     integrate,
@@ -171,13 +172,18 @@ def hardy_littlewood_pair(f: MeasFn, g: MeasFn) -> tuple[Real, Real]:
 
 
 def dilate(f: StepFn, t) -> StepFn:
-    """Dilation (D_t f)(s) = f(t s) for f on the half-line; exact cuts."""
+    """Dilation (D_t f)(s) = f(t s) for f on the half-line; exact cuts.
+
+    Dividing float cuts by t can round a narrow piece to width 0.  No float
+    lies in such a piece, so it is dropped and its neighbours merge."""
     t = as_real(t)
     if not t > 0:
         raise ValueError("dilation parameter must be positive")
     if not isinstance(f, StepFn) or f.space != _HALFLINE:
         raise ValueError("dilate needs a StepFn on the half-line")
-    return StepFn(_HALFLINE, tuple(c / t for c in f.cuts), f.vals)
+    bounds = (Fraction(0), *(c / t for c in f.cuts), INF)
+    pieces = [(a, b, v) for a, b, v in zip(bounds, bounds[1:], f.vals) if a < b]
+    return _fn_from_pieces(_HALFLINE, pieces)
 
 
 def is_acr(f: MeasFn) -> bool:

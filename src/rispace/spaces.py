@@ -17,6 +17,11 @@ what lets the Marcinkiewicz suprema be located analytically: on each piece of
 f* crossed with each smooth segment of Phi the objective is quasi-convex, so
 the supremum sits on the union grid of cut points plus the limits at 0 and
 infinity.  No sampling is involved.
+
+Each kind answers for itself: a norm spec evaluates itself on f* (``of``),
+and a profile gives its value (``at``), its limits at infinity (``at_inf``
+and ``final_slope``, the limit of Phi(t)/t), its ``breakpoints`` and its
+certificate (``check``); both carry their report ``label``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .num import INF, Real, as_real, is_finite, log_real, rational_pow
+from .num import INF, Real, as_real, fmt_real, is_finite, log_real, rational_pow
 from .rearrange import _hardy_sweep, is_rearranged, rearrangement
 from .space import ATOMIC_N, AtomicSet, MeasureSpace, interval_set
 from .stepfn import MeasFn, StepFn, indicator, integrate, pointwise_mul, seq
@@ -47,10 +52,46 @@ class Power:
         if not (0 < self.alpha <= 1):
             raise ValueError("alpha must lie in (0, 1]")
 
+    at_inf = INF
+    breakpoints = ()
+
+    @property
+    def final_slope(self) -> Real:
+        return Fraction(1) if self.alpha == 1 else Fraction(0)
+
+    @property
+    def label(self) -> str:
+        return f"t^{fmt_real(self.alpha)}"
+
+    def at(self, t: Real) -> Real:
+        return rational_pow(t, self.alpha)
+
+    def check(self) -> tuple[bool, str]:
+        return True, (
+            f"t^alpha with alpha={self.alpha} in (0,1]: nondecreasing, and "
+            "Phi(t)/t = t^(alpha-1) is nonincreasing"
+        )
+
 
 @dataclass(frozen=True)
 class LogClip:
     """Phi(0) = 0, Phi(t) = 1/(1 - log t) on (0, 1), Phi(t) = 1 on [1, inf)."""
+
+    at_inf = Fraction(1)
+    final_slope = Fraction(0)
+    breakpoints = (Fraction(1),)
+    label = "logclip"
+
+    def at(self, t: Real) -> Real:
+        if t >= 1:
+            return Fraction(1)
+        return 1.0 / (1.0 - log_real(t))
+
+    def check(self) -> tuple[bool, str]:
+        return True, (
+            "1/(1-log t) increases to 1 on (0,1] and stays 1 after; "
+            "Phi(t)/t is continuous and nonincreasing on both segments"
+        )
 
 
 @dataclass(frozen=True)
@@ -77,6 +118,48 @@ class StepApprox:
                 raise ValueError("knot abscissae must be strictly increasing and positive")
             prev = t
 
+    @property
+    def at_inf(self) -> Real:
+        return INF if self.final_slope > 0 else self.knots[-1][1]
+
+    @property
+    def breakpoints(self) -> tuple[Real, ...]:
+        return tuple(t for t, _ in self.knots)
+
+    @property
+    def label(self) -> str:
+        return f"steps{len(self.knots)}"
+
+    def at(self, t: Real) -> Real:
+        prev_t, prev_v = Fraction(0), Fraction(0)
+        for kt, kv in self.knots:
+            if t <= kt:
+                return prev_v + (kv - prev_v) * (t - prev_t) / (kt - prev_t)
+            prev_t, prev_v = kt, kv
+        return prev_v + self.final_slope * (t - prev_t)
+
+    def check(self) -> tuple[bool, str]:
+        """Exact on the grid: a linear segment from (a, Phi(a)) keeps
+        Phi(t)/t nonincreasing iff its slope is at most Phi(a)/a."""
+        prev_t, prev_v = Fraction(0), Fraction(0)
+        for t, v in self.knots:
+            if v < 0:
+                return False, f"negative value {v} at knot t={t}"
+            slope = (v - prev_v) / (t - prev_t)
+            if slope < 0:
+                return False, f"decreasing segment into knot t={t}"
+            if prev_t > 0 and slope > prev_v / prev_t:
+                return False, (
+                    f"Phi(t)/t increases on the segment from t={prev_t}: "
+                    f"slope {slope} exceeds Phi({prev_t})/{prev_t} = {prev_v / prev_t}"
+                )
+            prev_t, prev_v = t, v
+        if self.final_slope < 0:
+            return False, "decreasing final ray"
+        if self.final_slope > prev_v / prev_t:
+            return False, "Phi(t)/t increases on the final ray"
+        return True, "grid check passed: nondecreasing and Phi(t)/t nonincreasing"
+
 
 QuasiconcaveFn = Union[Power, LogClip, StepApprox]
 
@@ -84,75 +167,24 @@ QuasiconcaveFn = Union[Power, LogClip, StepApprox]
 def phi_at(phi: QuasiconcaveFn, t) -> Real:
     """Phi(t), with t = inf giving the limit value."""
     if t == INF:
-        if isinstance(phi, Power):
-            return INF
-        if isinstance(phi, LogClip):
-            return Fraction(1)
-        return INF if phi.final_slope > 0 else phi.knots[-1][1]
+        return phi.at_inf
     t = as_real(t)
     if t < 0:
         raise ValueError("profiles are defined on [0, inf)")
     if t == 0:
         return Fraction(0)
-    if isinstance(phi, Power):
-        return rational_pow(t, phi.alpha)
-    if isinstance(phi, LogClip):
-        if t >= 1:
-            return Fraction(1)
-        return 1.0 / (1.0 - log_real(t))
-    prev_t, prev_v = Fraction(0), Fraction(0)
-    for kt, kv in phi.knots:
-        if t <= kt:
-            return prev_v + (kv - prev_v) * (t - prev_t) / (kt - prev_t)
-        prev_t, prev_v = kt, kv
-    return prev_v + phi.final_slope * (t - prev_t)
+    return phi.at(t)
 
 
 def phi_breakpoints(phi: QuasiconcaveFn) -> tuple[Real, ...]:
     """Points where the profile changes analytic form."""
-    if isinstance(phi, Power):
-        return ()
-    if isinstance(phi, LogClip):
-        return (Fraction(1),)
-    return tuple(t for t, _ in phi.knots)
+    return phi.breakpoints
 
 
 def quasiconcave_check(phi: QuasiconcaveFn) -> tuple[bool, str]:
-    """Verify Phi nondecreasing with Phi(t)/t nonincreasing.
-
-    Power and LogClip carry analytic certificates; StepApprox is checked
-    exactly on its grid: a linear segment from (a, Phi(a)) keeps Phi(t)/t
-    nonincreasing iff its slope is at most Phi(a)/a.
-    """
-    if isinstance(phi, Power):
-        return True, (
-            f"t^alpha with alpha={phi.alpha} in (0,1]: nondecreasing, and "
-            "Phi(t)/t = t^(alpha-1) is nonincreasing"
-        )
-    if isinstance(phi, LogClip):
-        return True, (
-            "1/(1-log t) increases to 1 on (0,1] and stays 1 after; "
-            "Phi(t)/t is continuous and nonincreasing on both segments"
-        )
-    prev_t, prev_v = Fraction(0), Fraction(0)
-    segments = [(t, v) for t, v in phi.knots]
-    for i, (t, v) in enumerate(segments):
-        if v < 0:
-            return False, f"negative value {v} at knot t={t}"
-        slope = (v - prev_v) / (t - prev_t)
-        if slope < 0:
-            return False, f"decreasing segment into knot t={t}"
-        if prev_t > 0 and slope > prev_v / prev_t:
-            return False, (
-                f"Phi(t)/t increases on the segment from t={prev_t}: "
-                f"slope {slope} exceeds Phi({prev_t})/{prev_t} = {prev_v / prev_t}"
-            )
-        prev_t, prev_v = t, v
-    if phi.final_slope < 0:
-        return False, "decreasing final ray"
-    if phi.final_slope > prev_v / prev_t:
-        return False, "Phi(t)/t increases on the final ray"
-    return True, "grid check passed: nondecreasing and Phi(t)/t nonincreasing"
+    """Verify Phi nondecreasing with Phi(t)/t nonincreasing: an analytic
+    certificate for Power and LogClip, an exact grid check for StepApprox."""
+    return phi.check()
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +203,25 @@ class Lp:
         if not p > 0:
             raise ValueError("p must be positive (inf allowed)")
 
+    @property
+    def label(self) -> str:
+        return f"L{fmt_real(self.p)}"
+
+    def of(self, r: StepFn) -> Real:
+        p = self.p
+        if p == INF:
+            return r.vals[0]
+        total: Real = Fraction(0)
+        for a, b, v in r.pieces():
+            if v == 0:
+                continue
+            if b == INF:
+                return INF
+            total += rational_pow(v, p) * (b - a)
+        if p == 1:
+            return total
+        return rational_pow(total, 1 / p)
+
 
 @dataclass(frozen=True)
 class Lorentz:
@@ -184,6 +235,26 @@ class Lorentz:
         if not (self.p > 0 and self.q > 0 and is_finite(self.p) and is_finite(self.q)):
             raise ValueError("Lorentz exponents must be finite and positive")
 
+    @property
+    def label(self) -> str:
+        return f"Lorentz({fmt_real(self.p)},{fmt_real(self.q)})"
+
+    def of(self, r: StepFn) -> Real:
+        rho = self.q / self.p
+        inv_q = 1 / self.q
+        total: Real = Fraction(0)
+        for a, b, v in r.pieces():
+            if v == 0:
+                continue
+            if b == INF:
+                return INF
+            total += rational_pow(v, self.q) * (rational_pow(b, rho) - rational_pow(a, rho)) / rho
+        if total != total:
+            # a power past the double range met a difference of powers that
+            # underflowed to 0.0, and inf * 0.0 is NaN
+            raise ValueError("the Lorentz norm is out of the double range")
+        return rational_pow(total, inv_q)
+
 
 @dataclass(frozen=True)
 class WeakLp:
@@ -195,10 +266,25 @@ class WeakLp:
         if not self.p > 0:
             raise ValueError("p must be positive")
 
+    @property
+    def label(self) -> str:
+        return f"weak-L{fmt_real(self.p)}"
+
+    def of(self, r: StepFn) -> Real:
+        inv_p = 1 / self.p
+        best: Real = Fraction(0)
+        for _, b, v in r.pieces():
+            if v == 0:
+                continue
+            if b == INF:
+                return INF
+            best = max(best, v * rational_pow(b, inv_p))
+        return best
+
 
 def _check_profile(spec) -> None:
     """The one construction check of MarcWeak and MarcStrong."""
-    ok, cert = quasiconcave_check(spec.phi)
+    ok, cert = spec.phi.check()
     if not ok:
         raise ValueError(f"profile is not quasiconcave: {cert}")
 
@@ -210,6 +296,23 @@ class MarcWeak:
 
     __post_init__ = _check_profile
 
+    @property
+    def label(self) -> str:
+        return f"m[{self.phi.label}]"
+
+    def of(self, r: StepFn) -> Real:
+        # on a piece [a, b) where r is the constant v, sup Phi(t) v = v Phi(b)
+        # because the catalog profiles are continuous and nondecreasing
+        best: Real = Fraction(0)
+        for _, b, v in r.pieces():
+            if v == 0:
+                continue
+            pb = phi_at(self.phi, b)
+            if pb == INF:
+                return INF
+            best = max(best, v * pb)
+        return best
+
 
 @dataclass(frozen=True)
 class MarcStrong:
@@ -217,6 +320,43 @@ class MarcStrong:
     phi: QuasiconcaveFn
 
     __post_init__ = _check_profile
+
+    @property
+    def label(self) -> str:
+        return f"M[{self.phi.label}]"
+
+    def of(self, r: StepFn) -> Real:
+        """sup Phi(t) H(t)/t with H(t) = int_0^t r.
+
+        On each piece of r crossed with each analytic segment of Phi the
+        objective t -> Phi(t)(c + v t)/t (c, v >= 0) has a derivative with
+        at most one sign change (minus to plus), so it is quasi-convex and
+        the supremum over the crossing is attained at its endpoints; hence
+        the grid of candidates below is exhaustive, together with the limits
+        at 0 (always 0) and at infinity: Phi(inf) v for a tail value v > 0,
+        else lim Phi(t)/t times H(inf).  One Hardy sweep over the sorted grid
+        and t = inf gives every H: O(n log n) for n pieces.  The grid is then
+        visited in its set order, which decides ties between a float and a
+        Fraction value.
+        """
+        if all(v == 0 for v in r.vals):
+            return Fraction(0)
+        phi = self.phi
+        candidates = set(r.cuts) | set(phi.breakpoints)
+        grid = [*sorted(candidates), INF]
+        hardy = dict(zip(grid, _hardy_sweep(r, grid)))
+        v_tail = r.vals[-1]
+        if v_tail > 0:
+            best: Real = phi.at_inf * v_tail
+        elif phi.final_slope > 0:
+            best = phi.final_slope * hardy[INF]
+        else:
+            best = Fraction(0)
+        if best == INF:
+            return INF
+        for t in candidates:
+            best = max(best, phi_at(phi, t) * hardy[t] / t)
+        return best
 
 
 NormSpec = Union[Lp, Lorentz, WeakLp, MarcWeak, MarcStrong]
@@ -234,6 +374,8 @@ class XiWeight:
         if all(v == 0 for v in self.weight.vals):
             raise ValueError("weight must not vanish identically")
 
+    label = "xi"
+
 
 # ---------------------------------------------------------------------------
 # Evaluation
@@ -244,117 +386,7 @@ def norm_eval(spec: NormSpec, f: MeasFn) -> Real:
     """Exact norm value; +inf signals divergence, never an error."""
     if f.space != spec.space:
         raise ValueError("function does not live on the spec's space")
-    r = rearrangement(f)
-    if isinstance(spec, Lp):
-        return _lp(r, spec.p)
-    if isinstance(spec, Lorentz):
-        return _lorentz(r, spec.p, spec.q)
-    if isinstance(spec, WeakLp):
-        return _weak_lp(r, spec.p)
-    if isinstance(spec, MarcWeak):
-        return _marc_weak(r, spec.phi)
-    if isinstance(spec, MarcStrong):
-        return _marc_strong(r, spec.phi)
-    raise TypeError("unknown norm spec")
-
-
-def _lp(r: StepFn, p: Real) -> Real:
-    if p == INF:
-        return r.vals[0]
-    total: Real = Fraction(0)
-    for a, b, v in r.pieces():
-        if v == 0:
-            continue
-        if b == INF:
-            return INF
-        total += rational_pow(v, p) * (b - a)
-    if p == 1:
-        return total
-    return rational_pow(total, 1 / p)
-
-
-def _lorentz(r: StepFn, p: Real, q: Real) -> Real:
-    rho = q / p
-    inv_q = 1 / q
-    total: Real = Fraction(0)
-    for a, b, v in r.pieces():
-        if v == 0:
-            continue
-        if b == INF:
-            return INF
-        total += rational_pow(v, q) * (rational_pow(b, rho) - rational_pow(a, rho)) / rho
-    return rational_pow(total, inv_q)
-
-
-def _weak_lp(r: StepFn, p: Real) -> Real:
-    inv_p = 1 / p
-    best: Real = Fraction(0)
-    for _, b, v in r.pieces():
-        if v == 0:
-            continue
-        if b == INF:
-            return INF
-        best = max(best, v * rational_pow(b, inv_p))
-    return best
-
-
-def _marc_weak(r: StepFn, phi: QuasiconcaveFn) -> Real:
-    # On a piece [a, b) where f* is the constant v, sup Phi(t) v = v Phi(b)
-    # because the catalog profiles are continuous and nondecreasing.
-    best: Real = Fraction(0)
-    for _, b, v in r.pieces():
-        if v == 0:
-            continue
-        pb = phi_at(phi, b)
-        if pb == INF:
-            return INF
-        best = max(best, v * pb)
-    return best
-
-
-def _marc_strong(r: StepFn, phi: QuasiconcaveFn) -> Real:
-    """sup Phi(t) H(t)/t with H(t) = int_0^t f*.
-
-    On each piece of f* crossed with each analytic segment of Phi the
-    objective t -> Phi(t)(c + v t)/t (c, v >= 0) has a derivative with at
-    most one sign change (minus to plus), so it is quasi-convex and the
-    supremum over the crossing is attained at its endpoints; hence the grid
-    of candidates below is exhaustive, together with the limits at 0 (always
-    0) and at infinity (computed analytically per profile).  One Hardy sweep
-    over the sorted grid and t = inf gives every H: O(n log n) for n pieces.
-    The grid is then visited in its set order, which decides ties between a
-    float and a Fraction value.
-    """
-    if all(v == 0 for v in r.vals):
-        return Fraction(0)
-    candidates = set(r.cuts) | set(phi_breakpoints(phi))
-    grid = [*sorted(candidates), INF]
-    hardy = dict(zip(grid, _hardy_sweep(r, grid)))
-    best: Real = _marc_strong_limit(r, phi, hardy[INF])
-    if best == INF:
-        return INF
-    for t in candidates:
-        best = max(best, phi_at(phi, t) * hardy[t] / t)
-    return best
-
-
-def _marc_strong_limit(r: StepFn, phi: QuasiconcaveFn, h_inf: Real) -> Real:
-    """lim Phi(t) H(t)/t as t -> inf, given H(inf) = int_0^inf f*."""
-    v_tail = r.vals[-1]
-    if isinstance(phi, Power):
-        if v_tail > 0:
-            return INF
-        if phi.alpha == 1:
-            return h_inf
-        return Fraction(0)
-    if isinstance(phi, LogClip):
-        # Phi == 1 eventually, so g(t) -> f**(inf) = tail value.
-        return v_tail
-    s = phi.final_slope
-    last_v = phi.knots[-1][1]
-    if v_tail > 0:
-        return INF if s > 0 else last_v * v_tail
-    return s * h_inf if s > 0 else Fraction(0)
+    return spec.of(rearrangement(f))
 
 
 def fundamental_function(spec: NormSpec, t) -> Real:

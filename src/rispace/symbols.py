@@ -49,6 +49,12 @@ from .stepfn import StepFn, _fn_from_pieces, constant, linear_combine
 # ---------------------------------------------------------------------------
 
 
+def _affine_image(alpha: Real, beta: Real, lo, hi) -> tuple[Real, Real]:
+    """The ends (low, high) of the image of [lo, hi) under t -> alpha t + beta."""
+    a, b = (alpha * t + beta if is_finite(t) else t if alpha > 0 else -t for t in (lo, hi))
+    return (a, b) if alpha > 0 else (b, a)
+
+
 @dataclass(frozen=True)
 class Affine:
     """t -> alpha t + beta, alpha != 0."""
@@ -64,27 +70,63 @@ class Affine:
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
 
+    domain = None  # any interval of the space
+
+    @property
+    def coefficients(self) -> tuple[Real, Real]:
+        return self.alpha, self.beta
+
+    @property
+    def increasing(self) -> bool:
+        return self.alpha > 0
+
+    def image(self, lo, hi) -> tuple[Real, Real]:
+        return _affine_image(self.alpha, self.beta, lo, hi)
+
+    def inverse(self, y) -> Real:
+        return (y - self.beta) / self.alpha
+
+
+class _UnitPower:
+    """t -> offset + t^n on [0, 1), n >= 2; the subclass sets the offset."""
+
+    domain = (Fraction(0), Fraction(1))
+    coefficients = None
+    increasing = True
+    density_splits = ()
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("power must be >= 2")
+
+    def image(self, lo, hi) -> tuple[Real, Real]:
+        return (Fraction(self.offset), Fraction(self.offset + 1))
+
+    def inverse(self, y) -> Real:
+        return nth_root(y - self.offset, self.n)
+
+    def density(self, y) -> Real:
+        """|d/dy inverse(y)|, with the limit inf at the bottom of the image."""
+        x = y - self.offset
+        if x == 0:
+            return INF
+        return Fraction(1, self.n) * rational_pow(x, Fraction(1 - self.n, self.n))
+
 
 @dataclass(frozen=True)
-class PowerOnUnit:
+class PowerOnUnit(_UnitPower):
     """t -> t^n on [0, 1), n >= 2."""
 
     n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("power must be >= 2")
+    offset = 0
 
 
 @dataclass(frozen=True)
-class ShiftedPower:
+class ShiftedPower(_UnitPower):
     """t -> 1 + t^n on [0, 1), n >= 2."""
 
     n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("power must be >= 2")
+    offset = 1
 
 
 @dataclass(frozen=True)
@@ -97,20 +139,50 @@ class AffineTail:
         if self.n < 1:
             raise ValueError("slope must be >= 1")
 
+    domain = (Fraction(1), INF)
+    increasing = True
+
+    @property
+    def coefficients(self) -> tuple[Real, Real]:
+        return Fraction(self.n), Fraction(2 - self.n)
+
+    def image(self, lo, hi) -> tuple[Real, Real]:
+        return (Fraction(2), INF)
+
+    def inverse(self, y) -> Real:
+        return (y - 2) / Fraction(self.n) + 1
+
 
 @dataclass(frozen=True)
 class ExpRecip:
     """t -> exp(1 - 1/t) on [0, 1), with the null convention phi(0) = 0."""
 
+    domain = (Fraction(0), Fraction(1))
+    coefficients = None
+    increasing = True
+    # the inverse derivative falls on (0, 1/e] and rises on [1/e, 1)
+    density_splits = (math.exp(-1.0),)
+
+    def image(self, lo, hi) -> tuple[Real, Real]:
+        return (Fraction(0), Fraction(1))
+
+    def inverse(self, y) -> Real:
+        # invert y = exp(1 - 1/t)
+        if y == 0:
+            return Fraction(0)
+        if y == 1:
+            return Fraction(1)
+        return 1.0 / (1.0 - log_real(y))
+
+    def density(self, y) -> Real:
+        """|d/dy inverse(y)| = 1/(y (1 - log y)^2), with the limit inf at 0."""
+        if y == 0:
+            return INF
+        u = 1.0 - log_real(y)
+        return 1.0 / (float(y) * u * u)
+
 
 BranchForm = Union[Affine, PowerOnUnit, ShiftedPower, AffineTail, ExpRecip]
-
-_PINNED_DOMAINS = {
-    PowerOnUnit: (Fraction(0), Fraction(1)),
-    ShiftedPower: (Fraction(0), Fraction(1)),
-    AffineTail: (Fraction(1), INF),
-    ExpRecip: (Fraction(0), Fraction(1)),
-}
 
 
 @dataclass(frozen=True)
@@ -126,56 +198,21 @@ class Branch:
         object.__setattr__(self, "hi", hi)
         if not lo < hi:
             raise ValueError("branch domain is empty")
-        pinned = _PINNED_DOMAINS.get(type(self.form))
+        pinned = self.form.domain
         if pinned is not None and (lo, hi) != pinned:
             raise ValueError(
                 f"{type(self.form).__name__} is defined on [{pinned[0]}, {pinned[1]})"
             )
 
-    @property
-    def increasing(self) -> bool:
-        return not (isinstance(self.form, Affine) and self.form.alpha < 0)
-
     def image(self) -> tuple[Real, Real]:
         """Endpoints (lo, hi) of the image interval, null sets ignored."""
-        f = self.form
-        if isinstance(f, Affine):
-            a = _affine_at(f, self.lo)
-            b = _affine_at(f, self.hi)
-            return (a, b) if f.alpha > 0 else (b, a)
-        if isinstance(f, PowerOnUnit):
-            return (Fraction(0), Fraction(1))
-        if isinstance(f, ShiftedPower):
-            return (Fraction(1), Fraction(2))
-        if isinstance(f, AffineTail):
-            return (Fraction(2), INF)
-        return (Fraction(0), Fraction(1))  # ExpRecip
+        return self.form.image(self.lo, self.hi)
 
     def inverse_at(self, y) -> Real:
         """The branch's inverse at y (y inside the closed image)."""
-        f = self.form
-        if y == INF:
-            if isinstance(f, Affine):
-                return INF if f.alpha > 0 else NEG_INF
-            return INF
-        if y == NEG_INF:
-            if isinstance(f, Affine):
-                return NEG_INF if f.alpha > 0 else INF
-            return NEG_INF
-        if isinstance(f, Affine):
-            return (y - f.beta) / f.alpha
-        if isinstance(f, PowerOnUnit):
-            return nth_root(y, f.n)
-        if isinstance(f, ShiftedPower):
-            return nth_root(y - 1, f.n)
-        if isinstance(f, AffineTail):
-            return (y - 2) / Fraction(f.n) + 1
-        # ExpRecip: invert y = exp(1 - 1/t)
-        if y == 0:
-            return Fraction(0)
-        if y == 1:
-            return Fraction(1)
-        return 1.0 / (1.0 - log_real(y))
+        if y == INF or y == NEG_INF:
+            return y if self.form.increasing else -y
+        return self.form.inverse(y)
 
     def preimage_interval(self, u, v):
         """Preimage of [u, v) within this branch, as (a, b) or None."""
@@ -184,7 +221,7 @@ class Branch:
         hi_y = min(v, img_hi)
         if not lo_y < hi_y:
             return None
-        if self.increasing:
+        if self.form.increasing:
             a, b = self.inverse_at(lo_y), self.inverse_at(hi_y)
         else:
             a, b = self.inverse_at(hi_y), self.inverse_at(lo_y)
@@ -217,7 +254,7 @@ class IntervalSymbol:
             lo_i, hi_i = br.image()
             if lo_i < left or hi_i > right:
                 raise ValueError("branch image leaves the space")
-            if not br.increasing and hi_i == right and right != INF:
+            if not br.form.increasing and hi_i == right and right != INF:
                 # a decreasing affine branch attains its sup at the left
                 # domain endpoint, and the right space endpoint is excluded
                 raise ValueError("branch image leaves the space")
@@ -321,45 +358,9 @@ def preimage_measure(sym: Symbol, E) -> Real:
 # Density bookkeeping for interval symbols
 # ---------------------------------------------------------------------------
 
-def _affine_at(f: Affine, t) -> Real:
-    if t == INF:
-        return INF if f.alpha > 0 else NEG_INF
-    if t == NEG_INF:
-        return NEG_INF if f.alpha > 0 else INF
-    return f.alpha * t + f.beta
-
-
-def _affine_like(form: BranchForm):
-    """(alpha, beta) when the branch is an affine map, else None."""
-    if isinstance(form, Affine):
-        return form.alpha, form.beta
-    if isinstance(form, AffineTail):
-        return Fraction(form.n), Fraction(2 - form.n)
-    return None
-
-
-def _density_at(br: Branch, y) -> Real:
-    """|d/dy branch^{-1}(y)| inside the image of a non-affine branch (limits
-    at endpoints)."""
-    f = br.form
-    if isinstance(f, PowerOnUnit):
-        if y == 0:
-            return INF
-        return Fraction(1, f.n) * rational_pow(y, Fraction(1 - f.n, f.n))
-    if isinstance(f, ShiftedPower):
-        if y == 1:
-            return INF
-        return Fraction(1, f.n) * rational_pow(y - 1, Fraction(1 - f.n, f.n))
-    # ExpRecip: inverse is y -> 1/(1 - log y); derivative 1/(y (1 - log y)^2)
-    if y == 0:
-        return INF
-    u = 1.0 - log_real(y)
-    return 1.0 / (float(y) * u * u)
-
-
 def _certified(sym: Symbol) -> bool:
     """True when the bound sweep is exact: atomic, or every branch affine."""
-    return isinstance(sym, AtomicSymbol) or all(_affine_like(br.form) for br in sym.branches)
+    return isinstance(sym, AtomicSymbol) or all(br.form.coefficients for br in sym.branches)
 
 
 def _reciprocal(c: Real) -> Real:
@@ -393,7 +394,7 @@ def lower_bound(sym: Symbol) -> Real:
         if special is None:
             here: Real = base
         else:
-            here = base + min(_density_at(special, x), _density_at(special, y))
+            here = base + min(special.form.density(x), special.form.density(y))
         ess_inf = min(ess_inf, here)
     return _reciprocal(ess_inf)
 
@@ -405,31 +406,27 @@ def _density_regions(sym: IntervalSymbol):
     Yields (x, y, affine_density, non_affine_branch_or_None).  The catalog
     admits at most one non-affine branch per symbol (all three forms claim
     the domain [0, 1)), and each non-affine inverse derivative is monotone on
-    the regions produced here (the exp-reciprocal one is split at its
-    interior minimum y = 1/e), so region infima sit at region endpoints.
+    the regions produced here (the form's ``density_splits`` are its
+    interior turning points), so region infima sit at region endpoints.
     """
     left, right = sym.space.domain
     points = {left, right}
     specials = []
     for br in sym.branches:
-        lo_i, hi_i = br.image()
-        points.update((lo_i, hi_i))
-        if not _affine_like(br.form):
+        points.update(br.image())
+        if br.form.coefficients is None:
             specials.append(br)
-            if isinstance(br.form, ExpRecip):
-                points.add(math.exp(-1.0))
+            points.update(br.form.density_splits)
     if len(specials) > 1:  # pragma: no cover - unreachable by domain pinning
         raise AssertionError("catalog admits one non-affine branch")
     pts = sorted(p for p in points if left <= p <= right or p == INF)
     for x, y in zip(pts, pts[1:]):
-        if not x < y:
-            continue
         base: Real = Fraction(0)
         special = None
         for br in sym.branches:
             lo_i, hi_i = br.image()
             if lo_i <= x and y <= hi_i:
-                ab = _affine_like(br.form)
+                ab = br.form.coefficients
                 if ab is not None:
                     base += 1 / abs(ab[0])
                 else:
@@ -585,8 +582,7 @@ def _transfer_once(sym: IntervalSymbol, rho: StepFn) -> StepFn:
     rho'(y) = sum_b rho(inv_b(y)) / |alpha_b| on the image of b."""
     parts = []
     for br in sym.branches:
-        alpha, beta = _affine_like(br.form)
-        form = Affine(alpha, beta)
+        alpha, beta = br.form.coefficients
         w = 1 / abs(alpha)
         pieces = []
         for a, b, v in rho.pieces():
@@ -594,12 +590,7 @@ def _transfer_once(sym: IntervalSymbol, rho: StepFn) -> StepFn:
             hi = min(b, br.hi)
             if not lo < hi or v == 0:
                 continue
-            fa = _affine_at(form, lo)
-            fb = _affine_at(form, hi)
-            if alpha > 0:
-                pieces.append((fa, fb, w * v))
-            else:
-                pieces.append((fb, fa, w * v))
+            pieces.append((*_affine_image(alpha, beta, lo, hi), w * v))
         if pieces:
             parts.append(_fn_from_pieces(sym.space, pieces))
     if not parts:

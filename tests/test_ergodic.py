@@ -283,12 +283,17 @@ def test_convergence_report_shape_and_determinism():
 
 
 def test_spec_labels():
-    from rispace import Lorentz, MarcWeak, Power, WeakLp
+    from rispace import INF, LogClip, Lorentz, MarcStrong, MarcWeak, Power, StepApprox, WeakLp
 
     assert spec_label(Lp(line(), 2)) == "L2"
+    assert spec_label(Lp(line(), INF)) == "Linf"
     assert spec_label(Lorentz(halfline(), 2, 1)) == "Lorentz(2,1)"
     assert spec_label(WeakLp(halfline(), 3)) == "weak-L3"
     assert spec_label(MarcWeak(halfline(), Power(Fraction(1, 2)))) == "m[t^0.5]"
+    assert spec_label(MarcWeak(halfline(), LogClip())) == "m[logclip]"
+    assert spec_label(MarcStrong(halfline(), Power(Fraction(1, 2)))) == "M[t^0.5]"
+    steps = StepApprox(((1, 1), (3, 2)), Fraction(1, 4))
+    assert spec_label(MarcStrong(halfline(), steps)) == "M[steps2]"
     assert spec_label(XiWeight(step(halfline(), [1], [1, 0]))) == "xi"
 
 
@@ -458,6 +463,9 @@ def _assert_canonical(r):
        | _float_cut_instance(),
        st.sampled_from([Fraction(-3, 2), Fraction(1), 0.7]), st.integers(1, 5), deep_fn())
 @settings(max_examples=150, deadline=None)
+# dividing the cuts 3 - 2^-51 and 3 of f* by 0.7 rounds them to one float
+@example((translation_line(), step(line(), [0, 1], [0, 1, 0])), 0.7, 1,
+         step(halfline(), [Fraction(1, 2**51), 3], [1, 2, 0]))
 def test_producers_are_canonical(pair, c, n, deep):
     sym, f = pair
     g = apply(sym, f)

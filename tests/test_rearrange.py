@@ -152,6 +152,15 @@ def test_dilate():
         dilate(f, 0)
 
 
+def test_dilate_drops_a_piece_that_float_division_closes():
+    # f* takes 2 on [0, 3 - 2^-51) and 1 on [3 - 2^-51, 3); both cuts divided
+    # by 0.7 round to one float, so no float lies in the piece of value 1
+    f = rearrangement(step(halfline(), [Fraction(1, 2**51), 3], [1, 2, 0]))
+    d = dilate(f, 0.7)
+    assert d == step(halfline(), [3 / 0.7], [2, 0])
+    assert norm_eval(Lp(halfline(), INF), d) == 2
+
+
 def test_is_acr():
     assert is_acr(step(halfline(), [5], [7, 0]))
     assert not is_acr(constant(halfline(), 1))

@@ -148,6 +148,11 @@ def test_phi_at_catalog():
     assert phi_at(stp, 5) == Fraction(5, 2)  # final slope
     assert phi_at(stp, 0) == 0
     assert phi_at(stp, INF) == INF
+    # the limits at infinity; a final slope of 0 keeps the last knot value
+    assert phi_at(Power(Fraction(1, 2)), INF) == INF
+    assert phi_at(Power(1), INF) == INF
+    assert phi_at(LogClip(), INF) == 1
+    assert phi_at(StepApprox(((1, 1), (3, 2)), 0), INF) == 2
 
 
 def test_quasiconcave_check():
