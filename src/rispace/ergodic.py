@@ -126,6 +126,7 @@ def cesaro_schedule(sym: Symbol, f: MeasFn, schedule: Sequence[int]) -> CesaroTr
     ns = [int(n) for n in schedule]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise ValueError("schedule must be strictly increasing and positive")
+    _check_acts_on(sym, f)
     if _is_finite_permutation(sym):
         means = tuple((n, _permutation_cesaro(sym, f, n)) for n in ns)
         return CesaroTrajectory(sym, f, tuple(ns), means)
@@ -156,7 +157,7 @@ def _is_finite_permutation(sym: Symbol) -> bool:
 def _cycles(sym: AtomicSymbol) -> list[list[int]]:
     seen = set()
     cycles = []
-    for start in range(sym.space.count):
+    for start in range(*sym.space.domain):
         if start in seen:
             continue
         cyc = []
@@ -255,10 +256,10 @@ def maximal_truncated(sym: Symbol, f: MeasFn, K: int) -> MeasFn:
     functions are rounded as the sum of whole step functions rounds them."""
     if K < 1:
         raise ValueError("truncation K must be >= 1")
+    _check_acts_on(sym, f)
     g = abs_fn(f)
     if K == 1:
         return g
-    _check_acts_on(sym, g)
     weights = [Fraction(1, n) for n in range(1, K + 1)]
     if isinstance(sym, AtomicSymbol):
         return _maximal_atomic(sym, g, weights)

@@ -294,7 +294,7 @@ def measfn_to_obj(f: MeasFn) -> dict:
             "space": to_obj(f.space),
             "entries": [[j, json_real(v)] for j, v in f.entries],
         }
-        if f.space.kind == ATOMIC_N:
+        if f.space.has_tail:
             out["tail_value"] = json_real(f.tail)
         return out
     sp = f.space

@@ -956,29 +956,25 @@ def _p_cesaro_paths_agree(rng, size):
 # ---------------------------------------------------------------------------
 
 
+# (upper end of the draw, generator, decoder, counterexample kind)
+_ROUNDTRIPS = (
+    (0.3, lambda rng, size: gen_fn(rng, size, gen_space(rng, size), compact=rng.random() < 0.7),
+     jsonio.measfn_from_obj, "measfn"),
+    (0.55, gen_symbol, jsonio.symbol_from_obj, "symbol"),
+    (0.8, lambda rng, size: gen_normspec(rng, size, gen_space(rng, size)),
+     jsonio.normspec_from_obj, "normspec"),
+    (1.0, lambda rng, size: XiWeight(gen_weight(rng, size)), jsonio.xiweight_from_obj, "xiweight"),
+)
+
+
 def _p_json_roundtrip(rng, size):
     r = rng.random()
-    if r < 0.3:
-        f = gen_fn(rng, size, gen_space(rng, size), compact=rng.random() < 0.7)
-        obj = jsonio.measfn_to_obj(f)
-        back = jsonio.measfn_from_obj(jsonio.loads(jsonio.dumps(obj)))
-        ok, payload = back == f, {"kind": "measfn", "value": obj}
-    elif r < 0.55:
-        sym = gen_symbol(rng, size)
-        obj = jsonio.symbol_to_obj(sym)
-        back = jsonio.symbol_from_obj(jsonio.loads(jsonio.dumps(obj)))
-        ok, payload = back == sym, {"kind": "symbol", "value": obj}
-    elif r < 0.8:
-        spec = gen_normspec(rng, size, gen_space(rng, size))
-        obj = jsonio.normspec_to_obj(spec)
-        back = jsonio.normspec_from_obj(jsonio.loads(jsonio.dumps(obj)))
-        ok, payload = back == spec, {"kind": "normspec", "value": obj}
-    else:
-        w = XiWeight(gen_weight(rng, size))
-        obj = jsonio.xiweight_to_obj(w)
-        back = jsonio.xiweight_from_obj(jsonio.loads(jsonio.dumps(obj)))
-        ok, payload = back == w, {"kind": "xiweight", "value": obj}
-    return None if ok else payload
+    gen, decode, kind = next(row[1:] for row in _ROUNDTRIPS if r < row[0])
+    x = gen(rng, size)
+    obj = jsonio.to_obj(x)
+    if decode(jsonio.loads(jsonio.dumps(obj))) == x:
+        return None
+    return {"kind": kind, "value": obj}
 
 
 # ---------------------------------------------------------------------------

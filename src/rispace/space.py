@@ -5,16 +5,22 @@ interval [0, L)) or completely atomic with equal atom masses (indices from N,
 Z, or {0..count-1}).  These are exactly the resonant spaces, which is the
 setting in which rearrangement inequalities are saturated.
 
+Each kind states its meaning through its ``domain`` [left, right), the
+points or the indices, off which everything else reads, and ``has_tail``:
+only a sequence over N may keep a nonzero tail.
+
 Sets are kept in a closed, exactly measurable class: finite disjoint unions
-of half-open intervals [a, b) on the Lebesgue side (with -inf allowed only on
-the full line and +inf right rays), and finite-or-cofinite index sets on the
-atomic side.  Preimages under the symbol catalog never leave this class.
+of half-open intervals [a, b) within the domain on the Lebesgue side (so
+-inf only on the full line, and +inf right rays), and finite-or-cofinite
+index sets on the atomic side.  Preimages under the symbol catalog never
+leave this class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .num import INF, NEG_INF, Real, as_real
@@ -28,6 +34,7 @@ ATOMIC_FINITE = "atomic_finite"
 
 _LEBESGUE_KINDS = (LEBESGUE_HALFLINE, LEBESGUE_LINE, LEBESGUE_INTERVAL)
 _ATOMIC_KINDS = (ATOMIC_N, ATOMIC_Z, ATOMIC_FINITE)
+_TWO_SIDED_KINDS = (LEBESGUE_LINE, ATOMIC_Z)
 
 
 @dataclass(frozen=True)
@@ -64,32 +71,32 @@ class MeasureSpace:
     def is_atomic(self) -> bool:
         return self.kind in _ATOMIC_KINDS
 
-    @property
+    @cached_property
     def domain(self) -> tuple[Real, Real]:
-        """[left, right) endpoints of the Lebesgue carrier."""
-        if self.kind == LEBESGUE_HALFLINE:
-            return (Fraction(0), INF)
-        if self.kind == LEBESGUE_LINE:
-            return (NEG_INF, INF)
-        if self.kind == LEBESGUE_INTERVAL:
-            return (Fraction(0), self.length)
-        raise ValueError("atomic space has no interval domain")
+        """[left, right): the points of a Lebesgue space, the indices of an
+        atomic one (int ends, so ``range(*domain)`` lists a finite space).
+        The left end is -inf on the line and Z, else 0; the right end is the
+        length or the count, if the kind has one, else +inf."""
+        if self.kind in _TWO_SIDED_KINDS:
+            left = NEG_INF
+        else:
+            left = 0 if self.is_atomic else Fraction(0)
+        end = self.length if self.count is None else self.count
+        return (left, INF if end is None else end)
 
     def valid_index(self, j: int) -> bool:
-        if self.kind == ATOMIC_N:
-            return j >= 0
-        if self.kind == ATOMIC_Z:
-            return True
-        if self.kind == ATOMIC_FINITE:
-            return 0 <= j < self.count
-        raise ValueError("not an atomic space")
+        left, right = self.domain
+        return left <= j < right
 
     def total_measure(self) -> Real:
-        if self.kind == LEBESGUE_INTERVAL:
-            return self.length
-        if self.kind == ATOMIC_FINITE:
-            return self.atom_mass * self.count
-        return INF
+        left, right = self.domain
+        return self.atom_mass * (right - left) if self.is_atomic else right - left
+
+    @property
+    def has_tail(self) -> bool:
+        """Whether a sequence here may keep a nonzero tail: only over N, the
+        one catalog space where such a tail arises."""
+        return self.kind == ATOMIC_N
 
 
 def halfline() -> MeasureSpace:
@@ -151,8 +158,6 @@ class IntervalSet:
             raise ValueError("IntervalSet needs a Lebesgue space")
         left, right = self.space.domain
         for a, b in self.intervals:
-            if a == NEG_INF and self.space.kind != LEBESGUE_LINE:
-                raise ValueError("left ray only allowed on the full line")
             if a < left or b > right:
                 raise ValueError(f"[{a}, {b}) outside the space domain")
 
@@ -242,9 +247,7 @@ class AtomicSet:
             if not self.space.valid_index(j):
                 raise ValueError(f"index {j} outside the space's range")
         if self.cofinite and self.space.kind == ATOMIC_FINITE:
-            members = frozenset(
-                j for j in range(self.space.count) if j not in self.atoms
-            )
+            members = frozenset(range(*self.space.domain)) - self.atoms
             object.__setattr__(self, "atoms", members)
             object.__setattr__(self, "cofinite", False)
 

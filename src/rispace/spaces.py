@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .num import INF, Real, as_real, fmt_real, is_finite, log_real, rational_pow
+from .num import INF, Real, as_real, fmt_real, is_finite, log_real, rational_pow, to_float
 from .rearrange import _hardy_sweep, is_rearranged, rearrangement
-from .space import ATOMIC_N, AtomicSet, MeasureSpace, interval_set
-from .stepfn import MeasFn, StepFn, indicator, integrate, pointwise_mul, seq
+from .space import AtomicSet, MeasureSpace, empty_set, interval_set
+from .stepfn import MeasFn, StepFn, indicator, integrate, pointwise_mul
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,12 @@ class Lp:
                 continue
             if b == INF:
                 return INF
-            total += rational_pow(v, p) * (b - a)
+            try:
+                total += rational_pow(v, p) * (b - a)
+            except OverflowError:  # a float met a rational past the double range
+                raise ValueError("a term of the Lp norm is out of the double range") from None
+        if total != total:  # inf * 0.0: a float power met a width below the double range
+            raise ValueError("a term of the Lp norm is out of the double range")
         if p == 1:
             return total
         return rational_pow(total, 1 / p)
@@ -355,7 +360,14 @@ class MarcStrong:
         if best == INF:
             return INF
         for t in candidates:
-            best = max(best, phi_at(phi, t) * hardy[t] / t)
+            phi_t = phi_at(phi, t)
+            try:
+                term = phi_t * hardy[t] / t
+            except (OverflowError, ZeroDivisionError):
+                # a float Phi(t) met a t or H(t) off the double range; the
+                # mean H(t)/t of r over [0, t) is on it
+                term = phi_t * to_float(Fraction(hardy[t]) / Fraction(t))
+            best = max(best, term)
         return best
 
 
@@ -397,26 +409,18 @@ def fundamental_function(spec: NormSpec, t) -> Real:
     if t == 0:
         return Fraction(0)
     sp = spec.space
-    total = sp.total_measure()
-    if t > total:
+    if t > sp.total_measure():
         raise ValueError(f"t={t} exceeds the space's total measure")
-    if sp.is_atomic:
-        if t == INF:
-            if sp.kind != ATOMIC_N:
-                raise ValueError("no representable indicator of infinite measure here")
-            f: MeasFn = seq(sp, {}, tail=1)
-        else:
-            k = t / sp.atom_mass
-            if not (isinstance(k, Fraction) and k.denominator == 1):
-                raise ValueError(f"t={t} is not a multiple of the atom mass")
-            f = indicator(sp, AtomicSet(sp, frozenset(range(int(k)))))
+    if t == INF:  # the whole space: over atoms, its indicator needs the tail of N
+        E = empty_set(sp).complement()
+    elif sp.is_atomic:
+        k = t / sp.atom_mass
+        if not (isinstance(k, Fraction) and k.denominator == 1):
+            raise ValueError(f"t={t} is not a multiple of the atom mass")
+        E = AtomicSet(sp, frozenset(range(int(k))))
     else:
-        left, _ = sp.domain
-        if t == INF:
-            f = indicator(sp, interval_set(sp, [(left, INF)]))
-        else:
-            f = indicator(sp, interval_set(sp, [(0, t)]))
-    return norm_eval(spec, f)
+        E = interval_set(sp, [(0, t)])
+    return norm_eval(spec, indicator(sp, E))
 
 
 def xi_seminorm(w: XiWeight, f: MeasFn) -> Real:

@@ -19,12 +19,7 @@ from functools import cached_property
 from typing import Union
 
 from .num import INF, NEG_INF, Real, as_real, is_finite
-from .space import (
-    ATOMIC_N,
-    AtomicSet,
-    IntervalSet,
-    MeasureSpace,
-)
+from .space import AtomicSet, IntervalSet, MeasureSpace
 
 
 class UndefinedIntegralError(ValueError):
@@ -114,9 +109,8 @@ class AtomSeq:
     build it with ``seq``.
 
     ``tail`` is the value at every index not listed in ``entries``; it may be
-    nonzero only over N (the only atomic catalog space where a constant
-    nonzero tail arises).  Entries are sorted by index and never equal the
-    tail; all values are finite.
+    nonzero only where the space ``has_tail`` (over N).  Entries are sorted
+    by index and never equal the tail; all values are finite.
     """
 
     space: MeasureSpace
@@ -150,7 +144,7 @@ def seq(space: MeasureSpace, entries, tail=0) -> AtomSeq:
     s = _merged_seq(space, [(int(j), as_real(v)) for j, v in items], tail)
     if not space.is_atomic:
         raise ValueError("AtomSeq needs an atomic space")
-    if tail != 0 and space.kind != ATOMIC_N:
+    if tail != 0 and not space.has_tail:
         raise ValueError("nonzero tail is only supported over N")
     indices = [j for j, _ in s.entries]
     if not all(map(space.valid_index, indices)) or len(set(indices)) < len(indices):
@@ -179,7 +173,7 @@ def indicator(space: MeasureSpace, E) -> MeasFn:
         return _fn_from_pieces(space, [(a, b, Fraction(1)) for a, b in E.intervals])
     if isinstance(E, AtomicSet):
         if E.cofinite:
-            if space.kind != ATOMIC_N:
+            if not space.has_tail:
                 raise ValueError("co-finite indicator needs a nonzero tail over N")
             return seq(space, {j: 0 for j in E.atoms}, tail=1)
         return seq(space, {j: 1 for j in E.atoms})

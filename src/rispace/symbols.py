@@ -34,7 +34,6 @@ from .num import INF, NEG_INF, Real, as_real, is_finite, log_real, nth_root, rat
 from .space import (
     ATOMIC_FINITE,
     ATOMIC_N,
-    ATOMIC_Z,
     AtomicSet,
     IntervalSet,
     MeasureSpace,
@@ -300,10 +299,12 @@ class AtomicSymbol:
         return dict(self.table)
 
     def image_of(self, j: int) -> int:
+        k = self._images.get(j)
+        if k is not None:  # the table holds valid indices only
+            return k
         if not self.space.valid_index(j):
             raise ValueError(f"index {j} outside the space's range")
-        k = self._images.get(j)
-        return j + self.shift if k is None else k
+        return j + self.shift
 
     def is_permutation(self) -> bool:
         if self.space.kind != ATOMIC_FINITE:
@@ -451,17 +452,14 @@ class PowerBounds:
 
 def _atomic_window(sym: AtomicSymbol, horizon: int) -> tuple[int, int]:
     """Source range outside which orbits follow the pure shift for the whole
-    horizon: the span of the table's indices and images, padded on each side
-    by horizon * |c| + 2 whatever the sign of those indices."""
-    keys = [j for j, _ in sym.table]
-    vals = [k for _, k in sym.table]
-    hi = max(keys + vals, default=0) + 1
-    lo = min(keys + vals + [0], default=0)
-    c = abs(sym.shift or 0)
-    pad = horizon * c + 2
-    if sym.space.kind == ATOMIC_Z:
-        return (lo - pad, hi + pad)
-    return (0, hi + pad)
+    horizon: the span of the table's indices and images (widened to reach
+    0 on the left), padded on each side by horizon * |c| + 2 and clipped to
+    the domain.  On a finite space the table covers every atom, so the
+    window is the whole space."""
+    ends = [j for row in sym.table for j in row]
+    pad = horizon * abs(sym.shift or 0) + 2
+    left, right = sym.space.domain
+    return (max(min(ends + [0]) - pad, left), min(max(ends, default=0) + 1 + pad, right))
 
 
 def _atomic_sweep(sym: AtomicSymbol, horizon: int):
@@ -471,25 +469,19 @@ def _atomic_sweep(sym: AtomicSymbol, horizon: int):
     outside the window follow the pure shift and contribute one preimage to
     each target they reach, and windowed orbits cannot escape the counted
     target range, so every valid target beyond it has exactly one preimage.
+    A window that is the whole (finite) space leaves no target beyond it.
     """
-    if sym.space.kind == ATOMIC_FINITE:
-        pos = list(range(sym.space.count))
-        for n in range(1, horizon + 1):
-            pos = [sym.image_of(j) for j in pos]
-            hits = Counter(pos)
-            counts = [hits[t] for t in range(sym.space.count)]
-            yield n, Fraction(max(counts)), Fraction(min(counts))
-        return
-    c = sym.shift
+    c = sym.shift or 0
+    left, right = sym.space.domain
     lo_w, hi_w = _atomic_window(sym, horizon)
     pos = list(range(lo_w, hi_w))
     for n in range(1, horizon + 1):
         pos = [sym.image_of(j) for j in pos]
         hits = Counter(pos)
         pad = n * abs(c) + 1
-        t_lo = 0 if sym.space.kind == ATOMIC_N else lo_w - pad
-        counts = [1]  # the generic target beyond the counted range
-        for t in range(t_lo, hi_w + pad):
+        # the generic target beyond the counted range, if there is one
+        counts = [] if (lo_w, hi_w) == (left, right) else [1]
+        for t in range(max(lo_w - pad, left), min(hi_w + pad, right)):
             j = t - n * c
             outside = (j < lo_w or j >= hi_w) and sym.space.valid_index(j)
             counts.append(hits[t] + outside)
@@ -500,7 +492,9 @@ def atomic_power(sym: AtomicSymbol, k: int) -> AtomicSymbol:
     """The k-fold composition phi^k as an explicit atomic symbol.
 
     Outside the horizon-k window the orbit never touches the table, so the
-    power acts as the pure shift by k*c there; only the window needs entries.
+    power acts as the pure shift by k*c there; only the window needs entries,
+    and only those where the orbit leaves the shift.  A finite space has no
+    shift rule, and its window, the whole space, keeps every entry.
     """
     if k < 0:
         raise ValueError("power must be >= 0")
@@ -510,15 +504,11 @@ def atomic_power(sym: AtomicSymbol, k: int) -> AtomicSymbol:
             j = sym.image_of(j)
         return j
 
-    if sym.space.kind == ATOMIC_FINITE:
-        table = tuple((j, orbit(j)) for j in range(sym.space.count))
-        return AtomicSymbol(sym.space, table, None)
-    c = sym.shift * k
-    lo_w, hi_w = _atomic_window(sym, max(k, 1))
+    c = None if sym.shift is None else sym.shift * k
     table = []
-    for j in range(lo_w, hi_w):
+    for j in range(*_atomic_window(sym, max(k, 1))):
         t = orbit(j)
-        if t != j + c:
+        if c is None or t != j + c:
             table.append((j, t))
     return AtomicSymbol(sym.space, tuple(table), c)
 

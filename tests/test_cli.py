@@ -344,6 +344,37 @@ def test_eval_norm_with_an_extreme_exponent_finishes(spec):
         jsonio.loads(out.stdout)  # no NaN or other non-JSON literal
 
 
+# a half-line step function whose cuts lie off the double range on both sides
+_OFF_RANGE_FN = {"space": _HALFLINE, "breakpoints": [0, "1e-400", "1e400"], "values": [3, 2],
+                 "right_tail": 0}
+
+
+def test_eval_norm_off_the_double_range(tmp_path, capsys):
+    # Phi(t) H(t)/t peaks at t = 1e400, where H(t)/t is about 2
+    spec = {"kind": "marcinkiewicz_strong", "space": _HALFLINE,
+            "phi": {"kind": "power", "alpha": "1/3"}}
+    rc, got = _eval(tmp_path, capsys, {"spec": spec, "function": _OFF_RANGE_FN}, "norm")
+    assert rc == 0 and got["value"] == pytest.approx(2 * 10 ** (400 / 3))
+    spec = {"kind": "lp", "space": _HALFLINE, "p": "1e30"}
+    err = _eval_error(tmp_path, capsys, {"spec": spec, "function": _OFF_RANGE_FN}, "norm")
+    assert err.startswith("error:")
+
+
+_N_SHIFT = {"space": {"kind": "atomic_n", "atom_mass": 1}, "table": [], "shift": 1}
+_CYCLE_OF_3 = {"space": {"kind": "atomic_finite", "count": 3, "atom_mass": 1},
+               "table": [[0, 1], [1, 2], [2, 0]]}
+
+
+@pytest.mark.parametrize("operation, payload", [
+    ("cesaro", {"symbol": _N_SHIFT, "function": HALFLINE_FN, "n": 1}),
+    ("maximal", {"symbol": _N_SHIFT, "function": HALFLINE_FN, "K": 1}),
+    ("cesaro", {"symbol": _CYCLE_OF_3, "function": dict(HALFLINE_FN, values=[5, 7]), "n": 4}),
+])
+def test_eval_on_a_function_off_the_symbols_space_exits_2(tmp_path, capsys, operation, payload):
+    err = _eval_error(tmp_path, capsys, payload, operation)
+    assert err == "error: function and symbol live on different spaces\n"
+
+
 def test_eval_unknown_field_exits_2(tmp_path, capsys):
     err = _eval_error(tmp_path, capsys, {"function": HALFLINE_FN, "extra": 1}, "rearrange")
     assert "'extra'" in err

@@ -6,16 +6,21 @@ from hypothesis import strategies as st
 
 from rispace import (
     INF,
+    NEG_INF,
+    Lp,
     atomic_finite,
     atomic_n,
     atomic_set,
     atomic_z,
     empty_set,
+    fundamental_function,
     halfline,
+    indicator,
     interval,
     interval_set,
     line,
     measure,
+    seq,
 )
 
 
@@ -43,6 +48,47 @@ def test_valid_index():
     assert atomic_z().valid_index(-5)
     assert atomic_finite(3).valid_index(2)
     assert not atomic_finite(3).valid_index(3)
+
+
+def test_space_facts_of_every_kind():
+    # Lebesgue spaces: the points [left, right) and their total measure
+    for sp, domain in ((halfline(), (0, INF)), (line(), (NEG_INF, INF)),
+                       (interval(Fraction(5, 2)), (0, Fraction(5, 2)))):
+        assert sp.domain == domain and not sp.has_tail
+        assert sp.total_measure() == domain[1] - domain[0]
+    # atomic spaces: the indices [left, right), the first and last valid
+    # index (None when unbounded), and the one kind with a nonzero tail
+    for sp, domain, total, first, last in (
+            (atomic_n(Fraction(1, 2)), (0, INF), INF, 0, None),
+            (atomic_z(3), (NEG_INF, INF), INF, None, None),
+            (atomic_finite(4, Fraction(1, 2)), (0, 4), 2, 0, 3)):
+        assert sp.domain == domain
+        assert sp.has_tail == (sp == atomic_n(Fraction(1, 2)))
+        assert sp.total_measure() == total
+        if first is None:
+            assert sp.valid_index(-10**30)
+        else:
+            assert sp.valid_index(first) and not sp.valid_index(first - 1)
+        if last is None:
+            assert sp.valid_index(10**30)
+        else:
+            assert sp.valid_index(last) and not sp.valid_index(last + 1)
+    assert list(range(*atomic_finite(4).domain)) == [0, 1, 2, 3]
+    # a nonzero tail, and so a set of infinite measure, only over N
+    spn = atomic_n()
+    assert seq(spn, {}, tail=1).tail == 1
+    assert fundamental_function(Lp(spn, 1), INF) == INF
+    assert indicator(spn, atomic_set(spn, [0], cofinite=True)) == seq(spn, {0: 0}, tail=1)
+    for sp in (atomic_z(), atomic_finite(3)):
+        with pytest.raises(ValueError):
+            seq(sp, {}, tail=1)
+        with pytest.raises(ValueError):
+            fundamental_function(Lp(sp, 1), INF)
+    with pytest.raises(ValueError):
+        indicator(atomic_z(), atomic_set(atomic_z(), [0], cofinite=True))
+    # a cofinite set on a finite space is written out as its members
+    fin = atomic_finite(3)
+    assert indicator(fin, atomic_set(fin, [0], cofinite=True)) == seq(fin, {1: 1, 2: 1})
 
 
 def test_interval_set_merging_and_measure():
