@@ -1,12 +1,13 @@
 """Composition operators T f = f ∘ phi, their Cesàro means, and diagnostics.
 
 Everything is computed exactly on the step/sequence representations:
-``apply`` pulls the level decomposition of f back through the symbol's
-preimage machinery, Cesàro means accumulate iterates with rational weights,
-and the truncated maximal operator is one sweep over the iterates of |f|,
-index by index or cell by cell, that reads each partial average only where
-it can be the largest.  Limits are only ever produced by oracles (orbit averages
-for finite permutations); nothing is extrapolated.
+``apply`` has the symbol pull f back (each symbol family's ``pull_back``
+moves the pieces or entries of f through its preimages), Cesàro means
+accumulate iterates with rational weights, and the truncated maximal
+operator is one sweep over the iterates of |f|, index by index or cell by
+cell, that reads each partial average only where it can be the largest.
+Limits are only ever produced by oracles (orbit averages for finite
+permutations); nothing is extrapolated.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import jsonio
-from .num import INF, Real, fmt_real
+from .num import INF, Real, as_int, fmt_real
 from .rearrange import distribution_at
 from .spaces import NormSpec, XiWeight, fundamental_function, norm_eval, xi_seminorm
 from .stepfn import (
     AtomSeq,
     MeasFn,
     StepFn,
-    _fn_from_pieces,
     _merged_seq,
     _merged_step,
     _on_cells,
@@ -33,7 +33,7 @@ from .stepfn import (
     linear_combine,
     subtract,
 )
-from .symbols import AtomicSymbol, IntervalSymbol, Symbol, _atomic_preimage
+from .symbols import AtomicSymbol, Symbol
 
 
 # ---------------------------------------------------------------------------
@@ -42,52 +42,24 @@ from .symbols import AtomicSymbol, IntervalSymbol, Symbol, _atomic_preimage
 
 
 def apply(sym: Symbol, f: MeasFn) -> MeasFn:
-    """T f = f ∘ phi, exact.
-
-    For interval symbols each piece of f is pulled back branch-by-branch;
-    the preimages of the pieces tile the domain up to null sets, so the
-    result is again a step function.  For atomic symbols only finitely many
-    indices can disagree with the tail behavior f(j + c)."""
+    """T f = f ∘ phi, exact: the symbol pulls f back (``pull_back``)."""
     _check_acts_on(sym, f)
-    if isinstance(sym, AtomicSymbol):
-        return _merged_seq(sym.space, _pull_back(sym, f._values).items(), f.tail)
-    return _apply_interval(sym, f)
+    return sym.pull_back(f)
 
 
 def _check_acts_on(sym: Symbol, f: MeasFn) -> None:
+    """The carrier follows from the space, as ``step`` and ``seq`` pin it."""
     if f.space != sym.space:
         raise ValueError("function and symbol live on different spaces")
-    if isinstance(sym, AtomicSymbol):
-        if not isinstance(f, AtomSeq):
-            raise ValueError("atomic symbols act on atom sequences")
-    elif not isinstance(f, StepFn):
-        raise ValueError("interval symbols act on step functions")
-
-
-def _pull_back(sym: AtomicSymbol, values: dict[int, Real]) -> dict[int, Real]:
-    """The entries of h ∘ phi for a sequence h given by its entries off its
-    tail.  Every value listed must differ from h's tail; then h ∘ phi leaves
-    the tail exactly on phi^{-1}(the listed indices)."""
-    return {j: values[sym.image_of(j)] for j in _atomic_preimage(sym, values)}
-
-
-def _apply_interval(sym: IntervalSymbol, f: StepFn) -> StepFn:
-    pieces = []
-    for br in sym.branches:
-        for a, b, v in f.pieces():
-            if v == 0:
-                continue
-            got = br.preimage_interval(a, b)
-            if got is not None:
-                pieces.append((got[0], got[1], v))
-    return _fn_from_pieces(sym.space, pieces)
 
 
 def iterate_apply(sym: Symbol, f: MeasFn, k: int) -> MeasFn:
     """T^k f by k-fold application (the catalog is not closed under
     composition, so powers are never formed symbolically)."""
+    k = as_int(k)
     if k < 0:
         raise ValueError("iterate count must be >= 0")
+    _check_acts_on(sym, f)
     cur = f
     for _ in range(k):
         cur = apply(sym, cur)
@@ -123,7 +95,7 @@ def cesaro_schedule(sym: Symbol, f: MeasFn, schedule: Sequence[int]) -> CesaroTr
     = 0 at the first) and the iterates since it:
     C_n = (m/n) C_m + (1/n) sum_{m<=i<n} T^i f.  Finite permutations take
     the closed form along cycles instead."""
-    ns = [int(n) for n in schedule]
+    ns = [as_int(n) for n in schedule]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise ValueError("schedule must be strictly increasing and positive")
     _check_acts_on(sym, f)
@@ -191,8 +163,7 @@ def _permutation_cesaro(sym: AtomicSymbol, f: AtomSeq, n: int) -> AtomSeq:
 def permutation_limit(sym: AtomicSymbol, f: AtomSeq) -> AtomSeq:
     """The mean-ergodic limit for a finite permutation: orbit averages."""
     _require_permutation(sym)
-    if f.space != sym.space:
-        raise ValueError("function and symbol live on different spaces")
+    _check_acts_on(sym, f)
     values = {}
     for cyc in _cycles(sym):
         avg = sum(f.value_at(j) for j in cyc) * Fraction(1, len(cyc))
@@ -254,6 +225,7 @@ def maximal_truncated(sym: Symbol, f: MeasFn, K: int) -> MeasFn:
     with T^i |f| nonzero; only those n are visited (all n where a tail over
     N adds at every step).  Ties keep the smaller n.  Float-valued step
     functions are rounded as the sum of whole step functions rounds them."""
+    K = as_int(K)
     if K < 1:
         raise ValueError("truncation K must be >= 1")
     _check_acts_on(sym, f)
@@ -288,7 +260,7 @@ def _maximal_atomic(sym: AtomicSymbol, g: AtomSeq, weights: list[Fraction]) -> A
     tail = g.tail
     iterates = [g._values]
     for _ in range(len(weights) - 1):
-        iterates.append(_pull_back(sym, iterates[-1]))
+        iterates.append(sym.pull_back_values(iterates[-1]))
     events: dict[int, list] = {}
     if tail == 0:
         for i, it in enumerate(iterates):
@@ -354,11 +326,7 @@ def weak_type_ratio(
     s_grid: Sequence[Real],
 ) -> Real:
     """max over the grid of s · phi_X(mu({T#_K f > s})) / ||f||_X."""
-    if isinstance(f, AtomSeq):
-        nonneg = all(v >= 0 for _, v in f.entries) and f.tail >= 0
-    else:
-        nonneg = all(v >= 0 for v in f.vals)
-    if not nonneg:
+    if any(v < 0 for _, v in f.cells()):
         raise ValueError("weak-type ratios are defined for nonnegative f")
     denom = norm_eval(spec, f)
     if denom == 0:

@@ -50,6 +50,14 @@ def as_real(x) -> Real:
     raise TypeError(f"cannot interpret {x!r} as a real number")
 
 
+def as_int(x) -> int:
+    """An index or a count as an int: a boolean, or a number that is not
+    whole, is refused rather than truncated."""
+    if isinstance(x, bool) or int(x) != x:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def is_finite(x: Real) -> bool:
     """False for a float inf or NaN; a Fraction is always finite."""
     return not (isinstance(x, float) and not math.isfinite(x))

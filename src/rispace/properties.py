@@ -368,12 +368,6 @@ def _iter_cap(sym: Symbol, deep: int, shallow: int = 6) -> int:
     return min(deep, shallow)
 
 
-def _values_of(f: MeasFn) -> list[Real]:
-    if isinstance(f, AtomSeq):
-        return [v for _, v in f.entries] + [f.tail]
-    return list(f.vals)
-
-
 def _sup_abs(f: AtomSeq) -> Fraction:
     return max((abs(v) for _, v in f.entries), default=Fraction(0))
 
@@ -503,7 +497,7 @@ def _p_rearrangement_equimeasurable(rng, size):
     sp = gen_space(rng, size)
     f = gen_fn(rng, size, sp, compact=rng.random() < 0.7)
     r = rearrangement(f)
-    levels = sorted({abs(v) for v in _values_of(f)} | {Fraction(0)})
+    levels = sorted({abs(v) for _, v in f.cells()} | {Fraction(0)})
     probes = list(levels)
     for a, b in zip(levels, levels[1:]):
         probes.append((a + b) / 2)

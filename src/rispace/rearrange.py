@@ -1,10 +1,11 @@
 """Distribution functions, non-increasing rearrangements, and comparisons.
 
-The rearrangement of a catalog function is computed exactly: collect the
-finitely many levels of |f|, sort them in descending order, and lay them out
-left to right on [0, infinity) with their measures as widths.  A positive
-level of infinite measure becomes the rearrangement's tail value (the
-function then fails the absolutely-continuous-rearrangement property).
+The rearrangement of a catalog function is computed exactly: merge the level
+cells of f (``cells()``, for either carrier) into the finitely many levels of
+|f|, sort them in descending order, and lay them out left to right on
+[0, infinity) with their measures as widths.  A positive level of infinite
+measure becomes the rearrangement's tail value (the function then fails the
+absolutely-continuous-rearrangement property).
 That costs O(n log n) for n pieces (the sort of the levels), and it is paid
 once per function object: ``rearrangement`` keeps f* on the (immutable)
 function, and every norm and comparison reads it from there.
@@ -24,10 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .num import INF, Real, as_real
+from .num import INF, Real, as_real, is_finite
 from .space import halfline
 from .stepfn import (
-    AtomSeq,
     MeasFn,
     StepFn,
     _fn_from_pieces,
@@ -45,31 +45,27 @@ def distribution_at(f: MeasFn, s) -> Real:
     s = as_real(s)
     if s < 0:
         raise ValueError("distribution function needs s >= 0")
-    if isinstance(f, AtomSeq):
-        if abs(f.tail) > s:
-            return INF
-        n = sum(1 for _, v in f.entries if abs(v) > s)
-        return f.space.atom_mass * n
-    # a ray's width b - a is INF, and INF absorbs every other width
-    return sum((b - a for a, b, v in f.pieces() if abs(v) > s), Fraction(0))
+    total: Real = Fraction(0)
+    for m, v in f.cells():
+        if abs(v) > s:
+            if not is_finite(m):  # INF absorbs every other measure
+                return INF
+            total += m
+    return total
 
 
 def _levels(f: MeasFn) -> dict[Real, Real]:
     """Map |value| -> total measure of that level set, skipping level 0."""
     levels: dict[Real, Real] = {}
-    if isinstance(f, AtomSeq):
-        for _, v in f.entries:
-            if v != 0:
-                key = abs(v)
-                levels[key] = levels.get(key, Fraction(0)) + f.space.atom_mass
-        if f.tail != 0:
-            levels[abs(f.tail)] = INF
-        return levels
-    for a, b, v in f.pieces():
-        if v != 0:
-            # a ray's width b - a is INF, and INF absorbs every other width
-            key = abs(v)
-            levels[key] = levels.get(key, Fraction(0)) + (b - a)
+    for m, v in f.cells():
+        key = abs(v)
+        got = levels.get(key)
+        if got is None:
+            levels[key] = m
+        elif is_finite(got) and is_finite(m):
+            levels[key] = got + m
+        else:  # INF absorbs every other measure, without float() of a Fraction
+            levels[key] = INF
     return levels
 
 
@@ -135,7 +131,10 @@ def _hardy_sweep(r: StepFn, ts):
         while b <= t and b != INF:
             total += v * (b - a)
             a, b, v = next(pieces)
-        yield total if v == 0 or a == t else total + v * (t - a)
+        if v == 0 or a == t:
+            yield total
+        else:  # at t = inf, v > 0 on the last piece, a ray: H(t) = INF
+            yield total + v * (t - a) if is_finite(t) else INF
 
 
 def hlp_leq(f: MeasFn, g: MeasFn) -> bool:

@@ -8,6 +8,9 @@ default may be nonzero only over N).  Values stay ``Fraction`` whenever the
 inputs are rational, so identities like canonical equality after a linear
 combination are exact, not epsilon-true.  Build both with ``step``/``seq``,
 which check outside input; the operations below share their merges.
+Both give their level cells (``cells()``), all that the distribution
+function, the rearrangement and sign checks read; the operations that need a
+different algorithm per carrier keep one branch each.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
-from .num import INF, NEG_INF, Real, as_real, is_finite
+from .num import INF, NEG_INF, Real, as_int, as_real, is_finite
 from .space import AtomicSet, IntervalSet, MeasureSpace
 
 
@@ -52,6 +55,15 @@ class StepFn:
         bounds = (left,) + self.cuts + (right,)
         for i, v in enumerate(self.vals):
             yield bounds[i], bounds[i + 1], v
+
+    def cells(self):
+        """Yield (measure, value) for each nonzero piece; a ray's measure is
+        INF, told by its end's type and not by subtracting its finite end."""
+        left, right = self.space.domain
+        bounds = (left,) + self.cuts + (right,)
+        for a, b, v in zip(bounds, bounds[1:], self.vals):
+            if v != 0:
+                yield (b - a if is_finite(a) and is_finite(b) else INF), v
 
 
 def _merged_step(space: MeasureSpace, cuts, vals) -> StepFn:
@@ -126,6 +138,14 @@ class AtomSeq:
             raise ValueError(f"index {j} outside the space's range")
         return self._values.get(j, self.tail)
 
+    def cells(self):
+        """Yield (measure, value) for each nonzero entry, then (INF, tail) for
+        a nonzero tail: a tail over N is one cell."""
+        mass = self.space.atom_mass
+        yield from ((mass, v) for _, v in self.entries if v != 0)
+        if self.tail != 0:
+            yield INF, self.tail
+
 
 def _merged_seq(space: MeasureSpace, items, tail: Real = Fraction(0)) -> AtomSeq:
     """The AtomSeq of the (index, value) items that differ from the tail,
@@ -141,7 +161,7 @@ def seq(space: MeasureSpace, entries, tail=0) -> AtomSeq:
     coerce, drop entries equal to the tail, sort, and check the result."""
     tail = as_real(tail)
     items = entries.items() if isinstance(entries, dict) else entries
-    s = _merged_seq(space, [(int(j), as_real(v)) for j, v in items], tail)
+    s = _merged_seq(space, [(as_int(j), as_real(v)) for j, v in items], tail)
     if not space.is_atomic:
         raise ValueError("AtomSeq needs an atomic space")
     if tail != 0 and not space.has_tail:

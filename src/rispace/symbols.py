@@ -16,6 +16,10 @@ Two families:
   interval differs from the true preimage by at most two endpoints, a null
   set; all measures are unaffected.
 
+Each family answers for its ``preimage``, its ``pull_back`` (f ∘ phi) and
+its ``bound_rows``, and says whether those are ``certified``; the functions
+below read these answers and never ask which family they hold.
+
 Iterates are always handled operator-side (apply the preimage n times);
 branch forms are never composed symbolically, since the catalog is not
 closed under composition.
@@ -30,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
-from .num import INF, NEG_INF, Real, as_real, is_finite, log_real, nth_root, rational_pow
+from .num import INF, NEG_INF, Real, as_int, as_real, is_finite, log_real, nth_root, rational_pow
 from .space import (
     ATOMIC_FINITE,
     ATOMIC_N,
@@ -40,7 +44,7 @@ from .space import (
     _normalize_intervals,
     interval_set,
 )
-from .stepfn import StepFn, _fn_from_pieces, constant, linear_combine
+from .stepfn import AtomSeq, StepFn, _fn_from_pieces, _merged_seq, constant, linear_combine
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +264,54 @@ class IntervalSymbol:
         if cursor != right:
             raise ValueError("branch domains must partition the space's domain")
 
+    @cached_property
+    def certified(self) -> bool:
+        """True when every branch is affine, so the bound rows are exact."""
+        return all(br.form.coefficients for br in self.branches)
+
+    def _pulled(self, u, v):
+        """Yield the nonempty preimages (a, b) of [u, v), branch by branch."""
+        for br in self.branches:
+            got = br.preimage_interval(u, v)
+            if got is not None:
+                yield got
+
+    def preimage(self, E: IntervalSet) -> IntervalSet:
+        pieces = [got for u, v in E.intervals for got in self._pulled(u, v)]
+        return IntervalSet(self.space, _normalize_intervals(pieces, allow_overlap=True))
+
+    def pull_back(self, f: StepFn) -> StepFn:
+        """f ∘ phi: the preimages of the nonzero pieces of f tile the domain
+        up to null sets, so the result is again a step function."""
+        pieces = [(a2, b2, v) for a, b, v in f.pieces() if v != 0 for a2, b2 in self._pulled(a, b)]
+        return _fn_from_pieces(self.space, pieces)
+
+    def bound_rows(self, horizon: int):
+        """Yield (n, A_n, C_n), n = 1..horizon, with C_n mu(E) <= mu(phi^{-n} E)
+        <= A_n mu(E): exact from the n-step transfer density when certified,
+        else ratios over the dyadic test family (A_n only a lower estimate)."""
+        if self.certified:
+            rho = constant(self.space, 1)
+            for n in range(1, horizon + 1):
+                rho = _transfer_once(self, rho)
+                yield n, max(rho.vals), min(rho.vals)
+            return
+        family = _dyadic_family(self.space)
+        sets = family
+        for n in range(1, horizon + 1):
+            sets = [self.preimage(E) for E in sets]
+            a: Real = Fraction(0)
+            c: Real = INF
+            for E0, En in zip(family, sets):
+                m0, mn = E0.measure(), En.measure()
+                if mn == INF:
+                    a = INF
+                elif m0 != INF:
+                    r = mn / m0
+                    a = max(a, r)
+                    c = min(c, r)
+            yield n, a, c
+
 
 @dataclass(frozen=True)
 class AtomicSymbol:
@@ -270,7 +322,7 @@ class AtomicSymbol:
     def __post_init__(self):
         if not self.space.is_atomic:
             raise ValueError("AtomicSymbol needs an atomic space")
-        tbl = tuple(sorted((int(j), int(k)) for j, k in self.table))
+        tbl = tuple(sorted((as_int(j), as_int(k)) for j, k in self.table))
         object.__setattr__(self, "table", tbl)
         seen = set()
         for j, k in tbl:
@@ -294,6 +346,8 @@ class AtomicSymbol:
                             f"index {j} would map to the negative index {j + self.shift}"
                         )
 
+    certified = True  # preimage counts are exact
+
     @cached_property
     def _images(self) -> dict[int, int]:
         return dict(self.table)
@@ -311,6 +365,57 @@ class AtomicSymbol:
             return False
         return len({k for _, k in self.table}) == self.space.count
 
+    def preimage(self, E: AtomicSet) -> AtomicSet:
+        if E.cofinite:
+            return self.preimage(E.complement()).complement()
+        return AtomicSet(self.space, frozenset(self.index_preimage(E.atoms)))
+
+    def index_preimage(self, targets) -> set[int]:
+        """phi^{-1}(targets) for a finite collection of indices: the table rows
+        that land in it, plus j = t - c for each target t whose pullback by the
+        shift rule is a valid index off the table."""
+        hit = {j for j, k in self.table if k in targets}
+        if self.shift is not None:
+            images = self._images
+            for t in targets:
+                j = t - self.shift
+                if j not in images and self.space.valid_index(j):
+                    hit.add(j)
+        return hit
+
+    def pull_back(self, f: AtomSeq) -> AtomSeq:
+        return _merged_seq(self.space, self.pull_back_values(f._values).items(), f.tail)
+
+    def pull_back_values(self, values: dict[int, Real]) -> dict[int, Real]:
+        """The entries of h ∘ phi for h given by its entries off its tail, which
+        must all differ from it: h ∘ phi leaves the tail exactly on their
+        preimage."""
+        return {j: values[self.image_of(j)] for j in self.index_preimage(values)}
+
+    def bound_rows(self, horizon: int):
+        """Yield (n, A_n, C_n), the max and min of the preimage counts of
+        phi^n, n = 1..horizon.  One forward pass moves the window's sources
+        along their orbits.  Sources outside the window follow the pure shift
+        and contribute one preimage to each target they reach, and windowed
+        orbits cannot escape the counted target range, so every valid target
+        beyond it has exactly one preimage.  A window that is the whole
+        (finite) space leaves no target beyond it."""
+        c = self.shift or 0
+        left, right = self.space.domain
+        lo_w, hi_w = _atomic_window(self, horizon)
+        pos = list(range(lo_w, hi_w))
+        for n in range(1, horizon + 1):
+            pos = [self.image_of(j) for j in pos]
+            hits = Counter(pos)
+            pad = n * abs(c) + 1
+            # the generic target beyond the counted range, if there is one
+            counts = [] if (lo_w, hi_w) == (left, right) else [1]
+            for t in range(max(lo_w - pad, left), min(hi_w + pad, right)):
+                j = t - n * c
+                outside = (j < lo_w or j >= hi_w) and self.space.valid_index(j)
+                counts.append(hits[t] + outside)
+            yield n, Fraction(max(counts)), Fraction(min(counts))
+
 
 Symbol = Union[AtomicSymbol, IntervalSymbol]
 
@@ -324,31 +429,7 @@ def preimage(sym: Symbol, E):
     """Exact phi^{-1}(E) inside the catalog set class."""
     if E.space != sym.space:
         raise ValueError("set does not belong to the symbol's space")
-    if isinstance(sym, AtomicSymbol):
-        if isinstance(E, AtomicSet) and E.cofinite:
-            return preimage(sym, E.complement()).complement()
-        return AtomicSet(sym.space, frozenset(_atomic_preimage(sym, E.atoms)))
-    pieces = []
-    for u, v in E.intervals:
-        for br in sym.branches:
-            got = br.preimage_interval(u, v)
-            if got is not None:
-                pieces.append(got)
-    return IntervalSet(sym.space, _normalize_intervals(pieces, allow_overlap=True))
-
-
-def _atomic_preimage(sym: AtomicSymbol, targets) -> set[int]:
-    """phi^{-1}(targets) for a finite collection of indices: the table rows
-    that land in it, plus j = t - c for each target t whose pullback by the
-    shift rule is a valid index off the table."""
-    hit = {j for j, k in sym.table if k in targets}
-    if sym.shift is not None:
-        images = sym._images
-        for t in targets:
-            j = t - sym.shift
-            if j not in images and sym.space.valid_index(j):
-                hit.add(j)
-    return hit
+    return sym.preimage(E)
 
 
 def preimage_measure(sym: Symbol, E) -> Real:
@@ -359,11 +440,6 @@ def preimage_measure(sym: Symbol, E) -> Real:
 # Density bookkeeping for interval symbols
 # ---------------------------------------------------------------------------
 
-def _certified(sym: Symbol) -> bool:
-    """True when the bound sweep is exact: atomic, or every branch affine."""
-    return isinstance(sym, AtomicSymbol) or all(br.form.coefficients for br in sym.branches)
-
-
 def _reciprocal(c: Real) -> Real:
     """The least C with mu(E) <= C mu(phi^{-1} E) when c is the largest
     constant with c mu(E) <= mu(phi^{-1} E)."""
@@ -373,23 +449,23 @@ def _reciprocal(c: Real) -> Real:
 def measure_bound(sym: Symbol) -> Real:
     """The smallest A with mu(phi^{-1} E) <= A mu(E); +inf when unbounded.
 
-    Certified symbols read A from the first row of the bound sweep.  Every
+    Certified symbols read A from their first bound row.  Every
     other symbol has a non-affine branch, and each of those catalog forms has
     an inverse derivative that blows up inside its image, so no finite A
     works."""
-    if _certified(sym):
-        return next(_bound_sweep(sym, 1))[1]
+    if sym.certified:
+        return next(sym.bound_rows(1))[1]
     return INF
 
 
 def lower_bound(sym: Symbol) -> Real:
     """The smallest C with mu(E) <= C mu(phi^{-1} E) over finite-measure E.
 
-    Certified symbols read the density infimum from the first row of the
-    bound sweep; otherwise it is the least density over the regions of
+    Certified symbols read the density infimum from their first bound row;
+    otherwise it is the least density over the regions of
     ``_density_regions``."""
-    if _certified(sym):
-        return _reciprocal(next(_bound_sweep(sym, 1))[2])
+    if sym.certified:
+        return _reciprocal(next(sym.bound_rows(1))[2])
     ess_inf: Real = INF
     for x, y, base, special in _density_regions(sym):
         if special is None:
@@ -462,32 +538,6 @@ def _atomic_window(sym: AtomicSymbol, horizon: int) -> tuple[int, int]:
     return (max(min(ends + [0]) - pad, left), min(max(ends, default=0) + 1 + pad, right))
 
 
-def _atomic_sweep(sym: AtomicSymbol, horizon: int):
-    """Yield (n, max, min) of the preimage counts of phi^n, n = 1..horizon.
-
-    One forward pass moves the window's sources along their orbits.  Sources
-    outside the window follow the pure shift and contribute one preimage to
-    each target they reach, and windowed orbits cannot escape the counted
-    target range, so every valid target beyond it has exactly one preimage.
-    A window that is the whole (finite) space leaves no target beyond it.
-    """
-    c = sym.shift or 0
-    left, right = sym.space.domain
-    lo_w, hi_w = _atomic_window(sym, horizon)
-    pos = list(range(lo_w, hi_w))
-    for n in range(1, horizon + 1):
-        pos = [sym.image_of(j) for j in pos]
-        hits = Counter(pos)
-        pad = n * abs(c) + 1
-        # the generic target beyond the counted range, if there is one
-        counts = [] if (lo_w, hi_w) == (left, right) else [1]
-        for t in range(max(lo_w - pad, left), min(hi_w + pad, right)):
-            j = t - n * c
-            outside = (j < lo_w or j >= hi_w) and sym.space.valid_index(j)
-            counts.append(hits[t] + outside)
-        yield n, Fraction(max(counts)), Fraction(min(counts))
-
-
 def atomic_power(sym: AtomicSymbol, k: int) -> AtomicSymbol:
     """The k-fold composition phi^k as an explicit atomic symbol.
 
@@ -513,51 +563,18 @@ def atomic_power(sym: AtomicSymbol, k: int) -> AtomicSymbol:
     return AtomicSymbol(sym.space, tuple(table), c)
 
 
-def _bound_sweep(sym: Symbol, horizon: int):
-    """Yield (n, A_n, C_n) for n = 1..horizon from one forward pass, where
-    C_n mu(E) <= mu(phi^{-n} E) <= A_n mu(E).
-
-    Both columns come from the same data: preimage counts for atomic
-    symbols, the n-step transfer density for all-affine interval symbols
-    (both exact), and the ratios mu(phi^{-n} E) / mu(E) over the dyadic test
-    family otherwise (A_n then only a lower estimate of the true bound).
-    """
-    if isinstance(sym, AtomicSymbol):
-        yield from _atomic_sweep(sym, horizon)
-    elif _certified(sym):
-        rho = constant(sym.space, 1)
-        for n in range(1, horizon + 1):
-            rho = _transfer_once(sym, rho)
-            yield n, max(rho.vals), min(rho.vals)
-    else:
-        family = _dyadic_family(sym.space)
-        sets = family
-        for n in range(1, horizon + 1):
-            sets = [preimage(sym, E) for E in sets]
-            a: Real = Fraction(0)
-            c: Real = INF
-            for E0, En in zip(family, sets):
-                m0, mn = E0.measure(), En.measure()
-                if mn == INF:
-                    a = INF
-                elif m0 != INF:
-                    r = mn / m0
-                    a = max(a, r)
-                    c = min(c, r)
-            yield n, a, c
-
-
 def _power_bounds(sym: Symbol, horizon: int) -> tuple[PowerBounds, list[Real]]:
-    """The A_n column as PowerBounds, and the C_n column, from one sweep."""
+    """The A_n column as PowerBounds, and the C_n column, from one pass of
+    the symbol's bound rows."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    rows = list(_bound_sweep(sym, horizon))
+    rows = list(sym.bound_rows(horizon))
     per = tuple((n, a) for n, a, _ in rows)
-    return PowerBounds(per, max(a for _, a in per), _certified(sym)), [c for _, _, c in rows]
+    return PowerBounds(per, max(a for _, a in per), sym.certified), [c for _, _, c in rows]
 
 
 def power_measure_bound(sym: Symbol, horizon: int) -> PowerBounds:
-    """A_n for n = 1..horizon: the A_n column of one forward sweep.
+    """A_n for n = 1..horizon: the A_n column of the symbol's bound rows.
 
     Exact for atomic symbols (preimage counts) and for all-affine interval
     symbols (transfer density iteration); otherwise a lower bound of the
@@ -633,12 +650,13 @@ class SymbolAnalysis:
 def check_condition_I(sym: Symbol, horizon: int) -> SymbolAnalysis:
     """Assemble the boundedness diagnostics used by the ergodic estimates.
 
-    One forward sweep over n = 1..horizon gives both the power bounds A_n and
+    One pass of the symbol's bound rows, n = 1..horizon, gives both the power
+    bounds A_n and
     the condition (I3) witness min_n C_n, the largest constant C with
     C mu(E) <= mu(phi^{-n} E) for every n up to the horizon (exact from
     counts or the n-step density where the catalog permits, sampled on the
-    dyadic test family otherwise).  For a certified symbol the sweep's first
-    row is the one-step pair (A, C), as in ``measure_bound`` and
+    dyadic test family otherwise).  For a certified symbol the first row is
+    the one-step pair (A, C), as in ``measure_bound`` and
     ``lower_bound``; any other symbol has A = inf and C from
     ``lower_bound``.
     """

@@ -81,6 +81,14 @@ def test_run_example_schedule_flag(tmp_path):
     assert [row[0] for row in report["rows"]] == [1, 2, 4]
 
 
+@pytest.mark.parametrize("example_id", ["permutation-demo", "shift-n"])
+def test_run_example_on_a_schedule_without_its_checked_means(tmp_path, capsys, example_id):
+    # the checks read C_1 f and C_8 f, which this schedule does not hold
+    rc = run_cli("run-example", example_id, "--out", str(tmp_path), "--schedule", "3,5")
+    assert rc in (0, 1)
+    assert capsys.readouterr().out.endswith("verdict: pass\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -358,6 +366,37 @@ def test_eval_norm_off_the_double_range(tmp_path, capsys):
     spec = {"kind": "lp", "space": _HALFLINE, "p": "1e30"}
     err = _eval_error(tmp_path, capsys, {"spec": spec, "function": _OFF_RANGE_FN}, "norm")
     assert err.startswith("error:")
+
+
+# rays whose finite end lies past the double range: INF - 10^400 would call
+# float() on the Fraction
+_LINE = {"kind": "lebesgue_line"}
+_FAR_RAY_FN = {"space": _HALFLINE, "breakpoints": [0, "1e400"], "values": [3], "right_tail": 2}
+
+
+@pytest.mark.parametrize("function, star", [
+    (_FAR_RAY_FN, _FAR_RAY_FN),
+    ({"space": _LINE, "left_tail": 1, "breakpoints": ["1e400"], "right_tail": 0},
+     {"space": _HALFLINE, "breakpoints": [0], "values": [], "right_tail": 1}),
+    ({"space": _LINE, "left_tail": 2, "breakpoints": [0, 1, "1e400"], "values": [5, 2],
+      "right_tail": 0},
+     {"space": _HALFLINE, "breakpoints": [0, 1], "values": [5], "right_tail": 2}),
+])
+def test_eval_rearrange_of_a_ray_past_the_double_range(tmp_path, capsys, function, star):
+    rc, got = _eval(tmp_path, capsys, {"function": function}, "rearrange")
+    assert rc == 0
+    assert jsonio.measfn_from_obj(got, "f*") == jsonio.measfn_from_obj(star, "f*")
+
+
+@pytest.mark.parametrize("spec, value", [
+    ({"kind": "lp", "space": _HALFLINE, "p": "inf"}, 3),
+    ({"kind": "marcinkiewicz_strong", "space": _HALFLINE, "phi": {"kind": "logclip"}}, 3),
+    ({"kind": "marcinkiewicz_strong", "space": _HALFLINE,
+      "phi": {"kind": "power", "alpha": "1/2"}}, "inf"),
+])
+def test_eval_norm_of_a_ray_past_the_double_range(tmp_path, capsys, spec, value):
+    rc, got = _eval(tmp_path, capsys, {"spec": spec, "function": _FAR_RAY_FN}, "norm")
+    assert rc == 0 and got == {"value": value}
 
 
 _N_SHIFT = {"space": {"kind": "atomic_n", "atom_mass": 1}, "table": [], "shift": 1}

@@ -6,7 +6,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rispace import (
+    INF,
+    Affine,
     AtomicSymbol,
+    Branch,
+    IntervalSymbol,
     Lp,
     StepFn,
     XiWeight,
@@ -51,7 +55,7 @@ from .oracles import (
     maximal_iterate_oracle,
     refinement_points,
 )
-from .test_rearrange import _deep, deep_fn
+from .test_rearrange import CARRIER_CASES, _deep, deep_fn
 from .test_symbols import _infinite_symbol
 
 
@@ -90,6 +94,35 @@ def test_iterate_apply():
     assert iterate_apply(translation_line(), f, 3) == step(line(), [3, 4], [0, 1, 0])
     with pytest.raises(ValueError):
         iterate_apply(translation_line(), f, -1)
+
+
+def test_iterate_apply_zero_times_checks_the_space():
+    f = step(halfline(), [1, 2], [1, 3, 0])
+    with pytest.raises(ValueError, match="different spaces"):
+        iterate_apply(unilateral_shift(), f, 0)
+
+
+_SHIFT_F = seq(atomic_n(), {0: 1, 2: 3})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: seq(atomic_z(), {-1.5: 1}),
+    lambda: seq(atomic_n(), {True: 1}),
+    lambda: AtomicSymbol(atomic_n(), ((1.5, 2.7),), 1),
+    lambda: cesaro(unilateral_shift(), _SHIFT_F, 2.9),
+    lambda: cesaro_schedule(unilateral_shift(), _SHIFT_F, [1.5, 2.9]),
+    lambda: maximal_truncated(unilateral_shift(), _SHIFT_F, 2.5),
+    lambda: maximal_truncated(unilateral_shift(), _SHIFT_F, True),
+    lambda: iterate_apply(unilateral_shift(), _SHIFT_F, 1.5),
+])
+def test_non_integral_indices_and_counts_are_refused(call):
+    with pytest.raises(ValueError, match="expected an integer"):
+        call()
+
+
+def test_whole_numbers_of_another_type_still_count():
+    assert seq(atomic_z(), {Fraction(-1): 1, 2.0: 3}) == seq(atomic_z(), {-1: 1, 2: 3})
+    assert cesaro(unilateral_shift(), _SHIFT_F, 2.0) == cesaro(unilateral_shift(), _SHIFT_F, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -487,3 +520,26 @@ def test_producers_are_canonical(pair, c, n, deep):
         results += [permutation_limit(sym, f), parts.kernel_part, parts.range_part, parts.witness]
     for r in results:
         _assert_canonical(r)
+
+
+_ON_SPACE = {
+    line(): translation_line(),
+    halfline(): IntervalSymbol(halfline(), (Branch(0, INF, Affine(2, 0)),)),
+    atomic_finite(4, Fraction(1, 2)): AtomicSymbol(
+        atomic_finite(4, Fraction(1, 2)), ((0, 1), (1, 2), (2, 3), (3, 0))),
+    atomic_z(2): AtomicSymbol(atomic_z(2), (), 1),
+    atomic_n(): unilateral_shift(),
+}
+
+
+@pytest.mark.parametrize("f", [f for f, _, _ in CARRIER_CASES])
+def test_weak_type_ratio_refuses_a_negative_value_on_every_carrier(f):
+    sym = _ON_SPACE[f.space]
+    spec = Lp(f.space, 1)
+    if f == abs_fn(f):
+        # nonnegative, and its tail over N has infinite norm
+        with pytest.raises(ValueError, match="finite-norm"):
+            weak_type_ratio(sym, f, 2, spec, [1])
+    else:
+        with pytest.raises(ValueError, match="nonnegative f"):
+            weak_type_ratio(sym, f, 2, spec, [1])

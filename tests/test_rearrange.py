@@ -14,6 +14,7 @@ from rispace import (
     WeakLp,
     XiWeight,
     add,
+    atomic_finite,
     atomic_n,
     atomic_z,
     constant,
@@ -341,3 +342,30 @@ def test_a_function_with_a_kept_rearrangement_evaluates_like_a_fresh_one(f, g):
         return [hlp_leq(f, g), hlp_leq(g, f), xi_seminorm(_XI, f), *(norm_eval(s, f) for s in specs)]
 
     assert repr(results(f, g)) == repr(results(fresh_f, fresh_g))
+
+
+# each carrier with its distribution function at some levels and its f*: a
+# step function with rays on the line and on the half-line, and sequences on
+# a finite space, on Z and on N (a positive tail over a zero entry, and a
+# negative tail)
+CARRIER_CASES = [
+    (step(line(), [-1, 0, 2], [0, -3, 1, 2]),
+     {0: INF, 1: INF, 2: 1, 3: 0}, ((1,), (3, 2))),
+    (step(halfline(), [1, 3], [-2, 5, 1]),
+     {0: INF, 1: 3, 2: 2, 5: 0}, ((2, 3), (5, 2, 1, ))),
+    (seq(atomic_finite(4, Fraction(1, 2)), {0: 2, 2: -3}),
+     {0: 1, 2: Fraction(1, 2), 3: 0}, ((Fraction(1, 2), 1), (3, 2, 0))),
+    (seq(atomic_z(2), {-3: 1, 5: -1, 7: 4}),
+     {0: 6, 1: 2, 4: 0}, ((2, 6), (4, 1, 0))),
+    (seq(atomic_n(), {0: 5, 1: 0, 3: 1}, tail=2),
+     {0: INF, 1: INF, 2: 1, 5: 0}, ((1,), (5, 2))),
+    (seq(atomic_n(), {2: 3}, tail=-1),
+     {0: INF, Fraction(1, 2): INF, 1: 1, 3: 0}, ((1,), (3, 1))),
+]
+
+
+@pytest.mark.parametrize("f, dist, star", CARRIER_CASES)
+def test_each_carrier_gives_its_distribution_and_rearrangement(f, dist, star):
+    assert {s: distribution_at(f, s) for s in dist} == dist
+    cuts, vals = star
+    assert rearrangement(f) == step(halfline(), cuts, vals)

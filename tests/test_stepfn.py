@@ -180,6 +180,18 @@ def test_integrate_undefined_when_both_tails_infinite_mass():
         integrate(g)
 
 
+def test_integrate_a_tail_over_n_by_its_sign():
+    assert integrate(seq(atomic_n(), {0: -7}, tail=2)) == INF
+    assert integrate(seq(atomic_n(), {0: 7}, tail=-2)) == -INF
+
+
+def test_pointwise_leq_fails_on_a_larger_tail_first():
+    f = seq(atomic_n(), {}, tail=2)
+    g = seq(atomic_n(), {0: 5}, tail=1)
+    assert not pointwise_leq(f, g)
+    assert pointwise_leq(g, seq(atomic_n(), {1: 1}, tail=5))
+
+
 def test_zero_value_pieces_do_not_poison_infinite_domains():
     # Fraction(0) * inf would be NaN if handled carelessly
     f = step(halfline(), [1], [5, 0])

@@ -221,6 +221,26 @@ def test_power_measure_bound_affine_certified():
     assert pb.at(3) == Fraction(1, 8)
 
 
+@pytest.mark.parametrize("sym, certified", [
+    (demo_permutation(), True),
+    (nonsurjective_shift(), True),
+    (translation_line(), True),
+    (shifted_power_symbol(2), False),
+    (power_symbol(2), False),
+])
+def test_power_bounds_say_whether_they_are_certified(sym, certified):
+    assert power_measure_bound(sym, 2).certified is certified
+
+
+@pytest.mark.parametrize("sym, hole, back", [
+    (unilateral_shift(), [0, 2], [1]),
+    (nonsurjective_shift(), [0, 2], [0, 1, 3]),
+])
+def test_preimage_of_a_cofinite_set_over_n(sym, hole, back):
+    E = atomic_set(sym.space, hole, cofinite=True)
+    assert preimage(sym, E) == atomic_set(sym.space, back, cofinite=True)
+
+
 def test_power_measure_bound_dyadic_probe_uncertified():
     pb = power_measure_bound(power_symbol(2), 2)
     assert not pb.certified
