@@ -2,10 +2,10 @@
 
 Everything is computed exactly on the step/sequence representations:
 ``apply`` has the symbol pull f back (each symbol family's ``pull_back``
-moves the pieces or entries of f through its preimages), Cesàro means
-accumulate iterates with rational weights, and the truncated maximal
-operator is one sweep over the iterates of |f|, index by index or cell by
-cell, that reads each partial average only where it can be the largest.
+moves the pieces or entries of f through its preimages).  An atomic symbol
+reads Cesàro means and the truncated maximal operator off one walk along its
+orbit lines, at a cost set by the output and not by n; an interval symbol
+combines iterates with rational weights and sweeps them cell by cell.
 Limits are only ever produced by oracles (orbit averages for finite
 permutations); nothing is extrapolated.
 """
@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from . import jsonio
-from .num import INF, Real, as_int, fmt_real
+from .num import INF, Real, as_int, common_denominator, fmt_real
 from .rearrange import distribution_at
 from .spaces import NormSpec, XiWeight, fundamental_function, norm_eval, xi_seminorm
 from .stepfn import (
@@ -83,25 +85,27 @@ class CesaroTrajectory:
 
 
 def cesaro(sym: Symbol, f: MeasFn, n: int) -> MeasFn:
-    """C_n f = (1/n) sum_{i<n} T^i f, exact: the one-snapshot schedule, so
-    one linear combination of the n iterates with weights 1/n."""
+    """C_n f = (1/n) sum_{i<n} T^i f, exact: the one-snapshot schedule."""
     return cesaro_schedule(sym, f, (n,)).means[0][1]
 
 
 def cesaro_schedule(sym: Symbol, f: MeasFn, schedule: Sequence[int]) -> CesaroTrajectory:
-    """Means C_n f along an increasing schedule, sharing iterates.
+    """Means C_n f along an increasing schedule.
 
-    Each snapshot is one linear combination of the previous snapshot C_m (m
-    = 0 at the first) and the iterates since it:
-    C_n = (m/n) C_m + (1/n) sum_{m<=i<n} T^i f.  Finite permutations take
-    the closed form along cycles instead."""
+    An atomic symbol reads every mean off one orbit walk (``_Orbits``)
+    unless f has a float value, or denominators past the budget, off a
+    finite permutation.  There, and for interval symbols, each snapshot is
+    one linear combination of the previous snapshot C_m (m = 0 at the
+    first) and the iterates since it: C_n = (m/n) C_m + (1/n) sum T^i f
+    over m <= i < n."""
     ns = [as_int(n) for n in schedule]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise ValueError("schedule must be strictly increasing and positive")
     _check_acts_on(sym, f)
-    if _is_finite_permutation(sym):
-        means = tuple((n, _permutation_cesaro(sym, f, n)) for n in ns)
-        return CesaroTrajectory(sym, f, tuple(ns), means)
+    if isinstance(sym, AtomicSymbol):
+        walk = _Orbits(sym, f)
+        if walk.D is not None or sym.is_permutation():
+            return CesaroTrajectory(sym, f, tuple(ns), walk.means(ns))
     wanted = set(ns)
     out = []
     buffer = [f]
@@ -122,10 +126,6 @@ def cesaro_schedule(sym: Symbol, f: MeasFn, schedule: Sequence[int]) -> CesaroTr
     return CesaroTrajectory(sym, f, tuple(ns), tuple(out))
 
 
-def _is_finite_permutation(sym: Symbol) -> bool:
-    return isinstance(sym, AtomicSymbol) and sym.is_permutation()
-
-
 def _cycles(sym: AtomicSymbol) -> list[list[int]]:
     seen = set()
     cycles = []
@@ -142,22 +142,111 @@ def _cycles(sym: AtomicSymbol) -> list[list[int]]:
     return cycles
 
 
-def _permutation_cesaro(sym: AtomicSymbol, f: AtomSeq, n: int) -> AtomSeq:
-    """Closed form along cycles: the orbit of j is periodic, so the n-term
-    ergodic sum is q full cycle sums plus a prefix (n = qL + r)."""
-    values = {}
-    for cyc in _cycles(sym):
-        L = len(cyc)
-        vals = [f.value_at(j) for j in cyc]
-        total = sum(vals)
-        prefix = [Fraction(0)]
-        for v in vals + vals:  # doubled, so any wrap-around prefix is a diff
-            prefix.append(prefix[-1] + v)
-        q, r = divmod(n, L)
-        for m, j in enumerate(cyc):
-            s = q * total + (prefix[m + r] - prefix[m])
-            values[j] = s * Fraction(1, n)
-    return _merged_seq(sym.space, values.items())
+class _Orbits:
+    """Sums of f along an atomic symbol's orbits, at a cost set by the output.
+
+    Off the table an orbit runs along its line j % s, a place j // s a step,
+    until it meets the table (``steps_to_table``); a run sums by bisecting
+    the prefix sums of f's entries listed by line and place.  Table rows
+    are stepped one by one, m = qL + r steps around a permutation's cycle
+    sum to q cycle sums plus a prefix difference, and a shift of 0 holds j
+    fixed.  Exact values are ints over one denominator D, less f's tail;
+    others stay as they are (``means`` then sees a finite permutation)."""
+
+    def __init__(self, sym: AtomicSymbol, f: AtomSeq):
+        self.sym, s, self.tail = sym, sym.shift, f.tail
+        self.D = D = common_denominator([v for _, v in f.entries] + [f.tail])
+        if D is None:
+            self.vals, start = f._values, Fraction(0)
+        else:
+            self.T = T = f.tail.numerator * (D // f.tail.denominator)
+            self.vals, start = {j: v.numerator * (D // v.denominator) - T for j, v in f.entries}, 0
+        self.places = sorted((j % s, j // s) for j in self.vals) if s else []  # (line, place)
+        self.sums = list(accumulate((self.vals[r + q * s] for r, q in self.places), initial=0))
+        self.cycles = {}  # index -> its cycle, its place, the doubled cycle's prefix sums
+        for cyc in _cycles(sym) if sym.is_permutation() else ():
+            prefix = list(accumulate([self.vals.get(j, self.tail if D is None else 0) for j in cyc] * 2,
+                                     initial=start))
+            self.cycles.update((j, (cyc, p, prefix)) for p, j in enumerate(cyc))
+
+    def walk(self, j: int, m: int, hits: Optional[list] = None):
+        """The sum over j's first m steps; hits gets each (step, entry) met."""
+        sym, s, vals = self.sym, self.sym.shift, self.vals
+        acc = i = 0
+        while i < m:
+            k = sym.steps_to_table(j) if sym.table else None
+            if s and k != 0:  # a run along j's line
+                run = m - i if k is None or k > m - i else k
+                q, r = divmod(j, s)
+                a, b = bisect_left(self.places, (r, q)), bisect_left(self.places, (r, q + run))
+                acc += self.sums[b] - self.sums[a]
+                if hits is not None:
+                    hits += [(i + c - q, vals[r + c * s]) for _, c in self.places[a:b]]
+                j, i = j + run * s, i + run
+            elif hits is None and j in self.cycles:
+                cyc, p, prefix = self.cycles[j]
+                q, r = divmod(m - i, len(cyc))
+                return acc + (q * prefix[len(cyc)] + (prefix[p + r] - prefix[p]))
+            else:  # a table row, or an index held fixed by a shift of 0
+                steps = 1 if k == 0 else m - i
+                if j in vals and hits is not None:
+                    hits += [(t, vals[j]) for t in range(i, i + steps)]
+                acc += steps * vals.get(j, 0)
+                j, i = sym.image_of(j) if k == 0 else j, i + steps
+        return acc
+
+    def near(self, depth: int) -> set[int]:
+        """The indices whose orbit meets an entry within depth steps: S_n less
+        n times f's tail vanishes elsewhere for every n <= depth + 1."""
+        seen = level = set(self.vals)
+        while depth and level:
+            level = self.sym.index_preimage(level) - seen
+            seen |= level
+            depth -= 1
+        return seen
+
+    def means(self, ns: Sequence[int]) -> tuple[tuple[int, AtomSeq], ...]:
+        js, out = self.near(ns[-1] - 1), []
+        for n in ns:
+            if self.D is None:  # a finite permutation, rounded as its cycle sums are
+                items, tail = [(j, self.walk(j, n) * Fraction(1, n)) for j in js], Fraction(0)
+            else:
+                items, tail = [(j, Fraction(self.walk(j, n) + n * self.T, n * self.D)) for j in js], self.tail
+            out.append((n, _merged_seq(self.sym.space, items, tail)))
+        return tuple(out)
+
+    def maximal(self, K: int) -> AtomSeq:
+        peaks = []
+        for j in self.near(K - 1):
+            self.walk(j, K, hits := [])
+            peaks.append((j, self.peak(hits, K)))
+        return _merged_seq(self.sym.space, peaks, self.peak([(0, 0 if self.D else self.tail)], K))
+
+    def peak(self, hits: list, K: int) -> Real:
+        """max_{n<=K} S_n/n at an index from the entries its orbit meets.
+        Between them S_n less n times f's tail stays at their running sum
+        H, so H/n peaks at the stretch's first n if H >= 0, else at its
+        last; ties keep the smaller n.  Values that are not ints are summed
+        as they meet the orbit (a nonzero tail at every step), so a float
+        mean rounds as their running sum does."""
+        if self.D is None:
+            if self.tail != 0:
+                at = dict(hits)
+                hits = [(i, at.get(i, self.tail)) for i in range(K)]
+            H, best = 0, None
+            for i, v in hits:
+                H += v
+                m = Fraction(1, i + 1) * H
+                if best is None or m > best:
+                    best = m
+            return best
+        H, lo, best, best_n = 0, 1, None, 1
+        for i, v in hits + [(K, 0)]:
+            n = lo if H >= 0 else i
+            if lo <= i and (best is None or H * best_n > best * n):
+                best, best_n = H, n
+            H, lo = H + v, i + 1
+        return Fraction(best + best_n * self.T, best_n * self.D)
 
 
 def permutation_limit(sym: AtomicSymbol, f: AtomSeq) -> AtomSeq:
@@ -173,7 +262,7 @@ def permutation_limit(sym: AtomicSymbol, f: AtomSeq) -> AtomSeq:
 
 
 def _require_permutation(sym: Symbol) -> None:
-    if not _is_finite_permutation(sym):
+    if not (isinstance(sym, AtomicSymbol) and sym.is_permutation()):
         raise ValueError("needs a bijective table on a finite atomic space")
 
 
@@ -217,24 +306,23 @@ def decomposition_check(sym: AtomicSymbol, f: AtomSeq) -> Decomposition:
 def maximal_truncated(sym: Symbol, f: MeasFn, K: int) -> MeasFn:
     """max_{1<=n<=K} (1/n) S_n with S_n = sum_{i<n} |T^i f|, exact.
 
-    |T^i f| = T^i |f| because T is positive, so the iterates of |f| are
-    formed once and swept together: index by index for atom sequences, cell
-    by cell over the union of the iterates' cuts for step functions.  As
-    |f| >= 0, S_n is constant between the iterates that are nonzero at a
-    point and S_n/n falls there, so the maximum is attained at some n = i+1
-    with T^i |f| nonzero; only those n are visited (all n where a tail over
-    N adds at every step).  Ties keep the smaller n.  Float-valued step
-    functions are rounded as the sum of whole step functions rounds them."""
+    |T^i f| = T^i |f| because T is positive.  An atomic symbol walks the
+    orbit lines of |f| (``_Orbits.peak``).  An interval symbol forms the
+    iterates of |f| once and sweeps them cell by cell over the union of their
+    cuts; S_n is constant between the iterates that are nonzero at a point
+    and S_n/n falls there, so only n = i+1 with T^i |f| nonzero are visited.
+    Ties keep the smaller n.  Float-valued step functions are rounded as the
+    sum of whole step functions rounds them."""
     K = as_int(K)
     if K < 1:
         raise ValueError("truncation K must be >= 1")
     _check_acts_on(sym, f)
-    g = abs_fn(f)
     if K == 1:
-        return g
-    weights = [Fraction(1, n) for n in range(1, K + 1)]
+        return abs_fn(f)
     if isinstance(sym, AtomicSymbol):
-        return _maximal_atomic(sym, g, weights)
+        return _Orbits(sym, abs_fn(f)).maximal(K)
+    g = abs_fn(f)
+    weights = [Fraction(1, n) for n in range(1, K + 1)]
     iterates = [g]
     for _ in range(K - 1):
         iterates.append(apply(sym, iterates[-1]))
@@ -254,24 +342,6 @@ def _peak_mean(events, weights: list[Fraction]) -> Real:
         if best is None or m > best:
             best = m
     return Fraction(0) if best is None else best
-
-
-def _maximal_atomic(sym: AtomicSymbol, g: AtomSeq, weights: list[Fraction]) -> AtomSeq:
-    tail = g.tail
-    iterates = [g._values]
-    for _ in range(len(weights) - 1):
-        iterates.append(sym.pull_back_values(iterates[-1]))
-    events: dict[int, list] = {}
-    if tail == 0:
-        for i, it in enumerate(iterates):
-            for j, v in it.items():
-                events.setdefault(j, []).append((i, v))
-    else:
-        # a tail over N adds to S_n at every step, so every n counts
-        events = {j: [(i, it.get(j, tail)) for i, it in enumerate(iterates)] for j in set().union(*iterates)}
-    peaks = {j: _peak_mean(ev, weights) for j, ev in events.items()}
-    peak_tail = _peak_mean(((i, tail) for i in range(len(weights))), weights)
-    return _merged_seq(sym.space, peaks.items(), peak_tail)
 
 
 def _maximal_interval(iterates: list[StepFn], weights: list[Fraction]) -> StepFn:

@@ -58,6 +58,15 @@ def as_int(x) -> int:
     return int(x)
 
 
+def common_denominator(values) -> int | None:
+    """The lcm D of exact values' denominators, so each is an int over D;
+    None for a float, or past 1024 bits, where Fraction sums stay smaller."""
+    if any(isinstance(v, float) for v in values):
+        return None
+    D = math.lcm(*{v.denominator for v in values})
+    return D if D.bit_length() <= 1 << 10 else None
+
+
 def is_finite(x: Real) -> bool:
     """False for a float inf or NaN; a Fraction is always finite."""
     return not (isinstance(x, float) and not math.isfinite(x))

@@ -331,6 +331,8 @@ class AtomicSymbol:
             seen.add(j)
             if not (self.space.valid_index(j) and self.space.valid_index(k)):
                 raise ValueError("table entry outside the index range")
+        if self.shift is not None:
+            object.__setattr__(self, "shift", as_int(self.shift))
         if self.space.kind == ATOMIC_FINITE:
             if self.shift is not None:
                 raise ValueError("finite atomic symbols have no shift rule")
@@ -360,6 +362,15 @@ class AtomicSymbol:
             raise ValueError(f"index {j} outside the space's range")
         return j + self.shift
 
+    def steps_to_table(self, j: int) -> int | None:
+        """The steps of the shift rule that take j to a table index: 0 for
+        one, None when j's orbit never meets the table again."""
+        if j in self._images:
+            return 0
+        c = self.shift
+        ahead = [(k - j) // c for k, _ in self.table if c and (k - j) % c == 0 and (k - j) // c > 0]
+        return min(ahead, default=None)
+
     def is_permutation(self) -> bool:
         if self.space.kind != ATOMIC_FINITE:
             return False
@@ -384,13 +395,10 @@ class AtomicSymbol:
         return hit
 
     def pull_back(self, f: AtomSeq) -> AtomSeq:
-        return _merged_seq(self.space, self.pull_back_values(f._values).items(), f.tail)
-
-    def pull_back_values(self, values: dict[int, Real]) -> dict[int, Real]:
-        """The entries of h ∘ phi for h given by its entries off its tail, which
-        must all differ from it: h ∘ phi leaves the tail exactly on their
-        preimage."""
-        return {j: values[self.image_of(j)] for j in self.index_preimage(values)}
+        """f ∘ phi, off f's tail exactly on the preimage of f's entries."""
+        values = f._values
+        pulled = {j: values[self.image_of(j)] for j in self.index_preimage(values)}
+        return _merged_seq(self.space, pulled.items(), f.tail)
 
     def bound_rows(self, horizon: int):
         """Yield (n, A_n, C_n), the max and min of the preimage counts of

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -56,7 +57,7 @@ from .oracles import (
     refinement_points,
 )
 from .test_rearrange import CARRIER_CASES, _deep, deep_fn
-from .test_symbols import _infinite_symbol
+from .test_symbols import _ALL_NEGATIVE_TABLE, _infinite_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +115,8 @@ _SHIFT_F = seq(atomic_n(), {0: 1, 2: 3})
     lambda: maximal_truncated(unilateral_shift(), _SHIFT_F, 2.5),
     lambda: maximal_truncated(unilateral_shift(), _SHIFT_F, True),
     lambda: iterate_apply(unilateral_shift(), _SHIFT_F, 1.5),
+    lambda: AtomicSymbol(atomic_z(), (), 1.5),
+    lambda: AtomicSymbol(atomic_z(), (), True),
 ])
 def test_non_integral_indices_and_counts_are_refused(call):
     with pytest.raises(ValueError, match="expected an integer"):
@@ -123,6 +126,8 @@ def test_non_integral_indices_and_counts_are_refused(call):
 def test_whole_numbers_of_another_type_still_count():
     assert seq(atomic_z(), {Fraction(-1): 1, 2.0: 3}) == seq(atomic_z(), {-1: 1, 2: 3})
     assert cesaro(unilateral_shift(), _SHIFT_F, 2.0) == cesaro(unilateral_shift(), _SHIFT_F, 2)
+    assert type(AtomicSymbol(atomic_z(), (), 2.0).shift) is int
+    assert AtomicSymbol(atomic_z(), (), Fraction(2)) == AtomicSymbol(atomic_z(), (), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +349,6 @@ def _atomic_instance(draw):
     return sym, seq_from_values(atomic_finite(n), vals)
 
 
-@given(_atomic_instance(), st.integers(1, 12))
-@settings(max_examples=80)
-def test_cesaro_matches_dict_oracle(pair, n):
-    sym, f = pair
-    want = cesaro_dict_oracle(sym.image_of, f.value_at, range(sym.space.count), n)
-    got = cesaro(sym, f, n)
-    assert all(got.value_at(j) == want[j] for j in range(sym.space.count))
-
-
 @st.composite
 def _infinite_instance(draw):
     """A Z or N symbol with a table, and a sequence near its window; over N
@@ -364,17 +360,51 @@ def _infinite_instance(draw):
     return sym, seq(sym.space, entries, tail=tail)
 
 
+def _oracle_indices(sym, steps):
+    """Every atom of a finite space; on Z and N a range past every index whose
+    first steps iterates meet the table or f's entries, as orbits move by at
+    most 2 a step."""
+    if sym.space.count is not None:
+        return range(sym.space.count)
+    reach = 8 + 2 * steps + 2
+    return range(-reach if sym.space == atomic_z() else 0, reach)
+
+
+@given(_atomic_instance() | _infinite_instance(), st.integers(1, 12))
+# a shift of 0, whose indices off the table are fixed points
+@example((AtomicSymbol(atomic_z(), ((1, 2), (2, 2)), 0), seq(atomic_z(), {2: 3, -1: 1, 5: -2})), 5)
+# a shift of 2: two lines, each met by the table
+@example((AtomicSymbol(atomic_z(), ((0, 3), (3, -2)), 2),
+          seq(atomic_z(), {-2: 1, 1: 2, 3: Fraction(1, 3), 6: -1})), 7)
+# a table that is not injective
+@example((AtomicSymbol(atomic_finite(4), ((0, 1), (1, 2), (2, 1), (3, 1))),
+          seq_from_values(atomic_finite(4), [1, -2, 5, 3])), 9)
+# N with a negative shift and a tail
+@example((AtomicSymbol(atomic_n(), ((0, 3), (1, 0)), -2),
+          seq(atomic_n(), {2: 1, 5: -3}, tail=Fraction(1, 3))), 9)
+@example((_ALL_NEGATIVE_TABLE, seq(atomic_z(), {-5: 2, -4: 1, 3: -1})), 4)
+# a permutation at n past its cycle length
+@example((AtomicSymbol(atomic_finite(3), ((0, 1), (1, 2), (2, 0))),
+          seq_from_values(atomic_finite(3), [1, 2, 5])), 8)
+@settings(max_examples=160)
+def test_cesaro_matches_dict_oracle(pair, n):
+    sym, f = pair
+    indices = _oracle_indices(sym, n)
+    want = cesaro_dict_oracle(sym.image_of, f.value_at, indices, n)
+    got = cesaro(sym, f, n)
+    assert all(got.value_at(j) == want[j] for j in indices)
+    if sym.space.count is None:
+        far = 10**6
+        assert got.tail == cesaro_dict_oracle(sym.image_of, f.value_at, [far], n)[far]
+
+
 @given(_atomic_instance() | _infinite_instance(), st.integers(1, 9))
+# |f| below its tail over N: the mean peaks at a stretch's end, 2/3 at index 0 and n = 3
+@example((unilateral_shift(), seq(atomic_n(), {0: 0, 3: 5}, tail=1)), 3)
 @settings(max_examples=160)
 def test_maximal_matches_dict_oracle(pair, K):
     sym, f = pair
-    if sym.space.count is not None:
-        indices = range(sym.space.count)
-    else:
-        # orbits move by at most 2 a step, so the window is past every index
-        # whose first K iterates meet the table or f's entries
-        reach = 8 + 2 * K + 2
-        indices = range(-reach if sym.space == atomic_z() else 0, reach)
+    indices = _oracle_indices(sym, K)
     want = maximal_dict_oracle(sym.image_of, f.value_at, indices, K)
     got = maximal_truncated(sym, f, K)
     assert all(got.value_at(j) == want[j] for j in indices)
@@ -469,6 +499,14 @@ def test_cesaro_float_values_round_as_one_combination(pair, n):
     assert repr(cesaro(sym, f, n)) == repr(_mean_reference(sym, f, n))
 
 
+def test_cesaro_float_values_round_as_the_cycle_sums_on_a_permutation():
+    # q cycle sums plus a prefix difference, then times 1/n; one combination
+    # of the iterates rounds the second and third means the other way
+    sym = AtomicSymbol(atomic_finite(3), ((0, 1), (1, 2), (2, 0)))
+    got = cesaro(sym, seq(atomic_finite(3), {0: 0.7, 1: 0.2, 2: 1e-17}), 5)
+    assert repr(got.entries) == "((0, 0.36), (1, 0.21999999999999997), (2, 0.32))"
+
+
 def test_maximal_scales_to_K_2000_on_the_shift():
     # K running sums built as whole sequences cost O(K^2), about a minute
     # at this K; the sweep is linear in K
@@ -476,6 +514,27 @@ def test_maximal_scales_to_K_2000_on_the_shift():
     m = maximal_truncated(bilateral_shift(), seq(atomic_z(), {0: 1}), 2000)
     assert time.monotonic() - t0 < 5
     assert m.value_at(-1999) == Fraction(1, 2000) and m.value_at(-2000) == 0
+
+
+def test_cesaro_cost_follows_its_output_on_the_shift():
+    # the n iterates combined would take about half a minute at this n; the
+    # walk reads each mean off two prefix sums along the shift's line
+    rng = random.Random(17)
+    f = seq(atomic_z(), {j: Fraction(rng.randint(1, 99), rng.choice((1, 2, 3, 8)))
+                         for j in rng.sample(range(-900, 900), 600)})
+    t0 = time.monotonic()
+    m = cesaro(bilateral_shift(), f, 4096)
+    assert time.monotonic() - t0 < 5
+    sample = rng.sample(range(-900 - 4096, 900), 12) + [-900 - 4096, -900 - 4095, 899, 900]
+    want = cesaro_dict_oracle(bilateral_shift().image_of, f.value_at, sample, 4096)
+    assert all(m.value_at(j) == want[j] for j in sample)
+
+
+def test_maximal_of_e0_under_the_n_shift_costs_nothing_in_K():
+    e0 = seq(atomic_n(), {0: 1})
+    t0 = time.monotonic()
+    assert maximal_truncated(unilateral_shift(), e0, 10**6) == e0
+    assert time.monotonic() - t0 < 1
 
 
 # ---------------------------------------------------------------------------
