@@ -23,15 +23,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
+from importlib import import_module
 
 from . import jsonio
-from .ergodic import apply, cesaro, maximal_truncated
-from .examples import DEFAULT_SEED, EXAMPLE_IDS, run_example
-from .properties import verify_suite
-from .rearrange import rearrangement
-from .spaces import norm_eval, xi_seminorm
-from .symbols import check_condition_I
+
+# examples' registry and seed, spelled out so that the parser need not import
+# it (a test holds them equal)
+EXAMPLE_IDS = ("counterex-sv", "counterex-sv-power", "counterex-l1", "counterex-linfty",
+               "shift-n", "shift-z", "nonsurjective-shift", "permutation-demo")
+DEFAULT_SEED = 1729
 
 
 class UsageError(Exception):
@@ -74,16 +74,21 @@ def _positive(x, where: str) -> int:
 
 def _write_text(path: str, text: str) -> None:
     """Atomic write: the file either holds the old content or the new."""
+    import tempfile  # only the commands that write files pay for it
+
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-rispace-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-rispace-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +101,8 @@ def _cmd_run_example(args) -> int:
         raise UsageError(
             f"unknown example {args.example_id!r}; choose from: {', '.join(EXAMPLE_IDS)}"
         )
+    from .examples import run_example
+
     schedule = parse_schedule(args.schedule) if args.schedule else None
     result = run_example(
         args.example_id,
@@ -129,6 +136,8 @@ def _cmd_run_example(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .properties import verify_suite
+
     trials = _positive(args.trials, "--trials")
     suite = verify_suite(seed=args.seed, trials=trials, inject_failure=args.inject_failure)
     for r in suite.results:
@@ -162,15 +171,23 @@ _FIELDS = {
     "horizon": _positive,
 }
 
+
+def _module(name: str):
+    """The rispace module ``name``, imported when an operation first needs it."""
+    return import_module(f".{name}", __package__)
+
+
 # operation -> (its payload fields, its evaluation on their decoded values)
 _OPERATIONS = {
-    "rearrange": (("function",), rearrangement),
-    "norm": (("spec", "function"), lambda spec, f: {"value": norm_eval(spec, f)}),
-    "xi": (("weight", "function"), lambda w, f: {"value": xi_seminorm(w, f)}),
-    "apply": (("symbol", "function"), apply),
-    "cesaro": (("symbol", "function", "n"), cesaro),
-    "maximal": (("symbol", "function", "K"), maximal_truncated),
-    "analyze-symbol": (("symbol", "horizon"), check_condition_I),
+    "rearrange": (("function",), lambda f: _module("rearrange").rearrangement(f)),
+    "norm": (("spec", "function"), lambda spec, f: {"value": _module("spaces").norm_eval(spec, f)}),
+    "xi": (("weight", "function"), lambda w, f: {"value": _module("spaces").xi_seminorm(w, f)}),
+    "apply": (("symbol", "function"), lambda phi, f: _module("ergodic").apply(phi, f)),
+    "cesaro": (("symbol", "function", "n"), lambda phi, f, n: _module("ergodic").cesaro(phi, f, n)),
+    "maximal": (("symbol", "function", "K"),
+                lambda phi, f, K: _module("ergodic").maximal_truncated(phi, f, K)),
+    "analyze-symbol": (("symbol", "horizon"),
+                       lambda phi, h: _module("symbols").check_condition_I(phi, h)),
 }
 
 
@@ -183,8 +200,11 @@ def _decode(obj, fields: tuple, defaults: dict) -> list:
 
 def _cmd_eval(args) -> int:
     if args.infile:
-        with open(args.infile) as handle:
-            text = handle.read()
+        try:
+            with open(args.infile) as handle:
+                text = handle.read()
+        except OSError as e:
+            raise UsageError(f"cannot read {args.infile}: {e.strerror}") from None
     else:
         text = sys.stdin.read()
     try:

@@ -149,7 +149,9 @@ class AtomSeq:
 
 def _merged_seq(space: MeasureSpace, items, tail: Real = Fraction(0)) -> AtomSeq:
     """The AtomSeq of the (index, value) items that differ from the tail,
-    sorted by index; a non-finite entry or tail raises."""
+    sorted by index; a zero tail is the exact 0 (also for 0.0 and -0.0), and
+    a non-finite entry or tail raises."""
+    tail = tail or Fraction(0)
     entries = tuple(sorted((j, v) for j, v in items if v != tail))
     if not (is_finite(tail) and all(is_finite(v) for _, v in entries)):
         raise ValueError("values must be finite")

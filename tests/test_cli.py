@@ -250,6 +250,29 @@ def test_eval_out_file_is_written_atomically(tmp_path, capsys):
     assert not leftovers
 
 
+def test_eval_on_a_missing_input_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run_cli("eval", "rearrange", "--in", str(missing)) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "rearrange", "--in", "{src}", "--out", "{blocked}/out.json"),
+        ("run-example", "shift-n", "--out", "{blocked}"),
+        ("verify", "--trials", "10", "--inject-failure", "--out", "{blocked}"),
+    ],
+)
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
+    src = tmp_path / "in.json"
+    src.write_text(jsonio.dumps({"function": HALFLINE_FN}))
+    blocked = tmp_path / "file"  # a regular file where the output directory should be
+    blocked.write_text("")
+    assert run_cli(*(a.format(src=src, blocked=blocked) for a in argv)) == 2
+    assert f"error: cannot write {blocked}/" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")

@@ -142,6 +142,17 @@ def test_cesaro_translation_spreads_the_box():
         assert m == step(line(), [0, n], [0, Fraction(1, n), 0])
 
 
+def test_a_float_zero_tail_keeps_cesaro_and_maximal_exact():
+    shift_z = AtomicSymbol(atomic_z(), (), 1)
+    m = cesaro(shift_z, seq(atomic_z(), {0: 1}, tail=0.0), 2)
+    assert m.entries == ((-1, Fraction(1, 2)), (0, Fraction(1, 2)))
+    assert all(type(v) is Fraction for _, v in m.entries)
+    cycle = AtomicSymbol(atomic_finite(3), ((0, 1), (1, 2), (2, 0)))
+    f = seq(atomic_finite(3), {0: 1}, tail=0.0)
+    for g in (cesaro(cycle, f, 2), maximal_truncated(cycle, f, 2)):
+        assert type(g.tail) is Fraction and all(type(v) is Fraction for _, v in g.entries)
+
+
 def test_cesaro_three_cycle_reaches_the_average():
     sym = AtomicSymbol(atomic_finite(3), ((0, 1), (1, 2), (2, 0)))
     f = seq_from_values(atomic_finite(3), [1, 2, 6])
@@ -558,6 +569,9 @@ def _assert_canonical(r):
 # dividing the cuts 3 - 2^-51 and 3 of f* by 0.7 rounds them to one float
 @example((translation_line(), step(line(), [0, 1], [0, 1, 0])), 0.7, 1,
          step(halfline(), [Fraction(1, 2**51), 3], [1, 2, 0]))
+# 0.7 times the zero tail is the float 0.0, which seq stores as the exact 0
+@example((AtomicSymbol(atomic_finite(2), ((0, 0), (1, 0))), seq(atomic_finite(2), {})), 0.7, 1,
+         step(halfline(), [], [1]))
 def test_producers_are_canonical(pair, c, n, deep):
     sym, f = pair
     g = apply(sym, f)

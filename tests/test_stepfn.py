@@ -152,6 +152,12 @@ def test_seq_drops_tail_entries():
     assert f.value_at(3) == 0
 
 
+@pytest.mark.parametrize("zero", [0, 0.0, -0.0, Fraction(0)])
+def test_seq_stores_a_zero_tail_as_the_exact_zero(zero):
+    f = seq(atomic_n(), {0: 1}, tail=zero)
+    assert type(f.tail) is Fraction and f.tail == 0
+
+
 def test_seq_from_values():
     f = seq_from_values(atomic_n(), [4, 0, 1])
     assert f.value_at(0) == 4 and f.value_at(1) == 0 and f.value_at(2) == 1
