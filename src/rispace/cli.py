@@ -203,8 +203,8 @@ def _cmd_eval(args) -> int:
         try:
             with open(args.infile) as handle:
                 text = handle.read()
-        except OSError as e:
-            raise UsageError(f"cannot read {args.infile}: {e.strerror}") from None
+        except (OSError, UnicodeDecodeError) as e:  # a file that is not UTF-8 text is unreadable too
+            raise UsageError(f"cannot read {args.infile}: {getattr(e, 'strerror', e)}") from None
     else:
         text = sys.stdin.read()
     try:

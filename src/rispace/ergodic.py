@@ -3,9 +3,10 @@
 Everything is computed exactly on the step/sequence representations:
 ``apply`` has the symbol pull f back (each symbol family's ``pull_back``
 moves the pieces or entries of f through its preimages).  An atomic symbol
-reads Cesàro means and the truncated maximal operator off one walk along its
-orbit lines, at a cost set by the output and not by n; an interval symbol
-combines iterates with rational weights and sweeps them cell by cell.
+reads Cesàro means and the truncated maximal operator off one sweep per line
+of its shift, walking orbits only where they meet its table, at a cost set by
+the output and not by n; an interval symbol combines iterates with rational
+weights and sweeps them cell by cell.
 Limits are only ever produced by oracles (orbit averages for finite
 permutations); nothing is extrapolated.
 """
@@ -127,42 +128,45 @@ def cesaro_schedule(sym: Symbol, f: MeasFn, schedule: Sequence[int]) -> CesaroTr
 
 
 def _cycles(sym: AtomicSymbol) -> list[list[int]]:
-    seen = set()
-    cycles = []
+    seen, cycles = set(), []
     for start in range(*sym.space.domain):
-        if start in seen:
-            continue
-        cyc = []
-        j = start
+        cyc, j = [], start
         while j not in seen:
             seen.add(j)
             cyc.append(j)
             j = sym.image_of(j)
-        cycles.append(cyc)
+        if cyc:
+            cycles.append(cyc)
     return cycles
 
 
 class _Orbits:
     """Sums of f along an atomic symbol's orbits, at a cost set by the output.
 
-    Off the table an orbit runs along its line j % s, a place j // s a step,
-    until it meets the table (``steps_to_table``); a run sums by bisecting
-    the prefix sums of f's entries listed by line and place.  Table rows
-    are stepped one by one, m = qL + r steps around a permutation's cycle
-    sum to q cycle sums plus a prefix difference, and a shift of 0 holds j
-    fixed.  Exact values are ints over one denominator D, less f's tail;
-    others stay as they are (``means`` then sees a finite permutation)."""
+    Off the table an orbit runs along its line j % s, a place j // s a step.
+    Exact values are ints over one denominator D, less f's tail (|f|'s for
+    ``maximal``), listed by line and place with prefix sums; one sweep per
+    line (``windows``) serves the indices whose steps stay off the table.
+    ``walk`` serves the rest: a run is a slice of its line, table rows are
+    stepped one by one, m = qL + r steps around a permutation's cycle sum to
+    q cycle sums plus a prefix difference, and a shift of 0 holds j fixed.
+    Floats, or D past the budget, are walked as they are."""
 
-    def __init__(self, sym: AtomicSymbol, f: AtomSeq):
-        self.sym, s, self.tail = sym, sym.shift, f.tail
+    def __init__(self, sym: AtomicSymbol, f: AtomSeq, absolute: bool = False):
+        self.sym, s = sym, sym.shift
         self.D = D = common_denominator([v for _, v in f.entries] + [f.tail])
         if D is None:
-            self.vals, start = f._values, Fraction(0)
+            f = abs_fn(f) if absolute else f
+            self.vals, self.tail, start = f._values, f.tail, Fraction(0)
         else:
-            self.T = T = f.tail.numerator * (D // f.tail.denominator)
-            self.vals, start = {j: v.numerator * (D // v.denominator) - T for j, v in f.entries}, 0
-        self.places = sorted((j % s, j // s) for j in self.vals) if s else []  # (line, place)
-        self.sums = list(accumulate((self.vals[r + q * s] for r, q in self.places), initial=0))
+            num = abs if absolute else int
+            self.tail, self.T, start = f.tail, num(f.tail.numerator) * (D // f.tail.denominator), 0
+            self.vals = {j: w for j, v in f.entries if (w := num(v.numerator) * (D // v.denominator) - self.T)}
+        self.lines = {}  # line -> its entries' places, increasing, and their prefix sums
+        for j in sorted(self.vals, reverse=s < 0) if s else ():
+            places, sums = self.lines.setdefault(j % s, ([], [0]))
+            places.append(j // s)
+            sums.append(sums[-1] + self.vals[j])
         self.cycles = {}  # index -> its cycle, its place, the doubled cycle's prefix sums
         for cyc in _cycles(sym) if sym.is_permutation() else ():
             prefix = list(accumulate([self.vals.get(j, self.tail if D is None else 0) for j in cyc] * 2,
@@ -170,7 +174,7 @@ class _Orbits:
             self.cycles.update((j, (cyc, p, prefix)) for p, j in enumerate(cyc))
 
     def walk(self, j: int, m: int, hits: Optional[list] = None):
-        """The sum over j's first m steps; hits gets each (step, entry) met."""
+        """The sum over j's first m steps, or hits with each (step, entry) met."""
         sym, s, vals = self.sym, self.sym.shift, self.vals
         acc = i = 0
         while i < m:
@@ -178,10 +182,11 @@ class _Orbits:
             if s and k != 0:  # a run along j's line
                 run = m - i if k is None or k > m - i else k
                 q, r = divmod(j, s)
-                a, b = bisect_left(self.places, (r, q)), bisect_left(self.places, (r, q + run))
-                acc += self.sums[b] - self.sums[a]
+                places, sums = self.lines.get(r, ((), (0,)))
+                a, b = bisect_left(places, q), bisect_left(places, q + run)
+                acc += sums[b] - sums[a]
                 if hits is not None:
-                    hits += [(i + c - q, vals[r + c * s]) for _, c in self.places[a:b]]
+                    hits += [(i + c - q, vals[r + c * s]) for c in places[a:b]]
                 j, i = j + run * s, i + run
             elif hits is None and j in self.cycles:
                 cyc, p, prefix = self.cycles[j]
@@ -193,60 +198,84 @@ class _Orbits:
                     hits += [(t, vals[j]) for t in range(i, i + steps)]
                 acc += steps * vals.get(j, 0)
                 j, i = sym.image_of(j) if k == 0 else j, i + steps
-        return acc
+        return acc if hits is None else hits
 
-    def near(self, depth: int) -> set[int]:
-        """The indices whose orbit meets an entry within depth steps: S_n less
-        n times f's tail vanishes elsewhere for every n <= depth + 1."""
-        seen = level = set(self.vals)
+    def near(self, m: int):
+        """The indices whose orbit meets an entry within m - 1 steps and that
+        ``windows`` does not serve (S_n less n times f's tail is 0 off them)."""
+        sym, depth, sweep = self.sym, m - 1, self.D is not None and self.sym.shift
+        seen = level = set(self.vals) if sym.table or not sweep else set()
         while depth and level:
-            level = self.sym.index_preimage(level) - seen
+            level = sym.index_preimage(level) - seen
             seen |= level
             depth -= 1
-        return seen
+        return [j for j in seen if (k := sym.steps_to_table(j)) is not None and k < m] if sweep else seen
+
+    def windows(self, m: int):
+        """Yield (j, q, a, b, line) for each index j whose m steps stay off the
+        table and meet an entry: q is j's place, the line's entries a..b-1 sit
+        at [q, q + m).  Cursors run up each line once, on N from its left end."""
+        s, left = self.sym.shift, self.sym.space.domain[0]
+        for r, line in self.lines.items():
+            places, rows = [*line[0], INF], [*self.sym.table_places.get(r, ()), INF]
+            lo = -((r - left) // s) if s > 0 and left != -INF else -INF
+            a = b = c = 0
+            for p in line[0]:
+                for q in range(max(p - m + 1, lo), p + 1):
+                    while places[a] < q:
+                        a += 1
+                    while places[b] < q + m:
+                        b += 1
+                    while rows[c] < q:
+                        c += 1
+                    if rows[c] >= q + m:
+                        yield r + q * s, q, a, b, line
+                lo = p + 1
+
+    def exact(self, items, tail: Fraction) -> AtomSeq:
+        """The means (S + n T) / (n D) of the items (j, S, n) by j; S = 0 is the tail."""
+        entries = ((j, Fraction(S + n * self.T, n * self.D)) for j, S, n in sorted(items) if S)
+        return AtomSeq(self.sym.space, tuple(entries), tail)
 
     def means(self, ns: Sequence[int]) -> tuple[tuple[int, AtomSeq], ...]:
-        js, out = self.near(ns[-1] - 1), []
+        m, out = ns[-1], []
+        js, wins = self.near(m), list(self.windows(m))
         for n in ns:
             if self.D is None:  # a finite permutation, rounded as its cycle sums are
-                items, tail = [(j, self.walk(j, n) * Fraction(1, n)) for j in js], Fraction(0)
-            else:
-                items, tail = [(j, Fraction(self.walk(j, n) + n * self.T, n * self.D)) for j in js], self.tail
-            out.append((n, _merged_seq(self.sym.space, items, tail)))
+                out.append((n, _merged_seq(self.sym.space, [(j, self.walk(j, n) * Fraction(1, n)) for j in js])))
+                continue
+            items = [(j, self.walk(j, n), n) for j in js]
+            items += [(j, sums[b if n == m else bisect_left(places, q + n, a, b)] - sums[a], n)
+                      for j, q, a, b, (places, sums) in wins]
+            out.append((n, self.exact(items, self.tail or Fraction(0))))
         return tuple(out)
 
     def maximal(self, K: int) -> AtomSeq:
-        peaks = []
-        for j in self.near(K - 1):
-            self.walk(j, K, hits := [])
-            peaks.append((j, self.peak(hits, K)))
-        return _merged_seq(self.sym.space, peaks, self.peak([(0, 0 if self.D else self.tail)], K))
+        walks = [(j, self.walk(j, K, [])) for j in self.near(K)]
+        if self.D is None:  # summed as they meet the orbit, a nonzero tail at every step
+            def peak(hits):
+                if self.tail != 0:
+                    hits = ({i: self.tail for i in range(K)} | dict(hits)).items()
+                return _peak_mean(hits, {i: Fraction(1, i + 1) for i, _ in hits})
+            return _merged_seq(self.sym.space, [(j, peak(hits)) for j, hits in walks], peak([(0, self.tail)]))
+        peaks = [(j, *self.peak(K, [i for i, _ in hits], list(accumulate((v for _, v in hits), initial=0)),
+                                0, len(hits), 0)) for j, hits in walks]
+        peaks += [(j, *self.peak(K, places, sums, a, b, q)) for j, q, a, b, (places, sums) in self.windows(K)]
+        return self.exact(peaks, Fraction(self.T, self.D))
 
-    def peak(self, hits: list, K: int) -> Real:
-        """max_{n<=K} S_n/n at an index from the entries its orbit meets.
-        Between them S_n less n times f's tail stays at their running sum
-        H, so H/n peaks at the stretch's first n if H >= 0, else at its
-        last; ties keep the smaller n.  Values that are not ints are summed
-        as they meet the orbit (a nonzero tail at every step), so a float
-        mean rounds as their running sum does."""
-        if self.D is None:
-            if self.tail != 0:
-                at = dict(hits)
-                hits = [(i, at.get(i, self.tail)) for i in range(K)]
-            H, best = 0, None
-            for i, v in hits:
-                H += v
-                m = Fraction(1, i + 1) * H
-                if best is None or m > best:
-                    best = m
-            return best
-        H, lo, best, best_n = 0, 1, None, 1
-        for i, v in hits + [(K, 0)]:
-            n = lo if H >= 0 else i
-            if lo <= i and (best is None or H * best_n > best * n):
+    @staticmethod
+    def peak(K: int, steps, sums, a: int, b: int, q: int) -> tuple[int, int]:
+        """max_{n<=K} S_n/n as (H, n) over D where an orbit meets the entries
+        a..b-1 at the steps steps[c] - q, with running sums sums[c + 1] -
+        sums[a].  Between them S_n stays at H, so H/n peaks at the stretch's
+        first n if H >= 0, else at its last; ties keep the smaller n."""
+        best, best_n = (0, 1) if a == b or steps[a] > q else (None, 1)
+        for c in range(a, b):
+            H = sums[c + 1] - sums[a]
+            n = steps[c] - q + 1 if H >= 0 else (steps[c + 1] - q if c + 1 < b else K)
+            if best is None or H * best_n > best * n:
                 best, best_n = H, n
-            H, lo = H + v, i + 1
-        return Fraction(best + best_n * self.T, best_n * self.D)
+        return best, best_n
 
 
 def permutation_limit(sym: AtomicSymbol, f: AtomSeq) -> AtomSeq:
@@ -320,7 +349,7 @@ def maximal_truncated(sym: Symbol, f: MeasFn, K: int) -> MeasFn:
     if K == 1:
         return abs_fn(f)
     if isinstance(sym, AtomicSymbol):
-        return _Orbits(sym, abs_fn(f)).maximal(K)
+        return _Orbits(sym, f, absolute=True).maximal(K)
     g = abs_fn(f)
     weights = [Fraction(1, n) for n in range(1, K + 1)]
     iterates = [g]

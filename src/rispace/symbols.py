@@ -28,6 +28,7 @@ closed under composition.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -362,14 +363,23 @@ class AtomicSymbol:
             raise ValueError(f"index {j} outside the space's range")
         return j + self.shift
 
+    @cached_property
+    def table_places(self) -> dict[int, list[int]]:
+        """Line j % shift -> the sorted places j // shift of its table rows."""
+        lines = {}
+        for j, _ in self.table if self.shift else ():
+            lines.setdefault(j % self.shift, []).append(j // self.shift)
+        return {r: sorted(places) for r, places in lines.items()}
+
     def steps_to_table(self, j: int) -> int | None:
         """The steps of the shift rule that take j to a table index: 0 for
         one, None when j's orbit never meets the table again."""
-        if j in self._images:
-            return 0
-        c = self.shift
-        ahead = [(k - j) // c for k, _ in self.table if c and (k - j) % c == 0 and (k - j) // c > 0]
-        return min(ahead, default=None)
+        if not self.shift:
+            return 0 if j in self._images else None
+        q, r = divmod(j, self.shift)
+        rows = self.table_places.get(r, ())
+        i = bisect_left(rows, q)
+        return rows[i] - q if i < len(rows) else None
 
     def is_permutation(self) -> bool:
         if self.space.kind != ATOMIC_FINITE:

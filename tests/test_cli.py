@@ -256,6 +256,13 @@ def test_eval_on_a_missing_input_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
 
 
+def test_eval_on_an_input_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_bytes(b"\xff\xfe{}")
+    assert run_cli("eval", "rearrange", "--in", str(src)) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {src}: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -374,11 +374,30 @@ def _infinite_instance(draw):
 def _oracle_indices(sym, steps):
     """Every atom of a finite space; on Z and N a range past every index whose
     first steps iterates meet the table or f's entries, as orbits move by at
-    most 2 a step."""
+    most max(2, |shift|) a step."""
     if sym.space.count is not None:
         return range(sym.space.count)
-    reach = 8 + 2 * steps + 2
+    reach = 8 + max(2, abs(sym.shift)) * steps + 2
     return range(-reach if sym.space == atomic_z() else 0, reach)
+
+
+def _sweep_examples(test):
+    """Cases of the sweep along the shift's lines, for both oracle tests."""
+    for pair, n in [
+        # s = -1 on Z: the lines run down the indices
+        ((AtomicSymbol(atomic_z(), ((-3, 4),), -1), seq(atomic_z(), {-6: 2, -1: Fraction(-1, 3), 0: 5, 5: 1})), 6),
+        # s = 3 with table rows on one of its three lines
+        ((AtomicSymbol(atomic_z(), ((1, -5), (7, 4)), 3),
+          seq(atomic_z(), {-5: 1, -2: 3, 0: -2, 2: Fraction(1, 2), 4: 1, 6: 2})), 7),
+        # a table row that is a fixed point
+        ((AtomicSymbol(atomic_z(), ((2, 2),), 1), seq(atomic_z(), {-1: 1, 2: -3, 4: 2})), 5),
+        # N with a nonzero tail above every |f|
+        ((AtomicSymbol(atomic_n(), ((5, 1),), 2), seq(atomic_n(), {0: Fraction(1, 2), 3: -1, 6: 0}, tail=2)), 6),
+        # an entry at index 0 under s = 1 on N: the line is cut at the space's left end
+        ((unilateral_shift(), seq(atomic_n(), {0: 3, 1: -1, 4: 2})), 9),
+    ]:
+        test = example(pair, n)(test)
+    return test
 
 
 @given(_atomic_instance() | _infinite_instance(), st.integers(1, 12))
@@ -397,6 +416,7 @@ def _oracle_indices(sym, steps):
 # a permutation at n past its cycle length
 @example((AtomicSymbol(atomic_finite(3), ((0, 1), (1, 2), (2, 0))),
           seq_from_values(atomic_finite(3), [1, 2, 5])), 8)
+@_sweep_examples
 @settings(max_examples=160)
 def test_cesaro_matches_dict_oracle(pair, n):
     sym, f = pair
@@ -412,6 +432,7 @@ def test_cesaro_matches_dict_oracle(pair, n):
 @given(_atomic_instance() | _infinite_instance(), st.integers(1, 9))
 # |f| below its tail over N: the mean peaks at a stretch's end, 2/3 at index 0 and n = 3
 @example((unilateral_shift(), seq(atomic_n(), {0: 0, 3: 5}, tail=1)), 3)
+@_sweep_examples
 @settings(max_examples=160)
 def test_maximal_matches_dict_oracle(pair, K):
     sym, f = pair
@@ -539,6 +560,50 @@ def test_cesaro_cost_follows_its_output_on_the_shift():
     sample = rng.sample(range(-900 - 4096, 900), 12) + [-900 - 4096, -900 - 4095, 899, 900]
     want = cesaro_dict_oracle(bilateral_shift().image_of, f.value_at, sample, 4096)
     assert all(m.value_at(j) == want[j] for j in sample)
+
+
+def test_cesaro_and_maximal_cost_follow_their_output_under_a_long_table():
+    # each step to the table once scanned every table row: about 5 s at
+    # n = 16 on this instance; the table's rows are indexed by line
+    rng = random.Random(19)
+    sym = AtomicSymbol(atomic_z(), tuple((j, rng.randrange(-3000, 3000))
+                                         for j in rng.sample(range(-3000, 3000), 2000)), 1)
+    f = seq(atomic_z(), {j: Fraction(rng.randint(1, 99), rng.choice((1, 2, 3)))
+                         for j in rng.sample(range(-3000, 3000), 500)})
+    t0 = time.monotonic()
+    means, peaks = cesaro(sym, f, 16), maximal_truncated(sym, f, 16)
+    assert time.monotonic() - t0 < 5
+    sample = rng.sample(range(-3100, 3000), 40)
+    want = cesaro_dict_oracle(sym.image_of, f.value_at, sample, 16)
+    assert all(means.value_at(j) == want[j] for j in sample)
+    want = maximal_dict_oracle(sym.image_of, f.value_at, sample, 16)
+    assert all(peaks.value_at(j) == want[j] for j in sample)
+
+
+def test_maximal_of_a_far_entry_stays_linear_in_K():
+    # the one table row at 0 is far behind every index that meets the entry
+    sym = AtomicSymbol(atomic_z(), ((0, 5),), 1)
+    t0 = time.monotonic()
+    m = maximal_truncated(sym, seq(atomic_z(), {10**9: 3}), 10**5)
+    assert time.monotonic() - t0 < 5
+    assert len(m.entries) == 10**5
+    assert m.value_at(10**9) == 3 and m.value_at(10**9 - 10**5 + 1) == Fraction(3, 10**5)
+
+
+def test_the_sweep_walks_no_index_under_an_empty_table(monkeypatch):
+    from rispace import ergodic
+
+    def refuse(*args):
+        raise AssertionError("walked")
+
+    # nothing is walked, and no preimage is taken to find the indices near f
+    monkeypatch.setattr(ergodic._Orbits, "walk", refuse)
+    monkeypatch.setattr(AtomicSymbol, "index_preimage", refuse)
+    for sym, g in ((bilateral_shift(), seq(atomic_z(), {-2: 1, 5: 3})),
+                   (unilateral_shift(), seq(atomic_n(), {0: 2, 3: -1, 4: Fraction(1, 3)}, tail=1)),
+                   (AtomicSymbol(atomic_z(), (), -2), seq(atomic_z(), {1: 4, 2: -1}))):
+        cesaro_schedule(sym, g, (1, 3, 7))
+        maximal_truncated(sym, g, 6)
 
 
 def test_maximal_of_e0_under_the_n_shift_costs_nothing_in_K():
