@@ -5,8 +5,8 @@ Everything is computed exactly on the step/sequence representations:
 moves the pieces or entries of f through its preimages).  An atomic symbol
 reads Cesàro means and the truncated maximal operator off one sweep per line
 of its shift, walking orbits only where they meet its table, at a cost set by
-the output and not by n; an interval symbol combines iterates with rational
-weights and sweeps them cell by cell.
+the output, not by n or by the size of exact values' denominators; an
+interval symbol combines iterates with rational weights, cell by cell.
 Limits are only ever produced by oracles (orbit averages for finite
 permutations); nothing is extrapolated.
 """
@@ -19,6 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import pos
 from typing import Optional, Sequence, Union
 
 from . import jsonio
@@ -94,19 +95,16 @@ def cesaro_schedule(sym: Symbol, f: MeasFn, schedule: Sequence[int]) -> CesaroTr
     """Means C_n f along an increasing schedule.
 
     An atomic symbol reads every mean off one orbit walk (``_Orbits``)
-    unless f has a float value, or denominators past the budget, off a
-    finite permutation.  There, and for interval symbols, each snapshot is
-    one linear combination of the previous snapshot C_m (m = 0 at the
-    first) and the iterates since it: C_n = (m/n) C_m + (1/n) sum T^i f
-    over m <= i < n."""
+    unless f has a float value off a finite permutation.  There, and for
+    interval symbols, each snapshot is one linear combination of the
+    previous snapshot C_m (m = 0 at the first) and the iterates since it:
+    C_n = (m/n) C_m + (1/n) sum T^i f over m <= i < n."""
     ns = [as_int(n) for n in schedule]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise ValueError("schedule must be strictly increasing and positive")
     _check_acts_on(sym, f)
-    if isinstance(sym, AtomicSymbol):
-        walk = _Orbits(sym, f)
-        if walk.D is not None or sym.is_permutation():
-            return CesaroTrajectory(sym, f, tuple(ns), walk.means(ns))
+    if isinstance(sym, AtomicSymbol) and (not _has_float(f) or sym.is_permutation()):
+        return CesaroTrajectory(sym, f, tuple(ns), _Orbits(sym, f).means(ns))
     wanted = set(ns)
     out = []
     buffer = [f]
@@ -127,6 +125,11 @@ def cesaro_schedule(sym: Symbol, f: MeasFn, schedule: Sequence[int]) -> CesaroTr
     return CesaroTrajectory(sym, f, tuple(ns), tuple(out))
 
 
+def _has_float(f: AtomSeq) -> bool:
+    """Whether a value of f is a float, whose sums round as they are formed."""
+    return isinstance(f.tail, float) or any(isinstance(v, float) for _, v in f.entries)
+
+
 def _cycles(sym: AtomicSymbol) -> list[list[int]]:
     seen, cycles = set(), []
     for start in range(*sym.space.domain):
@@ -144,24 +147,26 @@ class _Orbits:
     """Sums of f along an atomic symbol's orbits, at a cost set by the output.
 
     Off the table an orbit runs along its line j % s, a place j // s a step.
-    Exact values are ints over one denominator D, less f's tail (|f|'s for
-    ``maximal``), listed by line and place with prefix sums; one sweep per
-    line (``windows``) serves the indices whose steps stay off the table.
+    Exact values are ints over one denominator D (past its budget, the
+    Fractions themselves over D = 1), less f's tail (|f|'s for ``maximal``),
+    listed by line and place with prefix sums; one sweep per line
+    (``windows``) serves the indices whose steps stay off the table.
     ``walk`` serves the rest: a run is a slice of its line, table rows are
     stepped one by one, m = qL + r steps around a permutation's cycle sum to
     q cycle sums plus a prefix difference, and a shift of 0 holds j fixed.
-    Floats, or D past the budget, are walked as they are."""
+    Float values are walked as they are."""
 
     def __init__(self, sym: AtomicSymbol, f: AtomSeq, absolute: bool = False):
         self.sym, s = sym, sym.shift
-        self.D = D = common_denominator([v for _, v in f.entries] + [f.tail])
-        if D is None:
+        self.floats = _has_float(f)
+        if self.floats:
             f = abs_fn(f) if absolute else f
             self.vals, self.tail, start = f._values, f.tail, Fraction(0)
         else:
-            num = abs if absolute else int
-            self.tail, self.T, start = f.tail, num(f.tail.numerator) * (D // f.tail.denominator), 0
-            self.vals = {j: w for j, v in f.entries if (w := num(v.numerator) * (D // v.denominator) - self.T)}
+            D, num = common_denominator([v for _, v in f.entries] + [f.tail]), abs if absolute else pos
+            over = (lambda v: num(v.numerator) * (D // v.denominator)) if D else num
+            self.D, self.tail, self.T, start = D or 1, f.tail, over(f.tail), 0
+            self.vals = {j: w for j, v in f.entries if (w := over(v) - self.T)}
         self.lines = {}  # line -> its entries' places, increasing, and their prefix sums
         for j in sorted(self.vals, reverse=s < 0) if s else ():
             places, sums = self.lines.setdefault(j % s, ([], [0]))
@@ -169,7 +174,7 @@ class _Orbits:
             sums.append(sums[-1] + self.vals[j])
         self.cycles = {}  # index -> its cycle, its place, the doubled cycle's prefix sums
         for cyc in _cycles(sym) if sym.is_permutation() else ():
-            prefix = list(accumulate([self.vals.get(j, self.tail if D is None else 0) for j in cyc] * 2,
+            prefix = list(accumulate([self.vals.get(j, self.tail if self.floats else 0) for j in cyc] * 2,
                                      initial=start))
             self.cycles.update((j, (cyc, p, prefix)) for p, j in enumerate(cyc))
 
@@ -203,7 +208,7 @@ class _Orbits:
     def near(self, m: int):
         """The indices whose orbit meets an entry within m - 1 steps and that
         ``windows`` does not serve (S_n less n times f's tail is 0 off them)."""
-        sym, depth, sweep = self.sym, m - 1, self.D is not None and self.sym.shift
+        sym, depth, sweep = self.sym, m - 1, not self.floats and self.sym.shift
         seen = level = set(self.vals) if sym.table or not sweep else set()
         while depth and level:
             level = sym.index_preimage(level) - seen
@@ -241,7 +246,7 @@ class _Orbits:
         m, out = ns[-1], []
         js, wins = self.near(m), list(self.windows(m))
         for n in ns:
-            if self.D is None:  # a finite permutation, rounded as its cycle sums are
+            if self.floats:  # a finite permutation, rounded as its cycle sums are
                 out.append((n, _merged_seq(self.sym.space, [(j, self.walk(j, n) * Fraction(1, n)) for j in js])))
                 continue
             items = [(j, self.walk(j, n), n) for j in js]
@@ -252,7 +257,7 @@ class _Orbits:
 
     def maximal(self, K: int) -> AtomSeq:
         walks = [(j, self.walk(j, K, [])) for j in self.near(K)]
-        if self.D is None:  # summed as they meet the orbit, a nonzero tail at every step
+        if self.floats:  # summed as they meet the orbit, a nonzero tail at every step
             def peak(hits):
                 if self.tail != 0:
                     hits = ({i: self.tail for i in range(K)} | dict(hits)).items()
@@ -336,18 +341,16 @@ def maximal_truncated(sym: Symbol, f: MeasFn, K: int) -> MeasFn:
     """max_{1<=n<=K} (1/n) S_n with S_n = sum_{i<n} |T^i f|, exact.
 
     |T^i f| = T^i |f| because T is positive.  An atomic symbol walks the
-    orbit lines of |f| (``_Orbits.peak``).  An interval symbol forms the
-    iterates of |f| once and sweeps them cell by cell over the union of their
-    cuts; S_n is constant between the iterates that are nonzero at a point
-    and S_n/n falls there, so only n = i+1 with T^i |f| nonzero are visited.
-    Ties keep the smaller n.  Float-valued step functions are rounded as the
-    sum of whole step functions rounds them."""
+    orbit lines of |f|, any exact values by the peak rule (``_Orbits.peak``).
+    An interval symbol forms the iterates of |f| once and sweeps them cell by
+    cell over the union of their cuts; S_n is constant between the iterates
+    that are nonzero at a point and S_n/n falls there, so only n = i+1 with
+    T^i |f| nonzero are visited.  Ties keep the smaller n.  Float values are
+    rounded as the sum of whole step functions or sequences rounds them."""
     K = as_int(K)
     if K < 1:
         raise ValueError("truncation K must be >= 1")
     _check_acts_on(sym, f)
-    if K == 1:
-        return abs_fn(f)
     if isinstance(sym, AtomicSymbol):
         return _Orbits(sym, f, absolute=True).maximal(K)
     g = abs_fn(f)

@@ -60,9 +60,7 @@ def as_int(x) -> int:
 
 def common_denominator(values) -> int | None:
     """The lcm D of exact values' denominators, so each is an int over D;
-    None for a float, or past 1024 bits, where Fraction sums stay smaller."""
-    if any(isinstance(v, float) for v in values):
-        return None
+    None past 1024 bits, where sums of the Fractions themselves stay smaller."""
     D = math.lcm(*{v.denominator for v in values})
     return D if D.bit_length() <= 1 << 10 else None
 

@@ -360,23 +360,11 @@ def integrate(f: MeasFn) -> Real:
     """
     pos_inf = neg_inf = False
     total: Real = Fraction(0)
-    if isinstance(f, AtomSeq):
-        if f.tail > 0:
-            pos_inf = True
-        elif f.tail < 0:
-            neg_inf = True
-        total = f.space.atom_mass * sum((v for _, v in f.entries), Fraction(0))
-    else:
-        for a, b, v in f.pieces():
-            if v == 0:
-                continue
-            if a == NEG_INF or b == INF:
-                if v > 0:
-                    pos_inf = True
-                else:
-                    neg_inf = True
-            else:
-                total += v * (b - a)
+    for m, v in f.cells():
+        if m == INF:
+            pos_inf, neg_inf = pos_inf or v > 0, neg_inf or v < 0
+        else:
+            total += v * m
     if pos_inf and neg_inf:
         raise UndefinedIntegralError("integral is inf - inf")
     if pos_inf:

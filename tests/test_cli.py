@@ -382,6 +382,19 @@ def test_eval_norm_with_an_extreme_exponent_finishes(spec):
         jsonio.loads(out.stdout)  # no NaN or other non-JSON literal
 
 
+def test_eval_maximal_past_the_denominator_budget_finishes():
+    # exact entries whose denominators' lcm passes 1,024 bits once took a
+    # K-long walk of every index, about 10 s at this K
+    fn = {"space": _N_SHIFT["space"], "entries": [[0, f"1/{3**700}"], [1, f"1/{5**500}"]], "tail_value": "1/3"}
+    env = dict(os.environ, PYTHONPATH=str(Path(rispace.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "rispace.cli", "eval", "maximal"], env=env, timeout=5,
+                         input=json.dumps({"symbol": _N_SHIFT, "function": fn, "K": 200000}),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got["tail_value"] == "1/3" and [j for j, _ in got["entries"]] == [0, 1]
+
+
 # a half-line step function whose cuts lie off the double range on both sides
 _OFF_RANGE_FN = {"space": _HALFLINE, "breakpoints": [0, "1e-400", "1e400"], "values": [3, 2],
                  "right_tail": 0}

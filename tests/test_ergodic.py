@@ -400,6 +400,21 @@ def _sweep_examples(test):
     return test
 
 
+def _past_budget_examples(test):
+    """Cases whose denominators' lcm passes the 1,024-bit budget, for both
+    oracle tests: their values are swept as Fractions over D = 1."""
+    big, small = Fraction(1, 3**700), Fraction(2, 5**500)
+    for pair, n in [
+        # a Z-shift with one table row
+        ((AtomicSymbol(atomic_z(), ((1, -4),), 1), seq(atomic_z(), {-3: big, 0: -small, 2: 1, 5: small})), 6),
+        # N with a tail below every |f|, and with one above it
+        ((AtomicSymbol(atomic_n(), ((2, 0),), 1), seq(atomic_n(), {0: 1 + big, 1: -small, 4: 2}, tail=small / 7)), 7),
+        ((unilateral_shift(), seq(atomic_n(), {0: big, 2: -small, 3: 1}, tail=Fraction(3, 2) + small)), 5),
+    ]:
+        test = example(pair, n)(test)
+    return test
+
+
 @given(_atomic_instance() | _infinite_instance(), st.integers(1, 12))
 # a shift of 0, whose indices off the table are fixed points
 @example((AtomicSymbol(atomic_z(), ((1, 2), (2, 2)), 0), seq(atomic_z(), {2: 3, -1: 1, 5: -2})), 5)
@@ -417,6 +432,7 @@ def _sweep_examples(test):
 @example((AtomicSymbol(atomic_finite(3), ((0, 1), (1, 2), (2, 0))),
           seq_from_values(atomic_finite(3), [1, 2, 5])), 8)
 @_sweep_examples
+@_past_budget_examples
 @settings(max_examples=160)
 def test_cesaro_matches_dict_oracle(pair, n):
     sym, f = pair
@@ -433,6 +449,7 @@ def test_cesaro_matches_dict_oracle(pair, n):
 # |f| below its tail over N: the mean peaks at a stretch's end, 2/3 at index 0 and n = 3
 @example((unilateral_shift(), seq(atomic_n(), {0: 0, 3: 5}, tail=1)), 3)
 @_sweep_examples
+@_past_budget_examples
 @settings(max_examples=160)
 def test_maximal_matches_dict_oracle(pair, K):
     sym, f = pair
@@ -611,6 +628,44 @@ def test_maximal_of_e0_under_the_n_shift_costs_nothing_in_K():
     t0 = time.monotonic()
     assert maximal_truncated(unilateral_shift(), e0, 10**6) == e0
     assert time.monotonic() - t0 < 1
+
+
+# two entries whose denominators' lcm is far past the 1,024-bit budget of
+# ints over one denominator
+_PAST_BUDGET = seq(atomic_n(), {0: Fraction(1, 3**700), 1: Fraction(1, 5**500)}, tail=Fraction(1, 3))
+
+
+def test_exact_values_past_the_budget_cost_nothing_in_n_and_K():
+    # a K-long walk of every index, or the n iterates combined, once took
+    # about 6 s and 2 s here; the Fractions are swept over D = 1 like any
+    # exact value
+    a, b, third, n = Fraction(1, 3**700), Fraction(1, 5**500), Fraction(1, 3), 2 * 10**5
+    t0 = time.monotonic()
+    m = maximal_truncated(unilateral_shift(), _PAST_BUDGET, n)
+    assert time.monotonic() - t0 < 1
+    assert m == seq(atomic_n(), {0: third + (a + b - 2 * third) / n, 1: third + (b - third) / n}, tail=third)
+    t0 = time.monotonic()
+    c = cesaro(unilateral_shift(), _PAST_BUDGET, n)
+    assert time.monotonic() - t0 < 1
+    assert c == seq(atomic_n(), {0: (a + b + (n - 2) * third) / n, 1: (b + (n - 1) * third) / n}, tail=third)
+
+
+def test_exact_values_past_the_budget_take_the_exact_path(monkeypatch):
+    from rispace import ergodic
+
+    def refuse(*args):
+        raise AssertionError("left the exact orbit path")
+
+    # neither iterates, their combination nor the float peak of running sums
+    for name in ("linear_combine", "apply", "_peak_mean"):
+        monkeypatch.setattr(ergodic, name, refuse)
+    big = Fraction(1, 3**700)
+    not_a_permutation = AtomicSymbol(atomic_finite(4), ((0, 1), (1, 2), (2, 1), (3, 1)))
+    for sym, g in ((unilateral_shift(), _PAST_BUDGET),
+                   (AtomicSymbol(atomic_z(), ((0, 3),), -1), seq(atomic_z(), {-2: big, 4: Fraction(-1, 5**500)})),
+                   (not_a_permutation, seq_from_values(atomic_finite(4), [big, Fraction(2, 5**500), 0, -1]))):
+        cesaro_schedule(sym, g, (1, 3, 7))
+        maximal_truncated(sym, g, 6)
 
 
 # ---------------------------------------------------------------------------
