@@ -212,11 +212,10 @@ def _cmd_eval(args) -> int:
     except ValueError as e:
         raise UsageError(f"cannot read the input: {e}") from None
     fields, evaluate = _OPERATIONS[args.operation]
-    try:
-        result = evaluate(*_decode(obj, fields, {"horizon": args.horizon}))
+    try:  # encoding too: an exact result can pass Python's int -> str limit
+        text = jsonio.dumps(jsonio.to_obj(evaluate(*_decode(obj, fields, {"horizon": args.horizon}))))
     except ValueError as e:
         raise UsageError(str(e)) from None
-    text = jsonio.dumps(jsonio.to_obj(result))
     if args.outfile:
         _write_text(args.outfile, text)
     else:

@@ -19,11 +19,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import pos
 from typing import Optional, Sequence, Union
 
 from . import jsonio
-from .num import INF, Real, as_int, common_denominator, fmt_real
+from .num import INF, Real, as_int, fmt_real, scaled
 from .rearrange import distribution_at
 from .spaces import NormSpec, XiWeight, fundamental_function, norm_eval, xi_seminorm
 from .stepfn import (
@@ -163,10 +162,10 @@ class _Orbits:
             f = abs_fn(f) if absolute else f
             self.vals, self.tail, start = f._values, f.tail, Fraction(0)
         else:
-            D, num = common_denominator([v for _, v in f.entries] + [f.tail]), abs if absolute else pos
-            over = (lambda v: num(v.numerator) * (D // v.denominator)) if D else num
-            self.D, self.tail, self.T, start = D or 1, f.tail, over(f.tail), 0
-            self.vals = {j: w for j, v in f.entries if (w := over(v) - self.T)}
+            self.D, ws = scaled([v for _, v in f.entries] + [f.tail])
+            ws = [abs(w) for w in ws] if absolute else ws
+            self.tail, self.T, start = f.tail, ws[-1], 0
+            self.vals = {j: w for (j, _), v in zip(f.entries, ws) if (w := v - self.T)}
         self.lines = {}  # line -> its entries' places, increasing, and their prefix sums
         for j in sorted(self.vals, reverse=s < 0) if s else ():
             places, sums = self.lines.setdefault(j % s, ([], [0]))

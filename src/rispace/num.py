@@ -58,11 +58,23 @@ def as_int(x) -> int:
     return int(x)
 
 
-def common_denominator(values) -> int | None:
-    """The lcm D of exact values' denominators, so each is an int over D;
-    None past 1024 bits, where sums of the Fractions themselves stay smaller."""
+def scaled(values) -> tuple[int, list]:
+    """(D, the values as ints over D) for D the lcm of their denominators;
+    (1, the values themselves) when one is a float, or past 1024 bits, where
+    ints over D outgrow the Fractions themselves.  Loops over ints read their
+    input through this, and give their results back by ``unscaled``."""
+    values = list(values)
+    if any(isinstance(v, float) for v in values):
+        return 1, values
     D = math.lcm(*{v.denominator for v in values})
-    return D if D.bit_length() <= 1 << 10 else None
+    if D.bit_length() > 1 << 10:
+        return 1, values
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
+def unscaled(x, D: int) -> Real:
+    """x over D, a Fraction, for an int x; a value left at scale 1 is itself."""
+    return Fraction(x, D) if type(x) is int else x
 
 
 def is_finite(x: Real) -> bool:

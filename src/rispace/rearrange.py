@@ -8,36 +8,40 @@ measure becomes the rearrangement's tail value (the function then fails the
 absolutely-continuous-rearrangement property).
 That costs O(n log n) for n pieces (the sort of the levels), and it is paid
 once per function object: ``rearrangement`` keeps f* on the (immutable)
-function, and every norm and comparison reads it from there.
+function, and every norm and comparison reads it from there.  Levels are
+grouped, sorted and laid out as ints over f's int view (``stepfn.View``).
 
 The Hardy integral H(t) = integral of f* over [0, t] is piecewise linear in
 t, so one left-to-right sweep over the pieces of f* gives H at every point of
-a sorted grid.  That sweep is the one code path for H: ``hardy_integral``, the
-Hardy-Littlewood-Polya comparison and the MarcStrong norm all read it.  Once
-f* and g* are known, the comparison is linear in their cuts (one merge of two
-sorted cut tuples, then one sweep); the MarcStrong norm sorts its grid, so it
-stays O(n log n).  The comparison is exact: checking the union of breakpoints
-plus the terminal slopes is a complete decision procedure, not a sampling
-heuristic.
+a sorted grid, in int running sums over the view.  That sweep is the one code
+path for H: ``hardy_integral``, the Hardy-Littlewood-Polya comparison and the
+MarcStrong norm all read it.  Once f* and g* are known, the comparison is
+linear in their cuts (one merge of two sorted cut lists, then one sweep, with
+H_f D_g <= H_g D_f over one cut denominator).  The comparison is exact:
+checking the union of breakpoints plus the terminal slopes is a complete
+decision procedure, not a sampling heuristic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .num import INF, Real, as_real, is_finite
+from .num import INF, Real, as_real, is_finite, unscaled
 from .space import halfline
 from .stepfn import (
     MeasFn,
     StepFn,
+    View,
+    _cells,
     _fn_from_pieces,
+    _integrate_abs_product,
+    _merged_step,
     _union,
-    abs_fn,
-    integrate,
-    pointwise_mul,
+    _views,
 )
 
 _HALFLINE = halfline()
+_SCALE_1 = View(1, [0, INF], 1, [], False)  # a sequence's f*, over its values themselves
 
 
 def distribution_at(f: MeasFn, s) -> Real:
@@ -54,10 +58,11 @@ def distribution_at(f: MeasFn, s) -> Real:
     return total
 
 
-def _levels(f: MeasFn) -> dict[Real, Real]:
-    """Map |value| -> total measure of that level set, skipping level 0."""
+def _levels(f: MeasFn, V: View | None = None) -> dict[Real, Real]:
+    """Map |value| -> total measure of that level set, skipping level 0; over
+    the C and D of f's view V, if given."""
     levels: dict[Real, Real] = {}
-    for m, v in f.cells():
+    for m, v in (f.cells() if V is None else _cells(V.bounds, V.vals)):
         key = abs(v)
         got = levels.get(key)
         if got is None:
@@ -83,22 +88,26 @@ def rearrangement(f: MeasFn) -> StepFn:
 
 
 def _rearranged(f: MeasFn) -> StepFn:
-    levels = _levels(f)
-    cuts: list[Real] = []
-    vals: list[Real] = []
-    pos: Real = Fraction(0)
+    """f* from f's levels as ints over f's view, which f* keeps (none for a
+    sequence, whose levels are read at scale 1)."""
+    V = f._view if isinstance(f, StepFn) else None
+    levels = _levels(f, V)
+    cuts: list = []
+    vals: list = []
+    pos = 0
     for v in sorted(levels, reverse=True):
         vals.append(v)
         if levels[v] == INF:  # this level fills the rest of the half-line
-            return StepFn(_HALFLINE, tuple(cuts), tuple(vals))
+            break
         end = pos + levels[v]
         if not pos < end:
             raise ValueError(f"level {v} is narrower than the float rounding of its "
                              f"position {pos}; exact cuts avoid this")
         pos = end
         cuts.append(pos)
-    vals.append(Fraction(0))
-    return StepFn(_HALFLINE, tuple(cuts), tuple(vals))
+    else:
+        vals.append(0)
+    return _merged_step(_HALFLINE, cuts, vals, _SCALE_1 if V is None else V._replace(bounds=[0, INF]))
 
 
 def is_rearranged(f: MeasFn) -> bool:
@@ -115,18 +124,19 @@ def hardy_integral(f: MeasFn, t) -> Real:
     t = as_real(t)
     if not t > 0:
         raise ValueError("hardy_integral needs t > 0")
-    return next(_hardy_sweep(rearrangement(f), [t]))
+    (V,), ts = _views([rearrangement(f)], [t])
+    return unscaled(next(_hardy_sweep(V, ts)), V.C * V.D)
 
 
-def _hardy_sweep(r: StepFn, ts):
+def _hardy_sweep(V: View, ts):
     """Yield H(t) = integral of r over [0, t] for each t of the nondecreasing
     sequence ts (t > 0, t = inf allowed), in one pass over the pieces of the
-    rearrangement r, nonzero but for the last.  Each value is the same sum, in
-    the same order, as an integral up to t alone: whole pieces left to right,
-    then the partial piece v (t - a)."""
-    pieces = r.pieces()
+    view V of the rearrangement r, nonzero but for the last (ts over V's C, H
+    over C D).  Each value is the same sum, in the same order, as an integral
+    up to t alone: whole pieces left to right, then the partial piece v (t - a)."""
+    pieces = zip(V.bounds, V.bounds[1:], V.vals)
     a, b, v = next(pieces)
-    total: Real = Fraction(0)
+    total = 0
     for t in ts:
         while b <= t and b != INF:
             total += v * (b - a)
@@ -145,13 +155,15 @@ def hlp_leq(f: MeasFn, g: MeasFn) -> bool:
     the two rearrangements, so it suffices to compare the terminal slopes
     (the tail values) and then to sweep both over the merged cuts together,
     stopping at the first violation.  Once f* and g* are known (each is
-    computed once per function object), this is linear in the cuts.
+    computed once per function object), this is linear in the cuts: over
+    their views, H_f D_g <= H_g D_f on ints over one C.
     """
     rf, rg = rearrangement(f), rearrangement(g)
     if rf.vals[-1] > rg.vals[-1]:
         return False
-    ts = _union(rf.cuts, rg.cuts)
-    return all(hf <= hg for hf, hg in zip(_hardy_sweep(rf, ts), _hardy_sweep(rg, ts)))
+    (F, G), _ = _views([rf, rg])
+    ts = _union(F.cuts, G.cuts)
+    return all(hf * G.D <= hg * F.D for hf, hg in zip(_hardy_sweep(F, ts), _hardy_sweep(G, ts)))
 
 
 def equimeasurable(f: MeasFn, g: MeasFn) -> bool:
@@ -163,11 +175,7 @@ def hardy_littlewood_pair(f: MeasFn, g: MeasFn) -> tuple[Real, Real]:
 
     The first never exceeds the second on a resonant space.
     """
-    if f.space != g.space:
-        raise ValueError("functions live on different spaces")
-    lhs = integrate(abs_fn(pointwise_mul(f, g)))
-    rhs = integrate(pointwise_mul(rearrangement(f), rearrangement(g)))
-    return lhs, rhs
+    return _integrate_abs_product(f, g), _integrate_abs_product(rearrangement(f), rearrangement(g))
 
 
 def dilate(f: StepFn, t) -> StepFn:

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .num import INF, Real, as_real, fmt_real, is_finite, log_real, rational_pow, to_float
+from .num import INF, Real, as_real, fmt_real, is_finite, log_real, rational_pow, to_float, unscaled
 from .rearrange import _hardy_sweep, is_rearranged, rearrangement
 from .space import AtomicSet, MeasureSpace, empty_set, interval_set
-from .stepfn import MeasFn, StepFn, indicator, integrate, pointwise_mul
+from .stepfn import MeasFn, StepFn, _integrate_abs_product, _union, _views, indicator
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ class MarcStrong:
         the grid of candidates below is exhaustive, together with the limits
         at 0 (always 0) and at infinity: Phi(inf) v for a tail value v > 0,
         else lim Phi(t)/t times H(inf).  One Hardy sweep over the sorted grid
-        and t = inf gives every H: O(n log n) for n pieces.  The grid is then
+        and t = inf gives every H: O(n) for n pieces.  The grid is then
         visited in its set order, which decides ties between a float and a
         Fraction value.
         """
@@ -348,8 +348,9 @@ class MarcStrong:
             return Fraction(0)
         phi = self.phi
         candidates = set(r.cuts) | set(phi.breakpoints)
-        grid = [*sorted(candidates), INF]
-        hardy = dict(zip(grid, _hardy_sweep(r, grid)))
+        grid = [*_union(r.cuts, phi.breakpoints), INF]  # sorted(candidates), then INF
+        (V,), ts = _views([r], grid)
+        hardy = {t: unscaled(H, V.C * V.D) for t, H in zip(grid, _hardy_sweep(V, ts))}
         v_tail = r.vals[-1]
         if v_tail > 0:
             best: Real = phi.at_inf * v_tail
@@ -425,7 +426,7 @@ def fundamental_function(spec: NormSpec, t) -> Real:
 
 def xi_seminorm(w: XiWeight, f: MeasFn) -> Real:
     """int_0^inf w(t) f*(t) dt, exactly (+inf when both tails persist)."""
-    return integrate(pointwise_mul(w.weight, rearrangement(f)))
+    return _integrate_abs_product(w.weight, rearrangement(f))
 
 
 def logclip_norm_of_log_profile(c0, c1) -> Real:

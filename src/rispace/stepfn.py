@@ -10,7 +10,10 @@ combination are exact, not epsilon-true.  Build both with ``step``/``seq``,
 which check outside input; the operations below share their merges.
 Both give their level cells (``cells()``), all that the distribution
 function, the rearrangement and sign checks read; the operations that need a
-different algorithm per carrier keep one branch each.
+different algorithm per carrier keep one branch each.  A StepFn also keeps
+its int view (``View``), cuts and values as ints over two denominators, which
+the hot loops here and in ``rearrange`` read in place of Fractions; past a
+float or 1,024 bits it is at scale 1, over the values themselves.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
-from .num import INF, NEG_INF, Real, as_int, as_real, is_finite
+from .num import INF, NEG_INF, Real, as_int, as_real, is_finite, scaled, unscaled
 from .space import AtomicSet, IntervalSet, MeasureSpace
 
 
@@ -51,24 +54,71 @@ class StepFn:
 
     def pieces(self):
         """Yield (a, b, value) over the whole domain, tails included."""
-        left, right = self.space.domain
-        bounds = (left,) + self.cuts + (right,)
-        for i, v in enumerate(self.vals):
-            yield bounds[i], bounds[i + 1], v
+        bounds = _plain(self).bounds
+        return zip(bounds, bounds[1:], self.vals)
 
     def cells(self):
         """Yield (measure, value) for each nonzero piece; a ray's measure is
         INF, told by its end's type and not by subtracting its finite end."""
-        left, right = self.space.domain
-        bounds = (left,) + self.cuts + (right,)
-        for a, b, v in zip(bounds, bounds[1:], self.vals):
-            if v != 0:
-                yield (b - a if is_finite(a) and is_finite(b) else INF), v
+        return _cells(_plain(self).bounds, self.vals)
+
+    @cached_property
+    def _view(self) -> View:
+        """The function's ``View``, kept in ``__dict__`` as its rearrangement is."""
+        bounds = _plain(self).bounds
+        finite = slice(0 if is_finite(bounds[0]) else 1, len(bounds) - (0 if is_finite(bounds[-1]) else 1))
+        C, bounds[finite] = scaled(bounds[finite])
+        D, vals = scaled(self.vals)
+        if not all(type(x) is int for x in (*bounds[finite], *vals)):
+            return _plain(self)
+        return View(C, bounds, D, vals, True)
 
 
-def _merged_step(space: MeasureSpace, cuts, vals) -> StepFn:
-    """The StepFn of len(cuts)+1 piece values with adjacent equal values
-    merged; a non-finite value raises.  Cuts are taken as they are."""
+class View(NamedTuple):
+    """A step function over ints: its bounds (the domain's ends, +-INF kept,
+    and its cuts) over one cut denominator C, its values over one value
+    denominator D (``num.scaled``).  Past a float or the budget it is at
+    C = D = 1 over the values themselves, not ``exact``."""
+
+    C: int
+    bounds: list
+    D: int
+    vals: list
+    exact: bool
+
+    @property
+    def cuts(self) -> list:
+        return self.bounds[1:-1]
+
+
+def _cells(bounds, vals):
+    """Yield (measure, value) for each nonzero piece, a ray's measure INF."""
+    for a, b, v in zip(bounds, bounds[1:], vals):
+        if v != 0:
+            yield (b - a if is_finite(a) and is_finite(b) else INF), v
+
+
+def _plain(f: StepFn) -> View:
+    """f's view at scale 1, over its own cuts and values."""
+    left, right = f.space.domain
+    return View(1, [left, *f.cuts, right], 1, list(f.vals), False)
+
+
+def _views(fns, points=()) -> tuple[list[View], list]:
+    """The views of fns and the points (INF allowed), all over one C, the lcm
+    of theirs; at scale 1 past a float or the budget."""
+    views = [f._view for f in fns]
+    # 1/C_i over the common C is C // C_i, the factor that rescales view i
+    C, ints = scaled([*(Fraction(1, V.C) for V in views), *(p for p in points if is_finite(p))])
+    if not (all(V.exact for V in views) and all(type(x) is int for x in ints)):
+        return [_plain(f) for f in fns], list(points)
+    ks, ints = ints[:len(views)], iter(ints[len(views):])
+    return ([V if k == 1 else V._replace(C=C, bounds=[b * k for b in V.bounds]) for k, V in zip(ks, views)],
+            [next(ints) if is_finite(p) else p for p in points])
+
+
+def _merged(cuts, vals) -> tuple[list, list]:
+    """Cuts and piece values once adjacent equal values merge; a non-finite one raises."""
     ccuts: list[Real] = []
     cvals: list[Real] = [vals[0]]
     for c, v in zip(cuts, vals[1:]):
@@ -77,7 +127,22 @@ def _merged_step(space: MeasureSpace, cuts, vals) -> StepFn:
             cvals.append(v)
     if not all(map(is_finite, cvals)):
         raise ValueError("piece values must be finite")
-    return StepFn(space, tuple(ccuts), tuple(cvals))
+    return ccuts, cvals
+
+
+def _merged_step(space: MeasureSpace, cuts, vals, scale: View | None = None) -> StepFn:
+    """The StepFn of cuts and piece values with adjacent equal values merged,
+    taken as they are, or over the C and D of a ``scale`` view (its bounds
+    the domain's ends), whose merged ints the result keeps when exact."""
+    cuts, vals = _merged(cuts, vals)
+    if scale is None:
+        return StepFn(space, tuple(cuts), tuple(vals))
+    V = scale._replace(bounds=[scale.bounds[0], *cuts, scale.bounds[-1]], vals=vals)
+    real = Fraction if V.exact else unscaled
+    f = StepFn(space, tuple(real(c, V.C) for c in cuts), tuple(real(v, V.D) for v in vals))
+    if V.exact:
+        f.__dict__["_view"] = V
+    return f
 
 
 def step(space: MeasureSpace, cuts, vals) -> StepFn:
@@ -230,20 +295,25 @@ def linear_combine(coeffs, fns) -> MeasFn:
                 acc[j] = acc.get(j, Fraction(0)) + c * v - base
         # acc[j] holds the deviation from the summed tail at j
         return _merged_seq(sp, ((j, tail + d) for j, d in acc.items()), tail)
-    # step functions: collect jump events
-    base = sum(c * f.vals[0] for c, f in zip(coeffs, fns))
+    # step functions: collect jump events, as ints over one cut scale and one
+    # value scale M wherever all are exact: c_i v / D_i = k_i v / M
+    views, _ = _views(fns)
+    M, ks = scaled([c / V.D for c, V in zip(coeffs, views)])
+    if not (views[0].exact and all(type(k) is int for k in ks)):
+        views, M, ks = [_plain(f) for f in fns], 1, coeffs
+    base = sum(k * V.vals[0] for k, V in zip(ks, views))
     jumps: dict[Real, Real] = {}
-    for c, f in zip(coeffs, fns):
-        for cut, lo, hi in zip(f.cuts, f.vals, f.vals[1:]):
+    for k, V in zip(ks, views):
+        for cut, lo, hi in zip(V.cuts, V.vals, V.vals[1:]):
             if cut in jumps:
-                jumps[cut] += c * (hi - lo)
+                jumps[cut] += k * (hi - lo)
             else:
-                jumps[cut] = c * (hi - lo)
+                jumps[cut] = k * (hi - lo)
     cuts = sorted(jumps)
     vals = [base]
     for cut in cuts:
         vals.append(vals[-1] + jumps[cut])
-    return _merged_step(sp, cuts, vals)
+    return _merged_step(sp, cuts, vals, views[0]._replace(D=M))
 
 
 def scale(c, f: MeasFn) -> MeasFn:
@@ -264,41 +334,31 @@ def subtract(f: MeasFn, g: MeasFn) -> MeasFn:
 
 
 def _on_cells(h: StepFn, cuts: list[Real]) -> list[Real]:
-    """h's value on each cell of a refinement of its cuts."""
-    vals = [h.vals[0]]
+    """h's value on each cell of a refinement of its cuts (h may be a View)."""
+    hcuts, hvals = h.cuts, h.vals
+    vals = [hvals[0]]
     i = 0
     for c in cuts:
-        if i < len(h.cuts) and h.cuts[i] == c:
+        if i < len(hcuts) and hcuts[i] == c:
             i += 1
-        vals.append(h.vals[i])
+        vals.append(hvals[i])
     return vals
 
 
 def _union(xs, ys) -> list[Real]:
-    """The sorted union of two strictly increasing sequences, in one merge.
-    On a tie the element of xs is kept, as ``sorted(set(xs) | set(ys))``
+    """The sorted union of two strictly increasing sequences, one merge of two
+    runs.  On a tie the element of xs is kept, as ``sorted(set(xs) | set(ys))``
     keeps it, so a float equal to a Fraction keeps the type it has in xs."""
     out: list[Real] = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        x, y = xs[i], ys[j]
-        if x < y:
-            out.append(x)
-            i += 1
-        elif y < x:
-            out.append(y)
-            j += 1
-        else:
-            out.append(x)
-            i += 1
-            j += 1
-    out += xs[i:]
-    out += ys[j:]
+    for v in sorted([*xs, *ys]):
+        if not out or out[-1] != v:
+            out.append(v)
     return out
 
 
 def _refine(f: StepFn, g: StepFn):
-    """The union of f's and g's cuts, and each one's values on its cells."""
+    """The union of f's and g's cuts, and each one's values on its cells (f
+    and g may be Views over one scale)."""
     cuts = _union(f.cuts, g.cuts)
     return cuts, _on_cells(f, cuts), _on_cells(g, cuts)
 
@@ -317,8 +377,9 @@ def pointwise_leq(f: MeasFn, g: MeasFn) -> bool:
         if f.tail > g.tail:
             return False
         return all(fv <= gv for _, fv, gv in _seq_pairs(f, g))
-    _, fvals, gvals = _refine(f, g)
-    return all(fv <= gv for fv, gv in zip(fvals, gvals))
+    (F, G), _ = _views([f, g])
+    _, fvals, gvals = _refine(F, G)
+    return all(x * G.D <= y * F.D for x, y in zip(fvals, gvals))
 
 
 def pointwise_map(op, f: MeasFn, g: MeasFn) -> MeasFn:
@@ -350,6 +411,25 @@ def abs_fn(f: MeasFn) -> MeasFn:
 # ---------------------------------------------------------------------------
 # Integration
 # ---------------------------------------------------------------------------
+
+
+def _integrate_abs_product(f: MeasFn, g: MeasFn) -> Real:
+    """The integral of |f g|: for step functions, over their views and with
+    no product function formed, the sum of ``integrate(abs_fn(pointwise_mul(
+    f, g)))``, |f g| times the width of each run of cells where it holds."""
+    if f.space != g.space:
+        raise ValueError("functions live on different spaces")
+    if isinstance(f, AtomSeq):
+        return integrate(abs_fn(pointwise_mul(f, g)))
+    (F, G), _ = _views([f, g])
+    cuts, fvals, gvals = _refine(F, G)
+    cuts, products = _merged(cuts, [abs(x * y) for x, y in zip(fvals, gvals)])
+    total: Real = 0
+    for m, p in _cells([F.bounds[0], *cuts, F.bounds[-1]], products):
+        if m == INF:
+            return INF
+        total += p * m
+    return unscaled(total, F.C * F.D * G.D)
 
 
 def integrate(f: MeasFn) -> Real:

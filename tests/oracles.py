@@ -201,3 +201,46 @@ def _finite_support(f: StepFn):
         lo = f.cuts[0]
     hi = f.cuts[-1] if f.cuts else lo
     return lo, hi
+
+
+def product_integral_oracle(f, g):
+    """The integral of |f g| by evaluating both at one point inside each cell
+    of their common refinement: |f g| there times the cell's width, INF for
+    a nonzero value on a ray; over atoms, entry by entry."""
+    if isinstance(f, AtomSeq):
+        if f.tail * g.tail != 0:
+            return INF
+        indices = {j for j, _ in f.entries} | {j for j, _ in g.entries}
+        return sum((abs(f.value_at(j) * g.value_at(j)) for j in indices), Fraction(0)) * f.space.atom_mass
+    lo, hi = f.space.domain
+    bounds = [lo, *sorted(set(f.cuts) | set(g.cuts)), hi]
+    total = Fraction(0)
+    for a, b, x in zip(bounds, bounds[1:], refinement_points([f, g])):
+        p = abs(f.value_at(x) * g.value_at(x))
+        if p == 0:
+            continue
+        if INF in (abs(a), abs(b)):
+            return INF
+        total += p * (b - a)
+    return total
+
+
+def xi_oracle(w: StepFn, f):
+    """The integral of w f* for a nonincreasing step weight w by summation
+    by parts, w = sum of (w_k - w_{k+1}) times the indicator of [0, b_k):
+    each step weighs the layer-cake Hardy integral of f up to b_k."""
+    total = Fraction(0)
+    for b, hi, lo in zip(w.cuts, w.vals, w.vals[1:]):
+        total += (hi - lo) * hardy_oracle(f, b)
+    if w.vals[-1] != 0:
+        total += w.vals[-1] * hardy_oracle(f, INF)
+    return total
+
+
+def marc_strong_oracle(phi_at, f):
+    """sup over t > 0 of Phi(t) H(t) / t for a power profile Phi with
+    Phi(t)/t -> 0, with the layer-cake H: INF for a nonzero tail of f*, else
+    the largest value at the cuts of f* (0 for f = 0)."""
+    if star_tail_oracle(f) != 0:
+        return INF
+    return max([Fraction(0)] + [phi_at(t) * hardy_oracle(f, t) / t for t in star_cuts_oracle(f)])

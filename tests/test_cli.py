@@ -263,6 +263,21 @@ def test_eval_on_an_input_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read {src}: ")
 
 
+def test_eval_of_a_result_past_the_int_to_str_limit_exits_2(tmp_path, capsys):
+    # the L1 norm is the exact 10^-6000, whose 6,001 digits Python will not
+    # write: a usage error, not an internal one
+    payload = {
+        "spec": {"kind": "lp", "space": {"kind": "lebesgue_halfline"}, "p": 1},
+        "function": {"space": {"kind": "lebesgue_halfline"}, "breakpoints": [0, "1e-3000"],
+                     "values": ["1e-3000"], "right_tail": 0},
+    }
+    src = tmp_path / "in.json"
+    src.write_text(jsonio.dumps(payload))
+    assert run_cli("eval", "norm", "--in", str(src)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

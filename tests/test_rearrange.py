@@ -1,5 +1,7 @@
 import dataclasses
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 
 from rispace import (
     INF,
+    AtomSeq,
     Lp,
     MarcStrong,
     Power,
     StepFn,
     WeakLp,
     XiWeight,
+    abs_fn,
     add,
     atomic_finite,
     atomic_n,
@@ -25,24 +29,30 @@ from rispace import (
     hardy_integral,
     hardy_littlewood_pair,
     hlp_leq,
+    integrate,
     interval,
     is_acr,
     is_rearranged,
     jsonio,
     line,
     norm_eval,
+    pointwise_mul,
     rearrangement,
     seq,
     step,
+    to_float,
     xi_seminorm,
 )
 
 from .oracles import (
     dist_oracle,
     hardy_oracle,
+    marc_strong_oracle,
+    product_integral_oracle,
     rearr_value_oracle,
     star_cuts_oracle,
     star_tail_oracle,
+    xi_oracle,
 )
 
 
@@ -369,3 +379,124 @@ def test_each_carrier_gives_its_distribution_and_rearrangement(f, dist, star):
     assert {s: distribution_at(f, s) for s in dist} == dist
     cuts, vals = star
     assert rearrangement(f) == step(halfline(), cuts, vals)
+
+
+# ---------------------------------------------------------------------------
+# Int views: the same answers as the oracles and as the loops at scale 1
+# ---------------------------------------------------------------------------
+
+_BIG3, _BIG5 = 3**700, 5**500  # each is past the 1,024-bit budget of a view
+
+# pairs on one space whose views fall back to scale 1, or that carry rays
+VIEW_CASES = {
+    "past the budget": (
+        step(halfline(), [Fraction(2, _BIG5), Fraction(1, _BIG3), 3],
+             [Fraction(5, _BIG3), Fraction(-7, _BIG5), 1, 0]),
+        step(halfline(), [Fraction(1, _BIG5), 2], [Fraction(2, _BIG5), Fraction(1, _BIG3), 0]),
+    ),
+    "float cuts and values": (
+        step(halfline(), [0.5, 1.25, 3.0], [0.1, 2.5, -0.75, 0]),
+        step(halfline(), [Fraction(1, 3), 1.25, 4], [1, Fraction(2, 3), 0.3, 0]),
+    ),
+    # |f g| holds on [0, 2.17), and summed cell by cell its float rounds
+    # otherwise than summed over the merged piece
+    "a float run of equal |f g|": (
+        step(halfline(), [2.14, 2.81], [0.9, -0.9, 0]),
+        step(halfline(), [2.17, 2.81], [0.3, 2, 0]),
+    ),
+    "both rays of the line": (
+        step(line(), [-2, Fraction(1, 3), 4], [1, -3, Fraction(5, 2), 2]),
+        step(line(), [-1, 4], [Fraction(1, 2), 3, Fraction(1, 2)]),
+    ),
+    "an interval": (
+        step(interval(Fraction(7, 2)), [Fraction(1, 3), 2], [Fraction(-1, 2), 4, 1]),
+        step(interval(Fraction(7, 2)), [1, Fraction(5, 2)], [2, Fraction(1, 5), 3]),
+    ),
+    "a positive tail": (
+        step(halfline(), [1, Fraction(5, 2)], [3, Fraction(1, 7), Fraction(1, 2)]),
+        step(halfline(), [Fraction(3, 4)], [5, Fraction(1, 2)]),
+    ),
+}
+
+
+def at_scale_1(compute, *fns):
+    """compute on fresh copies of fns with every view at scale 1: the same
+    loops over the Fractions (or floats) themselves."""
+    with mock.patch("rispace.stepfn.scaled", lambda values: (1, list(values))):
+        return compute(*(dataclasses.replace(f) for f in fns))
+
+
+def has_float(*fns) -> bool:
+    values = [v for f in fns for v in ((*f.cuts, *f.vals) if isinstance(f, StepFn) else
+                                        (*(v for _, v in f.entries), f.tail))]
+    return any(isinstance(v, float) for v in values)
+
+
+def agree(got, want, exact: bool, size=0) -> bool:
+    """Equal; or, past a float, equal to 1e-9 relative, or to 1e-12 of a
+    size that the float's sum cancelled."""
+    if exact:
+        return got == want
+    return math.isclose(to_float(got), to_float(want), rel_tol=1e-9, abs_tol=1e-12 * to_float(size))
+
+
+@st.composite
+def partner(draw, f):
+    """A function on f's space with deep-dyadic cuts or entries of its own."""
+    pool = [_deep(draw) for _ in range(draw(st.integers(1, 3)))] + [Fraction(0)]
+
+    def val():
+        v = draw(st.sampled_from(pool))
+        return -v if draw(st.booleans()) else v
+
+    n = draw(st.integers(0, 6))
+    sp = f.space
+    if isinstance(f, AtomSeq):
+        lo = 0 if sp.has_tail else -12
+        return seq(sp, {draw(st.integers(lo, 12)): val() for _ in range(n)}, tail=val() if sp.has_tail else 0)
+    if sp == halfline():
+        cuts = sorted({_deep(draw) for _ in range(n)})
+    else:
+        length = sp.domain[1]
+        cuts = sorted({length * Fraction(draw(st.integers(1, 2**20 - 1)), 2**20) for _ in range(n)})
+    return step(sp, cuts, [val() for _ in range(len(cuts) + 1)])
+
+
+def _view_results(f, g):
+    """Each value that the views serve, for two functions on one space."""
+    rf = rearrangement(f)
+    ts = [*rf.cuts, *((a + b) / 2 for a, b in zip([0, *rf.cuts], rf.cuts)), (rf.cuts or (0,))[-1] + 1, INF]
+    marc = MarcStrong(f.space, Power(Fraction(1, 2)))
+    return [rf, [hardy_integral(f, t) for t in ts], hlp_leq(f, g), hlp_leq(g, f),
+            hardy_littlewood_pair(f, g), xi_seminorm(_XI, f), norm_eval(marc, f)]
+
+
+def _check_views(f, g):
+    got = _view_results(f, g)
+    assert repr(got) == repr(at_scale_1(_view_results, f, g))
+    rf, hardy, fg, gf, (lhs, rhs), xi, marc = got
+    rg = rearrangement(g)
+    products = [integrate(abs_fn(pointwise_mul(f, g))), integrate(pointwise_mul(rf, rg)),
+                integrate(pointwise_mul(_XI.weight, rf))]
+    assert repr([lhs, rhs, xi]) == repr(products)
+    exact = not has_float(f, g)
+    cuts = star_cuts_oracle(f)
+    assert len(rf.cuts) == len(cuts) and all(agree(a, b, exact) for a, b in zip(rf.cuts, cuts))
+    assert agree(rf.vals[-1], star_tail_oracle(f), exact)
+    ts = [*rf.cuts, *((a + b) / 2 for a, b in zip([0, *rf.cuts], rf.cuts)), (rf.cuts or (0,))[-1] + 1, INF]
+    assert all(agree(h, hardy_oracle(f, t), exact) for h, t in zip(hardy, ts))
+    assert (fg, gf) == (_hlp_oracle(f, g), _hlp_oracle(g, f))
+    assert agree(lhs, product_integral_oracle(f, g), exact)
+    assert agree(rhs, xi_oracle(rg, f), exact)
+    assert agree(xi, xi_oracle(_XI.weight, f), exact)
+    assert agree(marc, marc_strong_oracle(Power(Fraction(1, 2)).at, f), exact)
+
+
+@pytest.mark.parametrize("f, g", VIEW_CASES.values(), ids=list(VIEW_CASES))
+def test_views_agree_with_the_oracles_and_with_the_loops_at_scale_1(f, g):
+    _check_views(f, g)
+
+
+@given(deep_fn(), st.data())
+def test_views_of_deep_functions_agree_with_the_oracles_and_at_scale_1(f, data):
+    _check_views(f, data.draw(partner(f)))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rispace import (
     INF,
+    StepFn,
     UndefinedIntegralError,
     abs_fn,
     add,
@@ -30,6 +31,9 @@ from rispace import (
     subtract,
 )
 from rispace.stepfn import _union
+
+from .oracles import refinement_points
+from .test_rearrange import VIEW_CASES, agree, at_scale_1, deep_fn, has_float, partner
 
 
 def test_step_canonicalizes_adjacent_equal_values():
@@ -288,3 +292,45 @@ def test_union_merges_like_the_sorted_set_union(pair):
     for v in got:
         tied = [x for x in xs if x == v]
         assert not tied or tied[0] is v
+
+
+# ---------------------------------------------------------------------------
+# Int views: the same answers as the oracles and as the loops at scale 1
+# ---------------------------------------------------------------------------
+
+_COEFFS = [Fraction(3, 7), -2, Fraction(5, 2**61)]
+
+
+def _view_results(f, g, h):
+    """Each value that the views serve here, for functions on one space."""
+    return [linear_combine(_COEFFS, [f, g, h]), linear_combine([0.5], [g]), subtract(f, f),
+            pointwise_leq(f, g), pointwise_leq(g, f), pointwise_leq(f, abs_fn(f))]
+
+
+def _check_views(f, g, h):
+    got = _view_results(f, g, h)
+    assert repr(got) == repr(at_scale_1(_view_results, f, g, h))
+    combined, halved, zero, fg, gf, f_abs = got
+    exact = not has_float(f, g, h)
+    assert zero == constant(f.space, 0)
+    # a float sum of jumps keeps 1e-12 of the largest value, not of each
+    size = max(abs(v) for k in (f, g, h) for v in k.vals) * 4
+    for x in refinement_points([f, g, h]):
+        want = sum(c * k.value_at(x) for c, k in zip(_COEFFS, (f, g, h)))
+        assert agree(combined.value_at(x), want, exact, size)
+        assert agree(halved.value_at(x), 0.5 * g.value_at(x), False, size)
+    points = refinement_points([f, g])
+    assert fg == all(f.value_at(x) <= g.value_at(x) for x in points)
+    assert gf == all(g.value_at(x) <= f.value_at(x) for x in points)
+    assert f_abs
+
+
+@pytest.mark.parametrize("f, g", VIEW_CASES.values(), ids=list(VIEW_CASES))
+def test_views_agree_with_the_oracles_and_with_the_loops_at_scale_1(f, g):
+    _check_views(f, g, scale(Fraction(1, 3), g))
+    _check_views(g, f, f)
+
+
+@given(deep_fn().filter(lambda f: isinstance(f, StepFn)), st.data())
+def test_views_of_deep_functions_agree_with_the_oracles_and_at_scale_1(f, data):
+    _check_views(f, data.draw(partner(f)), data.draw(partner(f)))
