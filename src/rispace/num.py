@@ -104,9 +104,14 @@ def exact_float(x: Real) -> bool:
 
 
 def _int_nth_root(a: int, n: int) -> int:
-    """floor(a ** (1/n)) for nonnegative integers, exactly (Newton)."""
+    """floor(a ** (1/n)) for nonnegative integers, exactly."""
     if a < 0:
         raise ValueError("negative radicand")
+    return math.isqrt(a) if n == 2 else _newton_root(a, n)
+
+
+def _newton_root(a: int, n: int) -> int:
+    """floor(a ** (1/n)) for a >= 0 and n >= 1 by Newton's iteration on ints."""
     if a == 0:
         return 0
     if n == 1:

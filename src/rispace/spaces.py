@@ -18,6 +18,11 @@ f* crossed with each smooth segment of Phi the objective is quasi-convex, so
 the supremum sits on the union grid of cut points plus the limits at 0 and
 infinity.  No sampling is involved.
 
+Each norm reads f* as kept on the function: ``Lp`` (whole p), ``WeakLp``
+(whole 1/p) and ``MarcStrong`` (its Hardy sweep) on the ints of f*'s view
+(``stepfn.View``), one Fraction built for the value returned; past a float or
+a budget, and in ``Lorentz`` and ``MarcWeak``, over f*'s own cuts and values.
+
 Each kind answers for itself: a norm spec evaluates itself on f* (``of``),
 and a profile gives its value (``at``), its limits at infinity (``at_inf``
 and ``final_slope``, the limit of Phi(t)/t), its ``breakpoints`` and its
@@ -30,10 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .num import INF, Real, as_real, fmt_real, is_finite, log_real, rational_pow, to_float, unscaled
+from .num import _POW_BITS, INF, Real, as_real, fmt_real, is_finite, log_real, rational_pow, to_float, unscaled
 from .rearrange import _hardy_sweep, is_rearranged, rearrangement
 from .space import AtomicSet, MeasureSpace, empty_set, interval_set
-from .stepfn import MeasFn, StepFn, _integrate_abs_product, _union, _views, indicator
+from .stepfn import MeasFn, StepFn, _integrate_abs_product, _plain, _union, _views, indicator
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +197,13 @@ def quasiconcave_check(phi: QuasiconcaveFn) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
+def _whole(e: Real, bits: int) -> int:
+    """e as an int if whole, with e-th powers of ``bits``-bit Fractions exact; else 0."""
+    if isinstance(e, Fraction) and e.denominator == 1 and e.numerator * bits <= _POW_BITS:
+        return e.numerator
+    return 0
+
+
 @dataclass(frozen=True)
 class Lp:
     space: MeasureSpace
@@ -208,24 +220,28 @@ class Lp:
         return f"L{fmt_real(self.p)}"
 
     def of(self, r: StepFn) -> Real:
+        """(sum of v^p (b - a) over the pieces [a, b) of r = f*)^(1/p), on
+        the ints of r's view for a whole p, else by ``rational_pow``."""
         p = self.p
         if p == INF:
             return r.vals[0]
-        total: Real = Fraction(0)
-        for a, b, v in r.pieces():
+        V = r._view
+        n = _whole(p, V.vals[0].bit_length() + V.D.bit_length()) if V.exact else 0
+        V = V if n else _plain(r)
+        total: Real = 0
+        for a, b, v in zip(V.bounds, V.bounds[1:], V.vals):
             if v == 0:
                 continue
             if b == INF:
                 return INF
             try:
-                total += rational_pow(v, p) * (b - a)
+                total += (v**n if n else rational_pow(v, p)) * (b - a)
             except OverflowError:  # a float met a rational past the double range
                 raise ValueError("a term of the Lp norm is out of the double range") from None
         if total != total:  # inf * 0.0: a float power met a width below the double range
             raise ValueError("a term of the Lp norm is out of the double range")
-        if p == 1:
-            return total
-        return rational_pow(total, 1 / p)
+        total = unscaled(total, V.D**n * V.C)
+        return total if p == 1 else rational_pow(total, 1 / p)
 
 
 @dataclass(frozen=True)
@@ -245,20 +261,24 @@ class Lorentz:
         return f"Lorentz({fmt_real(self.p)},{fmt_real(self.q)})"
 
     def of(self, r: StepFn) -> Real:
+        """(sum of v^q (b^rho - a^rho) / rho over the pieces [a, b) of r =
+        f*)^(1/q), rho = q/p, each cut of r raised to rho once."""
         rho = self.q / self.p
-        inv_q = 1 / self.q
         total: Real = Fraction(0)
-        for a, b, v in r.pieces():
-            if v == 0:
-                continue
+        low = Fraction(0)  # 0^rho, at the left end of the first piece
+        for b, v in zip(_plain(r).bounds[1:], r.vals):
+            if v == 0:  # r is nonincreasing: 0 from here on
+                break
             if b == INF:
                 return INF
-            total += rational_pow(v, self.q) * (rational_pow(b, rho) - rational_pow(a, rho)) / rho
+            high = rational_pow(b, rho)
+            total += rational_pow(v, self.q) * (high - low) / rho
+            low = high
         if total != total:
             # a power past the double range met a difference of powers that
             # underflowed to 0.0, and inf * 0.0 is NaN
             raise ValueError("the Lorentz norm is out of the double range")
-        return rational_pow(total, inv_q)
+        return rational_pow(total, 1 / self.q)
 
 
 @dataclass(frozen=True)
@@ -276,15 +296,20 @@ class WeakLp:
         return f"weak-L{fmt_real(self.p)}"
 
     def of(self, r: StepFn) -> Real:
+        """The max of v b^(1/p) over the pieces [a, b) of r = f*, on the
+        ints of r's view for a whole 1/p, else by ``rational_pow``."""
         inv_p = 1 / self.p
-        best: Real = Fraction(0)
-        for _, b, v in r.pieces():
+        V = r._view
+        k = _whole(inv_p, V.bounds[-2].bit_length() + V.C.bit_length()) if V.exact else 0
+        V = V if k else _plain(r)
+        best: Real = 0
+        for b, v in zip(V.bounds[1:], V.vals):
             if v == 0:
                 continue
             if b == INF:
                 return INF
-            best = max(best, v * rational_pow(b, inv_p))
-        return best
+            best = max(best, v * (b**k if k else rational_pow(b, inv_p)))
+        return unscaled(best, V.D * V.C**k)
 
 
 def _check_profile(spec) -> None:
@@ -306,13 +331,13 @@ class MarcWeak:
         return f"m[{self.phi.label}]"
 
     def of(self, r: StepFn) -> Real:
-        # on a piece [a, b) where r is the constant v, sup Phi(t) v = v Phi(b)
-        # because the catalog profiles are continuous and nondecreasing
+        """The max of v Phi(b) over the pieces [a, b) of r = f*: sup Phi(t) v
+        on [a, b), as the catalog profiles are continuous and nondecreasing."""
         best: Real = Fraction(0)
         for _, b, v in r.pieces():
             if v == 0:
                 continue
-            pb = phi_at(self.phi, b)
+            pb = self.phi.at_inf if b == INF else self.phi.at(b)  # b > 0
             if pb == INF:
                 return INF
             best = max(best, v * pb)
@@ -340,36 +365,55 @@ class MarcStrong:
         the grid of candidates below is exhaustive, together with the limits
         at 0 (always 0) and at infinity: Phi(inf) v for a tail value v > 0,
         else lim Phi(t)/t times H(inf).  One Hardy sweep over the sorted grid
-        and t = inf gives every H: O(n) for n pieces.  The grid is then
-        visited in its set order, which decides ties between a float and a
-        Fraction value.
+        and t = inf gives every H, as ints over r's view: O(n) for n pieces.
+        A float term is taken by int true divisions, which round as float()
+        of the Fractions does; exact terms are compared as int pairs.  The
+        result is the first term at the max in the order of the set of
+        candidates, built only when a float and a Fraction tie there.
         """
         if all(v == 0 for v in r.vals):
             return Fraction(0)
         phi = self.phi
-        candidates = set(r.cuts) | set(phi.breakpoints)
-        grid = [*_union(r.cuts, phi.breakpoints), INF]  # sorted(candidates), then INF
-        (V,), ts = _views([r], grid)
-        hardy = {t: unscaled(H, V.C * V.D) for t, H in zip(grid, _hardy_sweep(V, ts))}
+        grid = _union(r.cuts, phi.breakpoints)
+        (V,), ts = _views([r], [*grid, INF])
+        *hs, h_inf = _hardy_sweep(V, ts)
+        C, D = V.C, V.D
         v_tail = r.vals[-1]
-        if v_tail > 0:
-            best: Real = phi.at_inf * v_tail
+        if v_tail > 0:  # INF, not INF * 0.0, for a tail whose float underflows
+            start: Real = INF if phi.at_inf == INF else phi.at_inf * v_tail
         elif phi.final_slope > 0:
-            best = phi.final_slope * hardy[INF]
+            start = phi.final_slope * unscaled(h_inf, C * D)
         else:
-            best = Fraction(0)
-        if best == INF:
+            start = Fraction(0)
+        if start == INF:
             return INF
-        for t in candidates:
-            phi_t = phi_at(phi, t)
-            try:
-                term = phi_t * hardy[t] / t
-            except (OverflowError, ZeroDivisionError):
-                # a float Phi(t) met a t or H(t) off the double range; the
-                # mean H(t)/t of r over [0, t) is on it
-                term = phi_t * to_float(Fraction(hardy[t]) / Fraction(t))
-            best = max(best, term)
-        return best
+
+        def terms():
+            """Phi(t) H(t)/t over the grid: a float, or exact as (n, d)."""
+            for t, T, H in zip(grid, ts, hs):
+                phi_t = phi.at(t)  # t > 0
+                if float not in (type(phi_t), type(H), type(T)):
+                    yield phi_t.numerator * H, phi_t.denominator * T * D
+                    continue
+                try:
+                    yield phi_t * (H / (C * D)) / (T / C)
+                except (OverflowError, ZeroDivisionError):
+                    # a float Phi(t) met a t or H(t) off the double range; the
+                    # mean H(t)/t of r over [0, t) is on it
+                    yield phi_t * to_float(Fraction(H) / (Fraction(T) * D))
+
+        top, n, d = -1.0, 0, 1  # the largest float term, and the largest exact one n/d
+        for term in terms():
+            if type(term) is float:
+                top = max(top, term)
+            elif term[0] * d > n * term[1]:
+                n, d = term
+        exact = Fraction(n, d)
+        if top == exact > start:  # a float and a Fraction tie: the set order decides
+            by_t = dict(zip(grid, terms()))
+            return max(start, *(x if type(x) is float else Fraction(*x)
+                                for x in map(by_t.get, set(r.cuts) | set(phi.breakpoints))))
+        return max(start, top, exact)
 
 
 NormSpec = Union[Lp, Lorentz, WeakLp, MarcWeak, MarcStrong]

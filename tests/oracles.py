@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from rispace import INF, AtomSeq, StepFn, to_float
+from rispace.num import rational_pow
 
 
 def dist_oracle(f, s):
@@ -235,6 +236,34 @@ def xi_oracle(w: StepFn, f):
     if w.vals[-1] != 0:
         total += w.vals[-1] * hardy_oracle(f, INF)
     return total
+
+
+def _star_plateaus(f):
+    """(c, f* just left of c) for each cut c of f*, f* read at the midpoint
+    of the plateau that ends at c."""
+    cuts = star_cuts_oracle(f)
+    return [(c, rearr_value_oracle(f, (a + c) / 2)) for a, c in zip([Fraction(0), *cuts], cuts)]
+
+
+def weak_lp_oracle(f, p):
+    """sup over t > 0 of t^(1/p) f*(t): INF for a nonzero tail of f*, else
+    the largest c^(1/p) times f* just left of c over the cuts c of f* (0 for
+    f = 0), each power by the library's scalar ``rational_pow``."""
+    if star_tail_oracle(f) != 0:
+        return INF
+    return max([Fraction(0)] + [v * rational_pow(c, 1 / Fraction(p)) for c, v in _star_plateaus(f)])
+
+
+def marc_weak_oracle(phi, f):
+    """sup over t > 0 of Phi(t) f*(t) for a catalog profile Phi: the largest
+    Phi(c) times f* just left of c over the cuts c of f*, and the tail of
+    f* times Phi at infinity (INF for a nonzero tail under an unbounded
+    Phi)."""
+    values = [Fraction(0)] + [v * phi.at(c) for c, v in _star_plateaus(f)]
+    tail = star_tail_oracle(f)
+    if tail != 0:
+        values.append(INF if phi.at_inf == INF else tail * phi.at_inf)
+    return max(values)
 
 
 def marc_strong_oracle(phi_at, f):

@@ -9,6 +9,7 @@ from rispace.num import (
     INF,
     NEG_INF,
     _int_nth_root,
+    _newton_root,
     as_real,
     exact_float,
     fmt_real,
@@ -139,6 +140,16 @@ def test_int_nth_root_of_an_index_past_the_bit_length_is_one():
     assert _int_nth_root(3, 10**30) == 1
     assert _int_nth_root(2**64 - 1, 64) == 1
     assert _int_nth_root(2**64, 64) == 2
+
+
+@given(st.integers(0, 2**4096))
+@example(0)
+@example(1)
+@example(2)
+@example(3)
+def test_int_square_root_is_the_newton_loop(a):
+    r = _int_nth_root(a, 2)
+    assert r == _newton_root(a, 2) and r * r <= a < (r + 1) ** 2
 
 
 def test_log_real_handles_big_fractions():

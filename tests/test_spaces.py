@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -34,14 +36,18 @@ from rispace import (
     xi_seminorm,
 )
 
+from rispace.num import rational_pow
+
 from .oracles import (
     hardy_oracle,
     lorentz_quad_oracle,
     lp_grid_oracle,
+    marc_weak_oracle,
     star_cuts_oracle,
     star_tail_oracle,
+    weak_lp_oracle,
 )
-from .test_rearrange import deep_fn
+from .test_rearrange import VIEW_CASES, agree, at_scale_1, deep_fn, has_float
 
 SP = halfline()
 F0 = step(SP, [1, 2], [1, 3, 0])  # the house example; |F0|* = 3,1
@@ -308,3 +314,97 @@ def test_step_approx_parameters_must_be_finite():
     for knots, slope in ((((INF, 1),), 0), (((1, INF),), 0), (((1, 1),), INF)):
         with pytest.raises(ValueError):
             StepApprox(knots, slope)
+
+
+def test_marc_strong_of_a_tail_below_the_double_range_is_infinite():
+    # Phi(inf) v for an unbounded Phi and a tail v > 0 whose float is 0.0
+    f = step(SP, [1], [1, Fraction(1, 3**700)])
+    assert norm_eval(MarcStrong(SP, Power(Fraction(1, 2))), f) == INF
+
+
+# ---------------------------------------------------------------------------
+# Norms on f*'s int view: the same values as the loops at scale 1
+# ---------------------------------------------------------------------------
+
+# a deep-dyadic function whose view is exact: its f* has three plateaus
+_DEEP_FN = step(SP, [Fraction(3, 2**40), Fraction(2**61 + 1, 2**45), 2**17],
+                [Fraction(7, 2**55), Fraction(2**63 - 1, 2**50), Fraction(5, 3), 0])
+
+
+def test_whole_exponents_of_lp_and_weak_lp_take_no_power_but_the_last_root():
+    specs = [Lp(SP, 1), Lp(SP, 2), WeakLp(SP, 1), WeakLp(SP, Fraction(1, 2))]
+    want = [norm_eval(spec, _DEEP_FN) for spec in specs]
+    roots = []
+
+    def only_the_root(x, e):
+        assert e == Fraction(1, 2), f"a power {e} outside the final root of Lp(2)"
+        roots.append(x)
+        return rational_pow(x, e)
+
+    with mock.patch("rispace.spaces.rational_pow", only_the_root):
+        got = [norm_eval(spec, dataclasses.replace(_DEEP_FN)) for spec in specs]
+    assert repr(got) == repr(want) and len(roots) == 1
+
+
+def _norm_specs(sp):
+    phis = [LogClip(), Power(Fraction(1, 2)), Power(1),
+            StepApprox(((Fraction(1, 2), Fraction(1, 2)), (2, Fraction(3, 2))), Fraction(1, 4))]
+    return [Lp(sp, 1), Lp(sp, 2), Lp(sp, 3), Lp(sp, Fraction(3, 2)), Lp(sp, INF),
+            WeakLp(sp, 1), WeakLp(sp, Fraction(1, 2)), WeakLp(sp, 2),
+            Lorentz(sp, 2, 1), Lorentz(sp, 1, 2),
+            *(MarcWeak(sp, phi) for phi in phis), *(MarcStrong(sp, phi) for phi in phis)]
+
+
+def _norm_values(f):
+    """Each norm of f; an error, which both paths must raise alike, by its text."""
+    out = []
+    for spec in _norm_specs(f.space):
+        try:
+            out.append(norm_eval(spec, f))
+        except (ValueError, OverflowError) as e:
+            out.append(f"{type(e).__name__}: {e}")
+    return out
+
+
+def _same(xs):
+    """Fractions by value (their text may be past the 4,300-digit limit),
+    everything else by its repr."""
+    return [x if isinstance(x, Fraction) else repr(x) for x in xs]
+
+
+def _logclip_tie(k):
+    """The function of ``test_marc_strong_logclip_tie_keeps_its_type``."""
+    t0 = Fraction(1, k)
+    b = (Fraction(phi_at(LogClip(), t0)) - t0) / (1 - t0)
+    return step(SP, [t0, 1], [1, b, 0])
+
+
+# the first function of each view case (floats, past the budget, rays, an
+# interval, a positive tail), and more
+NORM_VIEW_CASES = {
+    **{name: f for name, (f, _) in VIEW_CASES.items()},
+    # Lp(2) and Lp(3) take this value's power in floats (num._POW_BITS)
+    "a power past the exact budget": step(SP, [1, 2], [Fraction(2**600_000 + 1), 3, 0]),
+    "a deep dyadic": _DEEP_FN,
+    "logclip tie, the float first": _logclip_tie(4),
+    "logclip tie, the Fraction first": _logclip_tie(2**59),
+}
+
+
+def _check_norm_views(f):
+    got = _norm_values(f)
+    assert _same(got) == _same(at_scale_1(_norm_values, f))
+    for spec, value in zip(_norm_specs(f.space), got):
+        if isinstance(spec, WeakLp | MarcWeak) and not isinstance(value, str):
+            want = weak_lp_oracle(f, spec.p) if isinstance(spec, WeakLp) else marc_weak_oracle(spec.phi, f)
+            assert agree(value, want, isinstance(want, Fraction) and not has_float(f))
+
+
+@pytest.mark.parametrize("f", NORM_VIEW_CASES.values(), ids=list(NORM_VIEW_CASES))
+def test_norms_on_views_agree_with_the_loops_at_scale_1(f):
+    _check_norm_views(f)
+
+
+@given(deep_fn())
+def test_norms_of_deep_functions_on_views_agree_with_the_loops_at_scale_1(f):
+    _check_norm_views(f)
