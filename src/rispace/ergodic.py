@@ -6,7 +6,8 @@ moves the pieces or entries of f through its preimages).  An atomic symbol
 reads Cesàro means and the truncated maximal operator off one sweep per line
 of its shift, walking orbits only where they meet its table, at a cost set by
 the output, not by n or by the size of exact values' denominators; an
-interval symbol combines iterates with rational weights, cell by cell.
+interval symbol combines iterates with rational weights, cell by cell, and
+its maximal means of float values are the running-sum chain itself.
 Limits are only ever produced by oracles (orbit averages for finite
 permutations); nothing is extrapolated.
 """
@@ -31,9 +32,11 @@ from .stepfn import (
     StepFn,
     _merged_seq,
     _merged_step,
-    _on_cells,
     abs_fn,
+    add,
     linear_combine,
+    pointwise_max,
+    scale,
     subtract,
 )
 from .symbols import AtomicSymbol, Symbol
@@ -260,7 +263,7 @@ class _Orbits:
             def peak(hits):
                 if self.tail != 0:
                     hits = ({i: self.tail for i in range(K)} | dict(hits)).items()
-                return _peak_mean(hits, {i: Fraction(1, i + 1) for i, _ in hits})
+                return _peak_mean(hits)
             return _merged_seq(self.sym.space, [(j, peak(hits)) for j, hits in walks], peak([(0, self.tail)]))
         peaks = [(j, *self.peak(K, [i for i, _ in hits], list(accumulate((v for _, v in hits), initial=0)),
                                 0, len(hits), 0)) for j, hits in walks]
@@ -341,41 +344,46 @@ def maximal_truncated(sym: Symbol, f: MeasFn, K: int) -> MeasFn:
 
     |T^i f| = T^i |f| because T is positive.  An atomic symbol walks the
     orbit lines of |f|, any exact values by the peak rule (``_Orbits.peak``).
-    An interval symbol forms the iterates of |f| once and sweeps them cell by
-    cell over the union of their cuts; S_n is constant between the iterates
-    that are nonzero at a point and S_n/n falls there, so only n = i+1 with
-    T^i |f| nonzero are visited.  Ties keep the smaller n.  Float values are
-    rounded as the sum of whole step functions or sequences rounds them."""
+    An interval symbol with exact values forms the iterates of |f| once and
+    sweeps them cell by cell over the union of their cuts; S_n is constant
+    between the iterates that are nonzero at a point and S_n/n falls there,
+    so only n = i+1 with T^i |f| nonzero are visited.  Ties keep the smaller
+    n.  Float values are rounded as the sum of whole step functions or
+    sequences rounds them; on an interval symbol they are that chain itself:
+    S_n by ``add``, each mean by ``scale``, the maximum by ``pointwise_max``."""
     K = as_int(K)
     if K < 1:
         raise ValueError("truncation K must be >= 1")
     _check_acts_on(sym, f)
     if isinstance(sym, AtomicSymbol):
         return _Orbits(sym, f, absolute=True).maximal(K)
-    g = abs_fn(f)
-    weights = [Fraction(1, n) for n in range(1, K + 1)]
-    iterates = [g]
+    best = running = cur = abs_fn(f)
+    if any(isinstance(v, float) for v in cur.vals):
+        for n in range(2, K + 1):
+            cur = apply(sym, cur)
+            running = add(running, cur)
+            best = pointwise_max(best, scale(Fraction(1, n), running))
+        return best
+    iterates = [cur]
     for _ in range(K - 1):
         iterates.append(apply(sym, iterates[-1]))
-    if any(isinstance(v, float) for v in g.vals):
-        return _maximal_interval_float(iterates, weights)
-    return _maximal_interval(iterates, weights)
+    return _maximal_interval(iterates)
 
 
-def _peak_mean(events, weights: list[Fraction]) -> Real:
-    """max over the (i, v) events, in increasing i, of weights[i] times the
+def _peak_mean(events) -> Real:
+    """max over the (i, v) events, in increasing i, of 1/(i+1) times the
     running sum of v; the first maximum wins, and no events give 0."""
     total: Real = Fraction(0)
     best = None
     for i, v in events:
         total += v
-        m = weights[i] * total
+        m = Fraction(1, i + 1) * total
         if best is None or m > best:
             best = m
     return Fraction(0) if best is None else best
 
 
-def _maximal_interval(iterates: list[StepFn], weights: list[Fraction]) -> StepFn:
+def _maximal_interval(iterates: list[StepFn]) -> StepFn:
     # the (iterate, value) switches at each cut; active holds the iterates
     # that are nonzero on the current cell
     switches: dict[Real, list] = {}
@@ -384,39 +392,15 @@ def _maximal_interval(iterates: list[StepFn], weights: list[Fraction]) -> StepFn
             switches.setdefault(c, []).append((i, v))
     active = {i: h.vals[0] for i, h in enumerate(iterates) if h.vals[0] != 0}
     cuts = sorted(switches)
-    vals = [_peak_mean(sorted(active.items()), weights)]
+    vals = [_peak_mean(sorted(active.items()))]
     for c in cuts:
         for i, v in switches[c]:
             if v == 0:
                 del active[i]
             else:
                 active[i] = v
-        vals.append(_peak_mean(sorted(active.items()), weights))
+        vals.append(_peak_mean(sorted(active.items())))
     return _merged_step(iterates[0].space, cuts, vals)
-
-
-def _maximal_interval_float(iterates: list[StepFn], weights: list[Fraction]) -> StepFn:
-    """max_n S_n/n for float values, rounded as the sum of whole step
-    functions rounds: on the union of the iterates' cuts, S_n and S_n/n each
-    run left to right from their first cell by one jump per cut.  S_n's jump
-    adds S_{n-1}'s and the iterate's, skipping a zero one; the mean's is 1/n
-    times S_n's."""
-    cuts = sorted(dict.fromkeys(c for h in iterates for c in h.cuts))
-    running = _on_cells(iterates[0], cuts)
-    best = running
-    for h, w in zip(iterates[1:], weights[1:]):
-        cur = _on_cells(h, cuts)
-        total = [running[0] + cur[0]]
-        mean = [w * total[0]]
-        for k in range(1, len(cuts) + 1):
-            ds, dc = running[k] - running[k - 1], cur[k] - cur[k - 1]
-            jump = ds + dc if ds and dc else ds or dc
-            total.append(total[-1] + jump if jump else total[-1])
-            d = total[k] - total[k - 1]
-            mean.append(mean[-1] + w * d if d else mean[-1])
-        running = total
-        best = [max(b, m) for b, m in zip(best, mean)]
-    return _merged_step(iterates[0].space, cuts, best)
 
 
 def weak_type_ratio(

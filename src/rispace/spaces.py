@@ -234,10 +234,7 @@ class Lp:
                 continue
             if b == INF:
                 return INF
-            try:
-                total += (v**n if n else rational_pow(v, p)) * (b - a)
-            except OverflowError:  # a float met a rational past the double range
-                raise ValueError("a term of the Lp norm is out of the double range") from None
+            total += (v**n if n else rational_pow(v, p)) * (b - a)
         if total != total:  # inf * 0.0: a float power met a width below the double range
             raise ValueError("a term of the Lp norm is out of the double range")
         total = unscaled(total, V.D**n * V.C)
@@ -440,10 +437,15 @@ class XiWeight:
 
 
 def norm_eval(spec: NormSpec, f: MeasFn) -> Real:
-    """Exact norm value; +inf signals divergence, never an error."""
+    """Exact norm value; +inf signals divergence.  A float term that meets a
+    rational past the double range is a ValueError."""
     if f.space != spec.space:
         raise ValueError("function does not live on the spec's space")
-    return spec.of(rearrangement(f))
+    r = rearrangement(f)
+    try:
+        return spec.of(r)
+    except OverflowError:
+        raise ValueError(f"the {spec.label} norm is out of the double range") from None
 
 
 def fundamental_function(spec: NormSpec, t) -> Real:

@@ -426,6 +426,18 @@ def test_eval_norm_off_the_double_range(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("spec, width, value", [
+    ({"kind": "lorentz", "space": _HALFLINE, "p": 3, "q": 2}, 2, 2**600),
+    ({"kind": "weak_lp", "space": _HALFLINE, "p": 2}, 3, 2**1100),
+    ({"kind": "marcinkiewicz_weak", "space": _HALFLINE, "phi": {"kind": "logclip"}}, "1/2", 2**1100),
+], ids=["lorentz", "weak_lp", "marcinkiewicz_weak"])
+def test_eval_norm_whose_float_term_meets_a_huge_value_exits_2(tmp_path, capsys, spec, width, value):
+    # an exact value past the double range meets a float power or profile
+    fn = {"space": _HALFLINE, "breakpoints": [0, width], "values": [str(value)], "right_tail": 0}
+    err = _eval_error(tmp_path, capsys, {"spec": spec, "function": fn}, "norm")
+    assert err.startswith("error:") and "out of the double range" in err
+
+
 # rays whose finite end lies past the double range: INF - 10^400 would call
 # float() on the Fraction
 _LINE = {"kind": "lebesgue_line"}

@@ -48,6 +48,7 @@ from rispace.examples import (
     translation_line,
     unilateral_shift,
 )
+from rispace.properties import gen_interval_symbol, gen_step
 
 from .oracles import (
     cesaro_dict_oracle,
@@ -510,6 +511,50 @@ def test_maximal_float_values_round_as_the_running_sum_chain(pair, K):
     # repr tells a float from a Fraction and shows every bit of a float
     sym, f = pair
     assert repr(maximal_truncated(sym, f, K)) == repr(maximal_chain_oracle(sym, f, K))
+
+
+_DOUBLING = IntervalSymbol(interval(2), (Branch(0, 1, Affine(2, 0)), Branch(1, 2, Affine(2, -2))))
+
+
+@st.composite
+def _generated_interval_instance(draw):
+    """A symbol of ``properties.gen_interval_symbol`` (affine branches, the
+    line, a shifted power with an affine tail, exp_recip, ...) or the
+    doubling map, with a generated step function on its space and some of
+    its values turned into floats."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sym = draw(st.sampled_from([gen_interval_symbol(rng, 2), _DOUBLING]))
+    f = gen_step(rng, 2, sym.space)
+
+    def fl(v):
+        return v * draw(st.sampled_from(_FLOAT_SCALES)) if draw(st.booleans()) else v
+
+    return sym, step(f.space, f.cuts, [fl(v) for v in f.vals])
+
+
+# on (1175/392, 8231/2744) the second mean, the float 3.25, ties |f| = 13/4,
+# and the chain's pointwise_max keeps the float there
+_TIE_SYMBOL = IntervalSymbol(interval(3), (
+    Branch(Fraction(0), Fraction(5, 4), Affine(Fraction(1, 10), Fraction(17, 8))),
+    Branch(Fraction(5, 4), Fraction(21, 8), Affine(Fraction(7, 11), Fraction(-13, 44))),
+    Branch(Fraction(21, 8), Fraction(3), Affine(Fraction(7), Fraction(-18))),
+))
+_TIE_F = step(interval(3), [Fraction(1, 8), Fraction(7, 8), Fraction(7, 4), Fraction(17, 8), Fraction(23, 8)],
+              [-0.025, -3, 2.275, 3.5, 3, Fraction(13, 4)])
+
+
+@given(_generated_interval_instance(), st.integers(1, 8))
+@example((_TIE_SYMBOL, _TIE_F), 4)
+@settings(max_examples=100, deadline=None)
+def test_maximal_on_generated_interval_symbols_is_the_chain_or_the_iterate_oracle(pair, K):
+    sym, f = pair
+    got = maximal_truncated(sym, f, K)
+    if any(isinstance(v, float) for v in f.vals):
+        assert repr(got) == repr(maximal_chain_oracle(sym, f, K))
+        return
+    iterates = [iterate_apply(sym, abs_fn(f), i) for i in range(K)]
+    for x in refinement_points([got, *iterates]):
+        assert got.value_at(x) == maximal_iterate_oracle(iterates, x)
 
 
 def _mean_reference(sym, f, n):
