@@ -6,7 +6,8 @@ moves the pieces or entries of f through its preimages).  An atomic symbol
 reads Cesàro means and the truncated maximal operator off one sweep per line
 of its shift, walking orbits only where they meet its table, at a cost set by
 the output, not by n or by the size of exact values' denominators; an
-interval symbol combines iterates with rational weights, cell by cell, and
+interval symbol reads its iterates f, T f, T² f, … off one stream
+(``_iterates``), combines them with rational weights, cell by cell, and
 its maximal means of float values are the running-sum chain itself.
 Limits are only ever produced by oracles (orbit averages for finite
 permutations); nothing is extrapolated.
@@ -19,8 +20,8 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Optional, Sequence, Union
+from itertools import accumulate, islice
+from typing import Iterator, Optional, Sequence, Union
 
 from . import jsonio
 from .num import INF, Real, as_int, fmt_real, scaled
@@ -66,10 +67,14 @@ def iterate_apply(sym: Symbol, f: MeasFn, k: int) -> MeasFn:
     if k < 0:
         raise ValueError("iterate count must be >= 0")
     _check_acts_on(sym, f)
-    cur = f
-    for _ in range(k):
-        cur = apply(sym, cur)
-    return cur
+    return next(islice(_iterates(sym, f), k, None))
+
+
+def _iterates(sym: Symbol, f: MeasFn) -> Iterator[MeasFn]:
+    """f, T f, T² f, …, each by ``apply`` and only when it is asked for."""
+    while True:
+        yield f
+        f = apply(sym, f)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +103,9 @@ def cesaro_schedule(sym: Symbol, f: MeasFn, schedule: Sequence[int]) -> CesaroTr
 
     An atomic symbol reads every mean off one orbit walk (``_Orbits``)
     unless f has a float value off a finite permutation.  There, and for
-    interval symbols, each snapshot is one linear combination of the
-    previous snapshot C_m (m = 0 at the first) and the iterates since it:
+    interval symbols, the iterates come from one stream (``_iterates``) and
+    each snapshot is one linear combination of the previous snapshot C_m
+    (m = 0 at the first) and the n - m iterates since it:
     C_n = (m/n) C_m + (1/n) sum T^i f over m <= i < n."""
     ns = [as_int(n) for n in schedule]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
@@ -107,23 +113,12 @@ def cesaro_schedule(sym: Symbol, f: MeasFn, schedule: Sequence[int]) -> CesaroTr
     _check_acts_on(sym, f)
     if isinstance(sym, AtomicSymbol) and (not _has_float(f) or sym.is_permutation()):
         return CesaroTrajectory(sym, f, tuple(ns), _Orbits(sym, f).means(ns))
-    wanted = set(ns)
-    out = []
-    buffer = [f]
-    cur = f
-    for n in range(1, ns[-1] + 1):
-        if n > 1:
-            cur = apply(sym, cur)
-            buffer.append(cur)
-        if n in wanted:
-            w = Fraction(1, n)
-            if out:
-                m, mean = out[-1]
-                mean = linear_combine([m * w] + [w] * len(buffer), [mean] + buffer)
-            else:
-                mean = linear_combine([w] * n, buffer)
-            buffer = []
-            out.append((n, mean))
+    stream, out, m = _iterates(sym, f), [], 0
+    for n in ns:
+        w = Fraction(1, n)
+        ws, fs = ([m * w], [out[-1][1]]) if out else ([], [])
+        out.append((n, linear_combine(ws + [w] * (n - m), fs + list(islice(stream, n - m)))))
+        m = n
     return CesaroTrajectory(sym, f, tuple(ns), tuple(out))
 
 
@@ -357,17 +352,14 @@ def maximal_truncated(sym: Symbol, f: MeasFn, K: int) -> MeasFn:
     _check_acts_on(sym, f)
     if isinstance(sym, AtomicSymbol):
         return _Orbits(sym, f, absolute=True).maximal(K)
-    best = running = cur = abs_fn(f)
-    if any(isinstance(v, float) for v in cur.vals):
-        for n in range(2, K + 1):
-            cur = apply(sym, cur)
-            running = add(running, cur)
-            best = pointwise_max(best, scale(Fraction(1, n), running))
-        return best
-    iterates = [cur]
-    for _ in range(K - 1):
-        iterates.append(apply(sym, iterates[-1]))
-    return _maximal_interval(iterates)
+    stream = islice(_iterates(sym, abs_fn(f)), K)
+    best = running = next(stream)
+    if not any(isinstance(v, float) for v in best.vals):
+        return _maximal_interval([best, *stream])
+    for n, cur in enumerate(stream, 2):
+        running = add(running, cur)
+        best = pointwise_max(best, scale(Fraction(1, n), running))
+    return best
 
 
 def _peak_mean(events) -> Real:
@@ -471,7 +463,12 @@ def convergence_report(
 ) -> ErgodicReport:
     """Norm/seminorm values of C_n f along the schedule, plus distances to a
     supplied limit and pointwise samples; deterministic."""
-    traj = cesaro_schedule(sym, f, schedule)
+    return _report(cesaro_schedule(sym, f, schedule).means, specs, weights, limit_oracle, sample_points)
+
+
+def _report(means: Sequence[tuple[int, MeasFn]], specs: Sequence[NormSpec], weights: Sequence[XiWeight],
+            limit_oracle: Optional[MeasFn] = None, sample_points: Sequence[Real] = ()) -> ErgodicReport:
+    """``convergence_report``'s rows for means already formed, (n, C_n f) each."""
     cols = ["n"]
     cols += [spec_label(s) for s in specs]
     cols += [f"xi{i}" for i in range(len(weights))]
@@ -479,7 +476,7 @@ def convergence_report(
         cols += [f"dist[{spec_label(s)}]" for s in specs]
     cols += [f"at[{fmt_real(p)}]" for p in sample_points]
     rows = []
-    for n, mean in traj.means:
+    for n, mean in means:
         row: list[Real] = [Fraction(n)]
         for s in specs:
             row.append(norm_eval(s, mean))

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .ergodic import (
     ErgodicReport,
+    _report,
     apply,
     cesaro,
     cesaro_schedule,
@@ -302,7 +303,7 @@ def _run_counterex_l1(seed: int, trials: int, horizon: int, schedule) -> Example
                 f"||C_{n} f||_2 = {float(l2v)!r} vs n^(-1/2) = {target!r}",
             )
         )
-    report = convergence_report(sym, f, [l2, l1], [w1], sched)
+    report = _report(traj.means, [l2, l1], [w1])
     return ExampleRun("counterex-l1", report, tuple(checks))
 
 
@@ -322,9 +323,7 @@ def _run_counterex_linfty(seed: int, trials: int, horizon: int, schedule) -> Exa
             + (f"; failures at n = {bad}" if bad else ""),
         )
     ]
-    report = convergence_report(
-        sym, f, [Lp(sp, INF)], [XiWeight(constant(halfline(), Fraction(1)))], sched[:8]
-    )
+    report = _report(traj.means[:8], [Lp(sp, INF)], [XiWeight(constant(halfline(), Fraction(1)))])
     return ExampleRun("counterex-linfty", report, tuple(checks))
 
 
@@ -351,7 +350,7 @@ def _run_shift_n(seed: int, trials: int, horizon: int, schedule) -> ExampleRun:
     expected8 = seq(sp, [(j, Fraction(6 - j, 8)) for j in range(6)])
     checks.append(_check("mean_values_n=8", c8 == expected8, "C_8 f has values (6-j)/8, j<6"))
     zero = seq(sp, [])
-    report = convergence_report(sym, f, [l1, linf], [], sched, limit_oracle=zero, sample_points=(0, 3))
+    report = _report(traj.means, [l1, linf], [], limit_oracle=zero, sample_points=(0, 3))
     return ExampleRun("shift-n", report, tuple(checks))
 
 
@@ -374,7 +373,7 @@ def _run_shift_z(seed: int, trials: int, horizon: int, schedule) -> ExampleRun:
     checks.append(
         _check("hopf_bound", r2 <= 1, f"max weak-type ratio {fmt_real(r2)} <= 1 (measure-preserving)")
     )
-    report = convergence_report(sym, f, [l1], [], sched, sample_points=(0, 6))
+    report = _report(traj.means, [l1], [], sample_points=(0, 6))
     return ExampleRun("shift-z", report, tuple(checks))
 
 
@@ -429,9 +428,7 @@ def _run_permutation_demo(seed: int, trials: int, horizon: int, schedule) -> Exa
         _check("mean_ergodic_rate", ok, f"||C_n f - Tf||_inf <= {2 * L}·||f||_inf / n on the schedule")
     )
     checks.append(_check("c1_is_f", cesaro(sym, f, 1) == f, "C_1 f == f"))
-    report = convergence_report(
-        sym, f, [linf], [], sched, limit_oracle=limit, sample_points=(0, 5)
-    )
+    report = _report(traj.means, [linf], [], limit_oracle=limit, sample_points=(0, 5))
     return ExampleRun("permutation-demo", report, tuple(checks))
 
 

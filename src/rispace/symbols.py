@@ -303,14 +303,10 @@ class IntervalSymbol:
             sets = [self.preimage(E) for E in sets]
             a: Real = Fraction(0)
             c: Real = INF
-            for E0, En in zip(family, sets):
-                m0, mn = E0.measure(), En.measure()
-                if mn == INF:
-                    a = INF
-                elif m0 != INF:
-                    r = mn / m0
-                    a = max(a, r)
-                    c = min(c, r)
+            for E0, En in zip(family, sets):  # bounded sets, with bounded preimages
+                r = En.measure() / E0.measure()
+                a = max(a, r)
+                c = min(c, r)
             yield n, a, c
 
 

@@ -430,9 +430,13 @@ def test_eval_norm_off_the_double_range(tmp_path, capsys):
     ({"kind": "lorentz", "space": _HALFLINE, "p": 3, "q": 2}, 2, 2**600),
     ({"kind": "weak_lp", "space": _HALFLINE, "p": 2}, 3, 2**1100),
     ({"kind": "marcinkiewicz_weak", "space": _HALFLINE, "phi": {"kind": "logclip"}}, "1/2", 2**1100),
-], ids=["lorentz", "weak_lp", "marcinkiewicz_weak"])
+    ({"kind": "lp", "space": _HALFLINE, "p": "3/2"}, "1e-400", 2**1101),
+    ({"kind": "lorentz", "space": _HALFLINE, "p": "3/2", "q": "3/2"}, "1e-400", 2**1101),
+], ids=["lorentz", "weak_lp", "marcinkiewicz_weak", "lp_nan", "lorentz_nan"])
 def test_eval_norm_whose_float_term_meets_a_huge_value_exits_2(tmp_path, capsys, spec, width, value):
-    # an exact value past the double range meets a float power or profile
+    # an exact value past the double range meets a float power or profile;
+    # on a width below the double range, that power is inf, the width 0.0,
+    # and their product NaN
     fn = {"space": _HALFLINE, "breakpoints": [0, width], "values": [str(value)], "right_tail": 0}
     err = _eval_error(tmp_path, capsys, {"spec": spec, "function": fn}, "norm")
     assert err.startswith("error:") and "out of the double range" in err

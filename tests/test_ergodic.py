@@ -446,9 +446,20 @@ def test_cesaro_matches_dict_oracle(pair, n):
         assert got.tail == cesaro_dict_oracle(sym.image_of, f.value_at, [far], n)[far]
 
 
+# float values and a float tail over N: the tail is summed at every step off
+# the entries, and lifts index 0's mean from 1/3 to 1/2 in the second case
+_FLOAT_TAIL = (unilateral_shift(), seq(atomic_n(), {0: 0.5, 1: 0.25, 2: 0.75}, tail=0.125))
+_FLOAT_TAIL_ABOVE = (unilateral_shift(), seq(atomic_n(), {0: 0.25, 2: 0.75}, tail=0.5))
+
+
 @given(_atomic_instance() | _infinite_instance(), st.integers(1, 9))
 # |f| below its tail over N: the mean peaks at a stretch's end, 2/3 at index 0 and n = 3
 @example((unilateral_shift(), seq(atomic_n(), {0: 0, 3: 5}, tail=1)), 3)
+@example(_FLOAT_TAIL, 1)
+@example(_FLOAT_TAIL, 2)
+@example(_FLOAT_TAIL, 3)
+@example(_FLOAT_TAIL, 10)
+@example(_FLOAT_TAIL_ABOVE, 4)
 @_sweep_examples
 @_past_budget_examples
 @settings(max_examples=160)
@@ -461,6 +472,16 @@ def test_maximal_matches_dict_oracle(pair, K):
     if sym.space.count is None:
         far = 10**6
         assert got.tail == maximal_dict_oracle(sym.image_of, f.value_at, [far], K)[far]
+
+
+def test_maximal_float_values_with_a_tail_over_n_round_near_the_dict_oracle():
+    # each running sum is multiplied by 1/n, where the oracle divides it by
+    # n, so the tail's mean reads 0.30000000000000004, not 0.3
+    sym, f = unilateral_shift(), seq(atomic_n(), {0: 0.1, 3: 1 / 3, 4: 0.7}, tail=0.3)
+    got = maximal_truncated(sym, f, 5)
+    want = maximal_dict_oracle(sym.image_of, f.value_at, [*range(8), 10**6], 5)
+    assert all(got.value_at(j) == pytest.approx(want[j], rel=1e-12) for j in range(8))
+    assert got.tail == pytest.approx(want[10**6], rel=1e-12)
 
 
 @st.composite
@@ -582,6 +603,7 @@ def test_cesaro_schedule_matches_single_calls(pair, schedule):
     assert tuple(n for n, _ in traj.means) == tuple(ns)
     for n, mean in traj.means:
         assert mean == _mean_reference(sym, f, n)
+        assert traj.mean(n) == mean
 
 
 @given(_float_instance(), st.integers(1, 8))
