@@ -15,18 +15,15 @@ permutations); nothing is extrapolated.
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from . import jsonio
 from .num import INF, Real, as_int, fmt_real, scaled
 from .rearrange import distribution_at
-from .spaces import NormSpec, XiWeight, fundamental_function, norm_eval, xi_seminorm
 from .stepfn import (
     AtomSeq,
     MeasFn,
@@ -41,6 +38,9 @@ from .stepfn import (
     subtract,
 )
 from .symbols import AtomicSymbol, Symbol
+
+if TYPE_CHECKING:  # the norm catalog is imported where a norm is taken
+    from .spaces import NormSpec, XiWeight
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +403,8 @@ def weak_type_ratio(
     s_grid: Sequence[Real],
 ) -> Real:
     """max over the grid of s · phi_X(mu({T#_K f > s})) / ||f||_X."""
+    from .spaces import fundamental_function, norm_eval
+
     if any(v < 0 for _, v in f.cells()):
         raise ValueError("weak-type ratios are defined for nonnegative f")
     denom = norm_eval(spec, f)
@@ -433,6 +435,9 @@ class ErgodicReport:
     rows: tuple[tuple[Real, ...], ...]
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(self.columns)
@@ -469,6 +474,8 @@ def convergence_report(
 def _report(means: Sequence[tuple[int, MeasFn]], specs: Sequence[NormSpec], weights: Sequence[XiWeight],
             limit_oracle: Optional[MeasFn] = None, sample_points: Sequence[Real] = ()) -> ErgodicReport:
     """``convergence_report``'s rows for means already formed, (n, C_n f) each."""
+    from .spaces import norm_eval, xi_seminorm
+
     cols = ["n"]
     cols += [spec_label(s) for s in specs]
     cols += [f"xi{i}" for i in range(len(weights))]

@@ -38,7 +38,10 @@ tails), ``set_to_obj`` for atomic sets (``indices``) and ``analysis_to_obj``
 for symbol analyses (power bounds flattened).  Spaces keep a decoder of their
 own, as an omitted ``atom_mass`` reads as 1.  A new norm, profile or form
 kind is one class, which states its own meaning, plus one entry in its
-family's kind table plus its schema.  ``to_obj`` encodes any result, once,
+family's kind table that names it, plus its schema.  The tables hold class
+names, not classes: each is resolved through the package surface
+(``rispace.__getattr__``) on first decode or encode, so an ``eval`` loads
+only the modules its payload names.  ``to_obj`` encodes any result, once,
 where it leaves the program: ``eval`` output, ``run-example`` reports and
 verdicts, and property counterexamples.
 """
@@ -52,6 +55,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .num import INF, NEG_INF, Real, as_real, is_finite, json_real
 from .space import (
@@ -65,31 +69,11 @@ from .space import (
     MeasureSpace,
     interval_set,
 )
-from .spaces import (
-    LogClip,
-    Lorentz,
-    Lp,
-    MarcStrong,
-    MarcWeak,
-    NormSpec,
-    Power,
-    StepApprox,
-    WeakLp,
-    XiWeight,
-)
-from .stepfn import AtomSeq, MeasFn, StepFn, seq, step
-from .symbols import (
-    Affine,
-    AffineTail,
-    AtomicSymbol,
-    Branch,
-    ExpRecip,
-    IntervalSymbol,
-    PowerOnUnit,
-    ShiftedPower,
-    Symbol,
-    SymbolAnalysis,
-)
+from .stepfn import AtomSeq, MeasFn, seq, step
+
+if TYPE_CHECKING:  # the record classes are named below, and resolved on first use
+    from .spaces import NormSpec, XiWeight
+    from .symbols import Symbol, SymbolAnalysis
 
 # The schemas' number spelling.  It is matched whole: the schemas' "$" would
 # also admit a trailing newline.
@@ -348,13 +332,20 @@ def measfn_from_obj(obj, where: str = "function") -> MeasFn:
 # profiles, branch forms), weights
 # ---------------------------------------------------------------------------
 
-# one table per catalog family: wire kind -> record class
-_NORMS = {"lp": Lp, "lorentz": Lorentz, "weak_lp": WeakLp,
-          "marcinkiewicz_weak": MarcWeak, "marcinkiewicz_strong": MarcStrong}
-_PHIS = {"power": Power, "logclip": LogClip, "step_approx": StepApprox}
-_FORMS = {"affine": Affine, "power_on_unit": PowerOnUnit, "shifted_power": ShiftedPower,
-          "affine_tail": AffineTail, "exp_recip": ExpRecip}
-_KIND_OF = {cls: kind for kinds in (_NORMS, _PHIS, _FORMS) for kind, cls in kinds.items()}
+# one table per catalog family: wire kind -> the name of its record class
+_NORMS = {"lp": "Lp", "lorentz": "Lorentz", "weak_lp": "WeakLp",
+          "marcinkiewicz_weak": "MarcWeak", "marcinkiewicz_strong": "MarcStrong"}
+_PHIS = {"power": "Power", "logclip": "LogClip", "step_approx": "StepApprox"}
+_FORMS = {"affine": "Affine", "power_on_unit": "PowerOnUnit", "shifted_power": "ShiftedPower",
+          "affine_tail": "AffineTail", "exp_recip": "ExpRecip"}
+_KIND_OF = {name: kind for kinds in (_NORMS, _PHIS, _FORMS) for kind, name in kinds.items()}
+
+
+def _class(name: str) -> type:
+    """The record class of that name, from the package surface, which imports
+    its module on first use: a payload loads only the modules it names."""
+    return getattr(sys.modules[__package__], name)
+
 
 # the fields the wire may omit, and the value each then takes
 _DEFAULTS = {"final_slope": 0, "shift": None}
@@ -365,7 +356,7 @@ def _layout(cls) -> tuple:
     """The (required, optional) keys of a record class: "kind" for a catalog
     class, then its fields, of which those in ``_DEFAULTS`` are optional."""
     names = [field.name for field in dataclasses.fields(cls)]
-    kind = ["kind"] if cls in _KIND_OF else []
+    kind = ["kind"] if cls.__name__ in _KIND_OF else []
     return kind + [n for n in names if n not in _DEFAULTS], [n for n in names if n in _DEFAULTS]
 
 
@@ -383,19 +374,19 @@ def _fields_from_obj(obj, where: str, cls):
 
 def _record_from_obj(obj, where: str, kinds: dict):
     """The record of one of the kinds' classes that obj encodes."""
-    return _fields_from_obj(obj, where, kinds[_kind(obj, where, kinds)])
+    return _fields_from_obj(obj, where, _class(kinds[_kind(obj, where, kinds)]))
 
 
 def _form_from_obj(obj, where: str):
     if isinstance(obj, dict) and "kind" not in obj:  # the {"power": n} shorthand
         check_object(obj, where, ("power",))
-        return _made(where, PowerOnUnit, int_from_obj(obj["power"], f"{where}.power"))
+        return _made(where, _class("PowerOnUnit"), int_from_obj(obj["power"], f"{where}.power"))
     return _record_from_obj(obj, where, _FORMS)
 
 
 def symbol_from_obj(obj, where: str = "symbol") -> Symbol:
-    cls = AtomicSymbol if _space_in(obj, where).is_atomic else IntervalSymbol
-    return _fields_from_obj(obj, where, cls)
+    name = "AtomicSymbol" if _space_in(obj, where).is_atomic else "IntervalSymbol"
+    return _fields_from_obj(obj, where, _class(name))
 
 
 def phi_from_obj(obj, where: str = "phi"):
@@ -412,7 +403,7 @@ _FIELD_DECODERS = {
     "phi": phi_from_obj,
     "form": _form_from_obj,
     "branches": lambda x, where: tuple(
-        _array(x, where, lambda br, at: _fields_from_obj(br, at, Branch))),
+        _array(x, where, lambda br, at: _fields_from_obj(br, at, _class("Branch")))),
     "table": lambda x, where: tuple(_array(x, where, _pair(int_from_obj, int_from_obj))),
     # the schema lets a symbol spell "no shift rule" as null
     "shift": lambda x, where: None if x is None else int_from_obj(x, where),
@@ -427,7 +418,7 @@ def xiweight_from_obj(obj) -> XiWeight:
     fn = measfn_from_obj(obj["weight"], "weight")
     if fn.space.kind != LEBESGUE_HALFLINE:
         raise ValueError("weight: xi weights are step functions on the half-line")
-    return _made("weight", XiWeight, fn)
+    return _made("weight", _class("XiWeight"), fn)
 
 
 def analysis_to_obj(ana: SymbolAnalysis) -> dict:
@@ -450,10 +441,10 @@ def analysis_to_obj(ana: SymbolAnalysis) -> dict:
 # Any result
 # ---------------------------------------------------------------------------
 
-# value type -> its encoder, for the types whose wire is not their fields
+# value type's name -> its encoder, for the types whose wire is not their fields
 _ENCODERS = {
-    StepFn: measfn_to_obj, AtomSeq: measfn_to_obj, AtomicSet: set_to_obj,
-    SymbolAnalysis: analysis_to_obj,
+    "StepFn": measfn_to_obj, "AtomSeq": measfn_to_obj, "AtomicSet": set_to_obj,
+    "SymbolAnalysis": analysis_to_obj,
 }
 
 
@@ -471,10 +462,11 @@ def to_obj(x):
         return x
     if isinstance(x, (Fraction, float)):
         return json_real(x)
-    encode = _ENCODERS.get(type(x))
+    name = type(x).__name__
+    encode = _ENCODERS.get(name)
     if encode is not None:
         return encode(x)
-    out = {"kind": _KIND_OF[type(x)]} if type(x) in _KIND_OF else {}
+    out = {"kind": _KIND_OF[name]} if name in _KIND_OF else {}
     for field in dataclasses.fields(x):
         value = getattr(x, field.name)
         if value is not None:

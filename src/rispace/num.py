@@ -181,6 +181,9 @@ def rational_pow(x: Real, e: Real) -> Real:
 
     e may be a Fraction or float; Fraction exponents attempt exact roots.
     """
+    if e == 1 and type(x) is Fraction and type(e) is not float and x.numerator >= 0 \
+            and x.numerator.bit_length() + x.denominator.bit_length() <= _POW_BITS:
+        return x  # what the chain below returns for it, as x ** 1
     if isinstance(x, float) and math.isinf(x):
         if e == 0:
             return Fraction(1)

@@ -271,9 +271,10 @@ class Lorentz:
             high = rational_pow(b, rho)
             total += rational_pow(v, self.q) * (high - low) / rho
             low = high
-        if total != total:
-            # a power past the double range met a difference of powers that
-            # underflowed to 0.0, and inf * 0.0 is NaN
+        if total != total or total == INF:
+            # every cut is finite, so a power past the double range met a
+            # difference of powers: inf * 0.0 is NaN, and inf * a finite
+            # difference is an inf that is not the norm
             raise ValueError("the Lorentz norm is out of the double range")
         return rational_pow(total, 1 / self.q)
 

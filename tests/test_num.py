@@ -136,6 +136,20 @@ def test_powers_past_the_bit_budget_are_floats():
     assert rational_pow(Fraction(9, 4), Fraction(2001, 2)) == Fraction(3**2001, 2**2001)
 
 
+def test_a_power_of_one_keeps_each_bases_result():
+    # an exact base within the bit budget is its own power
+    x = Fraction(7, 3)
+    assert rational_pow(x, Fraction(1)) is x and rational_pow(x, 1) is x
+    assert repr(rational_pow(Fraction(0), 1)) == "Fraction(0, 1)"
+    # a float base or exponent keeps its path: a subnormal base comes back
+    # as its exact value, a normal one as itself
+    assert repr(rational_pow(5e-324, Fraction(1))) == repr(Fraction(5e-324))
+    assert repr(rational_pow(2.5, Fraction(1))) == "2.5"
+    assert repr(rational_pow(x, 1.0)) == repr(7 / 3)
+    # past the bit budget the power is a float
+    assert repr(rational_pow(Fraction(3, 2 ** (1 << 20)), 1)) == "0.0"
+
+
 def test_int_nth_root_of_an_index_past_the_bit_length_is_one():
     assert _int_nth_root(3, 10**30) == 1
     assert _int_nth_root(2**64 - 1, 64) == 1

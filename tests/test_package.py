@@ -13,6 +13,8 @@ import pytest
 import rispace
 from rispace import cli, examples
 
+from . import coldstart
+
 _ENV = dict(os.environ, PYTHONPATH=str(Path(rispace.__file__).parents[1]))
 
 # the public names: every exported function, class and constant, and every
@@ -82,33 +84,105 @@ def test_star_import_binds_every_public_name():
     assert out.stdout.strip() == str(_ALL)
 
 
-# runs the CLI as ``python -m rispace.cli`` does, then reports the rispace
-# modules loaded as the last line of stderr
-_LOADED = """
-import atexit, json, runpy, sys
-atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if m.startswith("rispace"))),
-                              file=sys.stderr))
-sys.argv[0] = "rispace.cli"
-runpy.run_module("rispace.cli", run_name="__main__", alter_sys=True)
-"""
-
-_HALFLINE_FN = {"space": {"kind": "lebesgue_halfline"}, "breakpoints": [0, 1, 2],
-                "values": [1, 3], "right_tail": 0}
-_Z = {"kind": "atomic_z", "atom_mass": 1}
-_SHIFT_PAYLOAD = {"symbol": {"space": _Z, "table": [], "shift": 1},
-                  "function": {"space": _Z, "entries": [[0, 1]]}, "n": 2}
+# what every cold eval loads: the package, the wire format and the step
+# functions it decodes; cli itself runs as __main__, so it is not among them
+_EVAL_BASE = {"rispace", "rispace.jsonio", "rispace.num", "rispace.space", "rispace.stepfn"}
 
 
-@pytest.mark.parametrize("operation, payload, needed, unused", [
-    ("rearrange", {"function": _HALFLINE_FN}, {"rispace.rearrange"},
-     {"rispace.ergodic", "rispace.examples", "rispace.properties"}),
-    ("cesaro", _SHIFT_PAYLOAD, {"rispace.ergodic"}, {"rispace.examples", "rispace.properties"}),
-])
-def test_a_cold_eval_loads_only_what_its_operation_needs(operation, payload, needed, unused):
-    out = _python(_LOADED, "eval", operation, stdin=json.dumps(payload))
+# operation -> the modules it loads past those
+_EVAL_MODULES = {
+    "rearrange": {"rearrange"},
+    "norm": {"rearrange", "spaces"},
+    "xi": {"rearrange", "spaces"},
+    "analyze-symbol": {"symbols"},
+    "apply": {"ergodic", "rearrange", "symbols"},
+    "cesaro": {"ergodic", "rearrange", "symbols"},
+    "maximal": {"ergodic", "rearrange", "symbols"},
+}
+
+
+@pytest.mark.parametrize("operation", _EVAL_MODULES)
+def test_a_cold_eval_loads_only_what_its_operation_needs(operation):
+    out = _python(coldstart.LOADED, "eval", operation, stdin=json.dumps(coldstart.PAYLOADS[operation]))
     assert out.returncode == 0, out.stderr
     loaded = set(json.loads(out.stderr.splitlines()[-1]))
-    assert needed <= loaded and not loaded & unused, sorted(loaded)
+    assert loaded == _EVAL_BASE | {f"rispace.{m}" for m in _EVAL_MODULES[operation]}
+
+
+_H = {"kind": "lebesgue_halfline"}
+_INTERVAL = {"kind": "lebesgue_interval", "length": 1}
+_WEIGHT = {"space": _H, "breakpoints": [0, 1], "values": [2], "right_tail": 1}
+
+# (decoder, wire, class name, the wire that to_obj writes back when it differs)
+# for each class that jsonio names, the classes of the norm catalog first
+_RECORDS = [
+    ("phi", {"kind": "power", "alpha": "1/3"}, "Power", None),
+    ("phi", {"kind": "logclip"}, "LogClip", None),
+    ("phi", {"kind": "step_approx", "knots": [[1, 1], [3, 2]], "final_slope": "1/3"},
+     "StepApprox", None),
+    ("spec", {"kind": "lp", "space": _H, "p": 2}, "Lp", None),
+    ("spec", {"kind": "lorentz", "space": _H, "p": 2, "q": "4/3"}, "Lorentz", None),
+    ("spec", {"kind": "weak_lp", "space": _H, "p": 3}, "WeakLp", None),
+    ("spec", {"kind": "marcinkiewicz_weak", "space": _H, "phi": {"kind": "logclip"}},
+     "MarcWeak", None),
+    ("spec", {"kind": "marcinkiewicz_strong", "space": _H,
+              "phi": {"kind": "power", "alpha": "2/3"}}, "MarcStrong", None),
+    ("weight", {"weight": _WEIGHT}, "XiWeight", None),
+    ("form", {"kind": "affine", "alpha": 2, "beta": "1/3"}, "Affine", None),
+    ("form", {"kind": "power_on_unit", "n": 3}, "PowerOnUnit", None),
+    ("form", {"power": 2}, "PowerOnUnit", {"kind": "power_on_unit", "n": 2}),
+    ("form", {"kind": "shifted_power", "n": 2}, "ShiftedPower", None),
+    ("form", {"kind": "affine_tail", "n": 2}, "AffineTail", None),
+    ("form", {"kind": "exp_recip"}, "ExpRecip", None),
+    ("symbol", {"space": _INTERVAL, "branches": [{"lo": 0, "hi": 1, "form": {"power": 2}}]},
+     "IntervalSymbol", {"space": _INTERVAL,
+                        "branches": [{"lo": 0, "hi": 1, "form": {"kind": "power_on_unit", "n": 2}}]}),
+    ("symbol", {"space": {"kind": "atomic_z", "atom_mass": 1}, "table": [[0, 1]], "shift": 1},
+     "AtomicSymbol", None),
+    ("symbol", {"space": {"kind": "atomic_finite", "atom_mass": 1, "count": 2},
+                "table": [[0, 1], [1, 0]], "shift": None}, "AtomicSymbol",
+     {"space": {"kind": "atomic_finite", "atom_mass": 1, "count": 2}, "table": [[0, 1], [1, 0]]}),
+]
+
+# decodes each record of argv[1], then encodes it and decodes that again, in
+# a process that imported only rispace.jsonio; prints the rispace modules
+# loaded after each record
+_ROUND_TRIP = """
+import json, sys
+import rispace
+from rispace import jsonio
+
+DECODERS = {"phi": jsonio.phi_from_obj, "spec": jsonio.normspec_from_obj,
+            "weight": lambda obj, where: jsonio.xiweight_from_obj(obj),
+            "form": jsonio._form_from_obj, "symbol": jsonio.symbol_from_obj}
+for decoder, wire, name, written in json.loads(sys.argv[1]):
+    x = DECODERS[decoder](wire, decoder)
+    assert type(x).__name__ == name, (name, x)
+    obj = jsonio.to_obj(x)
+    assert obj == (wire if written is None else written), (name, obj)
+    assert DECODERS[decoder](obj, decoder) == x, name
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("rispace."))))
+analysis = jsonio.to_obj(rispace.check_condition_I(x, 2))
+assert analysis["power_bounds"] == [[1, 1], [2, 1]] and analysis["nonsingular"], analysis
+"""
+
+
+def test_the_classes_jsonio_names_resolve_and_round_trip_from_a_bare_jsonio():
+    from rispace import jsonio
+
+    names = {*jsonio._KIND_OF, *jsonio._ENCODERS, "AtomicSymbol", "IntervalSymbol", "Branch",
+             "XiWeight"}
+    for name in names:
+        assert name in rispace.__all__ and isinstance(getattr(rispace, name), type), name
+        assert getattr(rispace, name).__name__ == name
+    assert {name for _, _, name, _ in _RECORDS} >= set(jsonio._KIND_OF)
+    out = _python(_ROUND_TRIP, json.dumps(_RECORDS))
+    assert out.returncode == 0, out.stderr
+    loaded = [json.loads(line) for line in out.stdout.splitlines()]
+    # a norm, a profile or a weight loads the norm catalog, not the symbols
+    catalog = next(i for i, (decoder, *_) in enumerate(_RECORDS) if decoder == "form")
+    assert "rispace.spaces" in loaded[catalog - 1] and "rispace.symbols" not in loaded[catalog - 1]
+    assert "rispace.symbols" in loaded[-1]
 
 
 def test_the_parser_knows_the_example_registry():
