@@ -4,8 +4,9 @@ Two families:
 
 * ``AtomicSymbol`` — a finite lookup table on low indices plus an affine
   index shift ``j -> j + c`` everywhere else.  Preimages are computed by
-  counting, forward orbits by iteration over a window wide enough that
-  everything beyond it behaves like the pure shift.
+  counting; only the table disturbs the shift, so preimage counts of powers
+  and the powers themselves are read off the table's rows and the indices
+  whose shift orbits reach them.
 
 * ``IntervalSymbol`` — finitely many strictly monotone branches whose
   domains partition the carrier.  The branch forms are a closed catalog
@@ -408,27 +409,27 @@ class AtomicSymbol:
 
     def bound_rows(self, horizon: int):
         """Yield (n, A_n, C_n), the max and min of the preimage counts of
-        phi^n, n = 1..horizon.  One forward pass moves the window's sources
-        along their orbits.  Sources outside the window follow the pure shift
-        and contribute one preimage to each target they reach, and windowed
-        orbits cannot escape the counted target range, so every valid target
-        beyond it has exactly one preimage.  A window that is the whole
-        (finite) space leaves no target beyond it."""
+        phi^n, n = 1..horizon.  The counts less 1 obey
+        delta_n = delta_1 + phi_* delta_{n-1}, and delta_1 is nonzero only at
+        the table's images, at j + c for each row j, and at the targets off
+        the shift's image (0..c-1 over N).  Keyed by t - n*c, an entry moves
+        only when it sits on a table row, so one step moves those entries to
+        their rows' images and adds delta_1.  The counts average 1 on a
+        finite space, and far out on Z and N they are 1, so 1 is always
+        between C_n and A_n."""
         c = self.shift or 0
-        left, right = self.space.domain
-        lo_w, hi_w = _atomic_window(self, horizon)
-        pos = list(range(lo_w, hi_w))
+        delta1 = Counter(k for _, k in self.table)
+        delta1.subtract(j + c for j, _ in self.table if self.space.valid_index(j + c))
+        delta1.subtract(t for t in range(c) if not self.space.valid_index(t - c))
+        delta: dict[int, int] = {}
         for n in range(1, horizon + 1):
-            pos = [self.image_of(j) for j in pos]
-            hits = Counter(pos)
-            pad = n * abs(c) + 1
-            # the generic target beyond the counted range, if there is one
-            counts = [] if (lo_w, hi_w) == (left, right) else [1]
-            for t in range(max(lo_w - pad, left), min(hi_w + pad, right)):
-                j = t - n * c
-                outside = (j < lo_w or j >= hi_w) and self.space.valid_index(j)
-                counts.append(hits[t] + outside)
-            yield n, Fraction(max(counts)), Fraction(min(counts))
+            moved = [(k, delta.pop(j - (n - 1) * c, 0)) for j, k in self.table]
+            for t, v in [*moved, *delta1.items()]:
+                v += delta.pop(t - n * c, 0)
+                if v:
+                    delta[t - n * c] = v
+            counts = [0, *delta.values()]
+            yield n, Fraction(1 + max(counts)), Fraction(1 + min(counts))
 
 
 Symbol = Union[AtomicSymbol, IntervalSymbol]
@@ -540,38 +541,23 @@ class PowerBounds:
         return dict(self.per_n)[n]
 
 
-def _atomic_window(sym: AtomicSymbol, horizon: int) -> tuple[int, int]:
-    """Source range outside which orbits follow the pure shift for the whole
-    horizon: the span of the table's indices and images (widened to reach
-    0 on the left), padded on each side by horizon * |c| + 2 and clipped to
-    the domain.  On a finite space the table covers every atom, so the
-    window is the whole space."""
-    ends = [j for row in sym.table for j in row]
-    pad = horizon * abs(sym.shift or 0) + 2
-    left, right = sym.space.domain
-    return (max(min(ends + [0]) - pad, left), min(max(ends, default=0) + 1 + pad, right))
-
-
 def atomic_power(sym: AtomicSymbol, k: int) -> AtomicSymbol:
     """The k-fold composition phi^k as an explicit atomic symbol.
 
-    Outside the horizon-k window the orbit never touches the table, so the
-    power acts as the pure shift by k*c there; only the window needs entries,
-    and only those where the orbit leaves the shift.  A finite space has no
-    shift rule, and its window, the whole space, keeps every entry.
+    An index whose first k steps of the pure shift j -> j + c meet no table
+    row goes to j + k*c, so only the indices row - d*c, 0 <= d < k, can
+    leave the shift; the power keeps those that do.  A finite space has no
+    shift rule, and its rows, every atom, keep their entries.
     """
     if k < 0:
         raise ValueError("power must be >= 0")
-
-    def orbit(j: int) -> int:
-        for _ in range(k):
-            j = sym.image_of(j)
-        return j
-
     c = None if sym.shift is None else sym.shift * k
+    near = {j - d * (sym.shift or 0) for j, _ in sym.table for d in range(max(k, 1))}
     table = []
-    for j in range(*_atomic_window(sym, max(k, 1))):
-        t = orbit(j)
+    for j in filter(sym.space.valid_index, near):
+        t = j
+        for _ in range(k):
+            t = sym.image_of(t)
         if c is None or t != j + c:
             table.append((j, t))
     return AtomicSymbol(sym.space, tuple(table), c)

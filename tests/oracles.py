@@ -4,14 +4,16 @@ Everything here is deliberately computed by a *different* algorithm than the
 one under test: distribution functions by direct piece scanning, rearranged
 values by searching the finite value set, Lp norms by midpoint sampling on a
 numpy grid, Lorentz norms by mpmath quadrature, Cesaro averages by dictionary
-orbit simulation.  Slow and dumb on purpose.
+orbit simulation, atomic preimage counts and powers by sweeping a padded
+window.  Slow and dumb on purpose.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from rispace import INF, AtomSeq, StepFn, to_float
+from rispace import INF, AtomicSymbol, AtomSeq, StepFn, to_float
 from rispace.num import rational_pow
 
 
@@ -273,3 +275,54 @@ def marc_strong_oracle(phi_at, f):
     if star_tail_oracle(f) != 0:
         return INF
     return max([Fraction(0)] + [phi_at(t) * hardy_oracle(f, t) / t for t in star_cuts_oracle(f)])
+
+
+def atomic_window_oracle(sym, horizon):
+    """Source range outside which orbits follow the pure shift for the whole
+    horizon: the span of the table's indices and images (widened to reach
+    0 on the left), padded on each side by horizon * |c| + 2 and clipped to
+    the domain.  On a finite space the table covers every atom, so the
+    window is the whole space."""
+    ends = [j for row in sym.table for j in row]
+    pad = horizon * abs(sym.shift or 0) + 2
+    left, right = sym.space.domain
+    return (max(min(ends + [0]) - pad, left), min(max(ends, default=0) + 1 + pad, right))
+
+
+def atomic_bound_rows_oracle(sym, horizon):
+    """(n, A_n, C_n), n = 1..horizon, by moving every source of the window
+    along its orbit and counting every target of a padded range.  Sources
+    outside the window follow the pure shift and give one preimage to each
+    target they reach, so every valid target beyond the range has exactly
+    one; a window that is the whole (finite) space leaves none beyond it."""
+    c = sym.shift or 0
+    left, right = sym.space.domain
+    lo_w, hi_w = atomic_window_oracle(sym, horizon)
+    pos = list(range(lo_w, hi_w))
+    rows = []
+    for n in range(1, horizon + 1):
+        pos = [sym.image_of(j) for j in pos]
+        hits = Counter(pos)
+        pad = n * abs(c) + 1
+        counts = [] if (lo_w, hi_w) == (left, right) else [1]
+        for t in range(max(lo_w - pad, left), min(hi_w + pad, right)):
+            j = t - n * c
+            outside = (j < lo_w or j >= hi_w) and sym.space.valid_index(j)
+            counts.append(hits[t] + outside)
+        rows.append((n, Fraction(max(counts)), Fraction(min(counts))))
+    return rows
+
+
+def atomic_power_oracle(sym, k):
+    """phi^k as an atomic symbol: every source of the horizon-k window
+    walked k steps, kept where it leaves the shift by k*c (everywhere on a
+    finite space, which has no shift)."""
+    c = None if sym.shift is None else sym.shift * k
+    table = []
+    for j in range(*atomic_window_oracle(sym, max(k, 1))):
+        t = j
+        for _ in range(k):
+            t = sym.image_of(t)
+        if c is None or t != j + c:
+            table.append((j, t))
+    return AtomicSymbol(sym.space, tuple(table), c)

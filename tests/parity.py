@@ -7,6 +7,9 @@ runs ``rispace.cli.main`` in this process and writes into OUTDIR:
 * ``eval/OPERATION-SEED.txt``: the payload, exit code, stdout and stderr of
   ``eval`` for each of the seven operations on ``tests.payloads.eval_payload``
   of seeds 0-199;
+* ``eval/analyze-symbol-h30-SEED.txt``: the same for ``analyze-symbol`` at
+  horizon 30, for each seed whose payload symbol is atomic (an interval
+  symbol keeps its drawn horizon of 1-3: its expanding maps grow each step);
 * ``run-example/ID/``: the report and verdict files of every example id run
   with ``--format both``, and its exit code and output in ``ID.txt``;
 * ``verify/``: ``verify --seed 42 --trials 60``, and the same run with
@@ -47,6 +50,12 @@ def write_outputs(outdir: Path) -> None:
             payload = json.dumps(eval_payload(operation, seed), sort_keys=True)
             text = run(["eval", operation], stdin=payload)
             (outdir / "eval" / f"{operation}-{seed:03d}.txt").write_text(f"{payload}\n{text}")
+    for seed in SEEDS:
+        obj = eval_payload("analyze-symbol", seed)
+        if "table" in obj["symbol"]:
+            payload = json.dumps({**obj, "horizon": 30}, sort_keys=True)
+            text = run(["eval", "analyze-symbol"], stdin=payload)
+            (outdir / "eval" / f"analyze-symbol-h30-{seed:03d}.txt").write_text(f"{payload}\n{text}")
     for sub in ("run-example", "verify"):
         (outdir / sub).mkdir()
     with contextlib.chdir(outdir / "run-example"):

@@ -410,6 +410,17 @@ def test_eval_maximal_past_the_denominator_budget_finishes():
     assert got["tail_value"] == "1/3" and [j for j, _ in got["entries"]] == [0, 1]
 
 
+
+def test_eval_analyze_symbol_of_a_shift_with_a_table_at_a_long_horizon_finishes():
+    # sweeping a window about 2 * horizon wide at each step once took about
+    # 20 s at this horizon
+    sym = {"space": {"kind": "atomic_z", "atom_mass": 1}, "table": [[0, 5], [1, 0]], "shift": 1}
+    env = dict(os.environ, PYTHONPATH=str(Path(rispace.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "rispace.cli", "eval", "analyze-symbol"], env=env, timeout=5,
+                         input=json.dumps({"symbol": sym, "horizon": 4000}), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert len(json.loads(out.stdout)["power_bounds"]) == 4000
+
 # a half-line step function whose cuts lie off the double range on both sides
 _OFF_RANGE_FN = {"space": _HALFLINE, "breakpoints": [0, "1e-400", "1e400"], "values": [3, 2],
                  "right_tail": 0}

@@ -43,7 +43,9 @@ from rispace.examples import (
     unilateral_shift,
 )
 from rispace.properties import gen_interval_symbol
-from rispace.space import ATOMIC_FINITE, ATOMIC_Z
+from rispace.space import ATOMIC_FINITE, ATOMIC_N, ATOMIC_Z
+
+from .oracles import atomic_bound_rows_oracle, atomic_power_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +405,48 @@ def test_power_bound_matches_iterated_preimage(sym, horizon):
         assert pb.at(m) == max(counts)
         witness = min(witness, min(counts))
     assert check_condition_I(sym, horizon).condition_I3_witness == witness
+
+
+def _drawn_atomic_symbol(rng):
+    """An atomic symbol on Z or N with a shift in -4..4 and a table in
+    [-8, 8] (over N, [0, 8], holding 0..-c-1 for a negative shift c), or a
+    map of a finite space onto itself, permutation or not."""
+    kind = rng.choice((ATOMIC_Z, ATOMIC_N, ATOMIC_FINITE))
+    if kind == ATOMIC_FINITE:
+        n = rng.randint(1, 8)
+        return AtomicSymbol(atomic_finite(n), tuple((j, rng.randrange(n)) for j in range(n)))
+    shift = rng.randint(-4, 4)
+    lo = -8 if kind == ATOMIC_Z else 0
+    keys = set(rng.sample(range(lo, 9), rng.randint(0, 6)))
+    if kind == ATOMIC_N and shift < 0:
+        keys |= set(range(-shift))
+    sp = atomic_z() if kind == ATOMIC_Z else atomic_n()
+    return AtomicSymbol(sp, tuple((j, rng.randint(lo, 8)) for j in sorted(keys)), shift)
+
+
+def test_atomic_rows_and_powers_match_the_window_sweep():
+    # the window sweep moves every source near the table and counts every
+    # target of a padded range; the library reads the table's rows only
+    rngs = [random.Random(seed) for seed in range(400)]
+    cases = [(_ALL_NEGATIVE_TABLE, 40)] + [(_drawn_atomic_symbol(rng), rng.randint(1, 40)) for rng in rngs]
+    kinds = {(sym.space.kind, sym.shift) for sym, _ in cases}
+    assert {(kind, c) for kind in (ATOMIC_Z, ATOMIC_N) for c in range(-4, 5)} <= kinds
+    assert any(sym.space.kind == ATOMIC_FINITE and not sym.is_permutation() for sym, _ in cases)
+    for sym, horizon in cases:
+        assert list(sym.bound_rows(horizon)) == atomic_bound_rows_oracle(sym, horizon), sym
+        for k in range(9):
+            assert atomic_power(sym, k) == atomic_power_oracle(sym, k), (sym, k)
+
+
+def test_rows_of_a_shift_with_a_table_match_the_window_sweep():
+    # the symbol of the horizon-4,000 analyze-symbol test in test_cli
+    sym = AtomicSymbol(atomic_z(), ((0, 5), (1, 0)), 1)
+    assert list(sym.bound_rows(60)) == atomic_bound_rows_oracle(sym, 60)
+
+
+def test_atomic_power_rejects_a_negative_power():
+    with pytest.raises(ValueError, match="power must be >= 0"):
+        atomic_power(bilateral_shift(), -1)
 
 
 def test_affine_parameters_must_be_finite():
