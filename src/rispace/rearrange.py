@@ -158,10 +158,9 @@ def hlp_leq(f: MeasFn, g: MeasFn) -> bool:
     computed once per function object), this is linear in the cuts: over
     their views, H_f D_g <= H_g D_f on ints over one C.
     """
-    rf, rg = rearrangement(f), rearrangement(g)
-    if rf.vals[-1] > rg.vals[-1]:
+    (F, G), _ = _views([rearrangement(f), rearrangement(g)])
+    if F.vals[-1] * G.D > G.vals[-1] * F.D:
         return False
-    (F, G), _ = _views([rf, rg])
     ts = _union(F.cuts, G.cuts)
     return all(hf * G.D <= hg * F.D for hf, hg in zip(_hardy_sweep(F, ts), _hardy_sweep(G, ts)))
 
@@ -195,4 +194,4 @@ def dilate(f: StepFn, t) -> StepFn:
 
 def is_acr(f: MeasFn) -> bool:
     """Absolutely continuous rearrangement: f*(t) -> 0 as t -> infinity."""
-    return rearrangement(f).vals[-1] == 0
+    return rearrangement(f)._view.vals[-1] == 0

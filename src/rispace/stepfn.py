@@ -13,7 +13,11 @@ function, the rearrangement and sign checks read; the operations that need a
 different algorithm per carrier keep one branch each.  A StepFn also keeps
 its int view (``View``), cuts and values as ints over two denominators, which
 the hot loops here and in ``rearrange`` read in place of Fractions; past a
-float or 1,024 bits it is at scale 1, over the values themselves.
+float or 1,024 bits it is at scale 1, over the values themselves.  A StepFn
+that an int loop builds (``_merged_step`` over an exact view: f*, linear
+combinations) holds only its space and that view, and forms its Fraction
+``cuts`` and ``vals`` the first time they are read; loops that chain read
+the view, so a comparison of rearrangements forms none.
 """
 
 from __future__ import annotations
@@ -40,11 +44,24 @@ class StepFn:
     ``cuts`` are strictly increasing points in the open interior of the
     domain; ``vals`` has one more element than ``cuts`` and lists the finite
     value on each piece left to right.  Adjacent pieces never share a value.
+    A function built from its exact view forms both on first read; it
+    compares, hashes, prints, pickles and travels as the ``step`` it equals.
     """
 
     space: MeasureSpace
     cuts: tuple[Real, ...]
     vals: tuple[Real, ...]
+
+    def __getattr__(self, name):
+        """``cuts`` and ``vals`` of a function built from its exact view
+        (``_merged_step``): formed from the view on first read, then kept in
+        ``__dict__`` as a constructed record keeps them."""
+        V = self.__dict__.get("_view") if name in ("cuts", "vals") else None
+        if V is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(cuts=tuple(Fraction(c, V.C) for c in V.cuts),
+                             vals=tuple(Fraction(v, V.D) for v in V.vals))
+        return self.__dict__[name]
 
     def value_at(self, x) -> Real:
         left, right = self.space.domain
@@ -133,15 +150,17 @@ def _merged(cuts, vals) -> tuple[list, list]:
 def _merged_step(space: MeasureSpace, cuts, vals, scale: View | None = None) -> StepFn:
     """The StepFn of cuts and piece values with adjacent equal values merged,
     taken as they are, or over the C and D of a ``scale`` view (its bounds
-    the domain's ends), whose merged ints the result keeps when exact."""
+    the domain's ends).  Over an exact view the result holds only its space
+    and the merged ints; its Fraction ``cuts`` and ``vals`` are formed when
+    first read (``StepFn.__getattr__``)."""
     cuts, vals = _merged(cuts, vals)
     if scale is None:
         return StepFn(space, tuple(cuts), tuple(vals))
     V = scale._replace(bounds=[scale.bounds[0], *cuts, scale.bounds[-1]], vals=vals)
-    real = Fraction if V.exact else unscaled
-    f = StepFn(space, tuple(real(c, V.C) for c in cuts), tuple(real(v, V.D) for v in vals))
-    if V.exact:
-        f.__dict__["_view"] = V
+    if not V.exact:
+        return StepFn(space, tuple(unscaled(c, V.C) for c in cuts), tuple(unscaled(v, V.D) for v in vals))
+    f = object.__new__(StepFn)
+    f.__dict__.update(space=space, _view=V)
     return f
 
 

@@ -416,20 +416,31 @@ class AtomicSymbol:
         only when it sits on a table row, so one step moves those entries to
         their rows' images and adds delta_1.  The counts average 1 on a
         finite space, and far out on Z and N they are 1, so 1 is always
-        between C_n and A_n."""
+        between C_n and A_n.  A tally of how many entries hold each value,
+        kept as entries change, gives the max and min without a pass over
+        the entries."""
         c = self.shift or 0
         delta1 = Counter(k for _, k in self.table)
         delta1.subtract(j + c for j, _ in self.table if self.space.valid_index(j + c))
         delta1.subtract(t for t in range(c) if not self.space.valid_index(t - c))
+        added = [(t, v) for t, v in delta1.items() if v]
         delta: dict[int, int] = {}
+        held = Counter({0: 1})  # entries of delta per value; the 0 stands for the counts of 1
         for n in range(1, horizon + 1):
-            moved = [(k, delta.pop(j - (n - 1) * c, 0)) for j, k in self.table]
-            for t, v in [*moved, *delta1.items()]:
-                v += delta.pop(t - n * c, 0)
+            moved = [(k, v) for j, k in self.table if (v := delta.pop(j - (n - 1) * c, 0))]
+            for _, v in moved:
+                held[v] -= 1
+            for t, v in [*moved, *added]:
+                u = t - n * c
+                if u in delta:
+                    held[delta[u]] -= 1
+                    v += delta.pop(u)
                 if v:
-                    delta[t - n * c] = v
-            counts = [0, *delta.values()]
-            yield n, Fraction(1 + max(counts)), Fraction(1 + min(counts))
+                    delta[u] = v
+                    held[v] += 1
+            for v in [v for v, m in held.items() if not m]:
+                del held[v]
+            yield n, Fraction(1 + max(held)), Fraction(1 + min(held))
 
 
 Symbol = Union[AtomicSymbol, IntervalSymbol]

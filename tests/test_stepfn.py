@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +19,7 @@ from rispace import (
     atomic_z,
     constant,
     halfline,
+    hlp_leq,
     indicator,
     integrate,
     interval,
@@ -24,12 +29,14 @@ from rispace import (
     pointwise_leq,
     pointwise_max,
     pointwise_mul,
+    rearrangement,
     scale,
     seq,
     seq_from_values,
     step,
     subtract,
 )
+from rispace.properties import gen_step
 from rispace.stepfn import _union
 
 from .oracles import refinement_points
@@ -334,3 +341,60 @@ def test_views_agree_with_the_oracles_and_with_the_loops_at_scale_1(f, g):
 @given(deep_fn().filter(lambda f: isinstance(f, StepFn)), st.data())
 def test_views_of_deep_functions_agree_with_the_oracles_and_at_scale_1(f, data):
     _check_views(f, data.draw(partner(f)), data.draw(partner(f)))
+
+
+# ---------------------------------------------------------------------------
+# Functions built from ints form their Fractions on first read
+# ---------------------------------------------------------------------------
+
+
+def _copies(r):
+    return pickle.loads(pickle.dumps(r)), copy.deepcopy(r)
+
+
+_READERS = {
+    "==": lambda r, want: r == want and want == r and not r != want,
+    "hash": lambda r, want: hash(r) == hash(want) and {want: 1}[r] == 1,
+    "repr": lambda r, want: repr(r) == repr(want),
+    "copies": lambda r, want: all(repr(c) == repr(want) and c == want and hash(c) == hash(want)
+                                  for c in _copies(r)),
+}
+
+
+def _built_from_ints(f, g):
+    """Fresh results of the operations that end in an int loop; f* of a copy
+    of f, since f keeps its own."""
+    return [linear_combine(_COEFFS, [f, g, f]), scale(Fraction(-5, 3), g), rearrangement(dataclasses.replace(f))]
+
+
+def _check_built_from_ints(f, g):
+    wants = [step(r.space, r.cuts, r.vals) for r in _built_from_ints(f, g)]
+    for name, agrees in _READERS.items():
+        for r, want in zip(_built_from_ints(f, g), wants):
+            assert "cuts" not in r.__dict__ and "vals" not in r.__dict__
+            assert agrees(r, want), (name, "before the first read")
+            assert (r.cuts, r.vals) == (want.cuts, want.vals)
+            assert agrees(r, want), (name, "after the first read")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_results_built_from_ints_read_as_their_step_twins(seed):
+    rng = random.Random(seed)
+    sp = rng.choice((halfline(), interval(Fraction(5, 2)), line()))
+    size = rng.randint(0, 8)
+    _check_built_from_ints(gen_step(rng, size, sp), gen_step(rng, size, sp, compact=False))
+
+
+@given(deep_fn().filter(lambda f: isinstance(f, StepFn)), st.data())
+def test_deep_results_built_from_ints_read_as_their_step_twins(f, data):
+    _check_built_from_ints(f, data.draw(partner(f)))
+
+
+def test_hlp_leq_forms_no_fraction_of_either_rearrangement():
+    f = step(halfline(), [Fraction(1, 3), 2], [5, Fraction(7, 2), 0])
+    g = step(halfline(), [1, Fraction(9, 4)], [6, 2, 0])
+    assert hlp_leq(f, g)
+    assert not hlp_leq(g, f)
+    for r in (rearrangement(f), rearrangement(g)):
+        assert "cuts" not in r.__dict__ and "vals" not in r.__dict__
+    assert rearrangement(f) == step(halfline(), [Fraction(1, 3), 2], [5, Fraction(7, 2), 0])

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -316,6 +317,9 @@ def _infinite_symbol(draw):
 
 _atomic_symbol = st.one_of(_finite_symbol(), _infinite_symbol())
 _ALL_NEGATIVE_TABLE = AtomicSymbol(atomic_z(), ((-4, -5),), 0)
+# the Z-shift that keeps 0 fixed: 0 gathers n + 1 preimages under phi^n and
+# 1..n have none, so delta_n's support grows with n
+_FIXED_ZERO = AtomicSymbol(atomic_z(), ((0, 0),), 1)
 
 
 def _indices(sym, reach):
@@ -428,7 +432,8 @@ def test_atomic_rows_and_powers_match_the_window_sweep():
     # the window sweep moves every source near the table and counts every
     # target of a padded range; the library reads the table's rows only
     rngs = [random.Random(seed) for seed in range(400)]
-    cases = [(_ALL_NEGATIVE_TABLE, 40)] + [(_drawn_atomic_symbol(rng), rng.randint(1, 40)) for rng in rngs]
+    cases = [(_ALL_NEGATIVE_TABLE, 40), (_FIXED_ZERO, 40)]
+    cases += [(_drawn_atomic_symbol(rng), rng.randint(1, 40)) for rng in rngs]
     kinds = {(sym.space.kind, sym.shift) for sym, _ in cases}
     assert {(kind, c) for kind in (ATOMIC_Z, ATOMIC_N) for c in range(-4, 5)} <= kinds
     assert any(sym.space.kind == ATOMIC_FINITE and not sym.is_permutation() for sym, _ in cases)
@@ -442,6 +447,14 @@ def test_rows_of_a_shift_with_a_table_match_the_window_sweep():
     # the symbol of the horizon-4,000 analyze-symbol test in test_cli
     sym = AtomicSymbol(atomic_z(), ((0, 5), (1, 0)), 1)
     assert list(sym.bound_rows(60)) == atomic_bound_rows_oracle(sym, 60)
+
+
+def test_rows_whose_support_grows_with_the_horizon_stay_fast():
+    # 5.6 s when each row took the max and min over every entry of delta_n
+    start = time.perf_counter()
+    rows = list(_FIXED_ZERO.bound_rows(16_000))
+    assert time.perf_counter() - start < 2
+    assert rows[-1] == (16_000, 16_001, 0)
 
 
 def test_atomic_power_rejects_a_negative_power():
