@@ -35,6 +35,7 @@ from .stepfn import (
     _cells,
     _fn_from_pieces,
     _integrate_abs_product,
+    _mapped_pieces,
     _merged_step,
     _union,
     _views,
@@ -187,8 +188,7 @@ def dilate(f: StepFn, t) -> StepFn:
         raise ValueError("dilation parameter must be positive")
     if not isinstance(f, StepFn) or f.space != _HALFLINE:
         raise ValueError("dilate needs a StepFn on the half-line")
-    bounds = (Fraction(0), *(c / t for c in f.cuts), INF)
-    pieces = [(a, b, v) for a, b, v in zip(bounds, bounds[1:], f.vals) if a < b]
+    pieces = _mapped_pieces(f.pieces(), *_HALFLINE.domain, lambda c: c / t if is_finite(c) else c, True)
     return _fn_from_pieces(_HALFLINE, pieces)
 
 

@@ -199,6 +199,26 @@ def _fn_from_pieces(sp: MeasureSpace, pieces) -> StepFn:
     return _merged_step(sp, [s[0] for s in segs[1:]], [s[2] for s in segs])
 
 
+def _mapped_pieces(pieces, lo, hi, g, increasing: bool) -> list:
+    """The change of variable of sorted, disjoint pieces (a, b, v): each cut
+    to [lo, hi), its ends mapped by the monotone g (swapped where g
+    decreases), kept where the mapped ends still satisfy a < b.  An end
+    shared with the previous piece (the same object) is mapped once."""
+    out, last, gb = [], None, None
+    for a, b, v in pieces:
+        a, b = max(a, lo), min(b, hi)
+        if not a < b:
+            if a >= hi:  # so is every later piece
+                break
+            continue
+        ga = gb if a is last else g(a)
+        last, gb = b, g(b)
+        x, y = (ga, gb) if increasing else (gb, ga)
+        if x < y:
+            out.append((x, y, v))
+    return out
+
+
 @dataclass(frozen=True)
 class AtomSeq:
     """Sequence over an atomic space: finitely many entries over a default;

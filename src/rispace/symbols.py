@@ -33,10 +33,10 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Union
 
-from .num import INF, NEG_INF, Real, as_int, as_real, is_finite, log_real, nth_root, rational_pow
+from .num import INF, Real, as_int, as_real, is_finite, log_real, nth_root, rational_pow
 from .space import (
     ATOMIC_FINITE,
     ATOMIC_N,
@@ -46,7 +46,7 @@ from .space import (
     _normalize_intervals,
     interval_set,
 )
-from .stepfn import AtomSeq, StepFn, _fn_from_pieces, _merged_seq, constant, linear_combine
+from .stepfn import AtomSeq, StepFn, _fn_from_pieces, _mapped_pieces, _merged_seq, constant, linear_combine
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +54,9 @@ from .stepfn import AtomSeq, StepFn, _fn_from_pieces, _merged_seq, constant, lin
 # ---------------------------------------------------------------------------
 
 
-def _affine_image(alpha: Real, beta: Real, lo, hi) -> tuple[Real, Real]:
-    """The ends (low, high) of the image of [lo, hi) under t -> alpha t + beta."""
-    a, b = (alpha * t + beta if is_finite(t) else t if alpha > 0 else -t for t in (lo, hi))
-    return (a, b) if alpha > 0 else (b, a)
+def _affine_at(alpha: Real, beta: Real, t) -> Real:
+    """alpha t + beta, with an infinite t sent to the infinity it tends to."""
+    return alpha * t + beta if is_finite(t) else t if alpha > 0 else -t
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,8 @@ class Affine:
         return self.alpha > 0
 
     def image(self, lo, hi) -> tuple[Real, Real]:
-        return _affine_image(self.alpha, self.beta, lo, hi)
+        a, b = _affine_at(self.alpha, self.beta, lo), _affine_at(self.alpha, self.beta, hi)
+        return (a, b) if self.alpha > 0 else (b, a)
 
     def inverse(self, y) -> Real:
         return (y - self.beta) / self.alpha
@@ -214,27 +214,10 @@ class Branch:
         return self.form.image(self.lo, self.hi)
 
     def inverse_at(self, y) -> Real:
-        """The branch's inverse at y (y inside the closed image)."""
-        if y == INF or y == NEG_INF:
-            return y if self.form.increasing else -y
-        return self.form.inverse(y)
-
-    def preimage_interval(self, u, v):
-        """Preimage of [u, v) within this branch, as (a, b) or None."""
-        img_lo, img_hi = self.image()
-        lo_y = max(u, img_lo)
-        hi_y = min(v, img_hi)
-        if not lo_y < hi_y:
-            return None
-        if self.form.increasing:
-            a, b = self.inverse_at(lo_y), self.inverse_at(hi_y)
-        else:
-            a, b = self.inverse_at(hi_y), self.inverse_at(lo_y)
-        a = max(a, self.lo)
-        b = min(b, self.hi)
-        if not a < b:
-            return None
-        return (a, b)
+        """The branch's inverse at y (y inside the closed image), clamped to
+        its domain [lo, hi] by ``max`` then ``min``."""
+        x = self.form.inverse(y) if is_finite(y) else y if self.form.increasing else -y
+        return min(max(x, self.lo), self.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +254,20 @@ class IntervalSymbol:
         """True when every branch is affine, so the bound rows are exact."""
         return all(br.form.coefficients for br in self.branches)
 
-    def _pulled(self, u, v):
-        """Yield the nonempty preimages (a, b) of [u, v), branch by branch."""
-        for br in self.branches:
-            got = br.preimage_interval(u, v)
-            if got is not None:
-                yield got
+    def _pulled(self, pieces) -> list:
+        """The preimages (a, b, v) of sorted, disjoint pieces (u, w, v), branch
+        by branch: each cut to the branch's image and mapped by its inverse."""
+        return [q for br in self.branches if pieces
+                for q in _mapped_pieces(pieces, *br.image(), br.inverse_at, br.form.increasing)]
 
     def preimage(self, E: IntervalSet) -> IntervalSet:
-        pieces = [got for u, v in E.intervals for got in self._pulled(u, v)]
-        return IntervalSet(self.space, _normalize_intervals(pieces, allow_overlap=True))
+        pieces = self._pulled([(u, v, 1) for u, v in E.intervals])
+        return IntervalSet(self.space, _normalize_intervals([p[:2] for p in pieces], allow_overlap=True))
 
     def pull_back(self, f: StepFn) -> StepFn:
         """f ∘ phi: the preimages of the nonzero pieces of f tile the domain
         up to null sets, so the result is again a step function."""
-        pieces = [(a2, b2, v) for a, b, v in f.pieces() if v != 0 for a2, b2 in self._pulled(a, b)]
-        return _fn_from_pieces(self.space, pieces)
+        return _fn_from_pieces(self.space, self._pulled([p for p in f.pieces() if p[2] != 0]))
 
     def bound_rows(self, horizon: int):
         """Yield (n, A_n, C_n), n = 1..horizon, with C_n mu(E) <= mu(phi^{-n} E)
@@ -588,9 +569,9 @@ def power_measure_bound(sym: Symbol, horizon: int) -> PowerBounds:
     """A_n for n = 1..horizon: the A_n column of the symbol's bound rows.
 
     Exact for atomic symbols (preimage counts) and for all-affine interval
-    symbols (transfer density iteration); otherwise a lower bound of the
-    true A_n from the dyadic test family down to scale 2^-12, flagged by
-    certified=False.
+    symbols (transfer density iteration); otherwise a sampled lower estimate
+    of the true A_n from the dyadic test family down to scale 2^-12,
+    flagged by certified=False.
     """
     return _power_bounds(sym, horizon)[0]
 
@@ -598,19 +579,14 @@ def power_measure_bound(sym: Symbol, horizon: int) -> PowerBounds:
 def _transfer_once(sym: IntervalSymbol, rho: StepFn) -> StepFn:
     """Density of phi^{-(n+1)} from the density rho of phi^{-n}:
     rho'(y) = sum_b rho(inv_b(y)) / |alpha_b| on the image of b."""
+    nonzero = [p for p in rho.pieces() if p[2] != 0]
     parts = []
     for br in sym.branches:
         alpha, beta = br.form.coefficients
         w = 1 / abs(alpha)
-        pieces = []
-        for a, b, v in rho.pieces():
-            lo = max(a, br.lo)
-            hi = min(b, br.hi)
-            if not lo < hi or v == 0:
-                continue
-            pieces.append((*_affine_image(alpha, beta, lo, hi), w * v))
-        if pieces:
-            parts.append(_fn_from_pieces(sym.space, pieces))
+        moved = _mapped_pieces(nonzero, br.lo, br.hi, partial(_affine_at, alpha, beta), alpha > 0)
+        if moved:
+            parts.append(_fn_from_pieces(sym.space, [(a, b, w * v) for a, b, v in moved]))
     if not parts:
         return _fn_from_pieces(sym.space, [])
     return linear_combine([1] * len(parts), parts)
@@ -669,7 +645,10 @@ def check_condition_I(sym: Symbol, horizon: int) -> SymbolAnalysis:
     dyadic test family otherwise).  For a certified symbol the first row is
     the one-step pair (A, C), as in ``measure_bound`` and
     ``lower_bound``; any other symbol has A = inf and C from
-    ``lower_bound``.
+    ``lower_bound``.  When ``power_bounds.certified`` is false the A_n are
+    sampled lower estimates and the witness is sampled too, so it can
+    overstate the true constant: x -> x^2 on [0, 1) reports 0.0848 at
+    horizon 4, where C_4 = 1/16.
     """
     pb, cs = _power_bounds(sym, horizon)
     if pb.certified:

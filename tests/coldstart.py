@@ -4,12 +4,13 @@ to exit, and which ``rispace`` modules it loads.
     PYTHONPATH=src python -m tests.coldstart [N]
 
 runs each of the seven ``eval`` operations on its fixed payload (``PAYLOADS``)
-as N (default 15) fresh ``python -m rispace.cli`` processes, one operation
-after another in each of N rounds, under the environment as it is: bytecode
-caches are written and read, or not, as it says.  It prints, per operation,
-the median wall time in ms and the ``rispace`` modules that one more process,
-run with the same payload, had loaded at exit.  It needs only the standard
-library, and pytest does not collect it.
+as N (a positive integer, default 15) fresh ``python -m rispace.cli``
+processes, one operation after another in each of N rounds, under the
+environment as it is: bytecode caches are written and read, or not, as it
+says.  It prints, per operation, the median wall time in ms and the
+``rispace`` modules that one more process, run with the same payload, had
+loaded at exit.  Any other argument prints the usage line and exits 2.  It
+needs only the standard library, and pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -80,7 +81,15 @@ def cold_ms(rounds: int) -> dict[str, list[float]]:
     return times
 
 
+USAGE = "usage: python -m tests.coldstart [N]   (N rounds, a positive integer; default 15)"
+
+
 def main(argv: list[str]) -> int:
+    """Print the table for ``[N]``; for anything but one positive integer,
+    print the usage line and return 2."""
+    if len(argv) > 1 or argv and not (argv[0].isascii() and argv[0].isdigit() and int(argv[0]) > 0):
+        print(USAGE, file=sys.stderr)
+        return 2
     rounds = int(argv[0]) if argv else 15
     times = cold_ms(rounds)
     print(f"{'operation':<16}{'median ms':>10}  rispace modules loaded ({rounds} processes each)")

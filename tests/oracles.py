@@ -5,7 +5,8 @@ one under test: distribution functions by direct piece scanning, rearranged
 values by searching the finite value set, Lp norms by midpoint sampling on a
 numpy grid, Lorentz norms by mpmath quadrature, Cesaro averages by dictionary
 orbit simulation, atomic preimage counts and powers by sweeping a padded
-window.  Slow and dumb on purpose.
+window, interval preimages, transfer densities and dilations one piece and
+one branch at a time.  Slow and dumb on purpose.
 """
 
 from collections import Counter
@@ -13,8 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from rispace import INF, AtomicSymbol, AtomSeq, StepFn, to_float
-from rispace.num import rational_pow
+from rispace import INF, AtomicSymbol, AtomSeq, IntervalSet, StepFn, linear_combine, to_float
+from rispace.num import is_finite, rational_pow
+from rispace.space import _normalize_intervals
+from rispace.stepfn import _fn_from_pieces
 
 
 def dist_oracle(f, s):
@@ -326,3 +329,76 @@ def atomic_power_oracle(sym, k):
         if c is None or t != j + c:
             table.append((j, t))
     return AtomicSymbol(sym.space, tuple(table), c)
+
+
+def _branch_inverse(br, y):
+    """The branch's inverse at y in its closed image, unclamped."""
+    if y == INF or y == -INF:
+        return y if br.form.increasing else -y
+    return br.form.inverse(y)
+
+
+def preimage_interval_oracle(br, u, v):
+    """Preimage of [u, v) within one branch, as (a, b) or None: [u, v) cut to
+    the branch's image, both ends inverted (swapped on a decreasing branch),
+    then clamped to the branch's domain."""
+    img_lo, img_hi = br.image()
+    lo_y, hi_y = max(u, img_lo), min(v, img_hi)
+    if not lo_y < hi_y:
+        return None
+    if br.form.increasing:
+        a, b = _branch_inverse(br, lo_y), _branch_inverse(br, hi_y)
+    else:
+        a, b = _branch_inverse(br, hi_y), _branch_inverse(br, lo_y)
+    a, b = max(a, br.lo), min(b, br.hi)
+    return (a, b) if a < b else None
+
+
+def _pulled_oracle(sym, u, v):
+    """The nonempty preimages (a, b) of [u, v), branch by branch."""
+    return [got for br in sym.branches if (got := preimage_interval_oracle(br, u, v))]
+
+
+def preimage_oracle(sym, E):
+    """phi^{-1}(E), interval by interval of E."""
+    pieces = [got for u, v in E.intervals for got in _pulled_oracle(sym, u, v)]
+    return IntervalSet(sym.space, _normalize_intervals(pieces, allow_overlap=True))
+
+
+def pull_back_oracle(sym, f):
+    """f o phi from the preimage of each nonzero piece of f."""
+    pieces = [(a, b, v) for u, w, v in f.pieces() if v != 0 for a, b in _pulled_oracle(sym, u, w)]
+    return _fn_from_pieces(sym.space, pieces)
+
+
+def _affine_image_oracle(alpha, beta, lo, hi):
+    """The ends (low, high) of the image of [lo, hi) under t -> alpha t + beta."""
+    a, b = (alpha * t + beta if is_finite(t) else t if alpha > 0 else -t for t in (lo, hi))
+    return (a, b) if alpha > 0 else (b, a)
+
+
+def transfer_once_oracle(sym, rho):
+    """rho'(y) = sum_b rho(inv_b(y)) / |alpha_b| over an all-affine symbol,
+    each piece of rho clipped to each branch's domain and moved on its own."""
+    parts = []
+    for br in sym.branches:
+        alpha, beta = br.form.coefficients
+        w = 1 / abs(alpha)
+        pieces = []
+        for a, b, v in rho.pieces():
+            lo, hi = max(a, br.lo), min(b, br.hi)
+            if lo < hi and v != 0:
+                pieces.append((*_affine_image_oracle(alpha, beta, lo, hi), w * v))
+        if pieces:
+            parts.append(_fn_from_pieces(sym.space, pieces))
+    if not parts:
+        return _fn_from_pieces(sym.space, [])
+    return linear_combine([1] * len(parts), parts)
+
+
+def dilate_oracle(f, t):
+    """(D_t f)(s) = f(t s) on the half-line: each cut divided by t, and a
+    piece that rounds to width 0 dropped."""
+    bounds = (Fraction(0), *(c / t for c in f.cuts), INF)
+    pieces = [(a, b, v) for a, b, v in zip(bounds, bounds[1:], f.vals) if a < b]
+    return _fn_from_pieces(f.space, pieces)

@@ -109,6 +109,13 @@ def test_a_cold_eval_loads_only_what_its_operation_needs(operation):
     assert loaded == _EVAL_BASE | {f"rispace.{m}" for m in _EVAL_MODULES[operation]}
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["abc"], ["0"], ["-3"], ["2.5"], ["1", "2"]])
+def test_coldstart_prints_its_usage_for_anything_but_one_positive_count(argv, capsys, monkeypatch):
+    monkeypatch.setattr(coldstart, "cold_ms", lambda rounds: pytest.fail("no process may start"))
+    assert coldstart.main(argv) == 2
+    assert capsys.readouterr().err == coldstart.USAGE + "\n"
+
+
 _H = {"kind": "lebesgue_halfline"}
 _INTERVAL = {"kind": "lebesgue_interval", "length": 1}
 _WEIGHT = {"space": _H, "breakpoints": [0, 1], "values": [2], "right_tail": 1}

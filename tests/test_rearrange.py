@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -38,13 +39,16 @@ from rispace import (
     norm_eval,
     pointwise_mul,
     rearrangement,
+    scale,
     seq,
     step,
     to_float,
     xi_seminorm,
 )
+from rispace.properties import gen_step
 
 from .oracles import (
+    dilate_oracle,
     dist_oracle,
     hardy_oracle,
     marc_strong_oracle,
@@ -170,6 +174,19 @@ def test_dilate_drops_a_piece_that_float_division_closes():
     d = dilate(f, 0.7)
     assert d == step(halfline(), [3 / 0.7], [2, 0])
     assert norm_eval(Lp(halfline(), INF), d) == 2
+
+
+def test_dilate_matches_dividing_each_cut():
+    # the oracle divides every cut by t and drops the pieces that close
+    for seed in range(200):
+        rng = random.Random(seed)
+        f = gen_step(rng, rng.randint(0, 6), halfline(), compact=rng.random() < 0.5)
+        floated = step(halfline(), [float(c) for c in f.cuts], f.vals)
+        for g in (f, scale(0.7, f), floated, rearrangement(f)):
+            # a float cut over an exact t below the least float divides by 0.0
+            tiny = () if g is floated else (Fraction(1, 10**400),)
+            for t in (0.3, 1e-300, 1e300, Fraction(3, 2), *tiny):
+                assert repr(dilate(g, t)) == repr(dilate_oracle(g, t)), (g, t)
 
 
 def test_is_acr():

@@ -17,21 +17,27 @@ from rispace import (
     IntervalSymbol,
     PowerOnUnit,
     ShiftedPower,
+    apply,
     atomic_finite,
     atomic_n,
     atomic_power,
     atomic_set,
     atomic_z,
     check_condition_I,
+    constant,
     halfline,
+    integrate,
     interval,
     interval_set,
     line,
     lower_bound,
     measure_bound,
+    pointwise_mul,
     power_measure_bound,
     preimage,
     preimage_measure,
+    scale,
+    step,
 )
 from rispace.examples import (
     bilateral_shift,
@@ -43,10 +49,17 @@ from rispace.examples import (
     translation_line,
     unilateral_shift,
 )
-from rispace.properties import gen_interval_symbol
+from rispace.properties import gen_interval_symbol, gen_set, gen_step
 from rispace.space import ATOMIC_FINITE, ATOMIC_N, ATOMIC_Z
+from rispace.symbols import _transfer_once
 
-from .oracles import atomic_bound_rows_oracle, atomic_power_oracle
+from .oracles import (
+    atomic_bound_rows_oracle,
+    atomic_power_oracle,
+    preimage_oracle,
+    pull_back_oracle,
+    transfer_once_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -466,3 +479,56 @@ def test_affine_parameters_must_be_finite():
     for alpha, beta in ((INF, 0), (-INF, 0), (1, INF), (1, -INF)):
         with pytest.raises(ValueError):
             Affine(alpha, beta)
+
+
+# order-reversing affine branches: on [0, 1), and on the half-line beside a
+# branch that runs to infinity
+_DECREASING = (
+    IntervalSymbol(interval(1), (Branch(0, Fraction(1, 2), Affine(2, 0)), Branch(Fraction(1, 2), 1, Affine(-1, 1)))),
+    IntervalSymbol(halfline(), (Branch(0, 1, Affine(-1, 2)), Branch(1, INF, Affine(1, 1)))),
+)
+
+
+def test_interval_maps_match_the_per_interval_rule():
+    # the oracle pulls back and moves one piece through one branch at a time
+    fixed = [*_DECREASING, power_symbol(3), exp_recip_symbol(), shifted_power_symbol(2)]
+    for seed in range(300):
+        rng = random.Random(seed)
+        sym = fixed[seed] if seed < len(fixed) else gen_interval_symbol(rng, rng.randint(1, 4))
+        sp = sym.space
+        f = gen_step(rng, rng.randint(0, 5), sp, compact=rng.random() < 0.5)
+        floated = step(sp, [float(c) for c in f.cuts], f.vals)
+        fns = [f, scale(0.7, f), floated, constant(sp, 1)]
+        for g in fns:
+            assert repr(sym.pull_back(g)) == repr(pull_back_oracle(sym, g)), (sym, g)
+        E = gen_set(rng, rng.randint(0, 4), sp)
+        for S in (E, interval_set(sp, [(float(a), float(b)) for a, b in E.intervals])):
+            assert repr(preimage(sym, S)) == repr(preimage_oracle(sym, S)), (sym, S)
+        if sym.certified:
+            rho = constant(sp, 1)
+            for _ in range(3):
+                rho = _transfer_once(sym, rho)
+                fns.append(rho)
+            for g in fns:
+                assert repr(_transfer_once(sym, g)) == repr(transfer_once_oracle(sym, g)), (sym, g)
+
+
+def test_a_preimage_that_rounds_to_width_0_is_dropped():
+    # the float inverse of exp(1 - 1/t) sends both ends of [y, y') to 0.5
+    y = math.nextafter(math.exp(-1.0), 0)
+    sym = exp_recip_symbol()
+    f = step(sym.space, [y, math.nextafter(y, 1)], [1, 2, 3])
+    assert sym.pull_back(f) == step(sym.space, [0.5], [1, 3])
+    assert repr(sym.pull_back(f)) == repr(pull_back_oracle(sym, f))
+    E = interval_set(sym.space, [(y, math.nextafter(y, 1))])
+    assert preimage(sym, E).intervals == () == preimage_oracle(sym, E).intervals
+
+
+def test_composition_and_transfer_are_adjoint():
+    # the integral of (f o phi) g equals the integral of f (P g), exactly
+    for seed in range(600):
+        rng = random.Random(seed)
+        sym = gen_interval_symbol(rng, rng.randint(1, 4), affine_only=True)
+        f, g = (gen_step(rng, rng.randint(0, 5), sym.space) for _ in range(2))
+        lhs = integrate(pointwise_mul(apply(sym, f), g))
+        assert lhs == integrate(pointwise_mul(f, _transfer_once(sym, g))), (seed, sym, f, g)
