@@ -82,12 +82,13 @@ def is_finite(x: Real) -> bool:
     return not (isinstance(x, float) and not math.isfinite(x))
 
 
-def to_float(x: Real) -> float:
-    """Best-effort float image; huge rationals overflow to +-inf."""
+def to_float(x: Real, d: int = 1) -> float:
+    """Best-effort float image of x, or of the int ratio x/d (rounded as its
+    Fraction's, in lowest terms or not); huge rationals overflow to +-inf."""
     if isinstance(x, float):
         return x
     try:
-        return float(x)
+        return x / d if type(x) is int else float(x)
     except OverflowError:
         return INF if x > 0 else NEG_INF
 
@@ -142,27 +143,38 @@ def nth_root(x: Real, n: int) -> Real:
     """x ** (1/n) for x >= 0; exact Fraction when x is a perfect n-th power."""
     if n < 1:
         raise ValueError("root index must be >= 1")
-    if isinstance(x, float):
-        if x < 0:
-            raise ValueError("negative radicand")
-        return x ** (1.0 / n)
     if x < 0:
         raise ValueError("negative radicand")
-    if n == 1:
-        return x
-    rp = _int_nth_root(x.numerator, n)
-    rq = _int_nth_root(x.denominator, n)
-    if rp**n == x.numerator and rq**n == x.denominator:
-        return Fraction(rp, rq)
-    fx = to_float(x)
+    if isinstance(x, float):
+        return x ** (1.0 / n)
+    return x if n == 1 else _ratio_root(x.numerator, x.denominator, n)
+
+
+def _ratio_root(p: int, q: int, n: int) -> Real:
+    """(p/q) ** (1/n) for ints p >= 0, q > 0, n >= 2, the root rule of every
+    rational: the Fraction m/q when p q^(n-1) = m^n (past the budget, when the
+    reduced ratio's two roots are exact); else the float root of p / q, or
+    off the double range an integer root of p/q scaled by 2^(n k)."""
+    if p.bit_length() + (n - 1) * q.bit_length() <= _POW_BITS:
+        a = p * q ** (n - 1)
+        m = _int_nth_root(a, n)
+        if m**n == a:
+            return Fraction(m, q)
+    else:
+        g = math.gcd(p, q)
+        rp, rq = _int_nth_root(p // g, n), _int_nth_root(q // g, n)
+        if rp**n == p // g and rq**n == q // g:
+            return Fraction(rp, rq)
+    fx = to_float(p, q)
     if _normal(fx):
         return fx ** (1.0 / n)
-    # x overflows or underflows a double, its root need not: take the
-    # integer root of x 2^(n k), about 64 bits wide, and scale back by 2^-k
-    p, q = x.numerator, x.denominator
+    # p/q overflows or underflows a double, its root need not: take the
+    # integer root of p/q 2^(n k), about 64 bits wide, and scale back by 2^-k
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
     k = 64 - (p.bit_length() - q.bit_length()) // n
     if n * k > _POW_BITS:  # the scale 2^(n k) is over budget
-        return _split_pow(x, 1 / n)
+        return _split_pow(p, q, 1 / n)
     m = (p << n * k) // q if k >= 0 else p // (q << -n * k)
     try:
         return math.ldexp(_int_nth_root(m, n), -k)
@@ -179,76 +191,89 @@ def rational_pow(x: Real, e: Real) -> Real:
     """x ** e for x >= 0, exact whenever the result is rational and the
     exact power is within budget (see ``_POW_BITS``), a float otherwise.
 
-    e may be a Fraction or float; Fraction exponents attempt exact roots.
+    e may be a Fraction or float; Fraction exponents attempt exact roots.  A
+    rational base is read as the int ratio of ``ratio_pow``.
     """
-    if e == 1 and type(x) is Fraction and type(e) is not float and x.numerator >= 0 \
-            and x.numerator.bit_length() + x.denominator.bit_length() <= _POW_BITS:
-        return x  # what the chain below returns for it, as x ** 1
     if isinstance(x, float) and math.isinf(x):
-        if e == 0:
-            return Fraction(1)
-        return INF if e > 0 else Fraction(0)
+        return Fraction(1) if e == 0 else INF if e > 0 else Fraction(0)
     if x < 0:
         raise ValueError("negative base")
-    if e == 0:
-        return Fraction(1)
-    if x == 0:
-        if e < 0:
-            return INF
-        return Fraction(0)
-    if isinstance(e, float):
-        return _float_pow(x, e)
-    if e < 0:
+    if e == 1 and type(x) is not float and type(e) is not float \
+            and x.numerator.bit_length() + x.denominator.bit_length() <= _POW_BITS:
+        return x  # what ratio_pow returns for it, as x ** 1
+    if not isinstance(x, float) or x == 0 or e == 0:
+        return ratio_pow(*x.as_integer_ratio(), e)
+    if e < 0 and not isinstance(e, float):  # INF where the inverse underflowed: x^e is past the double range
         inv = rational_pow(x, -e)
-        if isinstance(inv, Fraction):
-            return 1 / inv
-        return 1.0 / inv if inv else INF  # inv underflowed: x^e is past the double range
+        return 1 / inv if isinstance(inv, Fraction) else 1.0 / inv if inv else INF
+    try:
+        if isinstance(e, float):
+            return x**e
+        if e.denominator != 1:
+            return nth_root(x, e.denominator) ** e.numerator if e.numerator < 512 else x ** to_float(e)
+    except OverflowError:
+        return INF  # a float e, or e > 0: the power is past the double range
+    try:
+        p = x**e.numerator
+    except OverflowError:
+        p = 0.0
+    # a power past the double range, or subnormal and so short of bits, is
+    # the exact power of x's value; a later root brings it back
+    return p if _normal(p) else ratio_pow(*x.as_integer_ratio(), e.numerator)
+
+
+def ratio_pow(n: int, d: int, e: Real) -> Real:
+    """(n/d) ** e for ints n >= 0 and d > 0: what ``rational_pow(Fraction(n,
+    d), e)`` returns, the same value, type and float bits, with a Fraction
+    formed only for an exact result.  Roots are ``_ratio_root``'s; a whole
+    power is exact within budget, and a float otherwise."""
+    m = e if isinstance(e, float) else e.numerator  # e's sign
+    if m == 0:
+        return Fraction(1)
+    if n == 0:
+        return INF if m < 0 else Fraction(0)
+    if isinstance(e, float):
+        return _float_pow(n, d, e)
+    if m < 0:  # INF where the inverse underflowed: the power is past the double range
+        inv = ratio_pow(n, d, -e)
+        return 1 / inv if isinstance(inv, Fraction) else 1.0 / inv if inv else INF
     if e.denominator != 1:
-        root = nth_root(x, e.denominator)
-        if not isinstance(root, Fraction):
+        root = _ratio_root(n, d, e.denominator)
+        if type(root) is float:
             try:
-                return root ** e.numerator if abs(e.numerator) < 512 else to_float(x) ** to_float(e)
+                return root**m if m < 512 else to_float(n, d) ** to_float(e)
             except OverflowError:
-                # e > 0 here: the power is past the double range
-                return INF
-        x = root
-    n = e.numerator
-    if isinstance(x, float):
-        try:
-            p = x**n
-        except OverflowError:
-            p = 0.0
-        # a power past the double range, or subnormal and so short of bits,
-        # is the exact power of x's value; a later root brings it back
-        if _normal(p):
-            return p
-        x = Fraction(x)
-    if n * (x.numerator.bit_length() + x.denominator.bit_length()) <= _POW_BITS:
-        return x**n
-    return x if x == 1 else _float_pow(x, n)
+                return INF  # e > 0 here: the power is past the double range
+        n, d = root.numerator, root.denominator
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    if m * (n.bit_length() + d.bit_length()) <= _POW_BITS:
+        return Fraction(n, d) ** m
+    return Fraction(1) if n == d else _float_pow(n, d, m)
 
 
-def _float_pow(x: Real, e) -> float:
-    """x ** e in doubles for x > 0: by ``_split_pow`` when x is off the double
-    range, and inf past it."""
-    fx = to_float(x)
-    if not (isinstance(x, float) or _normal(fx)):
-        return _split_pow(x, to_float(e))
+def _float_pow(n: int, d: int, e) -> float:
+    """(n/d) ** e in doubles for ints n, d > 0: by ``_split_pow`` when n/d is
+    off the double range, and inf past it."""
+    fx = to_float(n, d)
+    if not _normal(fx):
+        g = math.gcd(n, d)
+        return _split_pow(n // g, d // g, to_float(e))
     try:
         return fx ** to_float(e)
     except OverflowError:
         return INF
 
 
-def _split_pow(x: Fraction, e: float) -> float:
-    """x ** e for a positive rational x outside the double range: x = y 2^s
-    with y in (1/2, 2), so x^e = y^e 2^(s e), where s e is split exactly into
-    its integer and fractional parts."""
-    s = x.numerator.bit_length() - x.denominator.bit_length()
+def _split_pow(p: int, q: int, e: float) -> float:
+    """(p/q) ** e for p/q > 0 in lowest terms outside the double range: p/q =
+    y 2^s with y in (1/2, 2), so (p/q)^e = y^e 2^(s e), where s e is split
+    exactly into its integer and fractional parts."""
+    s = p.bit_length() - q.bit_length()
     if abs(e) > 1000:
         # |s| > 1020, so |s e| > 10^6 (or inf): far past the double range
         return INF if (s > 0) == (e > 0) else 0.0
-    y = x.numerator / (x.denominator << s) if s >= 0 else (x.numerator << -s) / x.denominator
+    y = p / (q << s) if s >= 0 else (p << -s) / q
     w = s * Fraction(e)
     i = math.floor(w)
     try:
@@ -257,13 +282,16 @@ def _split_pow(x: Fraction, e: float) -> float:
         return INF
 
 
-def log_real(x: Real) -> float:
-    """Natural log; handles Fractions with huge numerator/denominator."""
+def log_real(x: Real, d: int = 1) -> float:
+    """Natural log of x, or of the int ratio x/d; handles huge numerators
+    and denominators, read in lowest terms as a Fraction keeps them."""
     if x <= 0:
         raise ValueError("log of nonpositive value")
     if isinstance(x, float):
         return math.log(x)
-    return math.log(x.numerator) - math.log(x.denominator)
+    n, d = x.numerator, x.denominator * d
+    g = math.gcd(n, d)
+    return math.log(n // g) - math.log(d // g)
 
 
 def _refuse_nan(x: float) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .num import INF, Real, as_real, is_finite, unscaled
+from .num import INF, Real, as_real, is_finite, to_float, unscaled
 from .space import halfline
 from .stepfn import (
     MeasFn,
@@ -182,13 +182,22 @@ def dilate(f: StepFn, t) -> StepFn:
     """Dilation (D_t f)(s) = f(t s) for f on the half-line; exact cuts.
 
     Dividing float cuts by t can round a narrow piece to width 0.  No float
-    lies in such a piece, so it is dropped and its neighbours merge."""
+    lies in such a piece, so it is dropped and its neighbours merge.  By a t
+    whose float is 0, a float cut is divided exactly (ValueError past 2^1024)."""
     t = as_real(t)
     if not t > 0:
         raise ValueError("dilation parameter must be positive")
     if not isinstance(f, StepFn) or f.space != _HALFLINE:
         raise ValueError("dilate needs a StepFn on the half-line")
-    pieces = _mapped_pieces(f.pieces(), *_HALFLINE.domain, lambda c: c / t if is_finite(c) else c, True)
+
+    def g(c):
+        if type(c) is float and is_finite(c) and not to_float(t):
+            n, d = c.as_integer_ratio()
+            if (q := to_float(n * t.denominator, d * t.numerator)) == INF:
+                raise ValueError(f"the cut {c!r} over t is past the double range")
+            return q
+        return c / t if is_finite(c) else c
+    pieces = _mapped_pieces(f.pieces(), *_HALFLINE.domain, g, True)
     return _fn_from_pieces(_HALFLINE, pieces)
 
 

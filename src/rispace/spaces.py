@@ -18,10 +18,10 @@ f* crossed with each smooth segment of Phi the objective is quasi-convex, so
 the supremum sits on the union grid of cut points plus the limits at 0 and
 infinity.  No sampling is involved.
 
-Each norm reads f* as kept on the function: ``Lp`` (whole p), ``WeakLp``
-(whole 1/p) and ``MarcStrong`` (its Hardy sweep) on the ints of f*'s view
-(``stepfn.View``), one Fraction built for the value returned; past a float or
-a budget, and in ``Lorentz`` and ``MarcWeak``, over f*'s own cuts and values.
+Every norm reads f* on the ints of its view (``stepfn.View``) and forms none
+of f*'s Fractions: a power of a cut or a value is ``num.ratio_pow`` of an int
+ratio, a float term is taken in doubles and an exact one as ints; past a
+float or a budget the same loop reads f*'s own cuts and values.
 
 Each kind answers for itself: a norm spec evaluates itself on f* (``of``),
 and a profile gives its value (``at``), its limits at infinity (``at_inf``
@@ -35,10 +35,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .num import _POW_BITS, INF, Real, as_real, fmt_real, is_finite, log_real, rational_pow, to_float, unscaled
+from .num import _POW_BITS, INF, Real, as_real, fmt_real, is_finite, log_real, ratio_pow, rational_pow, to_float, unscaled
 from .rearrange import _hardy_sweep, is_rearranged, rearrangement
 from .space import AtomicSet, MeasureSpace, empty_set, interval_set
-from .stepfn import MeasFn, StepFn, _integrate_abs_product, _plain, _union, _views, indicator
+from .stepfn import MeasFn, StepFn, View, _integrate_abs_product, _union, _views, indicator
+
+
+def _pow(x, scale: int, e: Real) -> Real:
+    """(x/scale) ** e: x an int of an exact view, by ``ratio_pow``, or a
+    value itself at scale 1."""
+    return ratio_pow(x, scale, e) if type(x) is int else rational_pow(x, e)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +74,8 @@ class Power:
     def label(self) -> str:
         return f"t^{fmt_real(self.alpha)}"
 
-    def at(self, t: Real) -> Real:
-        return rational_pow(t, self.alpha)
+    def at(self, t, d: int = 1) -> Real:
+        return _pow(t, d, self.alpha)
 
     def check(self) -> tuple[bool, str]:
         return True, (
@@ -87,10 +93,10 @@ class LogClip:
     breakpoints = (Fraction(1),)
     label = "logclip"
 
-    def at(self, t: Real) -> Real:
-        if t >= 1:
+    def at(self, t, d: int = 1) -> Real:
+        if t >= d:
             return Fraction(1)
-        return 1.0 / (1.0 - log_real(t))
+        return 1.0 / (1.0 - log_real(t, d))
 
     def check(self) -> tuple[bool, str]:
         return True, (
@@ -135,7 +141,8 @@ class StepApprox:
     def label(self) -> str:
         return f"steps{len(self.knots)}"
 
-    def at(self, t: Real) -> Real:
+    def at(self, t, d: int = 1) -> Real:
+        t = unscaled(t, d)
         prev_t, prev_v = Fraction(0), Fraction(0)
         for kt, kv in self.knots:
             if t <= kt:
@@ -220,24 +227,23 @@ class Lp:
         return f"L{fmt_real(self.p)}"
 
     def of(self, r: StepFn) -> Real:
-        """(sum of v^p (b - a) over the pieces [a, b) of r = f*)^(1/p), on
-        the ints of r's view for a whole p, else by ``rational_pow``."""
-        p = self.p
+        """(sum of v^p (b - a) over the pieces [a, b) of r = f*)^(1/p) on the
+        ints of r's view: over D^p C for a whole p, else by ``ratio_pow``."""
+        p, V = self.p, r._view
         if p == INF:
-            return r.vals[0]
-        V = r._view
+            return unscaled(V.vals[0], V.D)
         n = _whole(p, V.vals[0].bit_length() + V.D.bit_length()) if V.exact else 0
-        V = V if n else _plain(r)
         total: Real = 0
         for a, b, v in zip(V.bounds, V.bounds[1:], V.vals):
             if v == 0:
                 continue
             if b == INF:
                 return INF
-            total += (v**n if n else rational_pow(v, p)) * (b - a)
+            vp = v**n if n else _pow(v, V.D, p)  # over D^n, or the power itself
+            total += vp * (b - a) if n else vp * ((b - a) / V.C) if type(vp) is float else vp * unscaled(b - a, V.C)
         if total != total:  # inf * 0.0: a float power met a width below the double range
             raise ValueError("a term of the Lp norm is out of the double range")
-        total = unscaled(total, V.D**n * V.C)
+        total = unscaled(total, V.D**n * V.C if n else 1)
         return total if p == 1 else rational_pow(total, 1 / p)
 
 
@@ -259,17 +265,22 @@ class Lorentz:
 
     def of(self, r: StepFn) -> Real:
         """(sum of v^q (b^rho - a^rho) / rho over the pieces [a, b) of r =
-        f*)^(1/q), rho = q/p, each cut of r raised to rho once."""
-        rho = self.q / self.p
+        f*)^(1/q), rho = q/p, on the ints of r's view by ``ratio_pow``, each
+        cut raised to rho once; a term with a float in doubles, as they mix."""
+        q, rho, V = self.q, self.q / self.p, r._view
+        n = _whole(q, V.vals[0].bit_length() + V.D.bit_length()) if V.exact else 0
         total: Real = Fraction(0)
-        low = Fraction(0)  # 0^rho, at the left end of the first piece
-        for b, v in zip(_plain(r).bounds[1:], r.vals):
+        low: Real = Fraction(0)  # 0^rho, at the left end of the first piece
+        for b, v in zip(V.bounds[1:], V.vals):
             if v == 0:  # r is nonincreasing: 0 from here on
                 break
             if b == INF:
                 return INF
-            high = rational_pow(b, rho)
-            total += rational_pow(v, self.q) * (high - low) / rho
+            high, vq = _pow(b, V.C, rho), v**n if n else _pow(v, V.D, q)
+            if float in (type(high), type(low)):
+                total += float(vq / V.D**n) * (float(high) - float(low)) / float(rho)
+            else:
+                total += unscaled(vq, V.D**n) * (high - low) / rho
             low = high
         if total != total or total == INF:
             # every cut is finite, so a power past the double range met a
@@ -295,19 +306,34 @@ class WeakLp:
 
     def of(self, r: StepFn) -> Real:
         """The max of v b^(1/p) over the pieces [a, b) of r = f*, on the
-        ints of r's view for a whole 1/p, else by ``rational_pow``."""
-        inv_p = 1 / self.p
-        V = r._view
+        ints of r's view: over D C^(1/p) for a whole 1/p, else by ``ratio_pow``."""
+        inv_p, V = 1 / self.p, r._view
         k = _whole(inv_p, V.bounds[-2].bit_length() + V.C.bit_length()) if V.exact else 0
-        V = V if k else _plain(r)
-        best: Real = 0
-        for b, v in zip(V.bounds[1:], V.vals):
-            if v == 0:
-                continue
-            if b == INF:
+        return _first_max(V, V.D * V.C**k, lambda b: INF if b == INF else b**k if k else _pow(b, V.C, inv_p))
+
+
+def _first_max(V: View, D: int, factor) -> Real:
+    """The first largest, as ``max`` keeps it, of Fraction(0) and v/D
+    factor(b) over the pieces [a, b) of the view V with v > 0 (INF once one
+    is): a float term in doubles, as a Fraction times a float rounds, an
+    exact one as an int pair."""
+    best, n, d = None, 0, 1  # the first largest term, n/d exactly; None while exact
+    for b, v in zip(V.bounds[1:], V.vals):
+        if v == 0:
+            continue
+        y = factor(b)
+        if y == INF:
+            return INF
+        if type(y) is float or type(v) is float:
+            term = float(v / D) * float(y)
+            if term == INF:
                 return INF
-            best = max(best, v * (b**k if k else rational_pow(b, inv_p)))
-        return unscaled(best, V.D * V.C**k)
+            tn, td = term.as_integer_ratio()
+        else:
+            term, tn, td = None, v * y.numerator, D * y.denominator
+        if tn * d > n * td:
+            best, n, d = term, tn, td
+    return Fraction(n, d) if best is None else best
 
 
 def _check_profile(spec) -> None:
@@ -329,17 +355,10 @@ class MarcWeak:
         return f"m[{self.phi.label}]"
 
     def of(self, r: StepFn) -> Real:
-        """The max of v Phi(b) over the pieces [a, b) of r = f*: sup Phi(t) v
-        on [a, b), as the catalog profiles are continuous and nondecreasing."""
-        best: Real = Fraction(0)
-        for _, b, v in r.pieces():
-            if v == 0:
-                continue
-            pb = self.phi.at_inf if b == INF else self.phi.at(b)  # b > 0
-            if pb == INF:
-                return INF
-            best = max(best, v * pb)
-        return best
+        """The max of v Phi(b) over the pieces [a, b) of r's view (b > 0): sup
+        Phi(t) v on [a, b), as the catalog profiles are continuous and nondecreasing."""
+        phi, V = self.phi, r._view
+        return _first_max(V, V.D, lambda b: phi.at_inf if b == INF else phi.at(b, V.C))
 
 
 @dataclass(frozen=True)
@@ -364,21 +383,22 @@ class MarcStrong:
         at 0 (always 0) and at infinity: Phi(inf) v for a tail value v > 0,
         else lim Phi(t)/t times H(inf).  One Hardy sweep over the sorted grid
         and t = inf gives every H, as ints over r's view: O(n) for n pieces.
-        A float term is taken by int true divisions, which round as float()
-        of the Fractions does; exact terms are compared as int pairs.  The
-        result is the first term at the max in the order of the set of
-        candidates, built only when a float and a Fraction tie there.
+        The grid merges the view's cuts with the scaled breakpoints.  A float
+        term is taken by int true divisions, which round as float() of the
+        Fractions does; exact terms are compared as int pairs.  The result is
+        the first term at the max in the order of the set of candidates (of
+        Fractions, f*'s cuts among them), formed only on a float/Fraction tie.
         """
-        if all(v == 0 for v in r.vals):
-            return Fraction(0)
         phi = self.phi
-        grid = _union(r.cuts, phi.breakpoints)
-        (V,), ts = _views([r], [*grid, INF])
-        *hs, h_inf = _hardy_sweep(V, ts)
+        (V,), ts = _views([r], [*phi.breakpoints, INF])
+        if all(v == 0 for v in V.vals):
+            return Fraction(0)
+        grid = _union(V.cuts, ts[:-1])  # over r's view, with the breakpoints
+        *hs, h_inf = _hardy_sweep(V, [*grid, INF])
         C, D = V.C, V.D
-        v_tail = r.vals[-1]
+        v_tail = V.vals[-1]
         if v_tail > 0:  # INF, not INF * 0.0, for a tail whose float underflows
-            start: Real = INF if phi.at_inf == INF else phi.at_inf * v_tail
+            start: Real = INF if phi.at_inf == INF else phi.at_inf * unscaled(v_tail, D)
         elif phi.final_slope > 0:
             start = phi.final_slope * unscaled(h_inf, C * D)
         else:
@@ -388,8 +408,8 @@ class MarcStrong:
 
         def terms():
             """Phi(t) H(t)/t over the grid: a float, or exact as (n, d)."""
-            for t, T, H in zip(grid, ts, hs):
-                phi_t = phi.at(t)  # t > 0
+            for T, H in zip(grid, hs):
+                phi_t = phi.at(T, C)  # T > 0
                 if float not in (type(phi_t), type(H), type(T)):
                     yield phi_t.numerator * H, phi_t.denominator * T * D
                     continue
@@ -408,7 +428,7 @@ class MarcStrong:
                 n, d = term
         exact = Fraction(n, d)
         if top == exact > start:  # a float and a Fraction tie: the set order decides
-            by_t = dict(zip(grid, terms()))
+            by_t = dict(zip((unscaled(T, C) for T in grid), terms()))
             return max(start, *(x if type(x) is float else Fraction(*x)
                                 for x in map(by_t.get, set(r.cuts) | set(phi.breakpoints))))
         return max(start, top, exact)

@@ -201,6 +201,7 @@ class Branch:
         hi = as_real(self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_clamp_exact", any(type(e) is float and is_finite(e) for e in (lo, hi)))
         if not lo < hi:
             raise ValueError("branch domain is empty")
         pinned = self.form.domain
@@ -215,9 +216,10 @@ class Branch:
 
     def inverse_at(self, y) -> Real:
         """The branch's inverse at y (y inside the closed image), clamped to
-        its domain [lo, hi] by ``max`` then ``min``."""
+        [lo, hi] by ``max`` then ``min`` if it or a finite end is a float
+        (``_clamp_exact``): an exact inverse lies there already."""
         x = self.form.inverse(y) if is_finite(y) else y if self.form.increasing else -y
-        return min(max(x, self.lo), self.hi)
+        return min(max(x, self.lo), self.hi) if type(x) is float or self._clamp_exact else x
 
 
 # ---------------------------------------------------------------------------

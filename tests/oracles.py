@@ -280,6 +280,110 @@ def marc_strong_oracle(phi_at, f):
     return max([Fraction(0)] + [phi_at(t) * hardy_oracle(f, t) / t for t in star_cuts_oracle(f)])
 
 
+# ---------------------------------------------------------------------------
+# The norms' loops over f*'s own Fraction (or float) cuts and values: what
+# each norm computed piece by piece before it read f*'s int view, every power
+# by the scalar ``rational_pow`` and every mixed term by Python's Fraction and
+# float arithmetic.  Each takes r = f* and raises as the norm did.
+# ---------------------------------------------------------------------------
+
+
+def lp_loop_oracle(p, r):
+    """(sum of v^p (b - a))^(1/p) over the pieces of r; the first value for p = inf."""
+    if p == INF:
+        return r.vals[0]
+    total = 0
+    for a, b, v in r.pieces():
+        if v == 0:
+            continue
+        if b == INF:
+            return INF
+        total += rational_pow(v, p) * (b - a)
+    if total != total:
+        raise ValueError("a term of the Lp norm is out of the double range")
+    total = Fraction(total) if type(total) is int else total
+    return total if p == 1 else rational_pow(total, 1 / p)
+
+
+def lorentz_loop_oracle(p, q, r):
+    """(sum of v^q (b^rho - a^rho) / rho)^(1/q), rho = q/p, over the pieces of r."""
+    rho = q / p
+    total = low = Fraction(0)
+    for _, b, v in r.pieces():
+        if v == 0:
+            break
+        if b == INF:
+            return INF
+        high = rational_pow(b, rho)
+        total += rational_pow(v, q) * (high - low) / rho
+        low = high
+    if total != total or total == INF:
+        raise ValueError("the Lorentz norm is out of the double range")
+    return rational_pow(total, 1 / q)
+
+
+def weak_lp_loop_oracle(p, r):
+    """max(0, v b^(1/p) over the pieces [a, b) of r), the first at the max."""
+    best = 0
+    for _, b, v in r.pieces():
+        if v == 0:
+            continue
+        if b == INF:
+            return INF
+        best = max(best, v * rational_pow(b, 1 / p))
+    return Fraction(best) if type(best) is int else best
+
+
+def marc_weak_loop_oracle(phi, r):
+    """max(0, v Phi(b) over the pieces [a, b) of r), the first at the max."""
+    best = Fraction(0)
+    for _, b, v in r.pieces():
+        if v == 0:
+            continue
+        pb = phi.at_inf if b == INF else phi.at(b)
+        if pb == INF:
+            return INF
+        best = max(best, v * pb)
+    return best
+
+
+def marc_strong_loop_oracle(phi, r):
+    """max(start, Phi(t) H(t)/t over the cuts of r and the breakpoints of
+    Phi), the first at the max in the order of the set of those points,
+    with H swept piece by piece (whole pieces, then the partial one) and
+    start the limit at infinity."""
+    if all(v == 0 for v in r.vals):
+        return Fraction(0)
+    points = set(r.cuts) | set(phi.breakpoints)
+    hs, total, pieces = {}, 0, list(r.pieces())
+    for t in sorted(points):
+        while pieces and pieces[0][1] <= t:
+            a, b, v = pieces.pop(0)
+            total += v * (b - a)
+        a, _, v = pieces[0]
+        hs[t] = total if v == 0 or a == t else total + v * (t - a)
+    for a, b, v in pieces[:-1]:  # on to H(inf), for a tail of 0
+        total += v * (b - a)
+    v_tail = r.vals[-1]
+    if v_tail > 0:
+        start = INF if phi.at_inf == INF else phi.at_inf * v_tail
+    elif phi.final_slope > 0:
+        start = phi.final_slope * total
+    else:
+        start = Fraction(0)
+    if start == INF:
+        return INF
+
+    def term(t):
+        phi_t, H = phi.at(t), hs[t]
+        try:
+            return phi_t * H / t
+        except (OverflowError, ZeroDivisionError):
+            return phi_t * to_float(Fraction(H) / Fraction(t))
+
+    return max(start, *map(term, points))
+
+
 def atomic_window_oracle(sym, horizon):
     """Source range outside which orbits follow the pure shift for the whole
     horizon: the span of the table's indices and images (widened to reach
@@ -397,8 +501,11 @@ def transfer_once_oracle(sym, rho):
 
 
 def dilate_oracle(f, t):
-    """(D_t f)(s) = f(t s) on the half-line: each cut divided by t, and a
-    piece that rounds to width 0 dropped."""
-    bounds = (Fraction(0), *(c / t for c in f.cuts), INF)
+    """(D_t f)(s) = f(t s) on the half-line: each cut divided by t (a float
+    cut over an exact t whose float is 0 by the Fraction quotient's float,
+    which may raise OverflowError), and a piece that rounds to width 0
+    dropped."""
+    tiny = isinstance(t, Fraction) and float(t) == 0
+    bounds = (Fraction(0), *(float(Fraction(c) / t) if tiny and isinstance(c, float) else c / t for c in f.cuts), INF)
     pieces = [(a, b, v) for a, b, v in zip(bounds, bounds[1:], f.vals) if a < b]
     return _fn_from_pieces(f.space, pieces)

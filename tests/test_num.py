@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from rispace.num import (
     json_real,
     log_real,
     nth_root,
+    ratio_pow,
     rational_pow,
     to_float,
 )
@@ -166,10 +168,44 @@ def test_int_square_root_is_the_newton_loop(a):
     assert r == _newton_root(a, 2) and r * r <= a < (r + 1) ** 2
 
 
+_RATIO_EXPONENTS = (Fraction(1, 2), Fraction(1, 3), Fraction(3, 2), Fraction(2, 3), Fraction(-1, 2), 1, 2,
+                    Fraction(-3), 0.5, -0.5, 1e-30, 1e30, 0, Fraction(1, 10**30), Fraction(10**30), Fraction(1025, 2))
+
+
+def test_ratio_pow_is_rational_pow_of_the_ratio_in_lowest_terms_or_not():
+    # exact squares and cubes among the ratios, some off the double range
+    rng = random.Random(5)
+    ratios = [(rng.getrandbits(rng.randint(1, 70)), rng.getrandbits(rng.randint(1, 70)) + 1) for _ in range(150)]
+    ratios += [(p**k, q**k) for p, q in ratios[:40] for k in (2, 3)] + [(3, 2**1100), (10**401, 1), (1, 10**401), (0, 5)]
+    for n, d in ratios:
+        x = Fraction(n, d)
+        for e in _RATIO_EXPONENTS:
+            want = rational_pow(x, e)
+            for s in (1, 6, 2**70):
+                got = ratio_pow(n * s, d * s, e)
+                # a Fraction by value: its text may be past the 4,300-digit limit
+                assert type(got) is type(want) and (got == want if type(want) is Fraction else repr(got) == repr(want))
+
+
+def test_a_ratio_is_a_perfect_power_exactly_when_its_lowest_terms_are():
+    rng = random.Random(6)
+    for _ in range(300):
+        k = rng.choice((2, 3, 5))
+        p, q = rng.randint(1, 50) ** rng.choice((1, k)), rng.randint(1, 50) ** rng.choice((1, k))
+        s = rng.choice((1, 4, 12))
+        x = Fraction(p, q)
+        exact = _int_nth_root(x.numerator, k) ** k == x.numerator and _int_nth_root(x.denominator, k) ** k == x.denominator
+        root = ratio_pow(p * s, q * s, Fraction(1, k))
+        assert isinstance(root, Fraction) == exact
+        assert root ** k == x if exact else root == float(x) ** (1.0 / k)
+
+
 def test_log_real_handles_big_fractions():
     # would overflow float(Fraction) if done naively
     big = Fraction(10**400, 3)
     assert math.isclose(log_real(big), 400 * math.log(10) - math.log(3))
+    # an int ratio is read in lowest terms, as its Fraction is
+    assert log_real(6 * 10**400, 18) == log_real(big)
 
 
 def test_exact_float_detection():

@@ -183,10 +183,23 @@ def test_dilate_matches_dividing_each_cut():
         f = gen_step(rng, rng.randint(0, 6), halfline(), compact=rng.random() < 0.5)
         floated = step(halfline(), [float(c) for c in f.cuts], f.vals)
         for g in (f, scale(0.7, f), floated, rearrangement(f)):
-            # a float cut over an exact t below the least float divides by 0.0
-            tiny = () if g is floated else (Fraction(1, 10**400),)
-            for t in (0.3, 1e-300, 1e300, Fraction(3, 2), *tiny):
-                assert repr(dilate(g, t)) == repr(dilate_oracle(g, t)), (g, t)
+            for t in (0.3, 1e-300, 1e300, Fraction(3, 2), Fraction(1, 10**400)):
+                try:
+                    want = repr(dilate_oracle(g, t))
+                except OverflowError:  # a float cut over t past the double range
+                    with pytest.raises(ValueError, match="past the double range"):
+                        dilate(g, t)
+                    continue
+                assert repr(dilate(g, t)) == want, (g, t)
+
+
+def test_dilate_by_a_t_below_the_least_float_divides_a_float_cut_exactly():
+    t = Fraction(1, 10**400)  # float(t) is 0.0
+    f = step(halfline(), [Fraction(1, 10**350), 1e-300, 2e-300], [3, 2, 1, 0])
+    assert dilate(f, t) == step(halfline(), [10**50, float(Fraction(1e-300) * 10**400), float(Fraction(2e-300) * 10**400)],
+                                [3, 2, 1, 0])
+    with pytest.raises(ValueError, match="past the double range"):
+        dilate(step(halfline(), [0.5], [1, 0]), t)
 
 
 def test_is_acr():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import time
 from fractions import Fraction
 from unittest import mock
@@ -26,25 +27,33 @@ from rispace import (
     halfline,
     hlp_leq,
     interval,
+    line,
     logclip_norm_of_log_profile,
     norm_eval,
     phi_at,
     quasiconcave_check,
     rearrangement,
+    scale,
     seq,
     step,
     xi_seminorm,
 )
 
 from rispace.num import rational_pow
+from rispace.properties import gen_step
 
 from .oracles import (
     hardy_oracle,
+    lorentz_loop_oracle,
     lorentz_quad_oracle,
     lp_grid_oracle,
+    lp_loop_oracle,
+    marc_strong_loop_oracle,
+    marc_weak_loop_oracle,
     marc_weak_oracle,
     star_cuts_oracle,
     star_tail_oracle,
+    weak_lp_loop_oracle,
     weak_lp_oracle,
 )
 from .test_rearrange import VIEW_CASES, agree, at_scale_1, deep_fn, has_float
@@ -408,3 +417,110 @@ def test_norms_on_views_agree_with_the_loops_at_scale_1(f):
 @given(deep_fn())
 def test_norms_of_deep_functions_on_views_agree_with_the_loops_at_scale_1(f):
     _check_norm_views(f)
+
+
+# ---------------------------------------------------------------------------
+# Norms on f*'s int view: repr-equal to the loops over f*'s own values
+# ---------------------------------------------------------------------------
+
+_EXTREMES = (1e30, 1e-30, 1e300, 1e-300)
+
+
+def _loop_specs(sp):
+    phis = [LogClip(), Power(Fraction(1, 2)), Power(1), Power(Fraction(2, 3)), Power(0.5), Power(1e-30), Power(1e-300),
+            StepApprox(((Fraction(1, 2), Fraction(1, 2)), (2, Fraction(3, 2))), Fraction(1, 4)),
+            StepApprox(((0.5, 0.5), (2.0, 1.5)), 0)]
+    return [Lp(sp, 1), Lp(sp, 2), Lp(sp, Fraction(3, 2)), Lp(sp, Fraction(1, 2)), Lp(sp, 2.5), Lp(sp, INF),
+            *(Lp(sp, a) for a in _EXTREMES[:2]),
+            WeakLp(sp, 1), WeakLp(sp, Fraction(1, 2)), WeakLp(sp, 2), WeakLp(sp, Fraction(2, 3)), WeakLp(sp, 1.5),
+            Lorentz(sp, 2, 1), Lorentz(sp, 1, 2), Lorentz(sp, 3, 2), Lorentz(sp, Fraction(3, 2), 3), Lorentz(sp, 1.5, 2),
+            *(Lorentz(sp, a, 2) for a in _EXTREMES), *(Lorentz(sp, 2, a) for a in _EXTREMES),
+            *(MarcWeak(sp, phi) for phi in phis), *(MarcStrong(sp, phi) for phi in phis)]
+
+
+def _loop_value(spec, r):
+    if isinstance(spec, Lp):
+        return lp_loop_oracle(spec.p, r)
+    if isinstance(spec, Lorentz):
+        return lorentz_loop_oracle(spec.p, spec.q, r)
+    if isinstance(spec, WeakLp):
+        return weak_lp_loop_oracle(spec.p, r)
+    loop = marc_weak_loop_oracle if isinstance(spec, MarcWeak) else marc_strong_loop_oracle
+    return loop(spec.phi, r)
+
+
+def _outcome(spec, compute):
+    """The value with its type (a Fraction by value: its text may be past
+    the 4,300-digit limit), or the error as ``norm_eval`` words it."""
+    try:
+        v = compute()
+    except OverflowError:
+        return f"ValueError: the {spec.label} norm is out of the double range"
+    except ValueError as e:
+        return f"ValueError: {e}"
+    return type(v).__name__, v if isinstance(v, Fraction) else repr(v)
+
+
+def _check_loops(f):
+    for spec in _loop_specs(f.space):
+        got = _outcome(spec, lambda: norm_eval(spec, dataclasses.replace(f)))
+        want = _outcome(spec, lambda: _loop_value(spec, rearrangement(dataclasses.replace(f))))
+        assert got == want, (spec, f)
+
+
+_X = phi_at(LogClip(), Fraction(1, 4))
+LOOP_CASES = {
+    "exact-square cuts": step(SP, [Fraction(1, 4), Fraction(9, 4), 4], [Fraction(9, 4), 1, Fraction(1, 4), 0]),
+    "exact-square cuts and a tail": step(SP, [Fraction(1, 4), Fraction(9, 4), 4], [9, 4, 1, Fraction(1, 9)]),
+    "float square cuts": step(SP, [0.25, 2.25, 4.0], [3, 2, 1, 0]),
+    "logclip's cut at 1": step(SP, [Fraction(1, 2), 1, 3], [5, Fraction(7, 2), 1, 0]),
+    "values that underflow a double": step(SP, [1, 2], [Fraction(1, 3**700), Fraction(1, 3**701), 0]),
+    "float values that underflow": step(SP, [1, 2], [1e-300, 5e-324, 0]),
+    "a cut below the double range": step(SP, [Fraction(1, 10**400), 1], [2, 1, 0]),
+    "a cut past the double range": step(SP, [1, 2**1100], [2, 1, 0]),
+    "values past the double range": step(SP, [1, 2], [2**1100, 2**1000, 0]),
+    # MarcWeak(LogClip): v Phi(b) is the float x at b = 1/4 and the Fraction x at b = 1
+    "a weak tie, the float first": step(SP, [Fraction(1, 4), 1], [1, Fraction(_X), 0]),
+    # MarcWeak(t^1/2): 2 v at b = 4 ties the float sqrt(5) at b = 5
+    "a weak tie, the Fraction first": step(SP, [4, 5], [Fraction(math.sqrt(5)) / 2, 1, 0]),
+    "a strong tie, the float first": _logclip_tie(4),
+    "a strong tie, the Fraction first": _logclip_tie(2**59),
+    "deep dyadic": _DEEP_FN,
+    **{name: f for name, (f, _) in VIEW_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("f", LOOP_CASES.values(), ids=list(LOOP_CASES))
+def test_norms_match_their_fraction_loops(f):
+    _check_loops(f)
+
+
+def _wide_fn(rng):
+    """A half-line function with wide numerators over mixed denominators, so
+    that doubles round the quotients, and exact squares among its cuts."""
+    def num():
+        return Fraction(rng.getrandbits(rng.randint(1, 90)) + 1, rng.choice((3, 7, 10, 12, 2**40, 3**30)))
+    cuts = sorted({num() if rng.random() < 0.8 else num() ** 2 for _ in range(rng.randint(1, 8))})
+    return step(SP, cuts, [num() for _ in cuts] + [rng.choice((0, num()))])
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_norms_of_generated_functions_match_their_fraction_loops(seed):
+    rng = random.Random(seed)
+    sp = rng.choice((halfline(), interval(Fraction(5, 2)), line()))
+    f = gen_step(rng, rng.randint(0, 8), sp, compact=rng.random() < 0.7)
+    for g in (f, scale(0.7, f), _wide_fn(rng)):
+        _check_loops(g)
+
+
+def test_no_norm_forms_the_fractions_of_f_star():
+    # every spec reads f*'s int view; only MarcStrong's float/Fraction tie
+    # (not met here) reads f*'s cuts, and a float breakpoint, which puts
+    # MarcStrong's grid at scale 1 as a float in f would
+    f = step(SP, [Fraction(1, 3), 2, Fraction(9, 4)], [5, Fraction(7, 2), 1, 0])
+    for spec in _loop_specs(SP):
+        if isinstance(spec, MarcStrong) and float in map(type, spec.phi.breakpoints):
+            continue
+        g = dataclasses.replace(f)
+        _outcome(spec, lambda: norm_eval(spec, g))
+        assert "cuts" not in rearrangement(g).__dict__ and "vals" not in rearrangement(g).__dict__, spec

@@ -524,6 +524,17 @@ def test_a_preimage_that_rounds_to_width_0_is_dropped():
     assert preimage(sym, E).intervals == () == preimage_oracle(sym, E).intervals
 
 
+def test_an_exact_inverse_is_clamped_only_past_a_finite_float_end():
+    # 3 * 0.1 rounds up, so the exact inverse of the image's top lies past 0.1
+    br = Branch(0, 0.1, Affine(3, 0))
+    assert Fraction(br.image()[1]) / 3 > Fraction(0.1)
+    assert repr(br.inverse_at(Fraction(br.image()[1]))) == "0.1"
+    # with exact ends, an exact inverse is the form's own
+    exact = Branch(0, Fraction(1, 10), Affine(3, 0))
+    assert exact.inverse_at(Fraction(3, 10)) == Fraction(1, 10)
+    assert exact.inverse_at(0.3) == min(max(0.3 / 3, 0), Fraction(1, 10))
+
+
 def test_composition_and_transfer_are_adjoint():
     # the integral of (f o phi) g equals the integral of f (P g), exactly
     for seed in range(600):
