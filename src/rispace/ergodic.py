@@ -22,12 +22,13 @@ from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from . import jsonio
-from .num import INF, Real, as_int, fmt_real, scaled
+from .num import INF, Real, as_int, fmt_real
 from .rearrange import distribution_at
 from .stepfn import (
     AtomSeq,
     MeasFn,
     StepFn,
+    _int_seq,
     _merged_seq,
     _merged_step,
     abs_fn,
@@ -123,8 +124,9 @@ def cesaro_schedule(sym: Symbol, f: MeasFn, schedule: Sequence[int]) -> CesaroTr
 
 
 def _has_float(f: AtomSeq) -> bool:
-    """Whether a value of f is a float, whose sums round as they are formed."""
-    return isinstance(f.tail, float) or any(isinstance(v, float) for _, v in f.entries)
+    """Whether a value of f is a float, whose sums round as they are formed;
+    an exact view (``AtomSeq._view``) has none."""
+    return not f._view.exact and (isinstance(f.tail, float) or any(isinstance(v, float) for _, v in f.entries))
 
 
 def _cycles(sym: AtomicSymbol) -> list[list[int]]:
@@ -144,10 +146,11 @@ class _Orbits:
     """Sums of f along an atomic symbol's orbits, at a cost set by the output.
 
     Off the table an orbit runs along its line j % s, a place j // s a step.
-    Exact values are ints over one denominator D (past its budget, the
-    Fractions themselves over D = 1), less f's tail (|f|'s for ``maximal``),
-    listed by line and place with prefix sums; one sweep per line
-    (``windows``) serves the indices whose steps stay off the table.
+    Exact values are read off f's view (``AtomSeq._view``): ints over one
+    denominator D (past its budget, the Fractions themselves over D = 1),
+    less f's tail (|f|'s for ``maximal``), listed by line and place with
+    prefix sums; one sweep per line (``windows``) serves the indices whose
+    steps stay off the table.
     ``walk`` serves the rest: a run is a slice of its line, table rows are
     stepped one by one, m = qL + r steps around a permutation's cycle sum to
     q cycle sums plus a prefix difference, and a shift of 0 holds j fixed.
@@ -160,10 +163,10 @@ class _Orbits:
             f = abs_fn(f) if absolute else f
             self.vals, self.tail, start = f._values, f.tail, Fraction(0)
         else:
-            self.D, ws = scaled([v for _, v in f.entries] + [f.tail])
-            ws = [abs(w) for w in ws] if absolute else ws
-            self.tail, self.T, start = f.tail, ws[-1], 0
-            self.vals = {j: w for (j, _), v in zip(f.entries, ws) if (w := v - self.T)}
+            V = f._view
+            ws, T = ([abs(w) for w in V.vals], abs(V.tail)) if absolute else (V.vals, V.tail)
+            self.D, self.tail, self.T, start = V.D, f.tail, T, 0
+            self.vals = {j: w for j, v in zip(V.indices, ws) if (w := v - T)}
         self.lines = {}  # line -> its entries' places, increasing, and their prefix sums
         for j in sorted(self.vals, reverse=s < 0) if s else ():
             places, sums = self.lines.setdefault(j % s, ([], [0]))
@@ -235,9 +238,16 @@ class _Orbits:
                 lo = p + 1
 
     def exact(self, items, tail: Fraction) -> AtomSeq:
-        """The means (S + n T) / (n D) of the items (j, S, n) by j; S = 0 is the tail."""
-        entries = ((j, Fraction(S + n * self.T, n * self.D)) for j, S, n in sorted(items) if S)
-        return AtomSeq(self.sym.space, tuple(entries), tail)
+        """The means (S + n T) / (n D) of the items (j, S, n) by j; S = 0 is
+        the tail.  Over an int D they stay ints (``_int_seq``), over n D
+        where every item has the same n."""
+        items = sorted(item for item in items if item[1])
+        T, D = self.T, self.D
+        if type(T) is not int:  # past the budget, Fractions over D = 1
+            return AtomSeq(self.sym.space, tuple((j, Fraction(S + n * T, n * D)) for j, S, n in items), tail)
+        ns = {n for _, _, n in items}
+        dens = ns.pop() * D if len(ns) == 1 else tuple(n * D for _, _, n in items)
+        return _int_seq(self.sym.space, [j for j, _, _ in items], [S + n * T for _, S, n in items], dens, tail)
 
     def means(self, ns: Sequence[int]) -> tuple[tuple[int, AtomSeq], ...]:
         m, out = ns[-1], []

@@ -24,6 +24,9 @@ NEG_INF = -math.inf
 # so an extreme exponent costs no more than any other
 _POW_BITS = 1 << 20
 
+# the most bits of a common denominator (``scaled``)
+SCALE_BITS = 1 << 10
+
 
 def as_real(x) -> Real:
     """Coerce a number (or an exact string like "3/7" or "0.1") to Real.
@@ -60,14 +63,14 @@ def as_int(x) -> int:
 
 def scaled(values) -> tuple[int, list]:
     """(D, the values as ints over D) for D the lcm of their denominators;
-    (1, the values themselves) when one is a float, or past 1024 bits, where
-    ints over D outgrow the Fractions themselves.  Loops over ints read their
-    input through this, and give their results back by ``unscaled``."""
+    (1, the values themselves) when one is a float, or past ``SCALE_BITS``,
+    where ints over D outgrow the Fractions themselves.  Loops over ints read
+    their input through this, and give their results back by ``unscaled``."""
     values = list(values)
     if any(isinstance(v, float) for v in values):
         return 1, values
     D = math.lcm(*{v.denominator for v in values})
-    if D.bit_length() > 1 << 10:
+    if D.bit_length() > SCALE_BITS:
         return 1, values
     return D, [v.numerator * (D // v.denominator) for v in values]
 
@@ -123,7 +126,13 @@ def _newton_root(a: int, n: int) -> int:
     try:
         r = int(round(a ** (1.0 / n)))
     except OverflowError:
-        r = 1 << ((a.bit_length() + n - 1) // n)
+        # past the double range: 2^(log2(a)/n), log2(a) read off a's top 64
+        # bits and its length, so that Newton starts near the root and not
+        # at 2^ceil(bits/n), from which each step shrinks only by (n-1)/n
+        b = a.bit_length() - 64
+        e = (math.log2(a >> b) + b) / n
+        k = max(int(e) - 60, 0)
+        r = round(2.0 ** (e - k)) << k
     r = max(r, 1)
     while True:
         rn = r**n

@@ -17,18 +17,24 @@ float or 1,024 bits it is at scale 1, over the values themselves.  A StepFn
 that an int loop builds (``_merged_step`` over an exact view: f*, linear
 combinations) holds only its space and that view, and forms its Fraction
 ``cuts`` and ``vals`` the first time they are read; loops that chain read
-the view, so a comparison of rearrangements forms none.
+the view, so a comparison of rearrangements forms none.  An AtomSeq keeps
+its int view too (``SeqView``, entries and tail over one denominator), and
+one that an int loop builds (``_int_seq``: orbit means) holds only its
+space, tail, indices and ints, forming its Fraction ``entries`` on first
+read; a mean of a mean reads the view and forms none.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple, Union
 
-from .num import INF, NEG_INF, Real, as_int, as_real, is_finite, scaled, unscaled
+from .num import INF, NEG_INF, SCALE_BITS, Real, as_int, as_real, is_finite, scaled, unscaled
 from .space import AtomicSet, IntervalSet, MeasureSpace
 
 
@@ -226,12 +232,40 @@ class AtomSeq:
 
     ``tail`` is the value at every index not listed in ``entries``; it may be
     nonzero only where the space ``has_tail`` (over N).  Entries are sorted
-    by index and never equal the tail; all values are finite.
+    by index and never equal the tail; all values are finite.  A sequence
+    built from ints (``_int_seq``) forms its ``entries`` on first read; it
+    compares, hashes, prints, pickles and travels as the ``seq`` it equals.
     """
 
     space: MeasureSpace
     entries: tuple[tuple[int, Real], ...]
     tail: Real = field(default=Fraction(0))
+
+    def __getattr__(self, name):
+        """``entries`` of a sequence built from ints: formed from them on
+        first read, then kept in ``__dict__`` as a constructed record keeps
+        them."""
+        ints = self.__dict__.get("_ints") if name == "entries" else None
+        if ints is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        indices, nums, dens = ints
+        dens = repeat(dens) if type(dens) is int else dens
+        self.__dict__["entries"] = tuple(zip(indices, map(Fraction, nums, dens)))
+        return self.entries
+
+    @cached_property
+    def _view(self) -> SeqView:
+        """The sequence's ``SeqView``; one built from ints reads them."""
+        ints = self.__dict__.get("_ints")
+        if ints is not None:
+            indices, nums, dens = ints
+            one = type(dens) is int
+            D = dens if one else math.lcm(*set(dens), self.tail.denominator)
+            if D.bit_length() <= SCALE_BITS:
+                vals = nums if one else [v * (D // d) for v, d in zip(nums, dens)]
+                return SeqView(D, indices, vals, self.tail.numerator * (D // self.tail.denominator), True)
+        D, ws = scaled([v for _, v in self.entries] + [self.tail])
+        return SeqView(D, tuple(j for j, _ in self.entries), ws[:-1], ws[-1], all(type(w) is int for w in ws))
 
     @cached_property
     def _values(self) -> dict[int, Real]:
@@ -249,6 +283,28 @@ class AtomSeq:
         yield from ((mass, v) for _, v in self.entries if v != 0)
         if self.tail != 0:
             yield INF, self.tail
+
+
+class SeqView(NamedTuple):
+    """A sequence over ints: its indices, and its entries' values and its
+    tail over one denominator D.  Past a float or the budget it is at D = 1
+    over the values themselves, not ``exact``."""
+
+    D: int
+    indices: tuple
+    vals: list
+    tail: Real
+    exact: bool
+
+
+def _int_seq(space: MeasureSpace, indices, nums, dens, tail: Fraction) -> AtomSeq:
+    """The AtomSeq with the entries nums[i] / dens[i] at the sorted indices,
+    none equal to the exact tail: dens is one int, which the tail's
+    denominator divides, or one int per entry.  It holds only these ints;
+    its ``entries`` are formed when first read (``AtomSeq.__getattr__``)."""
+    s = object.__new__(AtomSeq)
+    s.__dict__.update(space=space, tail=tail, _ints=(tuple(indices), nums, dens))
+    return s
 
 
 def _merged_seq(space: MeasureSpace, items, tail: Real = Fraction(0)) -> AtomSeq:

@@ -397,6 +397,18 @@ def test_eval_norm_with_an_extreme_exponent_finishes(spec):
         jsonio.loads(out.stdout)  # no NaN or other non-JSON literal
 
 
+def test_eval_norm_with_a_large_whole_p_finishes():
+    # the off-range root of p = 8192 once started Newton at 2^ceil(bits/p),
+    # far above the root, and took about a minute
+    payload = {"spec": {"kind": "lp", "space": _HALFLINE, "p": 8192},
+               "function": {"space": _HALFLINE, "breakpoints": [0, 1, 2], "values": [3, 2], "right_tail": 0}}
+    env = dict(os.environ, PYTHONPATH=str(Path(rispace.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "rispace.cli", "eval", "norm"], env=env, timeout=10,
+                         input=json.dumps(payload), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["value"] == 3.0
+
+
 def test_eval_maximal_past_the_denominator_budget_finishes():
     # exact entries whose denominators' lcm passes 1,024 bits once took a
     # K-long walk of every index, about 10 s at this K

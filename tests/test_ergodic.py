@@ -41,6 +41,7 @@ from rispace import (
     step,
     weak_type_ratio,
 )
+from rispace import jsonio
 from rispace.examples import (
     bilateral_shift,
     nonsurjective_shift,
@@ -48,7 +49,7 @@ from rispace.examples import (
     translation_line,
     unilateral_shift,
 )
-from rispace.properties import gen_interval_symbol, gen_step
+from rispace.properties import gen_atomic_symbol, gen_interval_symbol, gen_seq, gen_step
 
 from .oracles import (
     cesaro_dict_oracle,
@@ -58,6 +59,7 @@ from .oracles import (
     refinement_points,
 )
 from .test_rearrange import CARRIER_CASES, _deep, deep_fn
+from .test_stepfn import _READERS
 from .test_symbols import _ALL_NEGATIVE_TABLE, _infinite_symbol
 
 
@@ -482,6 +484,79 @@ def test_maximal_float_values_with_a_tail_over_n_round_near_the_dict_oracle():
     want = maximal_dict_oracle(sym.image_of, f.value_at, [*range(8), 10**6], 5)
     assert all(got.value_at(j) == pytest.approx(want[j], rel=1e-12) for j in range(8))
     assert got.tail == pytest.approx(want[10**6], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Means built from ints form their Fractions on first read
+# ---------------------------------------------------------------------------
+
+
+_SEQ_READERS = {
+    **_READERS,
+    "wire": lambda r, want: jsonio.dumps(jsonio.to_obj(r)) == jsonio.dumps(jsonio.to_obj(want))
+    and jsonio.measfn_from_obj(jsonio.to_obj(r)) == want,
+}
+
+
+def _means_built_from_ints(sym, f, n: int, K: int):
+    """Fresh results of the atomic means that end in an int loop: one mean,
+    a schedule's, a maximal (its n per index), and a maximal of a mean."""
+    c = cesaro(sym, f, n)
+    return [c, *(m for _, m in cesaro_schedule(sym, f, (1, n, n + 3)).means),
+            maximal_truncated(sym, f, K), maximal_truncated(sym, c, K)]
+
+
+def _is_lazy(r) -> bool:
+    return "entries" not in r.__dict__
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_means_built_from_ints_read_as_their_seq_twins(seed):
+    rng = random.Random(seed)
+    size = rng.randint(0, 8)
+    sym = gen_atomic_symbol(rng, size)
+    f = gen_seq(rng, size, sym.space)
+    if sym.space.has_tail and rng.random() < 0.6:
+        f = seq(sym.space, f.entries, tail=Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))))
+    n, K = rng.randint(2, 9), rng.randint(1, 9)
+    wants = [seq(r.space, r.entries, r.tail) for r in _means_built_from_ints(sym, f, n, K)]
+    for name, agrees in _SEQ_READERS.items():
+        for r, want in zip(_means_built_from_ints(sym, f, n, K), wants):
+            assert _is_lazy(r)
+            assert agrees(r, want), (name, "before the first read")
+            assert (r.entries, r.tail) == (want.entries, want.tail)
+            assert agrees(r, want), (name, "after the first read")
+
+
+@pytest.mark.parametrize("sym, lo", [(bilateral_shift(), -60), (unilateral_shift(), 0)], ids=["Z", "N"])
+def test_orbit_means_form_no_fraction_of_their_entries(sym, lo):
+    # cesaro and maximal_truncated as the orbits benchmark calls them, and
+    # each chained into the other: every result and every input it read stays
+    # ints, and the results still match the dict oracles
+    rng = random.Random(1)
+    f = seq(sym.space, {j: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6))) for j in range(lo, lo + 120)})
+    c, m = cesaro(sym, f, 4), maximal_truncated(sym, f, 4)
+    chained = [maximal_truncated(sym, c, 3), cesaro(sym, m, 5)]
+    assert all(map(_is_lazy, [c, m, *chained]))
+    indices = [j for j in range(lo - 6, lo + 126) if sym.space.valid_index(j)]
+    for got, g, n, oracle in [(c, f, 4, cesaro_dict_oracle), (m, f, 4, maximal_dict_oracle),
+                              (chained[0], c, 3, maximal_dict_oracle), (chained[1], m, 5, cesaro_dict_oracle)]:
+        want = oracle(sym.image_of, g.value_at, indices, n)
+        assert all(got.value_at(j) == want[j] for j in indices)
+
+
+def test_a_mean_past_the_budget_is_formed_from_its_fractions():
+    # over 3^700 the values are swept as Fractions over D = 1, so the
+    # entries are the Fractions themselves, as float values are
+    sym = unilateral_shift()
+    f = seq(atomic_n(), {0: Fraction(1, 3**700), 2: 1})
+    for r in (cesaro(sym, f, 3), maximal_truncated(sym, f, 3)):
+        assert not _is_lazy(r)
+    assert cesaro(sym, f, 3) == seq(atomic_n(), {0: Fraction(1, 3**701) + Fraction(1, 3), 1: Fraction(1, 3),
+                                                 2: Fraction(1, 3)})
+    g = seq(atomic_n(), {0: 0.1, 1: 0.2})
+    for r in (cesaro(sym, g, 3), maximal_truncated(sym, g, 3)):
+        assert not _is_lazy(r) and isinstance(r.value_at(0), float)
 
 
 @st.composite

@@ -168,6 +168,18 @@ def test_int_square_root_is_the_newton_loop(a):
     assert r == _newton_root(a, 2) and r * r <= a < (r + 1) ** 2
 
 
+@given(st.integers(1, 5000).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)), st.integers(1, 3000))
+@example(3**4000, 2000)
+@example(3**4000 - 1, 2000)
+@example((2**70 + 1) ** 30, 30)
+@example((2**70 + 1) ** 30 - 1, 30)
+@example(2**5000 - 1, 3)
+def test_newton_root_is_the_floor_of_the_root(a, n):
+    # past the double range Newton starts from 2^(log2(a)/n)
+    r = _newton_root(a, n)
+    assert r**n <= a < (r + 1) ** n
+
+
 _RATIO_EXPONENTS = (Fraction(1, 2), Fraction(1, 3), Fraction(3, 2), Fraction(2, 3), Fraction(-1, 2), 1, 2,
                     Fraction(-3), 0.5, -0.5, 1e-30, 1e30, 0, Fraction(1, 10**30), Fraction(10**30), Fraction(1025, 2))
 
