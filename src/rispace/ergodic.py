@@ -22,7 +22,7 @@ from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from . import jsonio
-from .num import INF, Real, as_int, fmt_real
+from .num import INF, Real, as_int, common_denominator, fmt_real
 from .rearrange import distribution_at
 from .stepfn import (
     AtomSeq,
@@ -239,15 +239,16 @@ class _Orbits:
 
     def exact(self, items, tail: Fraction) -> AtomSeq:
         """The means (S + n T) / (n D) of the items (j, S, n) by j; S = 0 is
-        the tail.  Over an int D they stay ints (``_int_seq``), over n D
-        where every item has the same n."""
+        the tail.  They stay ints (``_int_seq``) over M = ``common_denominator``
+        of D and every n D: n D for a Cesàro mean, D times the lcm of the peak
+        n's for a maximal one.  Past the budget, f's or M's, they are Fractions."""
         items = sorted(item for item in items if item[1])
-        T, D = self.T, self.D
-        if type(T) is not int:  # past the budget, Fractions over D = 1
+        T, D, ns = self.T, self.D, {n for _, _, n in items}
+        M = common_denominator([D, *(n * D for n in ns)]) if type(T) is int else None
+        if M is None:
             return AtomSeq(self.sym.space, tuple((j, Fraction(S + n * T, n * D)) for j, S, n in items), tail)
-        ns = {n for _, _, n in items}
-        dens = ns.pop() * D if len(ns) == 1 else tuple(n * D for _, _, n in items)
-        return _int_seq(self.sym.space, [j for j, _, _ in items], [S + n * T for _, S, n in items], dens, tail)
+        k = {n: M // (n * D) for n in ns}
+        return _int_seq(self.sym.space, [j for j, _, _ in items], [(S + n * T) * k[n] for _, S, n in items], M, tail)
 
     def means(self, ns: Sequence[int]) -> tuple[tuple[int, AtomSeq], ...]:
         m, out = ns[-1], []

@@ -24,7 +24,7 @@ NEG_INF = -math.inf
 # so an extreme exponent costs no more than any other
 _POW_BITS = 1 << 20
 
-# the most bits of a common denominator (``scaled``)
+# the most bits of a common denominator (``common_denominator``)
 SCALE_BITS = 1 << 10
 
 
@@ -61,16 +61,27 @@ def as_int(x) -> int:
     return int(x)
 
 
+def common_denominator(ints):
+    """The lcm of the positive ints, folded in one distinct int at a time;
+    None once it passes ``SCALE_BITS``, where ints over it outgrow the
+    Fractions themselves, so no lcm formed is wider than that and one int."""
+    D = 1
+    for d in set(ints):
+        D = math.lcm(D, d)
+        if D.bit_length() > SCALE_BITS:
+            return None
+    return D
+
+
 def scaled(values) -> tuple[int, list]:
-    """(D, the values as ints over D) for D the lcm of their denominators;
-    (1, the values themselves) when one is a float, or past ``SCALE_BITS``,
-    where ints over D outgrow the Fractions themselves.  Loops over ints read
-    their input through this, and give their results back by ``unscaled``."""
+    """(D, the values as ints over D) for D their ``common_denominator``;
+    (1, the values themselves) when one is a float, or past the budget.
+    Loops over ints read their input through this, and give their results
+    back by ``unscaled``."""
     values = list(values)
-    if any(isinstance(v, float) for v in values):
-        return 1, values
-    D = math.lcm(*{v.denominator for v in values})
-    if D.bit_length() > SCALE_BITS:
+    floats = any(isinstance(v, float) for v in values)
+    D = None if floats else common_denominator(v.denominator for v in values)
+    if D is None:
         return 1, values
     return D, [v.numerator * (D // v.denominator) for v in values]
 

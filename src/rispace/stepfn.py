@@ -20,21 +20,19 @@ combinations) holds only its space and that view, and forms its Fraction
 the view, so a comparison of rearrangements forms none.  An AtomSeq keeps
 its int view too (``SeqView``, entries and tail over one denominator), and
 one that an int loop builds (``_int_seq``: orbit means) holds only its
-space, tail, indices and ints, forming its Fraction ``entries`` on first
-read; a mean of a mean reads the view and forms none.
+space, tail and that view, forming its Fraction ``entries`` on first read;
+a mean of a mean reads the view and forms none.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple, Union
 
-from .num import INF, NEG_INF, SCALE_BITS, Real, as_int, as_real, is_finite, scaled, unscaled
+from .num import INF, NEG_INF, Real, as_int, as_real, is_finite, scaled, unscaled
 from .space import AtomicSet, IntervalSet, MeasureSpace
 
 
@@ -242,28 +240,17 @@ class AtomSeq:
     tail: Real = field(default=Fraction(0))
 
     def __getattr__(self, name):
-        """``entries`` of a sequence built from ints: formed from them on
-        first read, then kept in ``__dict__`` as a constructed record keeps
-        them."""
-        ints = self.__dict__.get("_ints") if name == "entries" else None
-        if ints is None:
+        """``entries`` of a sequence built by ``_int_seq``: formed from its
+        view on first read, then kept in ``__dict__`` as ``seq`` keeps them."""
+        V = self.__dict__.get("_view") if name == "entries" else None
+        if V is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        indices, nums, dens = ints
-        dens = repeat(dens) if type(dens) is int else dens
-        self.__dict__["entries"] = tuple(zip(indices, map(Fraction, nums, dens)))
+        self.__dict__["entries"] = tuple(zip(V.indices, (Fraction(v, V.D) for v in V.vals)))
         return self.entries
 
     @cached_property
     def _view(self) -> SeqView:
-        """The sequence's ``SeqView``; one built from ints reads them."""
-        ints = self.__dict__.get("_ints")
-        if ints is not None:
-            indices, nums, dens = ints
-            one = type(dens) is int
-            D = dens if one else math.lcm(*set(dens), self.tail.denominator)
-            if D.bit_length() <= SCALE_BITS:
-                vals = nums if one else [v * (D // d) for v, d in zip(nums, dens)]
-                return SeqView(D, indices, vals, self.tail.numerator * (D // self.tail.denominator), True)
+        """The sequence's ``SeqView``; ``_int_seq`` stores it from the start."""
         D, ws = scaled([v for _, v in self.entries] + [self.tail])
         return SeqView(D, tuple(j for j, _ in self.entries), ws[:-1], ws[-1], all(type(w) is int for w in ws))
 
@@ -297,13 +284,13 @@ class SeqView(NamedTuple):
     exact: bool
 
 
-def _int_seq(space: MeasureSpace, indices, nums, dens, tail: Fraction) -> AtomSeq:
-    """The AtomSeq with the entries nums[i] / dens[i] at the sorted indices,
-    none equal to the exact tail: dens is one int, which the tail's
-    denominator divides, or one int per entry.  It holds only these ints;
-    its ``entries`` are formed when first read (``AtomSeq.__getattr__``)."""
+def _int_seq(space: MeasureSpace, indices, nums, D: int, tail: Fraction) -> AtomSeq:
+    """The AtomSeq with the entries nums[i] / D at the sorted indices, none
+    equal to the exact tail, whose denominator divides D.  It holds only its
+    space, tail and exact ``SeqView``, and forms ``entries`` on first read."""
     s = object.__new__(AtomSeq)
-    s.__dict__.update(space=space, tail=tail, _ints=(tuple(indices), nums, dens))
+    V = SeqView(D, tuple(indices), nums, tail.numerator * (D // tail.denominator), True)
+    s.__dict__.update(space=space, tail=tail, _view=V)
     return s
 
 

@@ -16,7 +16,10 @@ runs ``rispace.cli.main`` in this process and writes into OUTDIR:
   ``--inject-failure`` beside its counterexample file.
 
 Every path the CLI prints is relative to OUTDIR, so the outputs of two
-checkouts compare with ``diff -r OUTDIR_A OUTDIR_B``.
+checkouts compare with ``diff -r OUTDIR_A OUTDIR_B``.  OUTDIR must be new or
+empty, so that no tree left by an earlier or interrupted run is mixed in; for
+anything else, or for any number of arguments but one, it prints the usage
+line and exits 2.
 """
 
 import contextlib
@@ -68,7 +71,19 @@ def write_outputs(outdir: Path) -> None:
             run(["verify", "--seed", "42", "--trials", "60", "--inject-failure", "--out", "."]))
 
 
+USAGE = "usage: PYTHONPATH=src python -m tests.parity OUTDIR   (a new or empty directory)"
+
+
+def main(argv: list[str]) -> int:
+    """Write the outputs into ``OUTDIR``; for anything but one new or empty
+    directory, print the usage line and return 2."""
+    outdir = Path(argv[0]) if len(argv) == 1 else None
+    if outdir is None or outdir.exists() and (not outdir.is_dir() or any(outdir.iterdir())):
+        print(USAGE, file=sys.stderr)
+        return 2
+    write_outputs(outdir)
+    return 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: PYTHONPATH=src python -m tests.parity OUTDIR")
-    write_outputs(Path(sys.argv[1]))
+    sys.exit(main(sys.argv[1:]))

@@ -16,6 +16,7 @@ from rispace import jsonio
 from rispace.cli import main, parse_schedule
 
 from .payloads import eval_payload, mutated
+from .test_num import primes_from
 
 
 def run_cli(*argv):
@@ -407,6 +408,17 @@ def test_eval_norm_with_a_large_whole_p_finishes():
                          input=json.dumps(payload), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["value"] == 3.0
+
+
+def test_eval_rearrange_of_many_distinct_prime_denominators_finishes():
+    # 1/p over 60,000 primes above 10^6, 1.2 MB of payload: the lcm of its
+    # values was once formed whole before the budget was tested, about 20 s
+    values = [f"1/{p}" for p in primes_from(10**6, 60_000)]
+    fn = {"space": _HALFLINE, "breakpoints": list(range(len(values) + 1)), "values": values, "right_tail": 0}
+    env = dict(os.environ, PYTHONPATH=str(Path(rispace.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "rispace.cli", "eval", "rearrange"], env=env, timeout=15,
+                         input=json.dumps({"function": fn}), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_eval_maximal_past_the_denominator_budget_finishes():

@@ -1,6 +1,8 @@
+import math
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -50,6 +52,7 @@ from rispace.examples import (
     unilateral_shift,
 )
 from rispace.properties import gen_atomic_symbol, gen_interval_symbol, gen_seq, gen_step
+from rispace.stepfn import SeqView
 
 from .oracles import (
     cesaro_dict_oracle,
@@ -543,6 +546,60 @@ def test_orbit_means_form_no_fraction_of_their_entries(sym, lo):
                               (chained[0], c, 3, maximal_dict_oracle), (chained[1], m, 5, cesaro_dict_oracle)]:
         want = oracle(sym.image_of, g.value_at, indices, n)
         assert all(got.value_at(j) == want[j] for j in indices)
+
+
+def _peak_steps(sym, f, indices, K: int) -> dict:
+    """j -> the first n <= K at which (1/n) sum_{i<n} |f(phi^i(j))| peaks,
+    for each j where that peak is not 0."""
+    out = {}
+    for j in indices:
+        orbit = [j]
+        while len(orbit) < K:
+            orbit.append(sym.image_of(orbit[-1]))
+        means = [S / n for n, S in enumerate(accumulate(abs(f.value_at(i)) for i in orbit), 1)]
+        if max(means):
+            out[j] = means.index(max(means)) + 1
+    return out
+
+
+def test_a_maximal_mean_puts_its_peak_steps_over_one_denominator():
+    # the peak means here are over every n from 1 to 6: one view over f's D
+    # times their lcm, and a lazy sequence that holds nothing but it
+    sym, K = bilateral_shift(), 6
+    f = seq(atomic_z(), {0: Fraction(1, 3), 3: 2, 4: Fraction(-1, 2), 9: Fraction(3, 4)})
+    indices = range(-8, 12)
+    peaks = _peak_steps(sym, f, indices, K)
+    assert len(set(peaks.values())) > 2
+    got = maximal_truncated(sym, f, K)
+    assert set(got.__dict__) == {"space", "tail", "_view"}
+    assert isinstance(got._view, SeqView) and got._view.exact
+    assert got._view.D == f._view.D * math.lcm(*peaks.values())
+    assert got._view.indices == tuple(peaks)
+    want = maximal_dict_oracle(sym.image_of, f.value_at, indices, K)
+    assert all(got.value_at(j) == want[j] for j in indices)
+
+
+def test_a_maximal_mean_past_the_budget_on_its_peak_steps_forms_its_fractions():
+    # e_0 at K = 800 peaks at every n <= 800, whose lcm has 1,144 bits
+    sym, K = bilateral_shift(), 800
+    assert math.lcm(*range(1, K + 1)).bit_length() == 1144
+    f = seq(atomic_z(), {0: 1})
+    got = maximal_truncated(sym, f, K)
+    assert not _is_lazy(got)
+    # the index -k meets e_0 at step k, so its mean peaks at 1/(k + 1)
+    assert got == seq(atomic_z(), {-k: Fraction(1, k + 1) for k in range(K)})
+    indices = [*range(-K - 2, 3, 9), -K + 1, -K, -K - 1]
+    want = maximal_dict_oracle(sym.image_of, f.value_at, indices, K)
+    assert all(got.value_at(j) == want[j] for j in indices)
+
+
+def test_a_mean_with_no_entries_keeps_its_tail_in_its_view():
+    # no entry leaves no n D: the one denominator is still a multiple of the
+    # tail's, so a mean chained into another reads the tail 1/3, not 0
+    sym, f = unilateral_shift(), seq(atomic_n(), {}, tail=Fraction(1, 3))
+    for r in (cesaro(sym, f, 2), maximal_truncated(sym, f, 3)):
+        assert _is_lazy(r) and r._view.tail * 3 == r._view.D
+        assert maximal_truncated(sym, r, 3) == cesaro(sym, r, 2) == f
 
 
 def test_a_mean_past_the_budget_is_formed_from_its_fractions():

@@ -13,7 +13,7 @@ import pytest
 import rispace
 from rispace import cli, examples
 
-from . import coldstart
+from . import coldstart, parity
 
 _ENV = dict(os.environ, PYTHONPATH=str(Path(rispace.__file__).parents[1]))
 
@@ -114,6 +114,26 @@ def test_coldstart_prints_its_usage_for_anything_but_one_positive_count(argv, ca
     monkeypatch.setattr(coldstart, "cold_ms", lambda rounds: pytest.fail("no process may start"))
     assert coldstart.main(argv) == 2
     assert capsys.readouterr().err == coldstart.USAGE + "\n"
+
+
+@pytest.mark.parametrize("argv", [[], ["a", "b"], ["nonempty"], ["file"]])
+def test_parity_prints_its_usage_for_anything_but_one_new_or_empty_directory(argv, tmp_path, capsys,
+                                                                              monkeypatch):
+    monkeypatch.setattr(parity, "write_outputs", lambda outdir: pytest.fail("no output may be written"))
+    (tmp_path / "nonempty").mkdir()
+    (tmp_path / "nonempty" / "eval").mkdir()
+    (tmp_path / "file").write_text("")
+    assert parity.main([str(tmp_path / a) for a in argv]) == 2
+    assert capsys.readouterr().err == parity.USAGE + "\n"
+
+
+def test_parity_writes_into_a_new_or_an_empty_directory(tmp_path, monkeypatch):
+    written = []
+    monkeypatch.setattr(parity, "write_outputs", written.append)
+    (tmp_path / "empty").mkdir()
+    assert parity.main([str(tmp_path / "empty")]) == 0
+    assert parity.main([str(tmp_path / "new")]) == 0
+    assert written == [tmp_path / "empty", tmp_path / "new"]
 
 
 _H = {"kind": "lebesgue_halfline"}
