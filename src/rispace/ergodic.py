@@ -3,9 +3,10 @@
 Everything is computed exactly on the step/sequence representations:
 ``apply`` has the symbol pull f back (each symbol family's ``pull_back``
 moves the pieces or entries of f through its preimages).  An atomic symbol
-reads Cesàro means and the truncated maximal operator off one sweep per line
-of its shift, walking orbits only where they meet its table, at a cost set by
-the output, not by n or by the size of exact values' denominators; an
+reads Cesàro means and the truncated maximal operator off runs of each line
+of its shift, whole-list passes over prefix sums, walking orbits only where
+they meet its table, at a cost set by the output, not by n or by the size of
+exact values' denominators; an
 interval symbol reads its iterates f, T f, T² f, … off one stream
 (``_iterates``), combines them with rational weights, cell by cell, and
 its maximal means of float values are the running-sum chain itself.
@@ -15,10 +16,11 @@ permutations); nothing is extrapolated.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import ge, gt, itemgetter, sub
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from . import jsonio
@@ -149,29 +151,31 @@ class _Orbits:
     Exact values are read off f's view (``AtomSeq._view``): ints over one
     denominator D (past its budget, the Fractions themselves over D = 1),
     less f's tail (|f|'s for ``maximal``), listed by line and place with
-    prefix sums; one sweep per line (``windows``) serves the indices whose
-    steps stay off the table.
-    ``walk`` serves the rest: a run is a slice of its line, table rows are
-    stepped one by one, m = qL + r steps around a permutation's cycle sum to
-    q cycle sums plus a prefix difference, and a shift of 0 holds j fixed.
-    Float values are walked as they are."""
+    prefix sums.  ``runs`` cuts each line into stretches whose steps stay off
+    the table: their means are whole-list passes, their peaks one loop each.
+    ``walk`` serves the indices near a row (``near``): a run is a slice of its
+    line, table rows are stepped one by one, m = qL + r steps around a
+    permutation's cycle sum to q cycle sums plus a prefix difference, and a
+    shift of 0 holds j fixed.  Float values are walked as they are."""
 
     def __init__(self, sym: AtomicSymbol, f: AtomSeq, absolute: bool = False):
         self.sym, s = sym, sym.shift
         self.floats = _has_float(f)
         if self.floats:
             f = abs_fn(f) if absolute else f
-            self.vals, self.tail, start = f._values, f.tail, Fraction(0)
+            js, ws, self.tail, start = f._view.indices, f._view.vals, f.tail, Fraction(0)
         else:
             V = f._view
             ws, T = ([abs(w) for w in V.vals], abs(V.tail)) if absolute else (V.vals, V.tail)
+            ws = [w - T for w in ws] if T else ws
+            js, ws = list(compress(V.indices, ws)), list(filter(None, ws))
             self.D, self.tail, self.T, start = V.D, f.tail, T, 0
-            self.vals = {j: w for j, v in zip(V.indices, ws) if (w := v - T)}
-        self.lines = {}  # line -> its entries' places, increasing, and their prefix sums
-        for j in sorted(self.vals, reverse=s < 0) if s else ():
-            places, sums = self.lines.setdefault(j % s, ([], [0]))
-            places.append(j // s)
-            sums.append(sums[-1] + self.vals[j])
+        self.vals = dict(zip(js, ws)) if sym.table or not s or self.floats else None  # only walks read it
+        lines = [(0, [*map(s.__mul__, js[::s])], ws[::s])] if s in (1, -1) else [  # one line, its places j s
+            (r, *[*zip(*line)][1:]) for r, line in
+            groupby(sorted(zip(map(s.__rmod__, js), map(s.__rfloordiv__, js), ws)) if s else (), itemgetter(0))]
+        # line -> its entries' places, increasing, then INF, and their prefix sums
+        self.lines = {r: ([*places, INF], list(accumulate(ws, initial=start))) for r, places, ws in lines}
         self.cycles = {}  # index -> its cycle, its place, the doubled cycle's prefix sums
         for cyc in _cycles(sym) if sym.is_permutation() else ():
             prefix = list(accumulate([self.vals.get(j, self.tail if self.floats else 0) for j in cyc] * 2,
@@ -207,60 +211,83 @@ class _Orbits:
 
     def near(self, m: int):
         """The indices whose orbit meets an entry within m - 1 steps and that
-        ``windows`` does not serve (S_n less n times f's tail is 0 off them)."""
-        sym, depth, sweep = self.sym, m - 1, not self.floats and self.sym.shift
-        seen = level = set(self.vals) if sym.table or not sweep else set()
+        no run serves (S_n less n times f's tail is 0 off them): on a shift's
+        line, those up to m - 1 places below a row t that meet an entry by t or
+        after it, the first met past it at the step hits[0][0]."""
+        sym, s, depth, out = self.sym, self.sym.shift, m - 1, []
+        seen = level = set(self.vals) if self.floats or not s else set()
         while depth and level:
             level = sym.index_preimage(level) - seen
             seen |= level
             depth -= 1
-        return [j for j in seen if (k := sym.steps_to_table(j)) is not None and k < m] if sweep else seen
+        for r, rows in sym.table_places.items() if s and not self.floats else ():
+            places = self.lines.get(r, ([INF],))[0]
+            for t, prev in zip(rows, [sym.space.domain[0] - 1 if s > 0 else -INF, *rows]):
+                hits, a = self.walk(sym.image_of(r + t * s), m - 1, []), bisect_right(places, t)
+                start = max(t - m + 1, prev + 1)
+                mid, past = max(start, places[a - 1] + 1) if a else start, t + 2 - m + (hits[0][0] if hits else m)
+                out += [r + q * s for q in (*range(start, mid), *range(max(mid, past), t + 1))]
+        return out or seen
 
-    def windows(self, m: int):
-        """Yield (j, q, a, b, line) for each index j whose m steps stay off the
-        table and meet an entry: q is j's place, the line's entries a..b-1 sit
-        at [q, q + m).  Cursors run up each line once, on N from its left end."""
-        s, left = self.sym.shift, self.sym.space.domain[0]
-        for r, line in self.lines.items():
-            places, rows = [*line[0], INF], [*self.sym.table_places.get(r, ()), INF]
-            lo = -((r - left) // s) if s > 0 and left != -INF else -INF
-            a = b = c = 0
-            for p in line[0]:
-                for q in range(max(p - m + 1, lo), p + 1):
-                    while places[a] < q:
-                        a += 1
-                    while places[b] < q + m:
-                        b += 1
-                    while rows[c] < q:
-                        c += 1
-                    if rows[c] >= q + m:
-                        yield r + q * s, q, a, b, line
-                lo = p + 1
+    def runs(self, m: int):
+        """Yield (r, q0, q1, a, b) for each run: the places q0..q1 of line r
+        whose m steps meet an entry and no table row, and its entries a..b-1,
+        those at [q0, q1 + m).  A run ends where entries are more than m apart,
+        at N's left end and around the places [t - m + 1, t] of each row t."""
+        s = self.sym.shift
+        for r, (places, _) in self.lines.items():
+            rows, a, lo = self.sym.table_places.get(r, []), 0, self.sym.space.domain[0] if s > 0 else -INF
+            for b in compress(range(1, len(places)), map(gt, map(sub, places[1:], places), repeat(m))):
+                q0, q1 = max(places[a] - m + 1, lo), places[b - 1]
+                for t in rows[bisect_left(rows, q0):bisect_left(rows, q1 + m)]:
+                    if q0 <= t - m:
+                        yield r, q0, t - m, a, bisect_left(places, t, a, b)
+                    q0, a = t + 1, bisect_left(places, t + 1, a, b)
+                if q0 <= q1:
+                    yield r, q0, q1, a, b
+                a = b
 
-    def exact(self, items, tail: Fraction) -> AtomSeq:
-        """The means (S + n T) / (n D) of the items (j, S, n) by j; S = 0 is
-        the tail.  They stay ints (``_int_seq``) over M = ``common_denominator``
+    def exact(self, js, sums, ns, tail: Fraction) -> AtomSeq:
+        """The means (S + n T) / (n D) at the indices js of the nonzero sums S,
+        each with its n in ns, as ints (``_int_seq``) over M = ``common_denominator``
         of D and every n D: n D for a Cesàro mean, D times the lcm of the peak
         n's for a maximal one.  Past the budget, f's or M's, they are Fractions."""
-        items = sorted(item for item in items if item[1])
-        T, D, ns = self.T, self.D, {n for _, _, n in items}
-        M = common_denominator([D, *(n * D for n in ns)]) if type(T) is int else None
+        if any(map(ge, js, islice(js, 1, None))):
+            js, sums, ns = zip(*sorted(zip(js, sums, ns)))
+        T, D, each = self.T, self.D, set(ns)
+        M = common_denominator([D, *(n * D for n in each)]) if type(T) is int else None
         if M is None:
-            return AtomSeq(self.sym.space, tuple((j, Fraction(S + n * T, n * D)) for j, S, n in items), tail)
-        k = {n: M // (n * D) for n in ns}
-        return _int_seq(self.sym.space, [j for j, _, _ in items], [(S + n * T) * k[n] for _, S, n in items], M, tail)
+            return AtomSeq(self.sym.space, tuple((j, Fraction(S + n * T, n * D)) for j, S, n in zip(js, sums, ns)), tail)
+        k = {n: M // (n * D) for n in each}
+        nums = sums if not T and set(k.values()) <= {1} else [(S + n * T) * k[n] for S, n in zip(sums, ns)]
+        return _int_seq(self.sym.space, js, nums, M, tail)
 
     def means(self, ns: Sequence[int]) -> tuple[tuple[int, AtomSeq], ...]:
-        m, out = ns[-1], []
-        js, wins = self.near(m), list(self.windows(m))
+        m, s, near = ns[-1], self.sym.shift, self.near(ns[-1])
+        if self.floats:  # a finite permutation, rounded as its cycle sums are
+            return tuple((n, _merged_seq(self.sym.space, [(j, self.walk(j, n) * Fraction(1, n)) for j in near]))
+                         for n in ns)
+        segs, r0 = [], None  # stretches of a line from their first place: run indices, a mask of them, values
+        for r, q0, q1, a, b in self.runs(m):
+            places, sums = self.lines[r]
+            if r != r0 or q0 - segs[-1][0] - len(segs[-1][3]) > q1 - q0:  # more zeros between than places
+                segs.append((q0, [], [], []))
+            (base, run, mask, d), r0 = segs[-1], r
+            run += range(r + q0 * s, r + (q1 + 1) * s, s)
+            mask += [0] * (q0 - base - len(mask)) + [1] * (q1 - q0 + 1)
+            d += [0] * (places[b - 1] + 1 - base - len(d))
+            for c in range(a, b):
+                d[places[c] - base] = sums[c + 1] - sums[c]
+        segs, out = [(run, mask, list(accumulate(d, initial=0))) for _, run, mask, d in segs], []
         for n in ns:
-            if self.floats:  # a finite permutation, rounded as its cycle sums are
-                out.append((n, _merged_seq(self.sym.space, [(j, self.walk(j, n) * Fraction(1, n)) for j in js])))
-                continue
-            items = [(j, self.walk(j, n), n) for j in js]
-            items += [(j, sums[b if n == m else bisect_left(places, q + n, a, b)] - sums[a], n)
-                      for j, q, a, b, (places, sums) in wins]
-            out.append((n, self.exact(items, self.tail or Fraction(0))))
+            Ss = [self.walk(j, n) for j in near]
+            js = list(compress(near, Ss))
+            for run, mask, P in segs:  # S_n = P[q + n] - P[q], past the stretch's end its whole sum
+                S = list(compress(map(sub, chain(P[n:], repeat(P[-1])), P), mask))
+                js += compress(run, S)
+                Ss += S
+            Ss = list(filter(None, Ss))
+            out.append((n, self.exact(js, Ss, [n] * len(Ss), self.tail or Fraction(0))))
         return tuple(out)
 
     def maximal(self, K: int) -> AtomSeq:
@@ -271,24 +298,35 @@ class _Orbits:
                     hits = ({i: self.tail for i in range(K)} | dict(hits)).items()
                 return _peak_mean(hits)
             return _merged_seq(self.sym.space, [(j, peak(hits)) for j, hits in walks], peak([(0, self.tail)]))
-        peaks = [(j, *self.peak(K, [i for i, _ in hits], list(accumulate((v for _, v in hits), initial=0)),
-                                0, len(hits), 0)) for j, hits in walks]
-        peaks += [(j, *self.peak(K, places, sums, a, b, q)) for j, q, a, b, (places, sums) in self.windows(K)]
-        return self.exact(peaks, Fraction(self.T, self.D))
+        s, js, Hs, ns = self.sym.shift, [j for j, _ in walks], [], []
+        for _, hits in walks:  # a run of one
+            self.peak(K, [*(i for i, _ in hits), INF], [*accumulate((v for _, v in hits), initial=0)], 0, 0, 0, Hs, ns)
+        for r, q0, q1, a, _ in self.runs(K):
+            js += range(r + q0 * s, r + (q1 + 1) * s, s)
+            self.peak(K, *self.lines[r], q0, q1, a, Hs, ns)
+        return self.exact(list(compress(js, Hs)), list(filter(None, Hs)), list(compress(ns, Hs)), Fraction(self.T, self.D))
 
     @staticmethod
-    def peak(K: int, steps, sums, a: int, b: int, q: int) -> tuple[int, int]:
-        """max_{n<=K} S_n/n as (H, n) over D where an orbit meets the entries
-        a..b-1 at the steps steps[c] - q, with running sums sums[c + 1] -
-        sums[a].  Between them S_n stays at H, so H/n peaks at the stretch's
-        first n if H >= 0, else at its last; ties keep the smaller n."""
-        best, best_n = (0, 1) if a == b or steps[a] > q else (None, 1)
-        for c in range(a, b):
-            H = sums[c + 1] - sums[a]
-            n = steps[c] - q + 1 if H >= 0 else (steps[c + 1] - q if c + 1 < b else K)
-            if best is None or H * best_n > best * n:
-                best, best_n = H, n
-        return best, best_n
+    def peak(K: int, places, sums, q0: int, q1: int, a: int, Hs: list, ns: list) -> None:
+        """Append max_{n<=K} S_n/n, over D, as H to Hs and n to ns for each
+        place q = q0..q1 of a run; its orbit meets the entries at places[c] >= q
+        (then INF), a from q0 on, where S_n is sums[c + 1] less the sum before.
+        Between them S_n stays at H, so H/n peaks at the stretch's first n if
+        H >= 0, else at its last; ties keep the smaller n."""
+        b = a
+        for q in range(q0, q1 + 1):
+            while places[a] < q:
+                a += 1
+            while places[b] < q + K:
+                b += 1
+            best, best_n = (0, 1) if places[a] > q else (None, 1)
+            for c in range(a, b):
+                H = sums[c + 1] - sums[a]
+                n = places[c] - q + 1 if H >= 0 else min(places[c + 1] - q, K)
+                if best is None or H * best_n > best * n:
+                    best, best_n = H, n
+            Hs.append(best)
+            ns.append(best_n)
 
 
 def permutation_limit(sym: AtomicSymbol, f: AtomSeq) -> AtomSeq:

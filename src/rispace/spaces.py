@@ -306,18 +306,21 @@ class WeakLp:
 
     def of(self, r: StepFn) -> Real:
         """The max of v b^(1/p) over the pieces [a, b) of r = f*, on the
-        ints of r's view: over D C^(1/p) for a whole 1/p, else by ``ratio_pow``."""
+        ints of r's view: v b^k over D C^k for a whole 1/p = k, else by ``ratio_pow``."""
         inv_p, V = 1 / self.p, r._view
         k = _whole(inv_p, V.bounds[-2].bit_length() + V.C.bit_length()) if V.exact else 0
-        return _first_max(V, V.D * V.C**k, lambda b: INF if b == INF else b**k if k else _pow(b, V.C, inv_p))
+        if k:
+            best = max((v * b**k for b, v in zip(V.bounds[1:], V.vals) if v), default=0)
+            return INF if best == INF else Fraction(best, V.D * V.C**k)
+        return _first_max(V, lambda b: INF if b == INF else _pow(b, V.C, inv_p))
 
 
-def _first_max(V: View, D: int, factor) -> Real:
+def _first_max(V: View, factor) -> Real:
     """The first largest, as ``max`` keeps it, of Fraction(0) and v/D
     factor(b) over the pieces [a, b) of the view V with v > 0 (INF once one
     is): a float term in doubles, as a Fraction times a float rounds, an
     exact one as an int pair."""
-    best, n, d = None, 0, 1  # the first largest term, n/d exactly; None while exact
+    best, n, d, D = None, 0, 1, V.D  # the first largest term, n/d exactly; None while exact
     for b, v in zip(V.bounds[1:], V.vals):
         if v == 0:
             continue
@@ -358,7 +361,7 @@ class MarcWeak:
         """The max of v Phi(b) over the pieces [a, b) of r's view (b > 0): sup
         Phi(t) v on [a, b), as the catalog profiles are continuous and nondecreasing."""
         phi, V = self.phi, r._view
-        return _first_max(V, V.D, lambda b: phi.at_inf if b == INF else phi.at(b, V.C))
+        return _first_max(V, lambda b: phi.at_inf if b == INF else phi.at(b, V.C))
 
 
 @dataclass(frozen=True)

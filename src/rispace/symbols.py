@@ -46,7 +46,7 @@ from .space import (
     _normalize_intervals,
     interval_set,
 )
-from .stepfn import AtomSeq, StepFn, _fn_from_pieces, _mapped_pieces, _merged_seq, constant, linear_combine
+from .stepfn import AtomSeq, StepFn, _fn_from_pieces, _int_seq, _mapped_pieces, constant, linear_combine
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +385,16 @@ class AtomicSymbol:
         return hit
 
     def pull_back(self, f: AtomSeq) -> AtomSeq:
-        """f ∘ phi, off f's tail exactly on the preimage of f's entries."""
-        values = f._values
-        pulled = {j: values[self.image_of(j)] for j in self.index_preimage(values)}
-        return _merged_seq(self.space, pulled.items(), f.tail)
+        """f ∘ phi: f's view moved back by the shift off the table, and the
+        table's rows; an exact view stays ints over its D (``_int_seq``)."""
+        V, images, s = f._view, self._images, self.shift
+        at = dict(zip(V.indices, V.vals)) if images else {}
+        pulled = [(j, at[k]) for j, k in self.table if k in at]
+        if s is not None:  # on N an entry below s is the image of no index
+            a = bisect_left(V.indices, self.space.domain[0] + s)
+            pulled += [(t - s, w) for t, w in zip(V.indices[a:], V.vals[a:]) if t - s not in images]
+        js, ws = zip(*sorted(pulled)) if pulled else ((), ())
+        return _int_seq(self.space, js, ws, V.D, f.tail) if V.exact else AtomSeq(self.space, tuple(zip(js, ws)), f.tail)
 
     def bound_rows(self, horizon: int):
         """Yield (n, A_n, C_n), the max and min of the preimage counts of

@@ -616,6 +616,124 @@ def test_a_mean_past_the_budget_is_formed_from_its_fractions():
         assert not _is_lazy(r) and isinstance(r.value_at(0), float)
 
 
+# ---------------------------------------------------------------------------
+# Runs: the stretches of a shift's line whose steps stay off the table
+# ---------------------------------------------------------------------------
+
+
+def _span(sym, f, m: int) -> range:
+    """Every index whose first m steps can meet f's entries or the table
+    under a shift, and a few past them on each side."""
+    marks = [0, *(j for j, _ in f.entries), *(j for row in sym.table for j in row)]
+    reach = abs(sym.shift) * (m + 1) + 4
+    return range(max(min(marks) - reach, sym.space.domain[0]), max(marks) + reach)
+
+
+# (symbol, f, m): each puts a run's end where the sweep could slip by one
+_RUN_BOUNDARIES = {
+    # entries m places apart share a run; m + 1 apart, the run ends between them
+    "m apart": (bilateral_shift(), seq(atomic_z(), {0: 2, 5: Fraction(-1, 3), 10: 4, 11: -4}), 5),
+    "m + 1 apart": (bilateral_shift(), seq(atomic_z(), {0: 2, 6: Fraction(-1, 3), 12: 4, 13: -4}), 5),
+    # runs far apart keep separate prefix sums
+    "far apart": (bilateral_shift(), seq(atomic_z(), {-40: 1, 0: Fraction(3, 2), 1: 2, 45: -1}), 3),
+    "s = 2": (AtomicSymbol(atomic_z(), (), 2), seq(atomic_z(), {-3: 1, 0: 2, 1: -1, 7: Fraction(1, 2), 13: 3}), 4),
+    "s = 3, a row on one line": (AtomicSymbol(atomic_z(), ((4, -9),), 3),
+                                 seq(atomic_z(), {-5: 1, -2: 3, 1: 2, 10: -1, 13: 5, 14: 1}), 4),
+    "s = -1": (AtomicSymbol(atomic_z(), (), -1), seq(atomic_z(), {-4: 1, 0: -2, 1: Fraction(2, 3), 6: 3}), 5),
+    "s = -2 on N": (AtomicSymbol(atomic_n(), ((0, 5), (1, 0)), -2),
+                    seq(atomic_n(), {2: 1, 3: Fraction(-1, 2), 8: 3, 15: 1}, tail=Fraction(1, 3)), 4),
+    # a row inside a run, rows at a run's first place and past its last, and
+    # rows m + 1 apart, which leave a run of one place between them
+    "a row inside a run": (AtomicSymbol(atomic_z(), ((3, -7),), 1), seq(atomic_z(), {0: 1, 2: 2, 4: -3, 6: 1, 9: 2}), 4),
+    "rows at a run's ends": (AtomicSymbol(atomic_z(), ((-3, 8), (11, 1)), 1),
+                             seq(atomic_z(), {0: 1, 2: 2, 7: 3, 11: -1, 12: 2}), 4),
+    "rows m + 1 apart": (AtomicSymbol(atomic_z(), ((0, 0), (5, -20)), 1), seq(atomic_z(), {1: 3, 2: -1, 4: 2, 6: 1}), 4),
+    # N's left end with a nonzero tail, on one line and on two
+    "N's left end": (unilateral_shift(), seq(atomic_n(), {0: 3, 1: -1, 4: 2, 9: Fraction(1, 2)}, tail=Fraction(1, 3)), 5),
+    "N's left end, s = 2": (AtomicSymbol(atomic_n(), ((3, 0),), 2), seq(atomic_n(), {0: 1, 1: 2, 5: -1}, tail=2), 4),
+}
+
+
+def _run_results(sym, f, m: int):
+    """(what, oracle, result): the means and peaks at n and K up to m, a
+    schedule's (its first means below m), and T f."""
+    out = [(n, cesaro_dict_oracle, cesaro(sym, f, n)) for n in (1, m - 1, m)]
+    out += [(n, cesaro_dict_oracle, mean) for n, mean in cesaro_schedule(sym, f, (1, 2, m)).means]
+    out += [(K, maximal_dict_oracle, maximal_truncated(sym, f, K)) for K in (1, 2, m)]
+    return [*out, (None, None, apply(sym, f))]
+
+
+@pytest.mark.parametrize("sym, f, m", _RUN_BOUNDARIES.values(), ids=list(_RUN_BOUNDARIES))
+def test_means_across_run_boundaries_match_the_dict_oracles(sym, f, m):
+    indices, far = _span(sym, f, m), 10**6
+    for n, oracle, got in _run_results(sym, f, m):
+        if oracle is None:  # T f, off its tail at every index
+            want = {j: f.value_at(sym.image_of(j)) for j in [*indices, far]}
+        else:
+            want = oracle(sym.image_of, f.value_at, [*indices, far], n)
+        assert all(got.value_at(j) == want[j] for j in indices), n
+        assert got.tail == want[far], n
+    wants = [seq(r.space, r.entries, r.tail) for _, _, r in _run_results(sym, f, m)]
+    for (_, _, r), want in zip(_run_results(sym, f, m), wants):
+        assert _is_lazy(r) and repr(r) == repr(want)
+
+
+@pytest.mark.parametrize("sym, f", [
+    (unilateral_shift(), seq(atomic_n(), {0: Fraction(7, 3), 1: -1, 4: Fraction(1, 2)}, tail=Fraction(1, 6))),
+    (AtomicSymbol(atomic_z(), ((0, 4), (2, -3), (5, 5)), 1), seq(atomic_z(), {-3: 2, 1: Fraction(-1, 4), 4: 3, 5: 1})),
+    (AtomicSymbol(atomic_n(), ((0, 3), (1, 0)), -2), seq(atomic_n(), {0: 2, 3: Fraction(5, 6), 6: -1}, tail=1)),
+    (AtomicSymbol(atomic_finite(4), ((0, 2), (1, 0), (2, 2), (3, 1))),
+     seq_from_values(atomic_finite(4), [1, Fraction(1, 3), 0, -2])),
+], ids=["N-shift drops the entry at 0", "table", "negative shift on N", "finite"])
+def test_apply_on_an_atomic_symbol_is_lazy_and_reads_as_its_seq_twin(sym, f):
+    indices = range(sym.space.count) if sym.space.count else _span(sym, f, 1)
+    want = seq(sym.space, {j: f.value_at(sym.image_of(j)) for j in indices}, f.tail)
+    for name, agrees in _SEQ_READERS.items():
+        r = apply(sym, f)
+        assert _is_lazy(r)
+        assert agrees(r, want), (name, "before the first read")
+        assert (r.entries, r.tail) == (want.entries, want.tail)
+        assert agrees(r, want), (name, "after the first read")
+
+
+def _near_oracle(sym, f, m: int, indices) -> set:
+    """The indices that a run cannot serve and whose mean is not f's tail
+    alone: their first m steps meet both a table row and an entry."""
+    def orbit(j):
+        for _ in range(m):
+            yield j
+            j = sym.image_of(j)
+    rows = set(sym._images)
+    return {j for j in indices if any(i in rows for i in orbit(j)) and any(f.value_at(i) != f.tail for i in orbit(j))}
+
+
+@given(_infinite_instance(), st.integers(1, 12))
+@example((AtomicSymbol(atomic_z(), ((0, 0), (5, -20)), 1), seq(atomic_z(), {1: 3, 2: -1, 4: 2, 6: 1})), 4)
+@example((AtomicSymbol(atomic_z(), ((4, -9), (7, 1)), 3), seq(atomic_z(), {-5: 1, 1: 2, 10: -1, 13: 5})), 5)
+@settings(max_examples=120)
+def test_near_is_the_indices_that_meet_a_row_and_an_entry(pair, m):
+    from rispace import ergodic
+
+    sym, f = pair
+    assume(sym.shift)
+    got = ergodic._Orbits(sym, f).near(m)
+    assert len(set(got)) == len(got)
+    assert set(got) == _near_oracle(sym, f, m, _span(sym, f, m))
+
+
+def test_near_takes_no_walk_over_preimages_to_a_far_entry():
+    # a preimage walk from the entry, 10^5 levels deep, took 0.19 s of this
+    # maximal's 0.6 s; the row's candidates are m - 1 places below it
+    from rispace import ergodic
+
+    sym, f, K = AtomicSymbol(atomic_z(), ((0, 5),), 1), seq(atomic_z(), {10**9: 3}), 10**5
+    orbits = ergodic._Orbits(sym, f, absolute=True)
+    t0 = time.monotonic()
+    got = orbits.near(K)
+    assert time.monotonic() - t0 < 0.05
+    assert list(got) == []
+
+
 @st.composite
 def _interval_instance(draw):
     """translation_line or power_symbol(2) with a step function whose cuts
