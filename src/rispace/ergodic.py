@@ -3,10 +3,9 @@
 Everything is computed exactly on the step/sequence representations:
 ``apply`` has the symbol pull f back (each symbol family's ``pull_back``
 moves the pieces or entries of f through its preimages).  An atomic symbol
-reads Cesàro means and the truncated maximal operator off runs of each line
-of its shift, whole-list passes over prefix sums, walking orbits only where
-they meet its table, at a cost set by the output, not by n or by the size of
-exact values' denominators; an
+reads Cesàro means and the truncated maximal operator off the runs of each
+line of its shift, walking orbits only where they meet its table, at a cost set
+by the output, not by n or by the size of exact values' denominators; an
 interval symbol reads its iterates f, T f, T² f, … off one stream
 (``_iterates``), combines them with rational weights, cell by cell, and
 its maximal means of float values are the running-sum chain itself.
@@ -171,11 +170,10 @@ class _Orbits:
             js, ws = list(compress(V.indices, ws)), list(filter(None, ws))
             self.D, self.tail, self.T, start = V.D, f.tail, T, 0
         self.vals = dict(zip(js, ws)) if sym.table or not s or self.floats else None  # only walks read it
-        lines = [(0, [*map(s.__mul__, js[::s])], ws[::s])] if s in (1, -1) else [  # one line, its places j s
-            (r, *[*zip(*line)][1:]) for r, line in
-            groupby(sorted(zip(map(s.__rmod__, js), map(s.__rfloordiv__, js), ws)) if s else (), itemgetter(0))]
-        # line -> its entries' places, increasing, then INF, and their prefix sums
-        self.lines = {r: ([*places, INF], list(accumulate(ws, initial=start))) for r, places, ws in lines}
+        self.lines = {}  # line -> its entries' places, increasing, then INF, and their prefix sums
+        for r, line in groupby(sorted(zip(map(s.__rmod__, js), map(s.__rfloordiv__, js), ws) if s else ()), itemgetter(0)):
+            _, places, vals = zip(*line)
+            self.lines[r] = ([*places, INF], list(accumulate(vals, initial=start)))
         self.cycles = {}  # index -> its cycle, its place, the doubled cycle's prefix sums
         for cyc in _cycles(sym) if sym.is_permutation() else ():
             prefix = list(accumulate([self.vals.get(j, self.tail if self.floats else 0) for j in cyc] * 2,
@@ -210,10 +208,9 @@ class _Orbits:
         return acc if hits is None else hits
 
     def near(self, m: int):
-        """The indices whose orbit meets an entry within m - 1 steps and that
-        no run serves (S_n less n times f's tail is 0 off them): on a shift's
-        line, those up to m - 1 places below a row t that meet an entry by t or
-        after it, the first met past it at the step hits[0][0]."""
+        """The indices whose orbit meets an entry within m - 1 steps and no
+        run serves: on a shift's line, those up to m - 1 places below a row t
+        that meet an entry by t or past it (the first at the step hits[0][0])."""
         sym, s, depth, out = self.sym, self.sym.shift, m - 1, []
         seen = level = set(self.vals) if self.floats or not s else set()
         while depth and level:
@@ -230,63 +227,51 @@ class _Orbits:
         return out or seen
 
     def runs(self, m: int):
-        """Yield (r, q0, q1, a, b) for each run: the places q0..q1 of line r
-        whose m steps meet an entry and no table row, and its entries a..b-1,
-        those at [q0, q1 + m).  A run ends where entries are more than m apart,
-        at N's left end and around the places [t - m + 1, t] of each row t."""
+        """Yield (r, q0, q1, a, b) for each run: the places q0..q1 of line r whose m
+        steps meet an entry and no table row, its entries a..b-1 at [q0, q1 + m).  Runs
+        end where entries are over m apart, at N's left end and around each row t's [t - m + 1, t]."""
         s = self.sym.shift
         for r, (places, _) in self.lines.items():
             rows, a, lo = self.sym.table_places.get(r, []), 0, self.sym.space.domain[0] if s > 0 else -INF
             for b in compress(range(1, len(places)), map(gt, map(sub, places[1:], places), repeat(m))):
                 q0, q1 = max(places[a] - m + 1, lo), places[b - 1]
-                for t in rows[bisect_left(rows, q0):bisect_left(rows, q1 + m)]:
+                for t in [*rows[bisect_left(rows, q0):bisect_left(rows, q1 + m)], q1 + m]:  # the gap ends it as a row
                     if q0 <= t - m:
                         yield r, q0, t - m, a, bisect_left(places, t, a, b)
                     q0, a = t + 1, bisect_left(places, t + 1, a, b)
-                if q0 <= q1:
-                    yield r, q0, q1, a, b
-                a = b
 
     def exact(self, js, sums, ns, tail: Fraction) -> AtomSeq:
-        """The means (S + n T) / (n D) at the indices js of the nonzero sums S,
-        each with its n in ns, as ints (``_int_seq``) over M = ``common_denominator``
-        of D and every n D: n D for a Cesàro mean, D times the lcm of the peak
-        n's for a maximal one.  Past the budget, f's or M's, they are Fractions."""
-        if any(map(ge, js, islice(js, 1, None))):
+        """The means (S + n T) / (n D) at the indices js, each with its sum S and
+        its n in ns (the tail where S = 0), as ints (``_int_seq``) over M =
+        ``common_denominator`` of D and every n D: n D for a Cesàro mean, D times the
+        lcm of the peak n's for a maximal one; past the budget, f's or M's, Fractions."""
+        js, ns, sums = list(compress(js, sums)), list(compress(ns, sums)), list(filter(None, sums))
+        if any(map(ge, js, islice(js, 1, None))):  # sorted on a shift of 1 off the table
             js, sums, ns = zip(*sorted(zip(js, sums, ns)))
         T, D, each = self.T, self.D, set(ns)
         M = common_denominator([D, *(n * D for n in each)]) if type(T) is int else None
         if M is None:
             return AtomSeq(self.sym.space, tuple((j, Fraction(S + n * T, n * D)) for j, S, n in zip(js, sums, ns)), tail)
         k = {n: M // (n * D) for n in each}
-        nums = sums if not T and set(k.values()) <= {1} else [(S + n * T) * k[n] for S, n in zip(sums, ns)]
-        return _int_seq(self.sym.space, js, nums, M, tail)
+        return _int_seq(self.sym.space, js, [(S + n * T) * k[n] for S, n in zip(sums, ns)], M, tail)
 
     def means(self, ns: Sequence[int]) -> tuple[tuple[int, AtomSeq], ...]:
         m, s, near = ns[-1], self.sym.shift, self.near(ns[-1])
         if self.floats:  # a finite permutation, rounded as its cycle sums are
             return tuple((n, _merged_seq(self.sym.space, [(j, self.walk(j, n) * Fraction(1, n)) for j in near]))
                          for n in ns)
-        segs, r0 = [], None  # stretches of a line from their first place: run indices, a mask of them, values
+        js, runs, out = list(near), [], []  # each run's length and the prefix sums of its values from q0
         for r, q0, q1, a, b in self.runs(m):
             places, sums = self.lines[r]
-            if r != r0 or q0 - segs[-1][0] - len(segs[-1][3]) > q1 - q0:  # more zeros between than places
-                segs.append((q0, [], [], []))
-            (base, run, mask, d), r0 = segs[-1], r
-            run += range(r + q0 * s, r + (q1 + 1) * s, s)
-            mask += [0] * (q0 - base - len(mask)) + [1] * (q1 - q0 + 1)
-            d += [0] * (places[b - 1] + 1 - base - len(d))
+            d = [0] * (places[b - 1] + 1 - q0)
             for c in range(a, b):
-                d[places[c] - base] = sums[c + 1] - sums[c]
-        segs, out = [(run, mask, list(accumulate(d, initial=0))) for _, run, mask, d in segs], []
+                d[places[c] - q0] = sums[c + 1] - sums[c]
+            js += range(r + q0 * s, r + (q1 + 1) * s, s)
+            runs.append((q1 - q0 + 1, list(accumulate(d, initial=0))))
         for n in ns:
             Ss = [self.walk(j, n) for j in near]
-            js = list(compress(near, Ss))
-            for run, mask, P in segs:  # S_n = P[q + n] - P[q], past the stretch's end its whole sum
-                S = list(compress(map(sub, chain(P[n:], repeat(P[-1])), P), mask))
-                js += compress(run, S)
-                Ss += S
-            Ss = list(filter(None, Ss))
+            for length, P in runs:  # S_n = P[q + n] - P[q], past the run's last entry its whole sum
+                Ss += map(sub, chain(P[n:], repeat(P[-1])), islice(P, length))
             out.append((n, self.exact(js, Ss, [n] * len(Ss), self.tail or Fraction(0))))
         return tuple(out)
 
@@ -304,15 +289,14 @@ class _Orbits:
         for r, q0, q1, a, _ in self.runs(K):
             js += range(r + q0 * s, r + (q1 + 1) * s, s)
             self.peak(K, *self.lines[r], q0, q1, a, Hs, ns)
-        return self.exact(list(compress(js, Hs)), list(filter(None, Hs)), list(compress(ns, Hs)), Fraction(self.T, self.D))
+        return self.exact(js, Hs, ns, Fraction(self.T, self.D))
 
     @staticmethod
     def peak(K: int, places, sums, q0: int, q1: int, a: int, Hs: list, ns: list) -> None:
-        """Append max_{n<=K} S_n/n, over D, as H to Hs and n to ns for each
-        place q = q0..q1 of a run; its orbit meets the entries at places[c] >= q
-        (then INF), a from q0 on, where S_n is sums[c + 1] less the sum before.
-        Between them S_n stays at H, so H/n peaks at the stretch's first n if
-        H >= 0, else at its last; ties keep the smaller n."""
+        """Append max_{n<=K} S_n/n over D, as H to Hs and n to ns, for each place
+        q = q0..q1 of a run, whose orbit meets the entries at places[c] >= q (a from
+        q0 on) with S_n = sums[c + 1] less the sum before.  Between them S_n stays at
+        H, so H/n peaks at their first n if H >= 0, else at their last; ties keep the smaller n."""
         b = a
         for q in range(q0, q1 + 1):
             while places[a] < q:

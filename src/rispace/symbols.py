@@ -385,8 +385,7 @@ class AtomicSymbol:
         return hit
 
     def pull_back(self, f: AtomSeq) -> AtomSeq:
-        """f ∘ phi: f's view moved back by the shift off the table, and the
-        table's rows; an exact view stays ints over its D (``_int_seq``)."""
+        """f ∘ phi: f's view moved back by the shift off the table, and its rows."""
         V, images, s = f._view, self._images, self.shift
         at = dict(zip(V.indices, V.vals)) if images else {}
         pulled = [(j, at[k]) for j, k in self.table if k in at]
