@@ -4,11 +4,11 @@ Everything is computed exactly on the step/sequence representations:
 ``apply`` has the symbol pull f back (each symbol family's ``pull_back``
 moves the pieces or entries of f through its preimages).  An atomic symbol
 reads Cesàro means and the truncated maximal operator off the runs of each
-line of its shift, walking orbits only where they meet its table, at a cost set
-by the output, not by n or by the size of exact values' denominators; an
-interval symbol reads its iterates f, T f, T² f, … off one stream
-(``_iterates``), combines them with rational weights, cell by cell, and
-its maximal means of float values are the running-sum chain itself.
+line of its shift, walking orbits one by one only near its table (a float
+maximal: wherever they meet an entry), at a cost set by the output for exact
+values, not by n; an interval symbol reads its iterates f, T f, T² f, … off
+one stream (``_iterates``), combines them with rational weights, cell by
+cell, and its maximal means of float values are the running-sum chain itself.
 Limits are only ever produced by oracles (orbit averages for finite
 permutations); nothing is extrapolated.
 """
@@ -147,37 +147,34 @@ class _Orbits:
     """Sums of f along an atomic symbol's orbits, at a cost set by the output.
 
     Off the table an orbit runs along its line j % s, a place j // s a step.
-    Exact values are read off f's view (``AtomSeq._view``): ints over one
-    denominator D (past its budget, the Fractions themselves over D = 1),
-    less f's tail (|f|'s for ``maximal``), listed by line and place with
-    prefix sums.  ``runs`` cuts each line into stretches whose steps stay off
-    the table: their means are whole-list passes, their peaks one loop each.
-    ``walk`` serves the indices near a row (``near``): a run is a slice of its
-    line, table rows are stepped one by one, m = qL + r steps around a
-    permutation's cycle sum to q cycle sums plus a prefix difference, and a
-    shift of 0 holds j fixed.  Float values are walked as they are."""
+    f (|f| for ``maximal``) is read off its view (``AtomSeq._view``) less its
+    entries equal to the tail, listed by line and place with prefix sums:
+    exact values as ints over one denominator D (past its budget, the
+    Fractions over D = 1) less the tail, floats as they are.  ``runs`` cuts
+    each line into stretches whose steps stay off the table.  ``walk`` serves
+    the indices near a row (``near``): a run is a slice of its line, table
+    rows are stepped one by one, m = qL + r steps around a permutation's cycle
+    sum to q cycle sums plus a prefix difference, and a shift of 0 holds j
+    fixed.  The value kind picks only how sums round: exact peaks are one loop
+    per run, and a float peak sums each index's hits in step order."""
 
     def __init__(self, sym: AtomicSymbol, f: AtomSeq, absolute: bool = False):
-        self.sym, s = sym, sym.shift
-        self.floats = _has_float(f)
-        if self.floats:
-            f = abs_fn(f) if absolute else f
-            js, ws, self.tail, start = f._view.indices, f._view.vals, f.tail, Fraction(0)
-        else:
-            V = f._view
-            ws, T = ([abs(w) for w in V.vals], abs(V.tail)) if absolute else (V.vals, V.tail)
-            ws = [w - T for w in ws] if T else ws
-            js, ws = list(compress(V.indices, ws)), list(filter(None, ws))
-            self.D, self.tail, self.T, start = V.D, f.tail, T, 0
+        self.sym, s, V, self.floats = sym, sym.shift, f._view, _has_float(f)
+        ws, T = ([abs(w) for w in V.vals], abs(V.tail)) if absolute else (V.vals, V.tail)
+        if self.floats:  # the values as they are, less those equal to the tail (as ``abs_fn`` drops them)
+            keep, self.tail = [w != T for w in ws], T
+        else:  # less the tail, then less the zeros
+            ws = keep = [w - T for w in ws] if T else ws
+            self.D, self.T, self.tail = V.D, T, Fraction(T, V.D)
+        js, ws = list(compress(V.indices, keep)), list(compress(ws, keep))
         self.vals = dict(zip(js, ws)) if sym.table or not s or self.floats else None  # only walks read it
         self.lines = {}  # line -> its entries' places, increasing, then INF, and their prefix sums
         for r, line in groupby(sorted(zip(map(s.__rmod__, js), map(s.__rfloordiv__, js), ws) if s else ()), itemgetter(0)):
             _, places, vals = zip(*line)
-            self.lines[r] = ([*places, INF], list(accumulate(vals, initial=start)))
+            self.lines[r] = ([*places, INF], list(accumulate(vals, initial=0)))
         self.cycles = {}  # index -> its cycle, its place, the doubled cycle's prefix sums
         for cyc in _cycles(sym) if sym.is_permutation() else ():
-            prefix = list(accumulate([self.vals.get(j, self.tail if self.floats else 0) for j in cyc] * 2,
-                                     initial=start))
+            prefix = list(accumulate([self.vals.get(j, 0) for j in cyc] * 2, initial=0))
             self.cycles.update((j, (cyc, p, prefix)) for p, j in enumerate(cyc))
 
     def walk(self, j: int, m: int, hits: Optional[list] = None):
@@ -208,23 +205,25 @@ class _Orbits:
         return acc if hits is None else hits
 
     def near(self, m: int):
-        """The indices whose orbit meets an entry within m - 1 steps and no
-        run serves: on a shift's line, those up to m - 1 places below a row t
-        that meet an entry by t or past it (the first at the step hits[0][0])."""
+        """The indices whose orbit meets an entry within m - 1 steps and no run serves: up to m - 1
+        preimages back from an entry with no shift or a shift of 0, on a shift's line those up to
+        m - 1 places below a row t that meet an entry by t or past it (the first at step hits[0][0])."""
         sym, s, depth, out = self.sym, self.sym.shift, m - 1, []
-        seen = level = set(self.vals) if self.floats or not s else set()
-        while depth and level:
-            level = sym.index_preimage(level) - seen
-            seen |= level
-            depth -= 1
-        for r, rows in sym.table_places.items() if s and not self.floats else ():
+        if not s:
+            seen = level = set(self.vals)
+            while depth and level:
+                level = sym.index_preimage(level) - seen
+                seen |= level
+                depth -= 1
+            return seen
+        for r, rows in sym.table_places.items():
             places = self.lines.get(r, ([INF],))[0]
             for t, prev in zip(rows, [sym.space.domain[0] - 1 if s > 0 else -INF, *rows]):
                 hits, a = self.walk(sym.image_of(r + t * s), m - 1, []), bisect_right(places, t)
                 start = max(t - m + 1, prev + 1)
                 mid, past = max(start, places[a - 1] + 1) if a else start, t + 2 - m + (hits[0][0] if hits else m)
                 out += [r + q * s for q in (*range(start, mid), *range(max(mid, past), t + 1))]
-        return out or seen
+        return out
 
     def runs(self, m: int):
         """Yield (r, q0, q1, a, b) for each run: the places q0..q1 of line r whose m
@@ -240,9 +239,9 @@ class _Orbits:
                         yield r, q0, t - m, a, bisect_left(places, t, a, b)
                     q0, a = t + 1, bisect_left(places, t + 1, a, b)
 
-    def exact(self, js, sums, ns, tail: Fraction) -> AtomSeq:
+    def exact(self, js, sums, ns) -> AtomSeq:
         """The means (S + n T) / (n D) at the indices js, each with its sum S and
-        its n in ns (the tail where S = 0), as ints (``_int_seq``) over M =
+        its n in ns (the tail T / D where S = 0), as ints (``_int_seq``) over M =
         ``common_denominator`` of D and every n D: n D for a Cesàro mean, D times the
         lcm of the peak n's for a maximal one; past the budget, f's or M's, Fractions."""
         js, ns, sums = list(compress(js, sums)), list(compress(ns, sums)), list(filter(None, sums))
@@ -251,15 +250,12 @@ class _Orbits:
         T, D, each = self.T, self.D, set(ns)
         M = common_denominator([D, *(n * D for n in each)]) if type(T) is int else None
         if M is None:
-            return AtomSeq(self.sym.space, tuple((j, Fraction(S + n * T, n * D)) for j, S, n in zip(js, sums, ns)), tail)
+            return AtomSeq(self.sym.space, tuple((j, Fraction(S + n * T, n * D)) for j, S, n in zip(js, sums, ns)), self.tail)
         k = {n: M // (n * D) for n in each}
-        return _int_seq(self.sym.space, js, [(S + n * T) * k[n] for S, n in zip(sums, ns)], M, tail)
+        return _int_seq(self.sym.space, js, [(S + n * T) * k[n] for S, n in zip(sums, ns)], M, self.tail)
 
     def means(self, ns: Sequence[int]) -> tuple[tuple[int, AtomSeq], ...]:
         m, s, near = ns[-1], self.sym.shift, self.near(ns[-1])
-        if self.floats:  # a finite permutation, rounded as its cycle sums are
-            return tuple((n, _merged_seq(self.sym.space, [(j, self.walk(j, n) * Fraction(1, n)) for j in near]))
-                         for n in ns)
         js, runs, out = list(near), [], []  # each run's length and the prefix sums of its values from q0
         for r, q0, q1, a, b in self.runs(m):
             places, sums = self.lines[r]
@@ -272,24 +268,28 @@ class _Orbits:
             Ss = [self.walk(j, n) for j in near]
             for length, P in runs:  # S_n = P[q + n] - P[q], past the run's last entry its whole sum
                 Ss += map(sub, chain(P[n:], repeat(P[-1])), islice(P, length))
-            out.append((n, self.exact(js, Ss, [n] * len(Ss), self.tail or Fraction(0))))
+            out.append((n, _merged_seq(self.sym.space, zip(js, [S * Fraction(1, n) for S in Ss])) if self.floats
+                        else self.exact(js, Ss, [n] * len(Ss))))
         return tuple(out)
 
     def maximal(self, K: int) -> AtomSeq:
-        walks = [(j, self.walk(j, K, [])) for j in self.near(K)]
-        if self.floats:  # summed as they meet the orbit, a nonzero tail at every step
-            def peak(hits):
-                if self.tail != 0:
-                    hits = ({i: self.tail for i in range(K)} | dict(hits)).items()
-                return _peak_mean(hits)
-            return _merged_seq(self.sym.space, [(j, peak(hits)) for j, hits in walks], peak([(0, self.tail)]))
-        s, js, Hs, ns = self.sym.shift, [j for j, _ in walks], [], []
-        for _, hits in walks:  # a run of one
+        s, near, runs, Hs, ns = self.sym.shift, list(self.near(K)), list(self.runs(K)), [], []
+        js = [*near, *chain.from_iterable(range(r + q0 * s, r + (q1 + 1) * s, s) for r, q0, q1, _, _ in runs)]
+        if self.floats:  # hits summed in step order, a nonzero tail at each step between; no hits: the tail
+            def steps(hits):
+                i = 0
+                for h, v in hits:
+                    yield from zip(range(i, h), repeat(self.tail))
+                    yield h, v
+                    i = h + 1
+                yield from zip(range(i, K), repeat(self.tail))
+            tail, *peaks = [_peak_mean(steps(h) if self.tail else h) for h in [[], *(self.walk(j, K, []) for j in js)]]
+            return _merged_seq(self.sym.space, zip(js, peaks), tail)
+        for hits in (self.walk(j, K, []) for j in near):  # a run of one
             self.peak(K, [*(i for i, _ in hits), INF], [*accumulate((v for _, v in hits), initial=0)], 0, 0, 0, Hs, ns)
-        for r, q0, q1, a, _ in self.runs(K):
-            js += range(r + q0 * s, r + (q1 + 1) * s, s)
+        for r, q0, q1, a, _ in runs:
             self.peak(K, *self.lines[r], q0, q1, a, Hs, ns)
-        return self.exact(js, Hs, ns, Fraction(self.T, self.D))
+        return self.exact(js, Hs, ns)
 
     @staticmethod
     def peak(K: int, places, sums, q0: int, q1: int, a: int, Hs: list, ns: list) -> None:
@@ -371,13 +371,13 @@ def maximal_truncated(sym: Symbol, f: MeasFn, K: int) -> MeasFn:
     """max_{1<=n<=K} (1/n) S_n with S_n = sum_{i<n} |T^i f|, exact.
 
     |T^i f| = T^i |f| because T is positive.  An atomic symbol walks the
-    orbit lines of |f|, any exact values by the peak rule (``_Orbits.peak``).
+    orbit lines of |f|: exact values by the peak rule (``_Orbits.peak``),
+    float values summed along each orbit in step order.
     An interval symbol with exact values forms the iterates of |f| once and
     sweeps them cell by cell over the union of their cuts; S_n is constant
     between the iterates that are nonzero at a point and S_n/n falls there,
     so only n = i+1 with T^i |f| nonzero are visited.  Ties keep the smaller
-    n.  Float values are rounded as the sum of whole step functions or
-    sequences rounds them; on an interval symbol they are that chain itself:
+    n.  Float values on an interval symbol are the running-sum chain itself:
     S_n by ``add``, each mean by ``scale``, the maximum by ``pointwise_max``."""
     K = as_int(K)
     if K < 1:
@@ -398,8 +398,7 @@ def maximal_truncated(sym: Symbol, f: MeasFn, K: int) -> MeasFn:
 def _peak_mean(events) -> Real:
     """max over the (i, v) events, in increasing i, of 1/(i+1) times the
     running sum of v; the first maximum wins, and no events give 0."""
-    total: Real = Fraction(0)
-    best = None
+    total, best = Fraction(0), None
     for i, v in events:
         total += v
         m = Fraction(1, i + 1) * total

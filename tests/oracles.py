@@ -181,6 +181,31 @@ def maximal_chain_oracle(sym, f, K):
     return best
 
 
+def maximal_float_walk_oracle(sym, f, indices, K):
+    """max_{n<=K} S_n/n at each j in indices, rounded as the float walk of
+    an atomic symbol rounds it: j is stepped K times by image_of, and at
+    every step when f's tail is nonzero, else at each entry met, |f| there
+    is added to a running total that starts at Fraction(0) (an entry whose
+    |value| equals |tail| counts as the tail).  Each mean is
+    Fraction(1, i + 1) times the total after step i, and the first maximum
+    is kept; with no step added, Fraction(0)."""
+    tail, at = abs(f.tail), dict(f.entries)
+    out = {}
+    for j in indices:
+        total, best, pos = Fraction(0), None, j
+        for i in range(K):
+            v = abs(at.get(pos, tail))
+            if v == tail:
+                v = tail
+            if tail or v:
+                total += v
+                m = Fraction(1, i + 1) * total
+                best = m if best is None or m > best else best
+            pos = sym.image_of(pos)
+        out[j] = Fraction(0) if best is None else best
+    return out
+
+
 def refinement_points(fns):
     """A point inside every cell of the common refinement of step functions
     on one space: cell midpoints, and one past the last cut on a ray."""

@@ -13,7 +13,11 @@ runs ``rispace.cli.main`` in this process and writes into OUTDIR:
 * ``run-example/ID/``: the report and verdict files of every example id run
   with ``--format both``, and its exit code and output in ``ID.txt``;
 * ``verify/``: ``verify --seed 42 --trials 60``, and the same run with
-  ``--inject-failure`` beside its counterexample file.
+  ``--inject-failure`` beside its counterexample file;
+* ``library/SEED.txt``: the reprs of ``maximal_truncated`` and
+  ``cesaro_schedule`` on ``library_case(SEED)``, a float-valued atomic input,
+  for seeds 0-199.  No ``eval`` payload carries a float, so these are what
+  shows a change in how float sums round.
 
 Every path the CLI prints is relative to OUTDIR, so the outputs of two
 checkouts compare with ``diff -r OUTDIR_A OUTDIR_B``.  OUTDIR must be new or
@@ -25,11 +29,13 @@ line and exits 2.
 import contextlib
 import io
 import json
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-from rispace import cli
+from rispace import AtomicSymbol, atomic_finite, atomic_n, atomic_z, cesaro_schedule, cli, maximal_truncated, seq
 
 from .payloads import eval_payload
 
@@ -46,6 +52,48 @@ def run(argv, stdin: str = "") -> str:
     return f"exit {rc}\n--- stdout\n{out.getvalue()}\n--- stderr\n{err.getvalue()}"
 
 
+def library_case(seed: int):
+    """(symbol, f, K, schedule) drawn from the seed: a finite table (a
+    permutation half the time) or a shift of -2..3, 0 included, on Z or N with
+    up to three table rows; f's entries in [-8, 8] mix floats with Fractions,
+    at least one a float, and over N its tail is one that some entries equal
+    in |value| with the other kind."""
+    rng = random.Random(seed)
+    kind = ("finite", "z", "n")[seed % 3]
+    if kind == "finite":
+        n = rng.randint(1, 7)
+        images = rng.sample(range(n), n) if rng.random() < 0.5 else [rng.randrange(n) for _ in range(n)]
+        sym, lo, hi, tail = AtomicSymbol(atomic_finite(n), tuple(enumerate(images))), 0, n - 1, 0
+    else:
+        sp, lo, hi = (atomic_z(), -8, 8) if kind == "z" else (atomic_n(), 0, 8)
+        shift = rng.randint(-2, 3)
+        rows = {rng.randint(lo, 6): rng.randint(lo, 6) for _ in range(rng.randint(0, 3))}
+        if kind == "n" and shift < 0:  # the indices below -shift must not fall off N
+            rows |= {j: rng.randint(0, 6) for j in range(-shift) if j not in rows}
+        sym = AtomicSymbol(sp, tuple(rows.items()), shift)
+        tail = 0 if kind == "z" else rng.choice([0, 0.3, 0.125, Fraction(5, 2)])
+    floats = [0.1, 1 / 3, -0.7, 0.25, 1.5, 3e-17]
+    pool = [*floats, Fraction(-3, 4), Fraction(2), *([Fraction(tail), -Fraction(tail), -float(tail)] if tail else [])]
+    entries = {rng.randint(lo, hi): rng.choice(pool) for _ in range(rng.randint(0, 6))}
+    entries[rng.randint(lo, hi)] = rng.choice(floats)
+    K, schedule = rng.randint(1, 12), sorted(rng.sample(range(1, 13), rng.randint(1, 3)))
+    return sym, seq(sym.space, entries, tail=tail), K, schedule
+
+
+def library_text(seed: int) -> str:
+    """The case of the seed, and what the maximal and Cesàro means give on it
+    (or the error they raise)."""
+    sym, f, K, schedule = library_case(seed)
+    lines = [f"{sym!r}", f"{f!r}", f"K = {K}, schedule = {schedule}"]
+    for name, call in (("maximal_truncated", lambda: maximal_truncated(sym, f, K)),
+                       ("cesaro_schedule", lambda: cesaro_schedule(sym, f, schedule).means)):
+        try:
+            lines.append(f"--- {name}\n{call()!r}")
+        except Exception as e:  # an error is an output too
+            lines.append(f"--- {name} raised {type(e).__name__}: {e}")
+    return "\n".join(lines) + "\n"
+
+
 def write_outputs(outdir: Path) -> None:
     (outdir / "eval").mkdir(parents=True)
     for operation in OPERATIONS:
@@ -59,8 +107,10 @@ def write_outputs(outdir: Path) -> None:
             payload = json.dumps({**obj, "horizon": 30}, sort_keys=True)
             text = run(["eval", "analyze-symbol"], stdin=payload)
             (outdir / "eval" / f"analyze-symbol-h30-{seed:03d}.txt").write_text(f"{payload}\n{text}")
-    for sub in ("run-example", "verify"):
+    for sub in ("run-example", "verify", "library"):
         (outdir / sub).mkdir()
+    for seed in SEEDS:
+        (outdir / "library" / f"{seed:03d}.txt").write_text(library_text(seed))
     with contextlib.chdir(outdir / "run-example"):
         for example_id in cli.EXAMPLE_IDS:
             text = run(["run-example", example_id, "--format", "both", "--out", example_id])

@@ -58,6 +58,7 @@ from .oracles import (
     cesaro_dict_oracle,
     maximal_chain_oracle,
     maximal_dict_oracle,
+    maximal_float_walk_oracle,
     maximal_iterate_oracle,
     refinement_points,
 )
@@ -264,6 +265,11 @@ def test_permutation_mean_rate(pair, n):
 # ---------------------------------------------------------------------------
 # maximal operator and weak type
 # ---------------------------------------------------------------------------
+
+
+def test_maximal_refuses_a_truncation_below_one():
+    with pytest.raises(ValueError, match="truncation K"):
+        maximal_truncated(unilateral_shift(), _SHIFT_F, 0)
 
 
 def test_maximal_bilateral_delta():
@@ -784,6 +790,47 @@ def test_maximal_float_values_round_as_the_running_sum_chain(pair, K):
     assert repr(maximal_truncated(sym, f, K)) == repr(maximal_chain_oracle(sym, f, K))
 
 
+_FLOAT_VALUES = [0.1, 1 / 3, -0.7, 0.25, 1.5, 3e-17, 1e20]
+
+
+@st.composite
+def _float_walk_instance(draw):
+    """A finite table, or a symbol on Z or N with up to three table rows and
+    a shift in -2..3, with float and exact values in [-8, 8]; over N a tail,
+    float or exact, that some entries equal in |value| with the other kind."""
+    kind = draw(st.sampled_from(["finite", "z", "n"]))
+    if kind == "finite":
+        sym, f = draw(_atomic_instance())
+        sp, tail, lo, hi = sym.space, 0, 0, sym.space.count - 1
+    else:
+        sp, lo, hi = (atomic_z(), -8, 8) if kind == "z" else (atomic_n(), 0, 8)
+        shift = draw(st.integers(-2, 3))
+        rows = dict(draw(st.lists(st.tuples(st.integers(lo, 6), st.integers(lo, 6)), max_size=3)))
+        if kind == "n" and shift < 0:
+            rows |= {j: draw(st.integers(0, 6)) for j in range(-shift) if j not in rows}
+        sym = AtomicSymbol(sp, tuple(rows.items()), shift)
+        tail = 0 if kind == "z" else draw(st.sampled_from([0, 0, 0.3, 0.125, 2.5, Fraction(5, 2), Fraction(1, 3)]))
+    twins = [Fraction(tail), -Fraction(tail), float(tail), -float(tail)] if tail else [0.5]
+    value = st.one_of(st.sampled_from(_FLOAT_VALUES), st.sampled_from(twins), st.fractions(-6, 6, max_denominator=4))
+    entries = draw(st.dictionaries(st.integers(lo, hi), value, max_size=6))
+    entries[draw(st.integers(lo, hi))] = draw(st.sampled_from(_FLOAT_VALUES))  # at least one float
+    return sym, seq(sp, entries, tail=tail)
+
+
+@given(_float_walk_instance(), st.integers(1, 12))
+# a Fraction equal to the float tail in |value| counts as the tail: entry 8's mean is 0.3, no Fraction
+@example((AtomicSymbol(atomic_n(), ((0, 2),), 2),
+          seq(atomic_n(), {2: Fraction(0.3), 4: 2.0, 8: -Fraction(0.3), 10: 0.05}, tail=0.3)), 11)
+@example(_FLOAT_TAIL, 10)
+@settings(max_examples=150, deadline=None)
+def test_maximal_float_values_on_atomic_symbols_round_as_the_float_walk(pair, K):
+    sym, f = pair
+    far = [] if sym.space.count is not None else [10**6]
+    want = maximal_float_walk_oracle(sym, f, [*_oracle_indices(sym, K), *far], K)
+    tail = want.pop(10**6, 0)
+    assert repr(maximal_truncated(sym, f, K)) == repr(seq(sym.space, want, tail=tail))
+
+
 _DOUBLING = IntervalSymbol(interval(2), (Branch(0, 1, Affine(2, 0)), Branch(1, 2, Affine(2, -2))))
 
 
@@ -983,6 +1030,21 @@ def test_exact_values_past_the_budget_take_the_exact_path(monkeypatch):
                    (not_a_permutation, seq_from_values(atomic_finite(4), [big, Fraction(2, 5**500), 0, -1]))):
         cesaro_schedule(sym, g, (1, 3, 7))
         maximal_truncated(sym, g, 6)
+
+
+def test_float_maximal_on_a_shift_takes_no_preimage_walk_and_no_abs_copy(monkeypatch):
+    from rispace import ergodic
+
+    def refuse(*args):
+        raise AssertionError("walked preimages or copied |f|")
+
+    # the indices come off the table's places and the runs, |f| off f's view
+    monkeypatch.setattr(AtomicSymbol, "index_preimage", refuse)
+    monkeypatch.setattr(ergodic, "abs_fn", refuse)
+    for sym, g in ((AtomicSymbol(atomic_z(), ((0, 5),), 1), seq(atomic_z(), {-3: 0.5, 4: -1.25, 9: Fraction(1, 3)})),
+                   (unilateral_shift(), seq(atomic_n(), {0: -0.5, 3: 0.25, 6: Fraction(-1, 8)}, tail=0.125)),
+                   (AtomicSymbol(atomic_n(), ((0, 3),), -1), seq(atomic_n(), {1: 0.5, 5: -0.25}, tail=0.1))):
+        maximal_truncated(sym, g, 7)
 
 
 # ---------------------------------------------------------------------------

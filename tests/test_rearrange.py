@@ -111,6 +111,7 @@ def test_is_rearranged():
     assert is_rearranged(step(halfline(), [1], [2, 0]))
     assert not is_rearranged(step(halfline(), [1], [0, 2]))  # increasing
     assert not is_rearranged(step(line(), [0], [1, 0]))  # wrong space
+    assert not is_rearranged(step(halfline(), [1], [-1, 0]))  # negative
 
 
 def test_hardy_integral_frozen_values():

@@ -179,6 +179,9 @@ def test_quasiconcave_check():
     assert ok
     bad, why = quasiconcave_check(StepApprox(((1, 1), (2, 4)), Fraction(0)))
     assert not bad and why
+    assert quasiconcave_check(StepApprox(((1, 2), (2, 1)), 0)) == (False, "decreasing segment into knot t=2")
+    assert quasiconcave_check(StepApprox(((1, 1),), -1)) == (False, "decreasing final ray")
+    assert quasiconcave_check(StepApprox(((1, 1),), 2)) == (False, "Phi(t)/t increases on the final ray")
 
 
 def test_fundamental_functions():

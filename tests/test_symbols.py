@@ -90,6 +90,11 @@ def test_interval_symbol_rejects_overlapping_branches():
         )
 
 
+def test_interval_symbol_rejects_branches_short_of_the_domain():
+    with pytest.raises(ValueError, match="partition"):
+        IntervalSymbol(interval(1), (Branch(0, Fraction(1, 2), Affine(1, 0)),))
+
+
 def test_atomic_symbol_validation():
     with pytest.raises(ValueError):
         AtomicSymbol(atomic_finite(3), ((0, 1), (0, 2)))  # duplicate key
@@ -101,6 +106,8 @@ def test_atomic_symbol_validation():
         AtomicSymbol(atomic_n(), ())  # infinite space needs a shift
     with pytest.raises(ValueError):
         AtomicSymbol(atomic_n(), (), shift=-1)  # 0 would leave N
+    with pytest.raises(ValueError, match="no shift rule"):
+        AtomicSymbol(atomic_finite(2), ((0, 1), (1, 0)), 1)
 
 
 def test_image_of():
