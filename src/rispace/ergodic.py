@@ -3,12 +3,13 @@
 Everything is computed exactly on the step/sequence representations:
 ``apply`` has the symbol pull f back (each symbol family's ``pull_back``
 moves the pieces or entries of f through its preimages).  An atomic symbol
-reads Cesàro means and the truncated maximal operator off the runs of each
-line of its shift, walking orbits one by one only near its table (a float
-maximal: wherever they meet an entry), at a cost set by the output for exact
-values, not by n; an interval symbol reads its iterates f, T f, T² f, … off
-one stream (``_iterates``), combines them with rational weights, cell by
-cell, and its maximal means of float values are the running-sum chain itself.
+reads Cesàro means and the truncated maximal operator off each line of its
+shift in a few passes over the whole line, walking orbits one by one only
+near its table (a float maximal: wherever they meet an entry), at a cost set
+by the output for exact values, not by n; an interval symbol reads its
+iterates f, T f, T² f, … off one stream (``_iterates``), combines them with
+rational weights, cell by cell, and its maximal means of float values are
+the running-sum chain itself.
 Limits are only ever produced by oracles (orbit averages for finite
 permutations); nothing is extrapolated.
 """
@@ -18,8 +19,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, groupby, islice, repeat
-from operator import ge, gt, itemgetter, sub
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import ge, mul, sub
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from . import jsonio
@@ -148,15 +149,17 @@ class _Orbits:
 
     Off the table an orbit runs along its line j % s, a place j // s a step.
     f (|f| for ``maximal``) is read off its view (``AtomSeq._view``) less its
-    entries equal to the tail, listed by line and place with prefix sums:
-    exact values as ints over one denominator D (past its budget, the
-    Fractions over D = 1) less the tail, floats as they are.  ``runs`` cuts
-    each line into stretches whose steps stay off the table.  ``walk`` serves
-    the indices near a row (``near``): a run is a slice of its line, table
-    rows are stepped one by one, m = qL + r steps around a permutation's cycle
-    sum to q cycle sums plus a prefix difference, and a shift of 0 holds j
-    fixed.  The value kind picks only how sums round: exact peaks are one loop
-    per run, and a float peak sums each index's hits in step order."""
+    entries equal to the tail, and each line lists its entries' places, read
+    straight off the view's sorted indices: exact values as ints over one
+    denominator D (past its budget, the Fractions over D = 1) less the tail,
+    with their prefix sums, floats as they are, with none.  ``layout`` lays a
+    line out with its wide gaps cut short, so that one pass over the whole
+    line gives every place's window of m steps.  ``walk`` serves the indices
+    near a row (``near``): a run is a slice of its line, table rows are
+    stepped one by one until a row recurs, m = qL + r steps around a cycle sum
+    to q cycle sums plus a prefix difference, and a shift of 0 holds j fixed.
+    The value kind picks only how sums round: exact peaks are one loop per
+    line, and a float peak sums each index's hits in step order."""
 
     def __init__(self, sym: AtomicSymbol, f: AtomSeq, absolute: bool = False):
         self.sym, s, V, self.floats = sym, sym.shift, f._view, _has_float(f)
@@ -168,10 +171,17 @@ class _Orbits:
             self.D, self.T, self.tail = V.D, T, Fraction(T, V.D)
         js, ws = list(compress(V.indices, keep)), list(compress(ws, keep))
         self.vals = dict(zip(js, ws)) if sym.table or not s or self.floats else None  # only walks read it
-        self.lines = {}  # line -> its entries' places, increasing, then INF, and their prefix sums
-        for r, line in groupby(sorted(zip(map(s.__rmod__, js), map(s.__rfloordiv__, js), ws) if s else ()), itemgetter(0)):
-            _, places, vals = zip(*line)
-            self.lines[r] = ([*places, INF], list(accumulate(vals, initial=0)))
+        self.lines = {}  # line -> its entries' places, increasing, then INF, and their prefix sums (exact values)
+        if s:  # places rise with j on a line of s > 0 and fall on one of s < 0
+            js, ws = (js, ws) if s > 0 else (js[::-1], ws[::-1])
+            groups = {0: (js, ws)} if abs(s) == 1 else {}
+            for j, w in zip(js, ws) if abs(s) > 1 else ():
+                line = groups.setdefault(j % s, ([], []))
+                line[0].append(j)
+                line[1].append(w)
+            for r, (lj, lw) in groups.items():
+                self.lines[r] = ([*(lj if s == 1 else map(s.__rfloordiv__, lj)), INF],
+                                 None if self.floats else list(accumulate(lw, initial=0)))
         self.cycles = {}  # index -> its cycle, its place, the doubled cycle's prefix sums
         for cyc in _cycles(sym) if sym.is_permutation() else ():
             prefix = list(accumulate([self.vals.get(j, 0) for j in cyc] * 2, initial=0))
@@ -179,7 +189,7 @@ class _Orbits:
 
     def walk(self, j: int, m: int, hits: Optional[list] = None):
         """The sum over j's first m steps, or hits with each (step, entry) met."""
-        sym, s, vals = self.sym, self.sym.shift, self.vals
+        sym, s, vals, seen = self.sym, self.sym.shift, self.vals, {}
         acc = i = 0
         while i < m:
             k = sym.steps_to_table(j) if sym.table else None
@@ -188,8 +198,9 @@ class _Orbits:
                 q, r = divmod(j, s)
                 places, sums = self.lines.get(r, ((), (0,)))
                 a, b = bisect_left(places, q), bisect_left(places, q + run)
-                acc += sums[b] - sums[a]
-                if hits is not None:
+                if hits is None:
+                    acc += sums[b] - sums[a]
+                else:
                     hits += [(i + c - q, vals[r + c * s]) for c in places[a:b]]
                 j, i = j + run * s, i + run
             elif hits is None and j in self.cycles:
@@ -197,6 +208,13 @@ class _Orbits:
                 q, r = divmod(m - i, len(cyc))
                 return acc + (q * prefix[len(cyc)] + (prefix[p + r] - prefix[p]))
             else:  # a table row, or an index held fixed by a shift of 0
+                if k == 0 and hits is None:  # a row met before closes a cycle: its q whole rounds at once
+                    i0, acc0 = seen.setdefault(j, (i, acc))
+                    if i0 < i:
+                        q = (m - i) // (i - i0)
+                        acc, i = acc + q * (acc - acc0), i + q * (i - i0)
+                        if i == m:
+                            break
                 steps = 1 if k == 0 else m - i
                 if j in vals and hits is not None:
                     hits += [(t, vals[j]) for t in range(i, i + steps)]
@@ -225,56 +243,73 @@ class _Orbits:
                 out += [r + q * s for q in (*range(start, mid), *range(max(mid, past), t + 1))]
         return out
 
-    def runs(self, m: int):
-        """Yield (r, q0, q1, a, b) for each run: the places q0..q1 of line r whose m
-        steps meet an entry and no table row, its entries a..b-1 at [q0, q1 + m).  Runs
-        end where entries are over m apart, at N's left end and around each row t's [t - m + 1, t]."""
-        s = self.sym.shift
+    def layout(self, m: int):
+        """Yield (r, qs, at, reach) for each line r: the places qs, increasing, whose
+        m steps meet an entry and no table row, the index at of the first entry at or
+        past each, and reach(n) <= m, that of the first at or past q + n.  The line is
+        laid out from N's left end or m - 1 places below its first entry, with each
+        gap between entries wider than 2m - 1 cut to 2m - 1, so the window of m steps
+        from a place that meets an entry reads the line as it is: count[x] is the
+        number of entries before position x, and sel[x] whether the place there is in qs."""
+        rows, lo = self.sym.table_places, self.sym.space.domain[0] if (self.sym.shift or 0) > 0 else -INF
         for r, (places, _) in self.lines.items():
-            rows, a, lo = self.sym.table_places.get(r, []), 0, self.sym.space.domain[0] if s > 0 else -INF
-            for b in compress(range(1, len(places)), map(gt, map(sub, places[1:], places), repeat(m))):
-                q0, q1 = max(places[a] - m + 1, lo), places[b - 1]
-                for t in [*rows[bisect_left(rows, q0):bisect_left(rows, q1 + m)], q1 + m]:  # the gap ends it as a row
-                    if q0 <= t - m:
-                        yield r, q0, t - m, a, bisect_left(places, t, a, b)
-                    q0, a = t + 1, bisect_left(places, t + 1, a, b)
+            k, w = len(places) - 1, 2 * m - 1
+            ends = list(accumulate([min(m, places[0] - lo + 1), *(g if g < w else w for g in map(sub, places[1:k], places))]))
+            off = list(map(sub, ends, places))  # each entry's position plus 1, less its place
+            count = [0] * ends[-1]
+            for x in ends[:-1]:
+                count[x] = 1
+            count = list(accumulate(count))
+            sel = list(map(sub, chain(count[m:], repeat(k)), count))
+            for t in rows.get(r, ()):  # the places t - m + 1..t, if an entry is near
+                c = bisect_left(places, t - m + 1)
+                if places[c] < t + m:
+                    a, b = max(t + off[c] - m, 0), max(min(t + off[c], len(sel)), 0)
+                    sel[a:b] = repeat(0, b - a)
 
-    def exact(self, js, sums, ns) -> AtomSeq:
+            def reach(n, count=count, sel=sel, k=k):
+                return list(compress(chain(count[n:], repeat(k)), sel))
+            at = reach(0)
+            yield r, list(map(sub, compress(range(1, len(sel) + 1), sel), map(off.__getitem__, at))), at, reach
+
+    def exact(self, js, sums, ns, ordered: bool = False) -> AtomSeq:
         """The means (S + n T) / (n D) at the indices js, each with its sum S and
         its n in ns (the tail T / D where S = 0), as ints (``_int_seq``) over M =
         ``common_denominator`` of D and every n D: n D for a Cesàro mean, D times the
-        lcm of the peak n's for a maximal one; past the budget, f's or M's, Fractions."""
+        lcm of the peak n's for a maximal one; past the budget, f's or M's, Fractions.
+        js are sorted here unless they are ``ordered`` already."""
         js, ns, sums = list(compress(js, sums)), list(compress(ns, sums)), list(filter(None, sums))
-        if any(map(ge, js, islice(js, 1, None))):  # sorted on a shift of 1 off the table
+        if not ordered and any(map(ge, js, islice(js, 1, None))):
             js, sums, ns = zip(*sorted(zip(js, sums, ns)))
         T, D, each = self.T, self.D, set(ns)
         M = common_denominator([D, *(n * D for n in each)]) if type(T) is int else None
         if M is None:
             return AtomSeq(self.sym.space, tuple((j, Fraction(S + n * T, n * D)) for j, S, n in zip(js, sums, ns)), self.tail)
-        k = {n: M // (n * D) for n in each}
-        return _int_seq(self.sym.space, js, [(S + n * T) * k[n] for S, n in zip(sums, ns)], M, self.tail)
+        if T:
+            sums = [S + n * T for S, n in zip(sums, ns)]
+        if each != {M // D}:  # k = M / (n D) is 1 for a lone n
+            sums = list(map(mul, sums, map({n: M // (n * D) for n in each}.__getitem__, ns)))
+        return _int_seq(self.sym.space, js, sums, M, self.tail)
 
     def means(self, ns: Sequence[int]) -> tuple[tuple[int, AtomSeq], ...]:
         m, s, near = ns[-1], self.sym.shift, self.near(ns[-1])
-        js, runs, out = list(near), [], []  # each run's length and the prefix sums of its values from q0
-        for r, q0, q1, a, b in self.runs(m):
-            places, sums = self.lines[r]
-            d = [0] * (places[b - 1] + 1 - q0)
-            for c in range(a, b):
-                d[places[c] - q0] = sums[c + 1] - sums[c]
-            js += range(r + q0 * s, r + (q1 + 1) * s, s)
-            runs.append((q1 - q0 + 1, list(accumulate(d, initial=0))))
+        js, lines, out = list(near), [], []  # each line's prefix sums, reach, and the first entry at or past q
+        for r, qs, at, reach in self.layout(m):
+            js += qs if s == 1 else [r + q * s for q in qs]
+            lines.append((self.lines[r][1], reach, at))
         for n in ns:
             Ss = [self.walk(j, n) for j in near]
-            for length, P in runs:  # S_n = P[q + n] - P[q], past the run's last entry its whole sum
-                Ss += map(sub, chain(P[n:], repeat(P[-1])), islice(P, length))
+            for sums, reach, at in lines:  # S_n: the sum before the entries past q + n, less the sum before q
+                Ss += map(sub, map(sums.__getitem__, reach(n)), map(sums.__getitem__, at))
             out.append((n, _merged_seq(self.sym.space, zip(js, [S * Fraction(1, n) for S in Ss])) if self.floats
-                        else self.exact(js, Ss, [n] * len(Ss))))
+                        else self.exact(js, Ss, [n] * len(Ss), ordered=s == 1 and not near)))
         return tuple(out)
 
     def maximal(self, K: int) -> AtomSeq:
-        s, near, runs, Hs, ns = self.sym.shift, list(self.near(K)), list(self.runs(K)), [], []
-        js = [*near, *chain.from_iterable(range(r + q0 * s, r + (q1 + 1) * s, s) for r, q0, q1, _, _ in runs)]
+        s, near = self.sym.shift, list(self.near(K))
+        js, lines = list(near), list(self.layout(K))
+        for r, qs, _, _ in lines:
+            js += qs if s == 1 else [r + q * s for q in qs]
         if self.floats:  # hits summed in step order, a nonzero tail at each step between; no hits: the tail
             def steps(hits):
                 i = 0
@@ -285,32 +320,36 @@ class _Orbits:
                 yield from zip(range(i, K), repeat(self.tail))
             tail, *peaks = [_peak_mean(steps(h) if self.tail else h) for h in [[], *(self.walk(j, K, []) for j in js)]]
             return _merged_seq(self.sym.space, zip(js, peaks), tail)
-        for hits in (self.walk(j, K, []) for j in near):  # a run of one
-            self.peak(K, [*(i for i, _ in hits), INF], [*accumulate((v for _, v in hits), initial=0)], 0, 0, 0, Hs, ns)
-        for r, q0, q1, a, _ in runs:
-            self.peak(K, *self.lines[r], q0, q1, a, Hs, ns)
-        return self.exact(js, Hs, ns)
+        Hs, ns = [], []
+        for hits in (self.walk(j, K, []) for j in near):  # a line of its own
+            self.peak(K, [*(i for i, _ in hits), INF], [*accumulate((v for _, v in hits), initial=0)],
+                      [0], [0], [len(hits)], Hs, ns)
+        for r, qs, at, reach in lines:
+            self.peak(K, *self.lines[r], qs, at, reach(K), Hs, ns)
+        return self.exact(js, Hs, ns, ordered=s == 1 and not near)
 
     @staticmethod
-    def peak(K: int, places, sums, q0: int, q1: int, a: int, Hs: list, ns: list) -> None:
-        """Append max_{n<=K} S_n/n over D, as H to Hs and n to ns, for each place
-        q = q0..q1 of a run, whose orbit meets the entries at places[c] >= q (a from
-        q0 on) with S_n = sums[c + 1] less the sum before.  Between them S_n stays at
-        H, so H/n peaks at their first n if H >= 0, else at their last; ties keep the smaller n."""
-        b = a
-        for q in range(q0, q1 + 1):
-            while places[a] < q:
-                a += 1
-            while places[b] < q + K:
-                b += 1
-            best, best_n = (0, 1) if places[a] > q else (None, 1)
+    def peak(K: int, places, sums, qs, at, ahead, Hs: list, ns: list) -> None:
+        """Append max_{n<=K} S_n/n over D, as H to Hs and n to ns, for each place q
+        in qs, whose orbit meets the entries places[c] for a <= c < b, a in at and b in
+        ahead (the first at or past q, and past q + K - 1), with S_n = sums[c + 1] less sums[a].
+        Between them S_n stays at H, so H/n peaks at their first n if H >= 0, else at
+        their last; ties keep the smaller n."""
+        push_H, push_n = Hs.append, ns.append
+        for q, a, b in zip(qs, at, ahead):
+            before = sums[a]
+            if places[a] > q:  # S_1 = 0
+                best, best_n = 0, 1
+            else:
+                best = sums[a + 1] - before
+                best_n, a = 1 if best >= 0 else min(places[a + 1] - q, K), a + 1
             for c in range(a, b):
-                H = sums[c + 1] - sums[a]
+                H = sums[c + 1] - before
                 n = places[c] - q + 1 if H >= 0 else min(places[c + 1] - q, K)
-                if best is None or H * best_n > best * n:
+                if H * best_n > best * n:
                     best, best_n = H, n
-            Hs.append(best)
-            ns.append(best_n)
+            push_H(best)
+            push_n(best_n)
 
 
 def permutation_limit(sym: AtomicSymbol, f: AtomSeq) -> AtomSeq:

@@ -118,6 +118,25 @@ def exact_float(x: Real) -> bool:
     return Fraction(f) == x and Fraction(repr(f)) == x
 
 
+def lt(a: Real, b: Real) -> bool:
+    """a < b, exactly as ``<`` decides it.  A float against a Fraction is
+    decided on the Fraction's correctly rounded double n / d: rounding is
+    monotone, so doubles that differ order the two numbers as they are, and
+    only a tie or an overflow takes ``Fraction``'s exact comparison."""
+    try:
+        if type(a) is float and type(b) is Fraction:
+            y = b.numerator / b.denominator
+            if a != y:
+                return a < y
+        elif type(b) is float and type(a) is Fraction:
+            x = a.numerator / a.denominator
+            if x != b:
+                return x < b
+    except OverflowError:
+        pass
+    return a < b
+
+
 def _int_nth_root(a: int, n: int) -> int:
     """floor(a ** (1/n)) for nonnegative integers, exactly."""
     if a < 0:

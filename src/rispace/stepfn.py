@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Union
 
-from .num import INF, NEG_INF, Real, as_int, as_real, is_finite, scaled, unscaled
+from .num import INF, NEG_INF, Real, as_int, as_real, is_finite, lt, scaled, unscaled
 from .space import AtomicSet, IntervalSet, MeasureSpace
 
 
@@ -207,18 +207,20 @@ def _mapped_pieces(pieces, lo, hi, g, increasing: bool) -> list:
     """The change of variable of sorted, disjoint pieces (a, b, v): each cut
     to [lo, hi), its ends mapped by the monotone g (swapped where g
     decreases), kept where the mapped ends still satisfy a < b.  An end
-    shared with the previous piece (the same object) is mapped once."""
+    shared with the previous piece (the same object) is mapped once.  The
+    cut keeps the very object ``max(a, lo)`` and ``min(b, hi)`` keep, and
+    every comparison is ``num.lt``."""
     out, last, gb = [], None, None
     for a, b, v in pieces:
-        a, b = max(a, lo), min(b, hi)
-        if not a < b:
+        a, b = lo if lt(a, lo) else a, hi if lt(hi, b) else b
+        if not lt(a, b):
             if a >= hi:  # so is every later piece
                 break
             continue
         ga = gb if a is last else g(a)
         last, gb = b, g(b)
         x, y = (ga, gb) if increasing else (gb, ga)
-        if x < y:
+        if lt(x, y):
             out.append((x, y, v))
     return out
 

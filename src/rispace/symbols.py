@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Union
 
-from .num import INF, Real, as_int, as_real, is_finite, log_real, nth_root, rational_pow
+from .num import INF, Real, as_int, as_real, is_finite, log_real, lt, nth_root, rational_pow
 from .space import (
     ATOMIC_FINITE,
     ATOMIC_N,
@@ -216,10 +216,14 @@ class Branch:
 
     def inverse_at(self, y) -> Real:
         """The branch's inverse at y (y inside the closed image), clamped to
-        [lo, hi] by ``max`` then ``min`` if it or a finite end is a float
-        (``_clamp_exact``): an exact inverse lies there already."""
+        [lo, hi] if it or a finite end is a float (``_clamp_exact``): an exact
+        inverse lies there already.  The clamp compares by ``num.lt`` and keeps
+        the very object that ``min(max(x, lo), hi)`` would."""
         x = self.form.inverse(y) if is_finite(y) else y if self.form.increasing else -y
-        return min(max(x, self.lo), self.hi) if type(x) is float or self._clamp_exact else x
+        if type(x) is float or self._clamp_exact:
+            x = self.lo if lt(x, self.lo) else x
+            return self.hi if lt(self.hi, x) else x
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +293,7 @@ class IntervalSymbol:
             c: Real = INF
             for E0, En in zip(family, sets):  # bounded sets, with bounded preimages
                 r = En.measure() / E0.measure()
-                a = max(a, r)
-                c = min(c, r)
+                a, c = r if lt(a, r) else a, r if lt(r, c) else c  # max(a, r), min(c, r)
             yield n, a, c
 
 

@@ -435,6 +435,20 @@ def test_eval_maximal_past_the_denominator_budget_finishes():
 
 
 
+def test_eval_cesaro_of_orbits_caught_by_a_fixed_row_finishes():
+    # each of the n indices below the row (0, 0) once stepped the fixed point
+    # one step at a time, about 4-5 s at this n; a row met again now adds its
+    # whole cycles at once
+    sym = {"space": {"kind": "atomic_z", "atom_mass": 1}, "table": [[0, 0]], "shift": 1}
+    fn = {"space": {"kind": "atomic_z", "atom_mass": 1}, "entries": [[0, 1]]}
+    env = dict(os.environ, PYTHONPATH=str(Path(rispace.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "rispace.cli", "eval", "cesaro"], env=env, timeout=3,
+                         input=json.dumps({"symbol": sym, "function": fn, "n": 4000}), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    entries = json.loads(out.stdout)["entries"]
+    assert [j for j, _ in entries] == list(range(-3999, 1)) and entries[0][1] == "1/4000" and entries[-1] == [0, 1]
+
+
 def test_eval_analyze_symbol_of_a_shift_with_a_table_at_a_long_horizon_finishes():
     # sweeping a window about 2 * horizon wide at each step once took about
     # 20 s at this horizon

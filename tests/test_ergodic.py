@@ -422,6 +422,8 @@ def _past_budget_examples(test):
         # N with a tail below every |f|, and with one above it
         ((AtomicSymbol(atomic_n(), ((2, 0),), 1), seq(atomic_n(), {0: 1 + big, 1: -small, 4: 2}, tail=small / 7)), 7),
         ((unilateral_shift(), seq(atomic_n(), {0: big, 2: -small, 3: 1}, tail=Fraction(3, 2) + small)), 5),
+        # gaps of 2m - 1 and 2m + 1 on the Z-shift, about the width the layout cuts gaps to
+        ((bilateral_shift(), seq(atomic_z(), {0: big, 7: -small, 16: 1})), 4),
     ]:
         test = example(pair, n)(test)
     return test
@@ -657,6 +659,16 @@ _RUN_BOUNDARIES = {
     # N's left end with a nonzero tail, on one line and on two
     "N's left end": (unilateral_shift(), seq(atomic_n(), {0: 3, 1: -1, 4: 2, 9: Fraction(1, 2)}, tail=Fraction(1, 3)), 5),
     "N's left end, s = 2": (AtomicSymbol(atomic_n(), ((3, 0),), 2), seq(atomic_n(), {0: 1, 1: 2, 5: -1}, tail=2), 4),
+    "N's left end, s = 3": (AtomicSymbol(atomic_n(), ((1, 0),), 3),
+                            seq(atomic_n(), {0: 1, 2: -1, 4: 3, 11: 2, 26: 1}, tail=Fraction(1, 2)), 5),
+    # gaps of 2m - 2 to 2m + 1, around the width at which the layout cuts a gap short
+    "gaps near 2m": (bilateral_shift(), seq(atomic_z(), {0: 2, 6: -1, 13: 3, 21: Fraction(1, 3), 30: -2}), 4),
+    "a row at a run's first place": (AtomicSymbol(atomic_z(), ((2, -30),), 1), seq(atomic_z(), {5: 1, 6: 2}), 4),
+    "a row at a run's last place": (AtomicSymbol(atomic_z(), ((3, 40),), 1), seq(atomic_z(), {0: 1, 3: 2, 9: 1}), 4),
+    # every shift from -3 to 3, with rows on two lines
+    **{f"s = {s}, two rows": (AtomicSymbol(atomic_z(), ((4, -7), (-5, 2)), s),
+                              seq(atomic_z(), {-9: 1, -4: Fraction(-1, 2), -3: 2, 0: 3, 1: -1, 2: Fraction(1, 3),
+                                               5: 1, 8: -2, 12: 4}), 5) for s in range(-3, 4)},
 }
 
 
@@ -682,6 +694,46 @@ def test_means_across_run_boundaries_match_the_dict_oracles(sym, f, m):
     wants = [seq(r.space, r.entries, r.tail) for _, _, r in _run_results(sym, f, m)]
     for (_, _, r), want in zip(_run_results(sym, f, m), wants):
         assert _is_lazy(r) and repr(r) == repr(want)
+
+
+def test_the_layout_leaves_out_a_place_whose_window_is_empty():
+    # entries m + 1 places apart: the window of m steps from place 1 meets neither
+    from rispace import ergodic
+
+    sym, f, m = bilateral_shift(), seq(atomic_z(), {0: 2, 6: 1}), 5
+    ((r, qs, _, _),) = ergodic._Orbits(sym, f).layout(m)
+    assert (r, qs) == (0, [*range(-4, 1), *range(2, 7)])
+    # N's left end and a row at 4 cut the line: the row's places 0..4 go to the walks
+    sym, f = AtomicSymbol(atomic_n(), ((4, 9),), 1), seq(atomic_n(), {1: 2, 6: 1, 20: 3})
+    ((r, qs, _, _),) = ergodic._Orbits(sym, f).layout(m)
+    assert qs == [5, 6, *range(16, 21)]
+
+
+def test_float_values_on_a_shift_form_no_line_sums():
+    # a float and a Fraction past the double range on one line: their sum, which
+    # no mean takes, once raised OverflowError from the line's prefix sums
+    sym, f, K = AtomicSymbol(atomic_z(), (), 1), seq(atomic_z(), {0: 0.5, 3: Fraction(10**400)}), 3
+    got = maximal_truncated(sym, f, K)
+    want = maximal_float_walk_oracle(sym, f, range(-5, 6), K)
+    assert all(repr(got.value_at(j)) == repr(want[j]) for j in range(-5, 6))
+    assert got.tail == 0 and [j for j, _ in got.entries] == [-2, -1, 0, 1, 2, 3]
+    assert cesaro(sym, f, 3).value_at(3) == Fraction(10**400, 3)
+
+
+def test_a_recurring_row_adds_its_cycles_at_once():
+    # the row (0, 0) is a fixed point: every index below it walks into it
+    sym, e0, n = AtomicSymbol(atomic_z(), ((0, 0),), 1), seq(atomic_z(), {0: 1}), 3000
+    t0 = time.monotonic()
+    got = cesaro(sym, e0, n)
+    assert time.monotonic() - t0 < 2
+    assert got == seq(atomic_z(), {j: Fraction(n + j, n) for j in range(1 - n, 1)})
+    # a cycle of 3 through the table and a line: 5 -> 0, then 0, 1, ..., 4 by the shift
+    sym = AtomicSymbol(atomic_z(), ((5, -1),), 1)
+    f = seq(atomic_z(), {-1: 2, 1: Fraction(-1, 3), 3: 1})
+    indices = range(-20, 8)
+    for n in (1, 5, 6, 7, 40, 41):
+        want = cesaro_dict_oracle(sym.image_of, f.value_at, indices, n)
+        assert all(cesaro(sym, f, n).value_at(j) == want[j] for j in indices), n
 
 
 @pytest.mark.parametrize("sym, f", [

@@ -19,6 +19,7 @@ from rispace.num import (
     is_finite,
     json_real,
     log_real,
+    lt,
     nth_root,
     ratio_pow,
     rational_pow,
@@ -266,3 +267,32 @@ def test_scaled_stops_at_the_budget_on_many_distinct_denominators():
     got = scaled(values)
     assert time.perf_counter() - start < 1
     assert got == (1, values)
+
+
+# doubles and Fractions that meet lt's three paths: the doubles of a float
+# and a Fraction differ, they tie (the Fraction is a double, or rounds to
+# the float), or the Fraction has no double (n / d overflows)
+_LT_REALS = st.one_of(
+    st.floats(allow_nan=False),
+    st.fractions(),
+    st.floats(allow_nan=False, allow_infinity=False).map(Fraction),
+    st.builds(lambda x, e: Fraction(x) + Fraction(1, 2**e), st.floats(-1e3, 1e3), st.integers(60, 1100)),
+    st.builds(lambda sign, e, r: sign * (Fraction(10**e) + r), st.sampled_from((1, -1)), st.integers(308, 500),
+              st.fractions()),
+    st.sampled_from((INF, NEG_INF, 5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0, 1.7976931348623157e308)),
+)
+
+
+@given(_LT_REALS, _LT_REALS)
+@example(0.5, Fraction(1, 2))  # a tie: the Fraction is the double
+@example(0.1, Fraction(1, 10))  # the Fraction rounds to the float, which is above it
+@example(1.7976931348623157e308, Fraction(10**400))  # no double: n / d overflows
+@example(INF, -Fraction(10**400))
+@example(NEG_INF, Fraction(10**400))
+@example(5e-324, Fraction(1, 10**400))  # rounds to 0.0
+@example(-0.0, Fraction(0))
+@example(Fraction(1, 3), Fraction(1, 2))  # both exact
+@example(0.25, 0.5)
+def test_lt_is_less_than_in_both_orders(a, b):
+    assert lt(a, b) == (a < b)
+    assert lt(b, a) == (b < a)

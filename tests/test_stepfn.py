@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -37,7 +38,7 @@ from rispace import (
     subtract,
 )
 from rispace.properties import gen_step
-from rispace.stepfn import _union
+from rispace.stepfn import _mapped_pieces, _union
 
 from .oracles import refinement_points
 from .test_rearrange import VIEW_CASES, agree, at_scale_1, deep_fn, has_float, partner
@@ -398,3 +399,46 @@ def test_hlp_leq_forms_no_fraction_of_either_rearrangement():
     for r in (rearrangement(f), rearrangement(g)):
         assert "cuts" not in r.__dict__ and "vals" not in r.__dict__
     assert rearrangement(f) == step(halfline(), [Fraction(1, 3), 2], [5, Fraction(7, 2), 0])
+
+
+def _mapped_pieces_by_builtins(pieces, lo, hi, g, increasing):
+    """``_mapped_pieces`` as written with the builtins ``max``, ``min`` and ``<``."""
+    out, last, gb = [], None, None
+    for a, b, v in pieces:
+        a, b = max(a, lo), min(b, hi)
+        if not a < b:
+            if a >= hi:
+                break
+            continue
+        ga = gb if a is last else g(a)
+        last, gb = b, g(b)
+        x, y = (ga, gb) if increasing else (gb, ga)
+        if x < y:
+            out.append((x, y, v))
+    return out
+
+
+# ends that tie across the two kinds, with ties in both orders
+_TYING_ENDS = [0.0, Fraction(0), 0.25, Fraction(1, 4), Fraction(1, 3), 1 / 3, 0.5, Fraction(1, 2), 1.0, Fraction(1),
+               math.nextafter(0.5, 1), Fraction(10**400), 2.0, Fraction(2), INF]
+
+
+@given(st.lists(st.sampled_from(_TYING_ENDS), min_size=1, max_size=9), st.sampled_from(_TYING_ENDS[:-1]),
+       st.sampled_from(_TYING_ENDS), st.booleans(), st.booleans())
+def test_mapped_pieces_keep_the_objects_of_max_and_min(ends, lo, hi, shared, increasing):
+    # sorted ends as pieces, each end shared with the next piece or an equal
+    # twin of it; g maps an end object to one object, so is can follow it
+    def twin(x):
+        return float(repr(x)) if type(x) is float else Fraction(x.numerator, x.denominator)
+
+    ends = sorted(ends)
+    pieces = [(a, b if shared else twin(b), v) for v, (a, b) in enumerate(zip(ends, ends[1:]))]
+    images = {}
+
+    def g(x):
+        return images.setdefault(id(x), x if increasing else -x)
+
+    got = _mapped_pieces(pieces, lo, hi, g, increasing)
+    want = _mapped_pieces_by_builtins(pieces, lo, hi, g, increasing)
+    assert len(got) == len(want)
+    assert all(x is u and y is w and v == z for (x, y, v), (u, w, z) in zip(got, want))

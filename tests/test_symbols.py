@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -540,6 +541,59 @@ def test_an_exact_inverse_is_clamped_only_past_a_finite_float_end():
     exact = Branch(0, Fraction(1, 10), Affine(3, 0))
     assert exact.inverse_at(Fraction(3, 10)) == Fraction(1, 10)
     assert exact.inverse_at(0.3) == min(max(0.3 / 3, 0), Fraction(1, 10))
+
+
+class _FixedInverse:
+    """A branch form whose inverse at y is the object given for y."""
+
+    domain, increasing = None, True
+
+    def __init__(self, inverses):
+        self.inverses = inverses
+
+    def inverse(self, y):
+        return self.inverses[y]
+
+
+# inverses that tie with the ends across the two kinds, and lie past them
+_CLAMPED = [0.0, Fraction(0), -0.0, -1e-300, Fraction(-1, 10**400), 0.25, Fraction(1, 4), 0.1, Fraction(1, 10),
+            0.5, Fraction(1, 2), math.nextafter(0.5, 1), 0.75, Fraction(3, 4), 2.0]
+
+
+@pytest.mark.parametrize("lo, hi", [(0, Fraction(1, 2)), (0.0, 0.5), (Fraction(1, 10), 0.5), (-0.0, 0.75)])
+def test_the_clamp_keeps_the_object_of_max_then_min(lo, hi):
+    br = Branch(lo, hi, _FixedInverse(dict(enumerate(_CLAMPED))))
+    for y, x in enumerate(_CLAMPED):
+        if type(x) is float or br._clamp_exact:
+            assert br.inverse_at(y) is min(max(x, br.lo), br.hi), (lo, hi, x)
+        else:
+            assert br.inverse_at(y) is x
+
+
+@pytest.mark.parametrize("sym", [power_symbol(2), exp_recip_symbol(), shifted_power_symbol(3)],
+                         ids=["power", "exp_recip", "shifted_power"])
+def test_sampled_bound_rows_keep_the_objects_of_max_and_min(sym, monkeypatch):
+    # the ratios of the dyadic family, as the fold in bound_rows compares them
+    from rispace import num, symbols
+
+    folds = []
+
+    def spy(a, b):
+        if sys._getframe(1).f_code.co_name == "bound_rows":
+            folds.append((a, b))
+        return num.lt(a, b)
+
+    monkeypatch.setattr(symbols, "lt", spy)
+    rows = list(sym.bound_rows(3))
+    assert not sym.certified and len(folds) % (2 * len(rows)) == 0
+    per_n = len(folds) // len(rows)
+    for n, (_, A, C) in enumerate(rows):
+        a, c = folds[n * per_n][0], folds[n * per_n + 1][1]
+        assert (type(a), a, c) == (Fraction, 0, INF)
+        for (a_was, r), (r_again, c_was) in zip(folds[n * per_n::2], folds[n * per_n + 1:(n + 1) * per_n:2]):
+            assert a_was is a and c_was is c and r_again is r
+            a, c = max(a, r), min(c, r)
+        assert A is a and C is c
 
 
 def test_composition_and_transfer_are_adjoint():
