@@ -119,22 +119,36 @@ def exact_float(x: Real) -> bool:
 
 
 def lt(a: Real, b: Real) -> bool:
-    """a < b, exactly as ``<`` decides it.  A float against a Fraction is
-    decided on the Fraction's correctly rounded double n / d: rounding is
-    monotone, so doubles that differ order the two numbers as they are, and
-    only a tie or an overflow takes ``Fraction``'s exact comparison."""
+    """a < b, exactly as ``<`` decides it.  Two Fractions are decided by one
+    int cross-product (their denominators are positive).  A float against a
+    Fraction is decided on the Fraction's correctly rounded double n / d:
+    rounding is monotone, so doubles that differ order the two numbers as
+    they are, and only a tie or an overflow takes ``Fraction``'s exact
+    comparison."""
     try:
-        if type(a) is float and type(b) is Fraction:
-            y = b.numerator / b.denominator
-            if a != y:
-                return a < y
-        elif type(b) is float and type(a) is Fraction:
-            x = a.numerator / a.denominator
-            if x != b:
+        if type(a) is Fraction:
+            n, d = a.as_integer_ratio()
+            if type(b) is Fraction:
+                m, e = b.as_integer_ratio()
+                return n * e < m * d
+            if type(b) is float and (x := n / d) != b:
                 return x < b
+        elif type(a) is float and type(b) is Fraction:
+            m, e = b.as_integer_ratio()
+            if a != (y := m / e):
+                return a < y
     except OverflowError:
         pass
     return a < b
+
+
+def real_key(x: Real) -> tuple:
+    """A sort key that orders reals exactly as ``sorted`` orders them: x's
+    correctly rounded double (``to_float``, +-inf past the range) first,
+    then x itself, compared only where the doubles tie.  Rounding is
+    monotone, so the order is ``<``'s, and equal values have equal keys, so
+    a stable sort keeps them in the order ``sorted`` keeps them."""
+    return to_float(x), x
 
 
 def _int_nth_root(a: int, n: int) -> int:

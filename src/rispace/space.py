@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .num import INF, NEG_INF, Real, as_real
+from .num import INF, NEG_INF, Real, as_real, lt, real_key
 
 LEBESGUE_HALFLINE = "lebesgue_halfline"
 LEBESGUE_LINE = "lebesgue_line"
@@ -129,17 +129,20 @@ def atomic_finite(count: int, atom_mass=1) -> MeasureSpace:
 
 
 def _normalize_intervals(pairs, *, allow_overlap: bool):
-    """Sort, validate, and merge touching [a,b) pairs."""
-    pairs = sorted(((a, b) for a, b in pairs), key=lambda ab: (ab[0], ab[1]))
+    """Sort, validate, and merge touching [a,b) pairs.  Ends compare by
+    ``num.lt`` and sort by ``num.real_key``, in ``sorted``'s order, and each
+    merge keeps the very end object that ``max`` would."""
+    pairs = sorted(pairs, key=lambda ab: (real_key(ab[0]), real_key(ab[1])))
     out: list[list[Real]] = []
     for a, b in pairs:
-        if not a < b:
+        if not lt(a, b):
             raise ValueError(f"empty or inverted interval [{a}, {b})")
-        if out and a < out[-1][1]:
+        if out and lt(a, out[-1][1]):
             if not allow_overlap:
                 raise ValueError("overlapping intervals")
-            out[-1][1] = max(out[-1][1], b)
-        elif out and a == out[-1][1]:
+            if lt(out[-1][1], b):
+                out[-1][1] = b
+        elif out and not lt(out[-1][1], a):  # a == out[-1][1]
             out[-1][1] = b
         else:
             out.append([a, b])
@@ -148,7 +151,9 @@ def _normalize_intervals(pairs, *, allow_overlap: bool):
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Finite disjoint union of half-open intervals within a Lebesgue space."""
+    """Finite disjoint union of half-open intervals within a Lebesgue space;
+    its ends are checked against the domain by ``num.lt``, so a float end
+    meets a Fraction one as doubles."""
 
     space: MeasureSpace
     intervals: tuple[tuple[Real, Real], ...]
@@ -158,7 +163,7 @@ class IntervalSet:
             raise ValueError("IntervalSet needs a Lebesgue space")
         left, right = self.space.domain
         for a, b in self.intervals:
-            if a < left or b > right:
+            if lt(a, left) or lt(right, b):
                 raise ValueError(f"[{a}, {b}) outside the space domain")
 
     def measure(self) -> Real:

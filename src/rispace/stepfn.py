@@ -13,7 +13,9 @@ function, the rearrangement and sign checks read; the operations that need a
 different algorithm per carrier keep one branch each.  A StepFn also keeps
 its int view (``View``), cuts and values as ints over two denominators, which
 the hot loops here and in ``rearrange`` read in place of Fractions; past a
-float or 1,024 bits it is at scale 1, over the values themselves.  A StepFn
+float or 1,024 bits it is at scale 1, over the values themselves.  Where
+only the cuts fail (a non-affine pull-back's float cuts), ``linear_combine``
+still reads the exact values as ints, over the cuts as they are.  A StepFn
 that an int loop builds (``_merged_step`` over an exact view: f*, linear
 combinations) holds only its space and that view, and forms its Fraction
 ``cuts`` and ``vals`` the first time they are read; loops that chain read
@@ -32,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Union
 
-from .num import INF, NEG_INF, Real, as_int, as_real, is_finite, lt, scaled, unscaled
+from .num import INF, NEG_INF, Real, as_int, as_real, is_finite, lt, real_key, scaled, unscaled
 from .space import AtomicSet, IntervalSet, MeasureSpace
 
 
@@ -189,16 +191,18 @@ def constant(space: MeasureSpace, v) -> StepFn:
 
 
 def _fn_from_pieces(sp: MeasureSpace, pieces) -> StepFn:
-    """StepFn equal to v on each listed disjoint (a, b, v) and 0 elsewhere."""
+    """StepFn equal to v on each listed disjoint (a, b, v) and 0 elsewhere;
+    the pieces sort in ``sorted``'s order by ``num.real_key``, and their ends
+    compare by ``num.lt``."""
     left, right = sp.domain
     segs = []
     cursor = left
-    for a, b, v in sorted(pieces):
-        if a > cursor:
+    for a, b, v in sorted(pieces, key=lambda p: (real_key(p[0]), real_key(p[1]), p[2])):
+        if lt(cursor, a):
             segs.append((cursor, a, Fraction(0)))
         segs.append((a, b, v))
         cursor = b
-    if cursor < right:
+    if lt(cursor, right):
         segs.append((cursor, right, Fraction(0)))
     return _merged_step(sp, [s[0] for s in segs[1:]], [s[2] for s in segs])
 
@@ -361,7 +365,10 @@ def linear_combine(coeffs, fns) -> MeasFn:
 
     Step functions are combined by one sweep over the union of their cuts, so
     combining n translates of an indicator costs O(total cuts * log) rather
-    than O(n^2).
+    than O(n^2).  The jumps are summed as ints over one value scale wherever
+    the values and coefficients are exact, also over cuts with no int view
+    (floats), whose union then sorts by ``num.real_key``; a float value or
+    coefficient, or a scale past the budget, sums them as they are.
     """
     if len(coeffs) != len(fns) or not fns:
         raise ValueError("need equally many (>=1) coefficients and functions")
@@ -379,11 +386,14 @@ def linear_combine(coeffs, fns) -> MeasFn:
                 acc[j] = acc.get(j, Fraction(0)) + c * v - base
         # acc[j] holds the deviation from the summed tail at j
         return _merged_seq(sp, ((j, tail + d) for j, d in acc.items()), tail)
-    # step functions: collect jump events, as ints over one cut scale and one
-    # value scale M wherever all are exact: c_i v / D_i = k_i v / M
+    # step functions: collect jump events, as ints over one value scale M
+    # wherever the values and coefficients are exact, c_i v / D_i = k_i v / M,
+    # and over one cut scale too where the cuts have an int view
     views, _ = _views(fns)
+    if not views[0].exact:  # cuts at scale 1: each function's values over their own D
+        views = [V._replace(D=D, vals=vals) for V in views for D, vals in [scaled(V.vals)]]
     M, ks = scaled([c / V.D for c, V in zip(coeffs, views)])
-    if not (views[0].exact and all(type(k) is int for k in ks)):
+    if not (all(type(k) is int for k in ks) and all(type(V.vals[0]) is int for V in views)):
         views, M, ks = [_plain(f) for f in fns], 1, coeffs
     base = sum(k * V.vals[0] for k, V in zip(ks, views))
     jumps: dict[Real, Real] = {}
@@ -393,7 +403,7 @@ def linear_combine(coeffs, fns) -> MeasFn:
                 jumps[cut] += k * (hi - lo)
             else:
                 jumps[cut] = k * (hi - lo)
-    cuts = sorted(jumps)
+    cuts = sorted(jumps) if views[0].exact else sorted(jumps, key=real_key)
     vals = [base]
     for cut in cuts:
         vals.append(vals[-1] + jumps[cut])

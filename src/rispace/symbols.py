@@ -44,7 +44,6 @@ from .space import (
     IntervalSet,
     MeasureSpace,
     _normalize_intervals,
-    interval_set,
 )
 from .stepfn import AtomSeq, StepFn, _fn_from_pieces, _int_seq, _mapped_pieces, constant, linear_combine
 
@@ -211,7 +210,12 @@ class Branch:
             )
 
     def image(self) -> tuple[Real, Real]:
-        """Endpoints (lo, hi) of the image interval, null sets ignored."""
+        """Endpoints (lo, hi) of the image interval, null sets ignored,
+        computed once per branch: every preimage reads them."""
+        return self._image
+
+    @cached_property
+    def _image(self) -> tuple[Real, Real]:
         return self.form.image(self.lo, self.hi)
 
     def inverse_at(self, y) -> Real:
@@ -278,21 +282,22 @@ class IntervalSymbol:
     def bound_rows(self, horizon: int):
         """Yield (n, A_n, C_n), n = 1..horizon, with C_n mu(E) <= mu(phi^{-n} E)
         <= A_n mu(E): exact from the n-step transfer density when certified,
-        else ratios over the dyadic test family (A_n only a lower estimate)."""
+        else ratios over the dyadic test family (A_n only a lower estimate),
+        clipped to the domain once per pass, each set's measure its b - a."""
         if self.certified:
             rho = constant(self.space, 1)
             for n in range(1, horizon + 1):
                 rho = _transfer_once(self, rho)
                 yield n, max(rho.vals), min(rho.vals)
             return
-        family = _dyadic_family(self.space)
-        sets = family
+        sets = _dyadic_family(self.space)
+        widths = [b - a for ((a, b),) in (E.intervals for E in sets)]
         for n in range(1, horizon + 1):
             sets = [self.preimage(E) for E in sets]
             a: Real = Fraction(0)
             c: Real = INF
-            for E0, En in zip(family, sets):  # bounded sets, with bounded preimages
-                r = En.measure() / E0.measure()
+            for w, En in zip(widths, sets):  # bounded sets, with bounded preimages
+                r = En.measure() / w
                 a, c = r if lt(a, r) else a, r if lt(r, c) else c  # max(a, r), min(c, r)
             yield n, a, c
 
@@ -602,27 +607,28 @@ def _transfer_once(sym: IntervalSymbol, rho: StepFn) -> StepFn:
     return linear_combine([1] * len(parts), parts)
 
 
-# the dyadic test family reaches down to intervals of length 2^-_DYADIC_DEPTH
+# the dyadic test family reaches down to intervals of length 2^-_DYADIC_DEPTH,
+# concentrated at the catalog's blow-up points 0 and 1; before it is clipped
+# to a space's domain it reads nothing of the space, so it is built once
 _DYADIC_DEPTH = 12
+_DYADIC_RAW = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)), *(
+    pair for h in (Fraction(1, 2**j) for j in range(_DYADIC_DEPTH + 1))
+    for pair in ((Fraction(0), h), (h / 2, h), (Fraction(1), 1 + h), (1 + h / 2, 1 + h))))
 
 
-def _dyadic_family(sp: MeasureSpace):
-    """Test intervals concentrated at the catalog's blow-up points 0 and 1."""
+def _dyadic_family(sp: MeasureSpace) -> list[IntervalSet]:
+    """The test intervals of ``_DYADIC_RAW`` clipped to the domain, each kept
+    once, as single-interval sets: already normalised and inside the domain,
+    so they need no ``interval_set``.  The clip keeps the very objects
+    ``max(a, left)`` and ``min(b, right)`` keep."""
     left, right = sp.domain
-    raw = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))]
-    for j in range(_DYADIC_DEPTH + 1):
-        h = Fraction(1, 2**j)
-        raw.append((Fraction(0), h))
-        raw.append((h / 2, h))
-        raw.append((1, 1 + h))
-        raw.append((1 + h / 2, 1 + h))
     out = []
     seen = set()
-    for a, b in raw:
-        a2, b2 = max(a, left), min(b, right)
-        if a2 < b2 and (a2, b2) not in seen:
-            seen.add((a2, b2))
-            out.append(interval_set(sp, [(a2, b2)]))
+    for a, b in _DYADIC_RAW:
+        a, b = left if lt(a, left) else a, right if lt(right, b) else b
+        if lt(a, b) and (a, b) not in seen:
+            seen.add((a, b))
+            out.append(IntervalSet(sp, ((a, b),)))
     return out
 
 

@@ -14,10 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from rispace import INF, AtomicSymbol, AtomSeq, IntervalSet, StepFn, linear_combine, to_float
-from rispace.num import is_finite, rational_pow
+from rispace import INF, AtomicSymbol, AtomSeq, IntervalSet, StepFn, interval_set, linear_combine, to_float
+from rispace.num import as_real, is_finite, rational_pow
 from rispace.space import _normalize_intervals
-from rispace.stepfn import _fn_from_pieces
+from rispace.stepfn import _fn_from_pieces, _merged_step, _plain
 
 
 def dist_oracle(f, s):
@@ -523,6 +523,59 @@ def transfer_once_oracle(sym, rho):
     if not parts:
         return _fn_from_pieces(sym.space, [])
     return linear_combine([1] * len(parts), parts)
+
+
+def dyadic_family_oracle(sp):
+    """The dyadic test family built for one call: the raw intervals at 0 and
+    1 down to length 2^-12, each clipped to the domain by ``max`` and ``min``
+    and kept once, through ``interval_set``."""
+    left, right = sp.domain
+    raw = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))]
+    for j in range(13):
+        h = Fraction(1, 2**j)
+        raw += [(Fraction(0), h), (h / 2, h), (1, 1 + h), (1 + h / 2, 1 + h)]
+    out, seen = [], set()
+    for a, b in raw:
+        a2, b2 = max(a, left), min(b, right)
+        if a2 < b2 and (a2, b2) not in seen:
+            seen.add((a2, b2))
+            out.append(interval_set(sp, [(a2, b2)]))
+    return out
+
+
+def sampled_bound_rows_oracle(sym, horizon):
+    """(n, A_n, C_n), n = 1..horizon, of a non-affine interval symbol: the
+    largest and least ratio mu(phi^{-n} E) / mu(E) over the dyadic family of
+    ``dyadic_family_oracle``, both measures taken by ``measure()`` at every
+    row, folded by ``max`` and ``min``."""
+    family = dyadic_family_oracle(sym.space)
+    sets = family
+    for n in range(1, horizon + 1):
+        sets = [sym.preimage(E) for E in sets]
+        a, c = Fraction(0), INF
+        for E0, En in zip(family, sets):
+            r = En.measure() / E0.measure()
+            a, c = max(a, r), min(c, r)
+        yield n, a, c
+
+
+def plain_combine_oracle(coeffs, fns):
+    """sum c_i f_i over step functions, each read at scale 1 (``_plain``):
+    one sweep of the jumps c_i (v' - v) as Fractions (floats where a value
+    or coefficient is one), keyed by cut as they come, the first cut object
+    of each value kept, the cuts in ``sorted``'s order."""
+    coeffs = [as_real(c) for c in coeffs]
+    views = [_plain(f) for f in fns]
+    base = sum(c * V.vals[0] for c, V in zip(coeffs, views))
+    jumps = {}
+    for c, V in zip(coeffs, views):
+        for cut, lo, hi in zip(V.cuts, V.vals, V.vals[1:]):
+            jumps[cut] = jumps[cut] + c * (hi - lo) if cut in jumps else c * (hi - lo)
+    cuts = sorted(jumps)
+    vals = [base]
+    for cut in cuts:
+        vals.append(vals[-1] + jumps[cut])
+    return _merged_step(fns[0].space, cuts, vals)
 
 
 def dilate_oracle(f, t):

@@ -17,7 +17,14 @@ runs ``rispace.cli.main`` in this process and writes into OUTDIR:
 * ``library/SEED.txt``: the reprs of ``maximal_truncated`` and
   ``cesaro_schedule`` on ``library_case(SEED)``, a float-valued atomic input,
   for seeds 0-199.  No ``eval`` payload carries a float, so these are what
-  shows a change in how float sums round.
+  shows a change in how float sums round;
+* ``library/interval-SEED.txt``: the reprs of ``apply``,
+  ``cesaro_schedule(..., (1, 2, 4, 8))``, ``maximal_truncated(..., 4)`` and
+  ``check_condition_I(..., 6)`` on ``interval_case(SEED)``, a non-affine
+  interval symbol and a step function with 2^-k cuts, for seeds 0-199.  An
+  ``eval`` payload meets an interval symbol only at horizons 1-3 and on
+  small functions, so these are what shows a change in the float cuts,
+  Cesàro sums and sampled bound rows of the non-affine maps.
 
 Every path the CLI prints is relative to OUTDIR, so the outputs of two
 checkouts compare with ``diff -r OUTDIR_A OUTDIR_B``.  OUTDIR must be new or
@@ -35,7 +42,9 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-from rispace import AtomicSymbol, atomic_finite, atomic_n, atomic_z, cesaro_schedule, cli, maximal_truncated, seq
+from rispace import (INF, AffineTail, AtomicSymbol, Branch, ExpRecip, IntervalSymbol, PowerOnUnit, ShiftedPower, apply,
+                     atomic_finite, atomic_n, atomic_z, cesaro_schedule, check_condition_I, cli, halfline, interval,
+                     maximal_truncated, seq, step)
 
 from .payloads import eval_payload
 
@@ -94,6 +103,42 @@ def library_text(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def interval_case(seed: int):
+    """(symbol, f) drawn from the seed: x^n or exp(1 - 1/x) on [0, 1), or
+    1 + x^n on [0, 1) beside the affine tail n(t - 1) + 2 on the half-line
+    (n = 2 or 3); f has up to 24 pieces with 2^-k cuts (10 <= k <= 20) in
+    [0, 1) or [0, 6) and values 0..9, 0 past the end of the half-line."""
+    rng = random.Random(f"interval:{seed}")
+    n = rng.randint(2, 3)
+    if seed % 3 == 0:
+        sym, width = IntervalSymbol(interval(1), (Branch(0, 1, PowerOnUnit(n)),)), 1
+    elif seed % 3 == 1:
+        sym, width = IntervalSymbol(interval(1), (Branch(0, 1, ExpRecip()),)), 1
+    else:
+        sym, width = IntervalSymbol(halfline(), (Branch(0, 1, ShiftedPower(n)), Branch(1, INF, AffineTail(n)))), 6
+    cuts = sorted({width * Fraction(rng.randrange(1, 1 << k), 1 << k)
+                   for k in (rng.randint(10, 20) for _ in range(rng.randint(1, 23)))})
+    last = rng.randint(0, 9) if width == 1 else 0
+    return sym, step(sym.space, cuts, [rng.randint(0, 9) for _ in cuts] + [last])
+
+
+def interval_text(seed: int) -> str:
+    """The interval case of the seed, and what apply, the Cesàro and
+    maximal means and the condition (I) analysis give on it (or the error
+    they raise)."""
+    sym, f = interval_case(seed)
+    lines = [f"{sym!r}", f"{f!r}"]
+    for name, call in (("apply", lambda: apply(sym, f)),
+                       ("cesaro_schedule", lambda: cesaro_schedule(sym, f, (1, 2, 4, 8)).means),
+                       ("maximal_truncated", lambda: maximal_truncated(sym, f, 4)),
+                       ("check_condition_I", lambda: check_condition_I(sym, 6))):
+        try:
+            lines.append(f"--- {name}\n{call()!r}")
+        except Exception as e:  # an error is an output too
+            lines.append(f"--- {name} raised {type(e).__name__}: {e}")
+    return "\n".join(lines) + "\n"
+
+
 def write_outputs(outdir: Path) -> None:
     (outdir / "eval").mkdir(parents=True)
     for operation in OPERATIONS:
@@ -111,6 +156,7 @@ def write_outputs(outdir: Path) -> None:
         (outdir / sub).mkdir()
     for seed in SEEDS:
         (outdir / "library" / f"{seed:03d}.txt").write_text(library_text(seed))
+        (outdir / "library" / f"interval-{seed:03d}.txt").write_text(interval_text(seed))
     with contextlib.chdir(outdir / "run-example"):
         for example_id in cli.EXAMPLE_IDS:
             text = run(["run-example", example_id, "--format", "both", "--out", example_id])

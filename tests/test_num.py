@@ -23,6 +23,7 @@ from rispace.num import (
     nth_root,
     ratio_pow,
     rational_pow,
+    real_key,
     scaled,
     to_float,
 )
@@ -296,3 +297,38 @@ _LT_REALS = st.one_of(
 def test_lt_is_less_than_in_both_orders(a, b):
     assert lt(a, b) == (a < b)
     assert lt(b, a) == (b < a)
+
+
+@given(st.lists(_LT_REALS, max_size=12))
+@example([0.5, Fraction(1, 2), 0.5, Fraction(1, 2)])  # equal values of both kinds keep their order
+@example([Fraction(1, 2), 0.5])
+@example([Fraction(10**400), INF, -Fraction(10**400), NEG_INF, 1.7976931348623157e308])  # no double: +-inf ties
+@example([INF, Fraction(10**400), NEG_INF, -Fraction(10**400)])
+@example([5e-324, Fraction(1, 10**400), 0.0, -0.0, Fraction(0), -5e-324, -Fraction(1, 10**400)])  # subnormals, zeros
+@example([0.1, Fraction(1, 10), Fraction(3602879701896397, 36028797018963968)])  # 1/10 rounds to the float above it
+def test_the_real_key_sorts_as_sorted(xs):
+    got, want = sorted(xs, key=real_key), sorted(xs)
+    assert len(got) == len(want)
+    assert all(x is y for x, y in zip(got, want))
+
+
+# Fractions for lt's cross-product: either sign, equal values reached by
+# different numerators and denominators, and numerators of 10^400
+_LT_FRACTIONS = st.one_of(
+    st.fractions(),
+    st.builds(lambda n, d, k: Fraction(n * k, d * k), st.integers(-50, 50), st.integers(1, 50), st.integers(1, 9)),
+    st.builds(lambda n, d: Fraction(n, d), st.integers(-10**401, 10**401), st.integers(1, 10**401)),
+    st.builds(lambda sign, r: sign * (Fraction(10**400) + r), st.sampled_from((1, -1)), st.fractions()),
+)
+
+
+@given(_LT_FRACTIONS, _LT_FRACTIONS)
+@example(Fraction(1, 2), Fraction(2, 4))
+@example(Fraction(-1, 3), Fraction(1, 3))
+@example(Fraction(-10**400, 3), Fraction(-10**400 + 1, 3))
+@example(Fraction(10**400 + 1, 10**400), Fraction(10**400, 10**400 - 1))
+@example(Fraction(0), Fraction(0, 7))
+def test_lt_of_two_fractions_is_less_than(a, b):
+    assert lt(a, b) == (a < b)
+    assert lt(b, a) == (b < a)
+    assert not lt(a, Fraction(a.numerator * 3, a.denominator * 3))

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rispace import (
@@ -22,6 +23,7 @@ from rispace import (
     measure,
     seq,
 )
+from rispace.space import _normalize_intervals
 
 
 def test_space_constructors_and_totals():
@@ -178,3 +180,35 @@ def test_non_finite_space_parameters_are_rejected():
                   lambda: atomic_finite(3, INF)):
         with pytest.raises(ValueError):
             build()
+
+
+def _normalized_by_builtins(pairs):
+    """``_normalize_intervals(pairs, allow_overlap=True)`` as written with
+    ``sorted``, ``<``, ``==`` and ``max``."""
+    out = []
+    for a, b in sorted((a, b) for a, b in pairs):
+        assert a < b
+        if out and a < out[-1][1]:
+            out[-1][1] = max(out[-1][1], b)
+        elif out and a == out[-1][1]:
+            out[-1][1] = b
+        else:
+            out.append([a, b])
+    return tuple((a, b) for a, b in out)
+
+
+# ends that tie across the two kinds, or share one double (1/10 and 0.1)
+_ENDS = [0.0, Fraction(0), Fraction(1, 10), 0.1, 0.25, Fraction(1, 4), 1 / 3, Fraction(1, 3), 0.5, Fraction(1, 2),
+         math.nextafter(0.5, 1), 1.0, Fraction(1), Fraction(10**400), INF]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_ENDS), st.sampled_from(_ENDS)).filter(lambda ab: ab[0] < ab[1]),
+                max_size=8))
+@example([(0.0, 1.0), (Fraction(1, 4), Fraction(1, 2))])  # nested: the outer end stays
+@example([(Fraction(0), 1.0), (0.25, Fraction(1))])  # nested to a tie: max keeps the first
+@example([(0.1, 0.5), (Fraction(1, 10), Fraction(1, 3))])  # starts with one double
+def test_merged_intervals_keep_the_objects_of_sorted_and_max(pairs):
+    got = _normalize_intervals(pairs, allow_overlap=True)
+    want = _normalized_by_builtins(pairs)
+    assert len(got) == len(want)
+    assert all(a is c and b is d for (a, b), (c, d) in zip(got, want))

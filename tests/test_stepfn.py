@@ -15,6 +15,7 @@ from rispace import (
     UndefinedIntegralError,
     abs_fn,
     add,
+    apply,
     atomic_finite,
     atomic_n,
     atomic_z,
@@ -37,10 +38,11 @@ from rispace import (
     step,
     subtract,
 )
+from rispace.examples import exp_recip_symbol, power_symbol, shifted_power_symbol
 from rispace.properties import gen_step
 from rispace.stepfn import _mapped_pieces, _union
 
-from .oracles import refinement_points
+from .oracles import plain_combine_oracle, refinement_points
 from .test_rearrange import VIEW_CASES, agree, at_scale_1, deep_fn, has_float, partner
 
 
@@ -442,3 +444,80 @@ def test_mapped_pieces_keep_the_objects_of_max_and_min(ends, lo, hi, shared, inc
     want = _mapped_pieces_by_builtins(pieces, lo, hi, g, increasing)
     assert len(got) == len(want)
     assert all(x is u and y is w and v == z for (x, y, v), (u, w, z) in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# Exact values over float cuts: sums as ints, the sweep's cuts and rounding
+# ---------------------------------------------------------------------------
+
+
+def _dyadic_step(rng, sp, width):
+    """A step function on [0, width) with 2^-k cuts (10 <= k <= 20) and
+    values 0..9, 0 past the end of the half-line."""
+    cuts = sorted({width * Fraction(rng.randrange(1, 1 << k), 1 << k)
+                   for k in (rng.randint(10, 20) for _ in range(rng.randint(3, 12)))})
+    last = Fraction(rng.randint(0, 9)) if sp.length is not None else Fraction(0)
+    return step(sp, cuts, [Fraction(rng.randint(0, 9)) for _ in cuts] + [last])
+
+
+_COMBINED_COEFFS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 4), Fraction(-3, 7), Fraction(5, 2**61), 2]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_combinations_of_non_affine_iterates_equal_the_fraction_sweep(seed):
+    rng = random.Random(seed)
+    sym, width = ((power_symbol(2), 1), (exp_recip_symbol(), 1), (shifted_power_symbol(2), 6))[seed % 3]
+    fs = [_dyadic_step(rng, sym.space, width)]
+    for _ in range(3):
+        fs.append(apply(sym, fs[-1]))
+    assert any(type(c) is float for f in fs for c in f.cuts)
+    fs.append(_dyadic_step(rng, sym.space, width))
+    rng.shuffle(fs)
+    for k in range(1, len(fs) + 1):
+        cs = [rng.choice(_COMBINED_COEFFS) for _ in fs[:k]]
+        assert repr(linear_combine(cs, fs[:k])) == repr(plain_combine_oracle(cs, fs[:k])), (seed, cs)
+
+
+_SP = interval(1)
+_FLOAT_CUTS = step(_SP, [0.5, Fraction(3, 4)], [1, Fraction(2, 3), 3])
+_TIED_CUTS = step(_SP, [Fraction(1, 2), 0.75], [Fraction(1, 3), 0, 5])
+
+
+@pytest.mark.parametrize("coeffs, fns", [
+    # a float cut equal to a Fraction cut: the first function's object stays
+    ([1, 2], [_FLOAT_CUTS, _TIED_CUTS]),
+    ([2, 1], [_TIED_CUTS, _FLOAT_CUTS]),
+    # cuts with one double, 1/10 below the double 0.1: the exact order
+    ([1, 1], [step(_SP, [0.1], [1, 2]), step(_SP, [Fraction(1, 10)], [3, 5])]),
+    ([1, 1], [step(_SP, [Fraction(1, 10), 0.5], [3, 5, 1]), step(_SP, [0.1], [1, 2])]),
+    # zero and negative coefficients, down to the zero function
+    ([0, -1], [_FLOAT_CUTS, _TIED_CUTS]),
+    ([-1, 0], [_FLOAT_CUTS, _TIED_CUTS]),
+    ([1, -1], [_FLOAT_CUTS, _FLOAT_CUTS]),
+    ([Fraction(-5, 2), Fraction(5, 2)], [_TIED_CUTS, _TIED_CUTS]),
+    # a value past the 1,024-bit budget keeps the Fraction sweep
+    ([1, 3], [step(_SP, [0.25], [Fraction(1, 3**700), 1]), _TIED_CUTS]),
+    ([Fraction(1, 3**700), 1], [_FLOAT_CUTS, _TIED_CUTS]),
+    # a float value or coefficient keeps its rounding
+    ([1, 1], [step(_SP, [0.25, Fraction(1, 3)], [0.1, Fraction(1, 3), 0.2]), _FLOAT_CUTS]),
+    ([0.3, Fraction(1, 3)], [_FLOAT_CUTS, _TIED_CUTS]),
+    ([1e-300, 1e300], [_TIED_CUTS, _FLOAT_CUTS]),
+])
+def test_combinations_over_float_cuts_equal_the_fraction_sweep(coeffs, fns):
+    got, want = linear_combine(coeffs, fns), plain_combine_oracle(coeffs, fns)
+    assert repr(got) == repr(want)
+    assert [type(c) for c in got.cuts] == [type(c) for c in want.cuts]
+
+
+def test_exact_values_over_float_cuts_are_summed_as_ints(monkeypatch):
+    # no jump or running value is a Fraction sum: only the results are Fractions
+    fns = [_FLOAT_CUTS, _TIED_CUTS, step(_SP, [0.25, 0.5], [Fraction(1, 7), 2, 0])]
+    want = plain_combine_oracle([Fraction(1, 3), -2, Fraction(5, 2)], fns)
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda a, b, op=op, name=name: calls.append(name) or op(a, b))
+    got = linear_combine([Fraction(1, 3), -2, Fraction(5, 2)], fns)
+    monkeypatch.undo()
+    assert calls == []
+    assert repr(got) == repr(want)

@@ -59,6 +59,7 @@ from .oracles import (
     atomic_power_oracle,
     preimage_oracle,
     pull_back_oracle,
+    sampled_bound_rows_oracle,
     transfer_once_oracle,
 )
 
@@ -594,6 +595,33 @@ def test_sampled_bound_rows_keep_the_objects_of_max_and_min(sym, monkeypatch):
             assert a_was is a and c_was is c and r_again is r
             a, c = max(a, r), min(c, r)
         assert A is a and C is c
+
+
+def _non_affine_symbols():
+    """The catalog's non-affine interval symbols: x^n and exp(1 - 1/x) on
+    [0, 1), 1 + x^n beside each affine tail, and the non-affine draws of
+    ``gen_interval_symbol``."""
+    syms = [IntervalSymbol(interval(1), (Branch(0, 1, PowerOnUnit(n)),)) for n in range(2, 6)]
+    syms.append(IntervalSymbol(interval(1), (Branch(0, 1, ExpRecip()),)))
+    syms += [IntervalSymbol(halfline(), (Branch(0, 1, ShiftedPower(n)), Branch(1, INF, AffineTail(m))))
+             for n in range(2, 5) for m in range(1, 4)]
+    drawn = (gen_interval_symbol(random.Random(seed), 2) for seed in range(60))
+    return syms + [sym for sym in drawn if not sym.certified]
+
+
+@pytest.mark.parametrize("sym", _non_affine_symbols())
+def test_sampled_bound_rows_agree_with_a_family_built_per_call(sym, monkeypatch):
+    # the family clipped once per pass and measured by b - a gives the rows,
+    # power bounds and analysis of the family built by interval_set and
+    # measured at every row
+    for horizon in range(1, 7):
+        got = repr([list(sym.bound_rows(horizon)), power_measure_bound(sym, horizon),
+                    check_condition_I(sym, horizon)])
+        with monkeypatch.context() as m:
+            m.setattr(IntervalSymbol, "bound_rows", sampled_bound_rows_oracle)
+            want = repr([list(sym.bound_rows(horizon)), power_measure_bound(sym, horizon),
+                         check_condition_I(sym, horizon)])
+        assert got == want, (sym, horizon)
 
 
 def test_composition_and_transfer_are_adjoint():
