@@ -36,9 +36,11 @@ whose wire is not their fields keep an encoder of their own:
 ``measfn_to_obj`` for step functions and atom sequences (breakpoints and
 tails), ``set_to_obj`` for atomic sets (``indices``) and ``analysis_to_obj``
 for symbol analyses (power bounds flattened).  Spaces keep a decoder of their
-own, as an omitted ``atom_mass`` reads as 1.  A new norm, profile or form
-kind is one class, which states its own meaning, plus one entry in its
-family's kind table that names it, plus its schema.  The tables hold class
+own, which builds through the space builders, and sets are built through
+``interval_set`` and ``atomic_set``: the checks on spaces and sets are
+theirs.  A new norm,
+profile or form kind is one class, which states its own meaning, plus one
+entry in its family's kind table that names it, plus its schema.  The tables hold class
 names, not classes: each is resolved through the package surface
 (``rispace.__getattr__``) on first decode or encode, so an ``eval`` loads
 only the modules its payload names.  ``to_obj`` encodes any result, once,
@@ -58,17 +60,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .num import INF, NEG_INF, Real, as_real, is_finite, json_real
-from .space import (
-    ATOMIC_FINITE,
-    ATOMIC_N,
-    ATOMIC_Z,
-    LEBESGUE_HALFLINE,
-    LEBESGUE_INTERVAL,
-    LEBESGUE_LINE,
-    AtomicSet,
-    MeasureSpace,
-    interval_set,
-)
+from .space import (ATOMIC_FINITE, ATOMIC_N, ATOMIC_Z, LEBESGUE_HALFLINE, LEBESGUE_INTERVAL, LEBESGUE_LINE, AtomicSet,
+                    MeasureSpace, atomic_finite, atomic_n, atomic_set, atomic_z, halfline, interval, interval_set, line)
 from .stepfn import AtomSeq, MeasFn, seq, step
 
 if TYPE_CHECKING:  # the record classes are named below, and resolved on first use
@@ -204,10 +197,10 @@ def _pair(first, second):
     return read
 
 
-def _made(where: str, build, *args):
-    """build(*args), with a ValueError it raises named after the object."""
+def _made(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a ValueError it raises named after the object."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ValueError as e:
         raise ValueError(f"{where}: {e}") from None
 
@@ -216,27 +209,27 @@ def _made(where: str, build, *args):
 # Spaces and sets
 # ---------------------------------------------------------------------------
 
-# space kind -> its (required, optional) keys; an omitted atom_mass reads as 1
+# space kind -> its builder and its (required, optional) keys; an omitted
+# atom_mass takes the builders' default of 1
 _SPACE_LAYOUTS = {
-    LEBESGUE_HALFLINE: (("kind",), ()),
-    LEBESGUE_LINE: (("kind",), ()),
-    LEBESGUE_INTERVAL: (("kind", "length"), ()),
-    ATOMIC_N: (("kind",), ("atom_mass",)),
-    ATOMIC_Z: (("kind",), ("atom_mass",)),
-    ATOMIC_FINITE: (("kind", "count"), ("atom_mass",)),
+    LEBESGUE_HALFLINE: (halfline, ("kind",), ()),
+    LEBESGUE_LINE: (line, ("kind",), ()),
+    LEBESGUE_INTERVAL: (interval, ("kind", "length"), ()),
+    ATOMIC_N: (atomic_n, ("kind",), ("atom_mass",)),
+    ATOMIC_Z: (atomic_z, ("kind",), ("atom_mass",)),
+    ATOMIC_FINITE: (atomic_finite, ("kind", "count"), ("atom_mass",)),
 }
 
 
 def space_from_obj(obj, where: str = "space") -> MeasureSpace:
+    """The space obj encodes, built by its kind's builder; its fields are read
+    by their decoders in the order length, atom_mass, count, so the first
+    fault is the one reported."""
     kind = _kind(obj, where, _SPACE_LAYOUTS)
-    check_object(obj, where, *_SPACE_LAYOUTS[kind])
-    if kind == LEBESGUE_INTERVAL:
-        return _made(where, MeasureSpace, kind, _num(obj["length"], f"{where}.length"))
-    if kind in (LEBESGUE_HALFLINE, LEBESGUE_LINE):
-        return MeasureSpace(kind)
-    mass = _num(obj.get("atom_mass", 1), f"{where}.atom_mass")
-    count = int_from_obj(obj["count"], f"{where}.count") if kind == ATOMIC_FINITE else None
-    return _made(where, MeasureSpace, kind, None, mass, count)
+    build, *keys = _SPACE_LAYOUTS[kind]
+    check_object(obj, where, *keys)
+    return _made(where, build, **{key: _FIELD_DECODERS[key](obj[key], f"{where}.{key}")
+                                  for key in ("length", "atom_mass", "count") if key in obj})
 
 
 def _space_in(obj, where: str) -> MeasureSpace:
@@ -262,7 +255,7 @@ def set_from_obj(obj, where: str = "set"):
         cofinite = obj.get("cofinite", False)
         if not isinstance(cofinite, bool):
             raise ValueError(f"{where}.cofinite: expected a boolean, got {_shown(cofinite)}")
-        return _made(where, AtomicSet, sp, frozenset(indices), cofinite)
+        return _made(where, atomic_set, sp, indices, cofinite)
     check_object(obj, where, ("space",), ("intervals",))
     pairs = _array(obj.get("intervals", []), f"{where}.intervals", _pair(_num, _num))
     return _made(where, interval_set, sp, pairs)
@@ -408,8 +401,8 @@ _FIELD_DECODERS = {
     # the schema lets a symbol spell "no shift rule" as null
     "shift": lambda x, where: None if x is None else int_from_obj(x, where),
     "knots": lambda x, where: tuple(_array(x, where, _pair(_num, _num))),
-    "n": int_from_obj,
-    **dict.fromkeys(("p", "q", "alpha", "beta", "final_slope", "lo", "hi"), _num),
+    **dict.fromkeys(("n", "count"), int_from_obj),
+    **dict.fromkeys(("p", "q", "alpha", "beta", "final_slope", "lo", "hi", "length", "atom_mass"), _num),
 }
 
 

@@ -101,8 +101,9 @@ def to_float(x: Real, d: int = 1) -> float:
     Fraction's, in lowest terms or not); huge rationals overflow to +-inf."""
     if isinstance(x, float):
         return x
-    try:
-        return x / d if type(x) is int else float(x)
+    try:  # a Fraction's own ratio: float(x) takes Rational.__float__'s slower path
+        n, m = (x, d) if type(x) is int else x.as_integer_ratio()
+        return n / m
     except OverflowError:
         return INF if x > 0 else NEG_INF
 

@@ -14,6 +14,11 @@ of half-open intervals [a, b) within the domain on the Lebesgue side (so
 -inf only on the full line, and +inf right rays), and finite-or-cofinite
 index sets on the atomic side.  Preimages under the symbol catalog never
 leave this class.
+
+The records are plain and check nothing: outside input enters through the
+builders (``halfline`` ... ``atomic_finite``, ``interval_set``,
+``atomic_set``), which do, and the set algebra and the symbols' preimages
+build records that are in the class by construction.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .num import INF, NEG_INF, Real, as_real, lt, real_key
+from .num import INF, NEG_INF, Real, as_real, is_finite, lt, real_key
 
 LEBESGUE_HALFLINE = "lebesgue_halfline"
 LEBESGUE_LINE = "lebesgue_line"
@@ -32,7 +37,6 @@ ATOMIC_N = "atomic_n"
 ATOMIC_Z = "atomic_z"
 ATOMIC_FINITE = "atomic_finite"
 
-_LEBESGUE_KINDS = (LEBESGUE_HALFLINE, LEBESGUE_LINE, LEBESGUE_INTERVAL)
 _ATOMIC_KINDS = (ATOMIC_N, ATOMIC_Z, ATOMIC_FINITE)
 _TWO_SIDED_KINDS = (LEBESGUE_LINE, ATOMIC_Z)
 
@@ -43,28 +47,6 @@ class MeasureSpace:
     length: Real | None = None
     atom_mass: Real | None = None
     count: int | None = None
-
-    def __post_init__(self):
-        if self.kind in _LEBESGUE_KINDS:
-            if self.kind == LEBESGUE_INTERVAL:
-                if self.length is None or not (0 < self.length < INF):
-                    raise ValueError("interval length must be positive and finite")
-            elif self.length is not None:
-                raise ValueError(f"{self.kind} takes no length")
-            if self.atom_mass is not None or self.count is not None:
-                raise ValueError(f"{self.kind} takes no atomic parameters")
-        elif self.kind in _ATOMIC_KINDS:
-            if self.atom_mass is None or not (0 < self.atom_mass < INF):
-                raise ValueError("atom_mass must be positive and finite")
-            if self.kind == ATOMIC_FINITE:
-                if self.count is None or self.count < 1:
-                    raise ValueError("count must be >= 1")
-            elif self.count is not None:
-                raise ValueError(f"{self.kind} takes no count")
-            if self.length is not None:
-                raise ValueError(f"{self.kind} takes no length")
-        else:
-            raise ValueError(f"unknown space kind {self.kind!r}")
 
     # -- classification ----------------------------------------------------
     @property
@@ -108,19 +90,32 @@ def line() -> MeasureSpace:
 
 
 def interval(length) -> MeasureSpace:
-    return MeasureSpace(LEBESGUE_INTERVAL, length=as_real(length))
+    length = as_real(length)
+    if not (0 < length < INF):
+        raise ValueError("interval length must be positive and finite")
+    return MeasureSpace(LEBESGUE_INTERVAL, length=length)
+
+
+def _mass(atom_mass) -> Real:
+    atom_mass = as_real(atom_mass)
+    if not (0 < atom_mass < INF):
+        raise ValueError("atom_mass must be positive and finite")
+    return atom_mass
 
 
 def atomic_n(atom_mass=1) -> MeasureSpace:
-    return MeasureSpace(ATOMIC_N, atom_mass=as_real(atom_mass))
+    return MeasureSpace(ATOMIC_N, atom_mass=_mass(atom_mass))
 
 
 def atomic_z(atom_mass=1) -> MeasureSpace:
-    return MeasureSpace(ATOMIC_Z, atom_mass=as_real(atom_mass))
+    return MeasureSpace(ATOMIC_Z, atom_mass=_mass(atom_mass))
 
 
 def atomic_finite(count: int, atom_mass=1) -> MeasureSpace:
-    return MeasureSpace(ATOMIC_FINITE, atom_mass=as_real(atom_mass), count=count)
+    atom_mass = _mass(atom_mass)
+    if count is None or count < 1:
+        raise ValueError("count must be >= 1")
+    return MeasureSpace(ATOMIC_FINITE, atom_mass=atom_mass, count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -151,25 +146,16 @@ def _normalize_intervals(pairs, *, allow_overlap: bool):
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Finite disjoint union of half-open intervals within a Lebesgue space;
-    its ends are checked against the domain by ``num.lt``, so a float end
-    meets a Fraction one as doubles."""
+    """Finite union of half-open intervals within a Lebesgue space's domain,
+    sorted, disjoint and no two touching."""
 
     space: MeasureSpace
     intervals: tuple[tuple[Real, Real], ...]
 
-    def __post_init__(self):
-        if self.space.is_atomic:
-            raise ValueError("IntervalSet needs a Lebesgue space")
-        left, right = self.space.domain
-        for a, b in self.intervals:
-            if lt(a, left) or lt(right, b):
-                raise ValueError(f"[{a}, {b}) outside the space domain")
-
     def measure(self) -> Real:
         total: Real = Fraction(0)
         for a, b in self.intervals:
-            if b == INF or a == NEG_INF:
+            if not (is_finite(a) and is_finite(b)):
                 return INF
             total += b - a
         return total
@@ -195,7 +181,7 @@ class IntervalSet:
                 lo, hi = max(a, c), min(b, d)
                 if lo < hi:
                     out.append((lo, hi))
-        return IntervalSet(self.space, _normalize_intervals(out, allow_overlap=False))
+        return IntervalSet(self.space, tuple(out))  # already sorted, disjoint, not touching
 
     def complement(self) -> "IntervalSet":
         left, right = self.space.domain
@@ -214,9 +200,18 @@ class IntervalSet:
 
 
 def interval_set(space: MeasureSpace, pairs: Iterable[tuple]) -> IntervalSet:
-    """Public constructor: rejects overlapping input, merges touching pieces."""
-    prepared = [(as_real(a), as_real(b)) for a, b in pairs]
-    return IntervalSet(space, _normalize_intervals(prepared, allow_overlap=False))
+    """Build an IntervalSet from outside input: coerce, reject empty, inverted
+    and overlapping pairs, merge touching ones, and check that the space is
+    Lebesgue and holds every piece.  Ends compare by ``num.lt``, so a float
+    end meets a Fraction one as doubles."""
+    intervals = _normalize_intervals([(as_real(a), as_real(b)) for a, b in pairs], allow_overlap=False)
+    if space.is_atomic:
+        raise ValueError("IntervalSet needs a Lebesgue space")
+    left, right = space.domain
+    for a, b in intervals:
+        if lt(a, left) or lt(right, b):
+            raise ValueError(f"[{a}, {b}) outside the space domain")
+    return IntervalSet(space, intervals)
 
 
 def empty_set(space: MeasureSpace):
@@ -244,13 +239,6 @@ class AtomicSet:
     cofinite: bool = False
 
     def __post_init__(self):
-        if not self.space.is_atomic:
-            raise ValueError("AtomicSet needs an atomic space")
-        for j in self.atoms:
-            if not isinstance(j, int) or isinstance(j, bool):
-                raise ValueError("atom indices must be integers")
-            if not self.space.valid_index(j):
-                raise ValueError(f"index {j} outside the space's range")
         if self.cofinite and self.space.kind == ATOMIC_FINITE:
             members = frozenset(range(*self.space.domain)) - self.atoms
             object.__setattr__(self, "atoms", members)
@@ -291,7 +279,17 @@ class AtomicSet:
 
 
 def atomic_set(space: MeasureSpace, atoms: Iterable[int], cofinite: bool = False) -> AtomicSet:
-    return AtomicSet(space, frozenset(atoms), cofinite)
+    """Build an AtomicSet from outside input: check that the space is atomic
+    and that every index is an int (not a bool) in its range."""
+    atoms = frozenset(atoms)
+    if not space.is_atomic:
+        raise ValueError("AtomicSet needs an atomic space")
+    for j in atoms:
+        if not isinstance(j, int) or isinstance(j, bool):
+            raise ValueError("atom indices must be integers")
+        if not space.valid_index(j):
+            raise ValueError(f"index {j} outside the space's range")
+    return AtomicSet(space, atoms, cofinite)
 
 
 def _same_space(a, b) -> None:

@@ -37,7 +37,7 @@ from typing import Union
 
 from .num import _POW_BITS, INF, Real, as_real, fmt_real, is_finite, log_real, ratio_pow, rational_pow, to_float, unscaled
 from .rearrange import _hardy_sweep, is_rearranged, rearrangement
-from .space import AtomicSet, MeasureSpace, empty_set, interval_set
+from .space import AtomicSet, IntervalSet, MeasureSpace, empty_set
 from .stepfn import MeasFn, StepFn, View, _integrate_abs_product, _union, _views, indicator
 
 
@@ -490,7 +490,7 @@ def fundamental_function(spec: NormSpec, t) -> Real:
             raise ValueError(f"t={t} is not a multiple of the atom mass")
         E = AtomicSet(sp, frozenset(range(int(k))))
     else:
-        E = interval_set(sp, [(0, t)])
+        E = IntervalSet(sp, ((Fraction(0), t),))
     return norm_eval(spec, indicator(sp, E))
 
 

@@ -107,11 +107,11 @@ class _UnitPower:
         return (Fraction(self.offset), Fraction(self.offset + 1))
 
     def inverse(self, y) -> Real:
-        return nth_root(y - self.offset, self.n)
+        return nth_root(y - self.offset if self.offset else y, self.n)
 
     def density(self, y) -> Real:
         """|d/dy inverse(y)|, with the limit inf at the bottom of the image."""
-        x = y - self.offset
+        x = y - self.offset if self.offset else y
         if x == 0:
             return INF
         return Fraction(1, self.n) * rational_pow(x, Fraction(1 - self.n, self.n))

@@ -24,7 +24,16 @@ runs ``rispace.cli.main`` in this process and writes into OUTDIR:
   interval symbol and a step function with 2^-k cuts, for seeds 0-199.  An
   ``eval`` payload meets an interval symbol only at horizons 1-3 and on
   small functions, so these are what shows a change in the float cuts,
-  Cesàro sums and sampled bound rows of the non-affine maps.
+  Cesàro sums and sampled bound rows of the non-affine maps;
+* ``library/sets-SEED.txt``: the reprs (or errors) of ``interval_set`` and
+  ``atomic_set`` on raw input of the seed, mixed floats and Fractions,
+  inverted, overlapping, touching or out-of-range pieces and non-int atoms
+  included; of ``union``, ``intersect``, ``complement``, ``difference`` and
+  ``measure`` on ``properties.gen_set`` sets; and of up to three
+  ``preimage`` steps of a ``properties.gen_set`` set under a
+  ``properties.gen_symbol`` symbol, for seeds 0-199.  No ``eval`` payload
+  carries a set, so these are what shows a change in how sets are built,
+  combined and pulled back.
 
 Every path the CLI prints is relative to OUTDIR, so the outputs of two
 checkouts compare with ``diff -r OUTDIR_A OUTDIR_B``.  OUTDIR must be new or
@@ -42,9 +51,10 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-from rispace import (INF, AffineTail, AtomicSymbol, Branch, ExpRecip, IntervalSymbol, PowerOnUnit, ShiftedPower, apply,
-                     atomic_finite, atomic_n, atomic_z, cesaro_schedule, check_condition_I, cli, halfline, interval,
-                     maximal_truncated, seq, step)
+from rispace import (INF, NEG_INF, AffineTail, AtomicSymbol, Branch, ExpRecip, IntervalSymbol, PowerOnUnit,
+                     ShiftedPower, apply, atomic_finite, atomic_n, atomic_set, atomic_z, cesaro_schedule,
+                     check_condition_I, cli, halfline, interval, interval_set, maximal_truncated, measure, seq, step)
+from rispace.properties import gen_set, gen_space, gen_symbol
 
 from .payloads import eval_payload
 
@@ -59,6 +69,14 @@ def run(argv, stdin: str = "") -> str:
             contextlib.redirect_stderr(err):
         rc = cli.main(list(argv))
     return f"exit {rc}\n--- stdout\n{out.getvalue()}\n--- stderr\n{err.getvalue()}"
+
+
+def _outcome(name: str, call) -> str:
+    """The repr of what call() returns, or the error it raises."""
+    try:
+        return f"--- {name}\n{call()!r}"
+    except Exception as e:  # an error is an output too
+        return f"--- {name} raised {type(e).__name__}: {e}"
 
 
 def library_case(seed: int):
@@ -96,10 +114,7 @@ def library_text(seed: int) -> str:
     lines = [f"{sym!r}", f"{f!r}", f"K = {K}, schedule = {schedule}"]
     for name, call in (("maximal_truncated", lambda: maximal_truncated(sym, f, K)),
                        ("cesaro_schedule", lambda: cesaro_schedule(sym, f, schedule).means)):
-        try:
-            lines.append(f"--- {name}\n{call()!r}")
-        except Exception as e:  # an error is an output too
-            lines.append(f"--- {name} raised {type(e).__name__}: {e}")
+        lines.append(_outcome(name, call))
     return "\n".join(lines) + "\n"
 
 
@@ -132,10 +147,54 @@ def interval_text(seed: int) -> str:
                        ("cesaro_schedule", lambda: cesaro_schedule(sym, f, (1, 2, 4, 8)).means),
                        ("maximal_truncated", lambda: maximal_truncated(sym, f, 4)),
                        ("check_condition_I", lambda: check_condition_I(sym, 6))):
+        lines.append(_outcome(name, call))
+    return "\n".join(lines) + "\n"
+
+
+# raw set input: ends that tie across the two kinds or share one double, and
+# atoms that are no index (a bool, a float) or lie outside some space
+_SET_ENDS = [NEG_INF, Fraction(-3), -1, 0, 0.0, Fraction(1, 10), 0.1, Fraction(1, 3), 1 / 3, 1, 2.5, Fraction(7, 2),
+             5, INF]
+_SET_ATOMS = [-3, -1, 0, 1, 2, 3, 5, 9, True, 1.5]
+
+
+def sets_text(seed: int) -> str:
+    """Sets built from raw input and by the generators of the seed, what the
+    set algebra gives on them, and up to three preimages of a set under a
+    symbol (the steps stop at the first error)."""
+    rng = random.Random(f"sets:{seed}")
+    size = rng.randint(1, 4)
+    sp = gen_space(rng, size)
+    ends = sorted(rng.sample(_SET_ENDS, 2 * rng.randint(0, 3)))
+    pairs = list(zip(ends[::2], ends[1::2]))
+    if rng.random() < 0.3:  # one more pair, which may be inverted or overlap
+        pairs.insert(rng.randint(0, len(pairs)), (rng.choice(_SET_ENDS), rng.choice(_SET_ENDS)))
+    atoms = rng.sample(_SET_ATOMS, rng.randint(0, 3))
+    cofinite = rng.random() < 0.3
+    lines = [f"{sp!r}", f"pairs = {pairs!r}", f"atoms = {atoms!r}, cofinite = {cofinite}",
+             _outcome("interval_set", lambda: interval_set(sp, pairs)),
+             _outcome("atomic_set", lambda: atomic_set(sp, atoms, cofinite))]
+    E, F = gen_set(rng, size, sp), gen_set(rng, size, sp)
+    try:  # the raw set, when it is one, meets E in F's place
+        F = interval_set(sp, pairs) if not sp.is_atomic else atomic_set(sp, atoms, cofinite)
+    except ValueError:
+        pass
+    lines += [f"E = {E!r}", f"F = {F!r}"]
+    for name, call in (("union", lambda: E.union(F)), ("intersect", lambda: E.intersect(F)),
+                       ("complement", E.complement), ("difference", lambda: E.difference(F)),
+                       ("F.difference", lambda: F.difference(E)), ("measure", lambda: measure(sp, E)),
+                       ("F.measure", F.measure)):
+        lines.append(_outcome(name, call))
+    sym = gen_symbol(rng, size)
+    G = gen_set(rng, 4, sym.space)
+    lines += [f"{sym!r}", f"G = {G!r}"]
+    for n in range(1, 4):
         try:
-            lines.append(f"--- {name}\n{call()!r}")
+            G = sym.preimage(G)
         except Exception as e:  # an error is an output too
-            lines.append(f"--- {name} raised {type(e).__name__}: {e}")
+            lines.append(f"--- preimage^{n} raised {type(e).__name__}: {e}")
+            break
+        lines.append(f"--- preimage^{n}\n{G!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -157,6 +216,7 @@ def write_outputs(outdir: Path) -> None:
     for seed in SEEDS:
         (outdir / "library" / f"{seed:03d}.txt").write_text(library_text(seed))
         (outdir / "library" / f"interval-{seed:03d}.txt").write_text(interval_text(seed))
+        (outdir / "library" / f"sets-{seed:03d}.txt").write_text(sets_text(seed))
     with contextlib.chdir(outdir / "run-example"):
         for example_id in cli.EXAMPLE_IDS:
             text = run(["run-example", example_id, "--format", "both", "--out", example_id])

@@ -539,6 +539,20 @@ def test_eval_on_a_function_off_the_symbols_space_exits_2(tmp_path, capsys, oper
     assert err == "error: function and symbol live on different spaces\n"
 
 
+@pytest.mark.parametrize("function, message", [
+    # two faults in the space: the mass is named before the count
+    ({"space": {"kind": "atomic_finite", "count": 0, "atom_mass": 0}, "entries": []},
+     "atom_mass must be positive and finite"),
+    ({"space": {"kind": "atomic_finite", "count": 0}, "entries": []}, "count must be >= 1"),
+    ({"space": {"kind": "atomic_n", "atom_mass": "-1"}, "entries": []}, "atom_mass must be positive and finite"),
+    ({"space": {"kind": "lebesgue_interval", "length": 0}, "breakpoints": [0, 0], "values": [1]},
+     "interval length must be positive and finite"),
+])
+def test_eval_on_a_bad_space_names_its_first_fault(tmp_path, capsys, function, message):
+    err = _eval_error(tmp_path, capsys, {"function": function}, "rearrange")
+    assert err == f"error: function.space: {message}\n"
+
+
 def test_eval_unknown_field_exits_2(tmp_path, capsys):
     err = _eval_error(tmp_path, capsys, {"function": HALFLINE_FN, "extra": 1}, "rearrange")
     assert "'extra'" in err

@@ -402,6 +402,25 @@ def test_decoders_are_strict(decode, obj):
         decode(obj)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"space": {"kind": "lebesgue_interval", "length": 1}, "intervals": [[0, 2]]}',
+         "set: [0, 2) outside the space domain"),
+        ('{"space": {"kind": "atomic_z"}, "indices": [true]}', "set.indices[0]: expected an integer, got a boolean"),
+        ('{"space": {"kind": "atomic_z"}, "indices": [1.5]}', "set.indices[0]: expected an integer, got 3/2"),
+        ('{"space": {"kind": "atomic_finite", "count": 3}, "indices": [3]}', "set: index 3 outside the space's range"),
+        # two faults in the space: the mass is named before the count
+        ('{"space": {"kind": "atomic_finite", "count": 0, "atom_mass": 0}}',
+         "set.space: atom_mass must be positive and finite"),
+    ],
+)
+def test_set_faults_on_the_wire_are_named_as_the_builders_name_them(text, message):
+    with pytest.raises(ValueError) as info:
+        jsonio.set_from_obj(jsonio.loads(text))
+    assert str(info.value) == message
+
+
 def test_decoder_errors_name_the_object():
     with pytest.raises(ValueError, match=r"function\.breakpoints\[1\]"):
         jsonio.measfn_from_obj(dict(_HALFLINE_FN, breakpoints=[0, "one"]))

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,9 @@ from rispace import (
     measure,
     seq,
 )
-from rispace.space import _normalize_intervals
+from rispace.properties import gen_set, gen_space, gen_symbol
+from rispace.space import AtomicSet, _normalize_intervals
+from rispace.symbols import _dyadic_family
 
 
 def test_space_constructors_and_totals():
@@ -212,3 +215,56 @@ def test_merged_intervals_keep_the_objects_of_sorted_and_max(pairs):
     want = _normalized_by_builtins(pairs)
     assert len(got) == len(want)
     assert all(a is c and b is d for (a, b), (c, d) in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # two faults each: the order of the checks decides which is named
+        (lambda: atomic_finite(0, 0), "atom_mass must be positive and finite"),
+        (lambda: interval_set(atomic_n(), [(1, 0)]), "empty or inverted interval [1, 0)"),
+        # one fault each
+        (lambda: interval_set(interval(1), [(0, 2)]), "[0, 2) outside the space domain"),
+        (lambda: atomic_set(atomic_z(), [True]), "atom indices must be integers"),
+        (lambda: atomic_set(atomic_z(), [1.5]), "atom indices must be integers"),
+        (lambda: atomic_set(atomic_finite(3), [3]), "index 3 outside the space's range"),
+    ],
+)
+def test_outside_input_is_refused_by_the_builders(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def _assert_canonical(E):
+    """E is what its builder makes of its own intervals or atoms, by ``==``
+    and by ``repr``: sorted, disjoint, not touching and inside the domain
+    (the builder refuses a piece or an index outside it)."""
+    if isinstance(E, AtomicSet):
+        built = atomic_set(E.space, E.atoms, E.cofinite)
+    else:
+        built = interval_set(E.space, E.intervals)
+    assert built == E and repr(built) == repr(E)
+
+
+def test_internal_sets_are_canonical():
+    """The set records check nothing themselves, so every set that the set
+    algebra, a preimage or the dyadic test family makes must already be in
+    the builders' normal form."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        size = rng.randint(1, 4)
+        sp = gen_space(rng, size)
+        E, F = gen_set(rng, size, sp), gen_set(rng, size, sp)
+        others = [F] if sp.is_atomic else [F, interval_set(sp, [(0.1, Fraction(1, 3)), (Fraction(1, 2), 1.0)])]
+        for G in others:
+            for H in (E.union(G), E.intersect(G), E.difference(G), G.difference(E), G.complement()):
+                _assert_canonical(H)
+        _assert_canonical(empty_set(sp))
+        sym = gen_symbol(rng, size)
+        family = [] if sym.space.is_atomic else _dyadic_family(sym.space)
+        for G in [gen_set(rng, 4, sym.space), *family]:
+            _assert_canonical(G)
+            for _ in range(3):
+                G = sym.preimage(G)
+                _assert_canonical(G)
