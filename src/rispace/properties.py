@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from . import jsonio
 from .ergodic import _cycles, apply, cesaro, iterate_apply, maximal_truncated, permutation_limit
-from .num import INF, NEG_INF, Real, to_float
+from .num import INF, NEG_INF, Real, to_float, unscaled
 from .rearrange import (
     dilate,
     distribution_at,
@@ -369,7 +369,10 @@ def _iter_cap(sym: Symbol, deep: int, shallow: int = 6) -> int:
 
 
 def _sup_abs(f: AtomSeq) -> Fraction:
-    return max((abs(v) for _, v in f.entries), default=Fraction(0))
+    """max |v| over f's entries, read off its view (the values themselves
+    where it is not exact)."""
+    V = f._view
+    return unscaled(max(map(abs, V.vals), default=0), V.D)
 
 
 def _sample_times(*fns: StepFn) -> list[Fraction]:

@@ -9,7 +9,8 @@ absolutely-continuous-rearrangement property).
 That costs O(n log n) for n pieces (the sort of the levels), and it is paid
 once per function object: ``rearrangement`` keeps f* on the (immutable)
 function, and every norm and comparison reads it from there.  Levels are
-grouped, sorted and laid out as ints over f's int view (``stepfn.View``).
+grouped, sorted and laid out as ints over f's int view (``stepfn.View``, or
+for a sequence its ``SeqView``, each atom as wide as its mass).
 
 The Hardy integral H(t) = integral of f* over [0, t] is piecewise linear in
 t, so one left-to-right sweep over the pieces of f* gives H at every point of
@@ -37,12 +38,13 @@ from .stepfn import (
     _integrate_abs_product,
     _mapped_pieces,
     _merged_step,
+    _seq_cells,
     _union,
     _views,
 )
 
 _HALFLINE = halfline()
-_SCALE_1 = View(1, [0, INF], 1, [], False)  # a sequence's f*, over its values themselves
+_SCALE_1 = View(1, [0, INF], 1, [], False)  # f* over its values themselves
 
 
 def distribution_at(f: MeasFn, s) -> Real:
@@ -59,11 +61,11 @@ def distribution_at(f: MeasFn, s) -> Real:
     return total
 
 
-def _levels(f: MeasFn, V: View | None = None) -> dict[Real, Real]:
-    """Map |value| -> total measure of that level set, skipping level 0; over
-    the C and D of f's view V, if given."""
+def _levels(f: MeasFn, cells=None) -> dict[Real, Real]:
+    """Map |value| -> total measure of that level set, skipping level 0; read
+    off f's ``cells()``, or off the given cells of its view."""
     levels: dict[Real, Real] = {}
-    for m, v in (f.cells() if V is None else _cells(V.bounds, V.vals)):
+    for m, v in (f.cells() if cells is None else cells):
         key = abs(v)
         got = levels.get(key)
         if got is None:
@@ -89,10 +91,19 @@ def rearrangement(f: MeasFn) -> StepFn:
 
 
 def _rearranged(f: MeasFn) -> StepFn:
-    """f* from f's levels as ints over f's view, which f* keeps (none for a
-    sequence, whose levels are read at scale 1)."""
-    V = f._view if isinstance(f, StepFn) else None
-    levels = _levels(f, V)
+    """f* from f's levels as ints over f's view, whose value denominator D f*
+    keeps: a step function's widths over its view's C, an exact sequence's
+    atom counts times the atom mass's numerator over its denominator, and a
+    nonzero tail over N the final ray.  Past a float or the budget, f*'s own
+    values at scale 1."""
+    V = f._view
+    if isinstance(f, StepFn):
+        scale, cells = V._replace(bounds=[0, INF]), _cells(V.bounds, V.vals)
+    elif V.exact and type(mass := f.space.atom_mass) is Fraction:
+        scale, cells = View(mass.denominator, [0, INF], V.D, [], True), _seq_cells(mass.numerator, V.vals, V.tail)
+    else:
+        scale, cells = _SCALE_1, None
+    levels = _levels(f, cells)
     cuts: list = []
     vals: list = []
     pos = 0
@@ -108,7 +119,7 @@ def _rearranged(f: MeasFn) -> StepFn:
         cuts.append(pos)
     else:
         vals.append(0)
-    return _merged_step(_HALFLINE, cuts, vals, _SCALE_1 if V is None else V._replace(bounds=[0, INF]))
+    return _merged_step(_HALFLINE, cuts, vals, scale)
 
 
 def is_rearranged(f: MeasFn) -> bool:

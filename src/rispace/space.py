@@ -279,8 +279,9 @@ class AtomicSet:
 
 
 def atomic_set(space: MeasureSpace, atoms: Iterable[int], cofinite: bool = False) -> AtomicSet:
-    """Build an AtomicSet from outside input: check that the space is atomic
-    and that every index is an int (not a bool) in its range."""
+    """Build an AtomicSet from outside input: check that the space is atomic,
+    that every index is an int (not a bool) in its range, and that cofinite
+    is a bool."""
     atoms = frozenset(atoms)
     if not space.is_atomic:
         raise ValueError("AtomicSet needs an atomic space")
@@ -289,6 +290,8 @@ def atomic_set(space: MeasureSpace, atoms: Iterable[int], cofinite: bool = False
             raise ValueError("atom indices must be integers")
         if not space.valid_index(j):
             raise ValueError(f"index {j} outside the space's range")
+    if not isinstance(cofinite, bool):
+        raise ValueError(f"cofinite must be True or False, got {cofinite!r}")
     return AtomicSet(space, atoms, cofinite)
 
 

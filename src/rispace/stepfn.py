@@ -21,9 +21,14 @@ combinations) holds only its space and that view, and forms its Fraction
 ``cuts`` and ``vals`` the first time they are read; loops that chain read
 the view, so a comparison of rearrangements forms none.  An AtomSeq keeps
 its int view too (``SeqView``, entries and tail over one denominator), and
-one that an int loop builds (``_int_seq``: orbit means) holds only its
-space, tail and that view, forming its Fraction ``entries`` on first read;
-a mean of a mean reads the view and forms none.
+every exact operation on sequences reads it: ``linear_combine`` sums the
+deviations from the summed tail as ints over one scale, ``abs_fn`` and
+``pointwise_leq`` read ints, the integral of |f g| sums |x y| over two views,
+and f* (``rearrange``) lays out atom counts over it.  One that an int loop
+builds (``_int_seq``: combinations, |f|, orbit means, pull-backs) holds only
+its space, tail and that view, forming its Fraction ``entries`` on first
+read; a loop that reads it forms none.  Float values and views past the
+budget keep the loops over the values themselves.
 """
 
 from __future__ import annotations
@@ -272,10 +277,7 @@ class AtomSeq:
     def cells(self):
         """Yield (measure, value) for each nonzero entry, then (INF, tail) for
         a nonzero tail: a tail over N is one cell."""
-        mass = self.space.atom_mass
-        yield from ((mass, v) for _, v in self.entries if v != 0)
-        if self.tail != 0:
-            yield INF, self.tail
+        return _seq_cells(self.space.atom_mass, (v for _, v in self.entries), self.tail)
 
 
 class SeqView(NamedTuple):
@@ -288,6 +290,14 @@ class SeqView(NamedTuple):
     vals: list
     tail: Real
     exact: bool
+
+
+def _seq_cells(mass, vals, tail):
+    """Yield (mass, value) for each nonzero value, then (INF, tail) for a
+    nonzero tail (a sequence's entries, or its view's ints)."""
+    yield from ((mass, v) for v in vals if v != 0)
+    if tail != 0:
+        yield INF, tail
 
 
 def _int_seq(space: MeasureSpace, indices, nums, D: int, tail: Fraction) -> AtomSeq:
@@ -369,6 +379,7 @@ def linear_combine(coeffs, fns) -> MeasFn:
     the values and coefficients are exact, also over cuts with no int view
     (floats), whose union then sorts by ``num.real_key``; a float value or
     coefficient, or a scale past the budget, sums them as they are.
+    Sequences sum their deviations from the summed tail the same way.
     """
     if len(coeffs) != len(fns) or not fns:
         raise ValueError("need equally many (>=1) coefficients and functions")
@@ -378,6 +389,20 @@ def linear_combine(coeffs, fns) -> MeasFn:
         if f.space != sp:
             raise ValueError("functions live on different spaces")
     if isinstance(fns[0], AtomSeq):
+        # c_i v / D_i = k_i v / M over the exact views, summed as deviations
+        # from the summed tail T, k_i v - k_i tail_i, where T / M is the tail
+        views = [f._view for f in fns]
+        M, ks = scaled([c / V.D for c, V in zip(coeffs, views)])
+        if all(V.exact for V in views) and all(type(k) is int for k in ks):
+            T = sum(k * V.tail for k, V in zip(ks, views))
+            dev: dict[int, int] = {}
+            for k, V in zip(ks, views):
+                kt = k * V.tail
+                for j, w in zip(V.indices, V.vals):
+                    dev[j] = dev.get(j, 0) + k * w - kt
+            js = sorted(j for j, d in dev.items() if d)
+            return _int_seq(sp, js, [T + dev[j] for j in js], M, Fraction(T, M))
+        # a float value or coefficient, or a scale past the budget: the values themselves
         tail = sum(c * f.tail for c, f in zip(coeffs, fns))
         acc: dict[int, Real] = {}
         for c, f in zip(coeffs, fns):
@@ -463,11 +488,23 @@ def _seq_pairs(f: AtomSeq, g: AtomSeq):
         yield j, fd.get(j, f.tail), gd.get(j, g.tail)
 
 
+def _view_pairs(F: SeqView, G: SeqView):
+    """(x, y), the values of two sequence views (each over its own D) at
+    every index that either lists, in no set order."""
+    gd = dict(zip(G.indices, G.vals))
+    yield from ((x, gd.pop(j, G.tail)) for j, x in zip(F.indices, F.vals))
+    yield from ((F.tail, y) for y in gd.values())
+
+
 def pointwise_leq(f: MeasFn, g: MeasFn) -> bool:
-    """Exact f <= g everywhere (union partition / union index set)."""
+    """Exact f <= g everywhere (union partition / union index set), over
+    the int views of exact sequences, x D_g <= y D_f."""
     if f.space != g.space:
         raise ValueError("functions live on different spaces")
     if isinstance(f, AtomSeq):
+        F, G = f._view, g._view
+        if F.exact and G.exact:
+            return F.tail * G.D <= G.tail * F.D and all(x * G.D <= y * F.D for x, y in _view_pairs(F, G))
         if f.tail > g.tail:
             return False
         return all(fv <= gv for _, fv, gv in _seq_pairs(f, g))
@@ -498,7 +535,12 @@ def pointwise_mul(f: MeasFn, g: MeasFn) -> MeasFn:
 
 def abs_fn(f: MeasFn) -> MeasFn:
     if isinstance(f, AtomSeq):
-        return _merged_seq(f.space, ((j, abs(v)) for j, v in f.entries), abs(f.tail))
+        V = f._view
+        if not V.exact:
+            return _merged_seq(f.space, ((j, abs(v)) for j, v in f.entries), abs(f.tail))
+        T = abs(V.tail)
+        kept = [(j, abs(w)) for j, w in zip(V.indices, V.vals) if abs(w) != T]
+        return _int_seq(f.space, [j for j, _ in kept], [w for _, w in kept], V.D, abs(f.tail))
     return _merged_step(f.space, f.cuts, [abs(v) for v in f.vals])
 
 
@@ -508,13 +550,21 @@ def abs_fn(f: MeasFn) -> MeasFn:
 
 
 def _integrate_abs_product(f: MeasFn, g: MeasFn) -> Real:
-    """The integral of |f g|: for step functions, over their views and with
-    no product function formed, the sum of ``integrate(abs_fn(pointwise_mul(
-    f, g)))``, |f g| times the width of each run of cells where it holds."""
+    """The integral of |f g| over the views of f and g, with no product
+    function formed, the sum of ``integrate(abs_fn(pointwise_mul(f, g)))``:
+    for step functions |f g| times the width of each run of cells where it
+    holds, for exact sequences sum |x y| at the indices either lists times
+    the atom mass (INF for two nonzero tails)."""
     if f.space != g.space:
         raise ValueError("functions live on different spaces")
     if isinstance(f, AtomSeq):
-        return integrate(abs_fn(pointwise_mul(f, g)))
+        (F, G), m = (f._view, g._view), f.space.atom_mass
+        if not (F.exact and G.exact and type(m) is Fraction):
+            return integrate(abs_fn(pointwise_mul(f, g)))
+        if F.tail and G.tail:
+            return INF
+        total = sum(abs(x * y) for x, y in _view_pairs(F, G))
+        return Fraction(total * m.numerator, F.D * G.D * m.denominator)
     (F, G), _ = _views([f, g])
     cuts, fvals, gvals = _refine(F, G)
     cuts, products = _merged(cuts, [abs(x * y) for x, y in zip(fvals, gvals)])

@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from rispace import INF, AtomicSymbol, AtomSeq, IntervalSet, StepFn, interval_set, linear_combine, to_float
+from rispace import (INF, AtomicSymbol, AtomSeq, IntervalSet, StepFn, halfline, integrate, interval_set,
+                     linear_combine, pointwise_mul, to_float)
 from rispace.num import as_real, is_finite, rational_pow
 from rispace.space import _normalize_intervals
-from rispace.stepfn import _fn_from_pieces, _merged_step, _plain
+from rispace.stepfn import _fn_from_pieces, _merged_seq, _merged_step, _plain
 
 
 def dist_oracle(f, s):
@@ -576,6 +577,62 @@ def plain_combine_oracle(coeffs, fns):
     for cut in cuts:
         vals.append(vals[-1] + jumps[cut])
     return _merged_step(fns[0].space, cuts, vals)
+
+
+# ---------------------------------------------------------------------------
+# The sequence operations as they ran on the values themselves before they
+# read the int view (``SeqView``): Fraction arithmetic entry by entry, floats
+# where a value or coefficient is one.
+# ---------------------------------------------------------------------------
+
+
+def plain_seq_combine_oracle(coeffs, fns):
+    """sum c_i f_i over sequences: the summed tail, and at each listed index
+    the deviations c_i v - c_i tail_i from it summed as they come, an entry
+    dropped where its value equals the tail."""
+    coeffs = [as_real(c) for c in coeffs]
+    tail = sum(c * f.tail for c, f in zip(coeffs, fns))
+    acc = {}
+    for c, f in zip(coeffs, fns):
+        base = c * f.tail
+        for j, v in f.entries:
+            acc[j] = acc.get(j, Fraction(0)) + c * v - base
+    return _merged_seq(fns[0].space, ((j, tail + d) for j, d in acc.items()), tail)
+
+
+def plain_seq_abs_oracle(f):
+    """|f|: |v| at each entry and |tail|, an entry equal to |tail| dropped."""
+    return _merged_seq(f.space, ((j, abs(v)) for j, v in f.entries), abs(f.tail))
+
+
+def plain_seq_leq_oracle(f, g):
+    """f <= g at the tails and at every index either lists."""
+    fd, gd = dict(f.entries), dict(g.entries)
+    return f.tail <= g.tail and all(fd.get(j, f.tail) <= gd.get(j, g.tail) for j in fd.keys() | gd.keys())
+
+
+def plain_seq_abs_product_oracle(f, g):
+    """The integral of |f g|: of the product sequence's |.|, cell by cell."""
+    return integrate(plain_seq_abs_oracle(pointwise_mul(f, g)))
+
+
+def plain_seq_star_oracle(f):
+    """f*: the levels of |f| summed from its cells, laid out in decreasing
+    order with their measures as widths, a level of measure INF the last."""
+    levels = {}
+    for m, v in f.cells():
+        got = levels.get(abs(v), Fraction(0))
+        levels[abs(v)] = INF if m == INF or got == INF else got + m
+    cuts, vals, pos = [], [], Fraction(0)
+    for v in sorted(levels, reverse=True):
+        vals.append(v)
+        if levels[v] == INF:
+            break
+        pos += levels[v]
+        cuts.append(pos)
+    else:
+        vals.append(Fraction(0))
+    return _merged_step(halfline(), cuts, vals)
 
 
 def dilate_oracle(f, t):

@@ -33,7 +33,16 @@ runs ``rispace.cli.main`` in this process and writes into OUTDIR:
   ``preimage`` steps of a ``properties.gen_set`` set under a
   ``properties.gen_symbol`` symbol, for seeds 0-199.  No ``eval`` payload
   carries a set, so these are what shows a change in how sets are built,
-  combined and pulled back.
+  combined and pulled back;
+* ``library/seqs-SEED.txt``: the reprs (or errors) of ``linear_combine``,
+  ``add``, ``subtract``, ``scale``, ``rearrangement``, ``abs_fn``,
+  ``pointwise_leq``, ``hlp_leq``, ``hardy_littlewood_pair`` and
+  ``integrate`` on ``seqs_case(SEED)``, two ``properties.gen_seq``
+  sequences on one ``properties.gen_atomic_space`` space, with tails over
+  N, float values and values past the 1,024-bit budget, and coefficients
+  among them 0, floats and 2^-1100, for seeds 0-199.  No ``eval`` payload
+  combines sequences, so these are what shows a change in the sequence
+  operations on their int views and on their fallbacks.
 
 Every path the CLI prints is relative to OUTDIR, so the outputs of two
 checkouts compare with ``diff -r OUTDIR_A OUTDIR_B``.  OUTDIR must be new or
@@ -52,9 +61,11 @@ from pathlib import Path
 from unittest import mock
 
 from rispace import (INF, NEG_INF, AffineTail, AtomicSymbol, Branch, ExpRecip, IntervalSymbol, PowerOnUnit,
-                     ShiftedPower, apply, atomic_finite, atomic_n, atomic_set, atomic_z, cesaro_schedule,
-                     check_condition_I, cli, halfline, interval, interval_set, maximal_truncated, measure, seq, step)
-from rispace.properties import gen_set, gen_space, gen_symbol
+                     ShiftedPower, abs_fn, add, apply, atomic_finite, atomic_n, atomic_set, atomic_z,
+                     cesaro_schedule, check_condition_I, cli, halfline, hardy_littlewood_pair, hlp_leq, integrate,
+                     interval, interval_set, linear_combine, maximal_truncated, measure, pointwise_leq,
+                     rearrangement, scale, seq, step, subtract)
+from rispace.properties import gen_atomic_space, gen_seq, gen_set, gen_space, gen_symbol
 
 from .payloads import eval_payload
 
@@ -198,6 +209,54 @@ def sets_text(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# values and coefficients that take a sequence operation off its int path
+# (a float, or 2^-1100, whose denominator is past the 1,024-bit budget), and
+# tails over N, one of them a float
+_SEQ_ODD_VALUES = [0.1, -0.7, 1 / 3, 2.5, Fraction(1, 2**1100), -Fraction(3, 2**1100)]
+_SEQ_COEFFS = [0, 1, -1, Fraction(1, 3), Fraction(-5, 7), 2, 0.25, -1.5, Fraction(1, 2**1100)]
+_SEQ_TAILS = [Fraction(1, 2), Fraction(-3, 4), 2, 0.5]
+
+
+def seqs_case(seed: int):
+    """(f, g, coeffs) drawn from the seed: two ``gen_seq`` sequences on one
+    atomic space, over N each with a tail half the time (f's, in half of
+    those, one that an entry of g equals); in a third of the seeds an entry
+    of f is a float or a value past the budget; and three coefficients."""
+    rng = random.Random(f"seqs:{seed}")
+    size = rng.randint(0, 5)
+    sp = gen_atomic_space(rng, size)
+    f, g = gen_seq(rng, size, sp), gen_seq(rng, size, sp)
+    if sp.has_tail and rng.random() < 0.5:
+        g = seq(sp, g.entries, tail=rng.choice(_SEQ_TAILS))
+    if sp.has_tail and rng.random() < 0.5:
+        tail = rng.choice([g.entries[0][1]] if g.entries and rng.random() < 0.5 else _SEQ_TAILS)
+        f = seq(sp, f.entries, tail=tail)
+    if rng.random() < 1 / 3:
+        j = rng.choice([j for j, _ in f.entries] or [0])
+        f = seq(sp, {**dict(f.entries), j: rng.choice(_SEQ_ODD_VALUES)}, tail=f.tail)
+    coeffs = [rng.choice(_SEQ_COEFFS) for _ in range(3)]
+    return f, g, coeffs
+
+
+def seqs_text(seed: int) -> str:
+    """The sequence case of the seed, and what the sequence operations give
+    on it and on its combination h (or the error they raise)."""
+    f, g, coeffs = seqs_case(seed)
+    h = linear_combine(coeffs, [f, g, f])  # its values are finite: no case raises
+    lines = [f"{f!r}", f"{g!r}", f"coeffs = {coeffs!r}", f"--- linear_combine\n{h!r}"]
+    for name, call in (("add", lambda: add(f, g)), ("subtract", lambda: subtract(f, g)),
+                       ("subtract f f", lambda: subtract(f, f)), ("scale", lambda: scale(coeffs[0], g)),
+                       ("rearrangement f", lambda: rearrangement(f)), ("rearrangement g", lambda: rearrangement(g)),
+                       ("rearrangement h", lambda: rearrangement(h)), ("abs_fn f", lambda: abs_fn(f)),
+                       ("abs_fn h", lambda: abs_fn(h)), ("pointwise_leq f g", lambda: pointwise_leq(f, g)),
+                       ("pointwise_leq g h", lambda: pointwise_leq(g, h)), ("hlp_leq f g", lambda: hlp_leq(f, g)),
+                       ("hardy_littlewood_pair f g", lambda: hardy_littlewood_pair(f, g)),
+                       ("hardy_littlewood_pair h f", lambda: hardy_littlewood_pair(h, f)),
+                       ("integrate f", lambda: integrate(f)), ("integrate h", lambda: integrate(h))):
+        lines.append(_outcome(name, call))
+    return "\n".join(lines) + "\n"
+
+
 def write_outputs(outdir: Path) -> None:
     (outdir / "eval").mkdir(parents=True)
     for operation in OPERATIONS:
@@ -217,6 +276,7 @@ def write_outputs(outdir: Path) -> None:
         (outdir / "library" / f"{seed:03d}.txt").write_text(library_text(seed))
         (outdir / "library" / f"interval-{seed:03d}.txt").write_text(interval_text(seed))
         (outdir / "library" / f"sets-{seed:03d}.txt").write_text(sets_text(seed))
+        (outdir / "library" / f"seqs-{seed:03d}.txt").write_text(seqs_text(seed))
     with contextlib.chdir(outdir / "run-example"):
         for example_id in cli.EXAMPLE_IDS:
             text = run(["run-example", example_id, "--format", "both", "--out", example_id])

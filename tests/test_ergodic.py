@@ -63,7 +63,7 @@ from .oracles import (
     refinement_points,
 )
 from .test_rearrange import CARRIER_CASES, _deep, deep_fn
-from .test_stepfn import _READERS
+from .test_stepfn import _SEQ_READERS
 from .test_symbols import _ALL_NEGATIVE_TABLE, _infinite_symbol
 
 
@@ -500,13 +500,6 @@ def test_maximal_float_values_with_a_tail_over_n_round_near_the_dict_oracle():
 # ---------------------------------------------------------------------------
 # Means built from ints form their Fractions on first read
 # ---------------------------------------------------------------------------
-
-
-_SEQ_READERS = {
-    **_READERS,
-    "wire": lambda r, want: jsonio.dumps(jsonio.to_obj(r)) == jsonio.dumps(jsonio.to_obj(want))
-    and jsonio.measfn_from_obj(jsonio.to_obj(r)) == want,
-}
 
 
 def _means_built_from_ints(sym, f, n: int, K: int):

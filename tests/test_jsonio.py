@@ -410,6 +410,11 @@ def test_decoders_are_strict(decode, obj):
         ('{"space": {"kind": "atomic_z"}, "indices": [true]}', "set.indices[0]: expected an integer, got a boolean"),
         ('{"space": {"kind": "atomic_z"}, "indices": [1.5]}', "set.indices[0]: expected an integer, got 3/2"),
         ('{"space": {"kind": "atomic_finite", "count": 3}, "indices": [3]}', "set: index 3 outside the space's range"),
+        # cofinite is read on the wire before the builder runs, with the wire's own message
+        ('{"space": {"kind": "atomic_z"}, "cofinite": "no"}', "set.cofinite: expected a boolean, got 'no'"),
+        ('{"space": {"kind": "atomic_n"}, "cofinite": 0.5}', "set.cofinite: expected a boolean, got 1/2"),
+        ('{"space": {"kind": "atomic_finite", "count": 3}, "indices": [3], "cofinite": 1}',
+         "set.cofinite: expected a boolean, got 1"),
         # two faults in the space: the mass is named before the count
         ('{"space": {"kind": "atomic_finite", "count": 0, "atom_mass": 0}}',
          "set.space: atom_mass must be positive and finite"),

@@ -228,6 +228,12 @@ def test_merged_intervals_keep_the_objects_of_sorted_and_max(pairs):
         (lambda: atomic_set(atomic_z(), [True]), "atom indices must be integers"),
         (lambda: atomic_set(atomic_z(), [1.5]), "atom indices must be integers"),
         (lambda: atomic_set(atomic_finite(3), [3]), "index 3 outside the space's range"),
+        (lambda: atomic_set(atomic_finite(3), [0], cofinite="no"), "cofinite must be True or False, got 'no'"),
+        (lambda: atomic_set(atomic_z(), [0], cofinite=0.5), "cofinite must be True or False, got 0.5"),
+        (lambda: atomic_set(atomic_n(), [], cofinite=1), "cofinite must be True or False, got 1"),
+        (lambda: atomic_set(atomic_n(), [], cofinite=None), "cofinite must be True or False, got None"),
+        # an index fault is named before a cofinite fault
+        (lambda: atomic_set(atomic_finite(3), [4], cofinite="no"), "index 4 outside the space's range"),
     ],
 )
 def test_outside_input_is_refused_by_the_builders(build, message):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from rispace import (
     INF,
+    AtomSeq,
     StepFn,
     UndefinedIntegralError,
     abs_fn,
@@ -26,6 +27,7 @@ from rispace import (
     integrate,
     interval,
     interval_set,
+    jsonio,
     line,
     linear_combine,
     pointwise_leq,
@@ -39,10 +41,20 @@ from rispace import (
     subtract,
 )
 from rispace.examples import exp_recip_symbol, power_symbol, shifted_power_symbol
-from rispace.properties import gen_step
-from rispace.stepfn import _mapped_pieces, _union
+from rispace.properties import gen_atomic_space, gen_seq, gen_step
+from rispace.stepfn import _integrate_abs_product, _mapped_pieces, _union
 
-from .oracles import plain_combine_oracle, refinement_points
+from .oracles import (
+    plain_combine_oracle,
+    plain_seq_abs_oracle,
+    plain_seq_abs_product_oracle,
+    plain_seq_combine_oracle,
+    plain_seq_leq_oracle,
+    plain_seq_star_oracle,
+    refinement_points,
+    star_cuts_oracle,
+    star_tail_oracle,
+)
 from .test_rearrange import VIEW_CASES, agree, at_scale_1, deep_fn, has_float, partner
 
 
@@ -363,6 +375,12 @@ _READERS = {
                                   for c in _copies(r)),
 }
 
+_SEQ_READERS = {
+    **_READERS,
+    "wire": lambda r, want: jsonio.dumps(jsonio.to_obj(r)) == jsonio.dumps(jsonio.to_obj(want))
+    and jsonio.measfn_from_obj(jsonio.to_obj(r)) == want,
+}
+
 
 def _built_from_ints(f, g):
     """Fresh results of the operations that end in an int loop; f* of a copy
@@ -521,3 +539,146 @@ def test_exact_values_over_float_cuts_are_summed_as_ints(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# Exact sequences: the operations read their views and build with ints
+# ---------------------------------------------------------------------------
+
+
+def _seq_pair(rng, size):
+    """Two ``gen_seq`` sequences on one ``gen_atomic_space`` space (N, Z or
+    finite, atom mass 1/2, 1 or 2); over N each has a tail most of the time,
+    f's some times one that an entry of g equals."""
+    sp = gen_atomic_space(rng, size)
+    f, g = gen_seq(rng, size, sp), gen_seq(rng, size, sp)
+    if sp.has_tail and rng.random() < 0.8:
+        g = seq(sp, g.entries, tail=Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))))
+    if sp.has_tail and rng.random() < 0.8:
+        f = seq(sp, f.entries, tail=g.entries[0][1] if g.entries and rng.random() < 0.4 else rng.randint(-3, 3))
+    return f, g
+
+
+_SEQ_COEFFS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 4), Fraction(-3, 7), Fraction(5, 2**61), 2]
+
+
+def _seq_results_and_twins(f, g, coeffs):
+    """(result, its twin) for each sequence operation that ends in an int
+    loop, the twin by the Fraction loops of ``tests.oracles``; f* of a copy
+    of f, since f keeps its own."""
+    h = plain_seq_combine_oracle(coeffs, [f, g, f])
+    return [(linear_combine(coeffs, [f, g, f]), h),
+            (add(f, g), plain_seq_combine_oracle([1, 1], [f, g])),
+            (subtract(f, g), plain_seq_combine_oracle([1, -1], [f, g])),
+            (scale(coeffs[0], g), plain_seq_combine_oracle(coeffs[:1], [g])),
+            (abs_fn(f), plain_seq_abs_oracle(f)),
+            (abs_fn(linear_combine(coeffs, [f, g, f])), plain_seq_abs_oracle(h)),
+            (rearrangement(dataclasses.replace(f)), plain_seq_star_oracle(f)),
+            (rearrangement(linear_combine(coeffs, [f, g, f])), plain_seq_star_oracle(h))]
+
+
+def _check_seq_results(f, g, coeffs):
+    for name, agrees in _SEQ_READERS.items():
+        for r, want in _seq_results_and_twins(f, g, coeffs):
+            assert "entries" not in r.__dict__ and "cuts" not in r.__dict__ and "vals" not in r.__dict__
+            assert agrees(r, want), (name, "before the first read")
+            assert repr(r) == repr(want)  # the first read forms the fields
+            assert agrees(r, want), (name, "after the first read")
+    rf = rearrangement(f)
+    assert list(rf.cuts) == star_cuts_oracle(f) and rf.vals[-1] == star_tail_oracle(f)
+    for a, b in ((f, g), (g, f), (f, f), (abs_fn(f), abs_fn(g))):
+        assert pointwise_leq(a, b) is plain_seq_leq_oracle(a, b)
+        assert repr(_integrate_abs_product(a, b)) == repr(plain_seq_abs_product_oracle(a, b))
+
+
+def _seq_case(seed: int):
+    rng = random.Random(seed)
+    f, g = _seq_pair(rng, rng.randint(0, 8))
+    return f, g, [rng.choice(_SEQ_COEFFS) for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_sequence_results_built_from_ints_read_as_their_fraction_twins(seed):
+    _check_seq_results(*_seq_case(seed))
+
+
+def test_the_sequence_twins_cover_every_space_kind_mass_and_tail():
+    drawn = {(f.space.kind, f.space.atom_mass, f.tail != 0 and g.tail != 0)
+             for f, g, _ in map(_seq_case, range(80))}
+    kinds, masses = (atomic_n().kind, atomic_z().kind, atomic_finite(1).kind), (Fraction(1, 2), 1, 2)
+    assert {(k, m) for k, m, _ in drawn} == {(k, m) for k in kinds for m in masses}
+    assert {(atomic_n().kind, m, True) for m in masses} <= drawn
+
+
+@given(deep_fn().filter(lambda f: isinstance(f, AtomSeq)), st.data())
+def test_deep_sequence_results_built_from_ints_read_as_their_fraction_twins(f, data):
+    coeffs = data.draw(st.lists(st.sampled_from(_SEQ_COEFFS), min_size=3, max_size=3))
+    _check_seq_results(f, data.draw(partner(f)), coeffs)
+
+
+_N = atomic_n(Fraction(1, 2))
+_F = seq(_N, {0: Fraction(1, 3), 2: -2, 5: Fraction(7, 4)}, tail=Fraction(1, 2))
+_G = seq(_N, {0: 1, 2: Fraction(-5, 6), 6: Fraction(1, 2)}, tail=Fraction(1, 3))
+
+
+@pytest.mark.parametrize("coeffs, fns", [
+    # a float value, a float tail, a float coefficient
+    ([1, 2], [seq(_N, {0: 0.1, 3: Fraction(1, 3)}, tail=Fraction(1, 2)), _G]),
+    ([1, -1], [seq(_N, {1: 2}, tail=0.5), _G]),
+    ([0.5, Fraction(1, 3)], [_F, _G]),
+    # a value or a coefficient past the 1,024-bit budget
+    ([1, 3], [seq(_N, {0: Fraction(1, 2**1100), 4: 1}), _G]),
+    ([Fraction(1, 2**1100), 1], [_F, _G]),
+    # zero coefficients, and entries that cancel to the tail
+    ([0, 1], [_F, _G]),
+    ([0, 0], [_F, _G]),
+    ([1, -1], [seq(_N, {0: 3, 1: 2, 4: 5}, tail=1), seq(_N, {0: 1, 1: 1, 4: 4})]),
+    ([Fraction(-5, 2), Fraction(5, 2)], [_G, _G]),
+])
+def test_sequence_fallbacks_and_edge_cases_equal_the_fraction_loops(coeffs, fns):
+    f, g = fns
+    assert repr(linear_combine(coeffs, fns)) == repr(plain_seq_combine_oracle(coeffs, fns))
+    assert repr(add(f, g)) == repr(plain_seq_combine_oracle([1, 1], fns))
+    assert repr(subtract(f, g)) == repr(plain_seq_combine_oracle([1, -1], fns))
+    assert repr(scale(coeffs[0], f)) == repr(plain_seq_combine_oracle(coeffs[:1], [f]))
+    h = linear_combine(coeffs, fns)
+    for a in (f, h):
+        assert repr(abs_fn(a)) == repr(plain_seq_abs_oracle(a))
+        assert repr(rearrangement(dataclasses.replace(a))) == repr(plain_seq_star_oracle(a))
+    for a, b in ((f, g), (g, f), (h, g), (g, h)):
+        assert pointwise_leq(a, b) is plain_seq_leq_oracle(a, b)
+        assert repr(_integrate_abs_product(a, b)) == repr(plain_seq_abs_product_oracle(a, b))
+
+
+def test_a_sequence_on_a_float_mass_keeps_its_fraction_loops():
+    sp = atomic_n(0.5)
+    f, g = seq(sp, {0: 2, 3: Fraction(-1, 3)}, tail=1), seq(sp, {1: 4}, tail=Fraction(1, 2))
+    assert repr(rearrangement(f)) == repr(plain_seq_star_oracle(f))
+    f0, g0 = seq(sp, f.entries), seq(sp, g.entries)
+    assert repr(_integrate_abs_product(f0, g0)) == repr(plain_seq_abs_product_oracle(f0, g0))
+    assert repr(_integrate_abs_product(f, g)) == repr(plain_seq_abs_product_oracle(f, g)) == "inf"
+
+
+def test_subtract_and_rearrangement_of_exact_sequences_form_no_fraction(monkeypatch):
+    # 120 entries in all; the Fractions formed are the two coefficients, their
+    # scales c / D and the result's tail, none per entry, and no result forms
+    # its fields
+    sp = atomic_z(Fraction(1, 2))
+    rng = random.Random(5)
+    f = seq(sp, {j: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6))) for j in range(-30, 30)})
+    g = subtract(f, seq(sp, {j: Fraction(rng.randint(-9, 9), 5) for j in range(0, 60)}))
+    assert "entries" not in g.__dict__
+    f._view  # f's view is formed from its Fractions before the count starts
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: made.append(args) or new(cls, *args, **kw))
+    d = subtract(g, f)
+    r = rearrangement(d)
+    rf = rearrangement(g)
+    monkeypatch.undo()
+    assert len(made) <= 5, made
+    assert "entries" not in d.__dict__ and "entries" not in g.__dict__
+    for s in (r, rf):
+        assert "cuts" not in s.__dict__ and "vals" not in s.__dict__
+    assert repr(d) == repr(plain_seq_combine_oracle([1, -1], [g, f]))
+    assert repr(r) == repr(plain_seq_star_oracle(d))
