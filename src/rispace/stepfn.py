@@ -21,14 +21,15 @@ combinations) holds only its space and that view, and forms its Fraction
 ``cuts`` and ``vals`` the first time they are read; loops that chain read
 the view, so a comparison of rearrangements forms none.  An AtomSeq keeps
 its int view too (``SeqView``, entries and tail over one denominator), and
-every exact operation on sequences reads it: ``linear_combine`` sums the
+every operation on sequences reads it: ``linear_combine`` sums the
 deviations from the summed tail as ints over one scale, ``abs_fn`` and
 ``pointwise_leq`` read ints, the integral of |f g| sums |x y| over two views,
 and f* (``rearrange``) lays out atom counts over it.  One that an int loop
 builds (``_int_seq``: combinations, |f|, orbit means, pull-backs) holds only
 its space, tail and that view, forming its Fraction ``entries`` on first
 read; a loop that reads it forms none.  Float values and views past the
-budget keep the loops over the values themselves.
+budget run the same loops at scale 1 (``_plain``, ``_plain_seq``), and only
+the builders, ``_merged_step`` and ``_merged_seq``, ask which scale it is.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Union
 
-from .num import INF, NEG_INF, Real, as_int, as_real, is_finite, lt, real_key, scaled, unscaled
+from .num import INF, NEG_INF, Real, as_int, as_real, common_denominator, is_finite, lt, real_key, scaled, unscaled
 from .space import AtomicSet, IntervalSet, MeasureSpace
 
 
@@ -134,15 +136,16 @@ def _plain(f: StepFn) -> View:
 
 def _views(fns, points=()) -> tuple[list[View], list]:
     """The views of fns and the points (INF allowed), all over one C, the lcm
-    of theirs; at scale 1 past a float or the budget."""
+    of theirs and of the points' denominators; at scale 1 past a float, a
+    view at scale 1 or the budget."""
     views = [f._view for f in fns]
-    # 1/C_i over the common C is C // C_i, the factor that rescales view i
-    C, ints = scaled([*(Fraction(1, V.C) for V in views), *(p for p in points if is_finite(p))])
-    if not (all(V.exact for V in views) and all(type(x) is int for x in ints)):
+    finite = [p for p in points if is_finite(p)]
+    C = (all(V.exact for V in views) and not any(isinstance(p, float) for p in finite)
+         and common_denominator([*(V.C for V in views), *(p.denominator for p in finite)]))
+    if not C:
         return [_plain(f) for f in fns], list(points)
-    ks, ints = ints[:len(views)], iter(ints[len(views):])
-    return ([V if k == 1 else V._replace(C=C, bounds=[b * k for b in V.bounds]) for k, V in zip(ks, views)],
-            [next(ints) if is_finite(p) else p for p in points])
+    return ([V if V.C == C else V._replace(C=C, bounds=[b * (C // V.C) for b in V.bounds]) for V in views],
+            [p.numerator * (C // p.denominator) if is_finite(p) else p for p in points])
 
 
 def _merged(cuts, vals) -> tuple[list, list]:
@@ -300,6 +303,17 @@ def _seq_cells(mass, vals, tail):
         yield INF, tail
 
 
+def _plain_seq(f: AtomSeq) -> SeqView:
+    """f's view at scale 1, over its own entries and tail."""
+    return SeqView(1, tuple(j for j, _ in f.entries), [v for _, v in f.entries], f.tail, False)
+
+
+def _seq_views(fns) -> list[SeqView]:
+    """The views of fns, every one exact, or every one at scale 1."""
+    views = [f._view for f in fns]
+    return views if all(V.exact for V in views) else [_plain_seq(f) for f in fns]
+
+
 def _int_seq(space: MeasureSpace, indices, nums, D: int, tail: Fraction) -> AtomSeq:
     """The AtomSeq with the entries nums[i] / D at the sorted indices, none
     equal to the exact tail, whose denominator divides D.  It holds only its
@@ -310,10 +324,14 @@ def _int_seq(space: MeasureSpace, indices, nums, D: int, tail: Fraction) -> Atom
     return s
 
 
-def _merged_seq(space: MeasureSpace, items, tail: Real = Fraction(0)) -> AtomSeq:
+def _merged_seq(space: MeasureSpace, items, tail: Real = Fraction(0), scale: SeqView | None = None) -> AtomSeq:
     """The AtomSeq of the (index, value) items that differ from the tail,
-    sorted by index; a zero tail is the exact 0 (also for 0.0 and -0.0), and
-    a non-finite entry or tail raises."""
+    sorted by index, as ints over the D of an exact ``scale`` view
+    (``_int_seq``); else as they are, where a zero tail is the exact 0 (also
+    for 0.0 and -0.0), and a non-finite entry or tail raises."""
+    if scale is not None and scale.exact:
+        kept = sorted((j, w) for j, w in items if w != tail)
+        return _int_seq(space, [j for j, _ in kept], [w for _, w in kept], scale.D, Fraction(tail, scale.D))
     tail = tail or Fraction(0)
     entries = tuple(sorted((j, v) for j, v in items if v != tail))
     if not (is_finite(tail) and all(is_finite(v) for _, v in entries)):
@@ -377,9 +395,10 @@ def linear_combine(coeffs, fns) -> MeasFn:
     combining n translates of an indicator costs O(total cuts * log) rather
     than O(n^2).  The jumps are summed as ints over one value scale wherever
     the values and coefficients are exact, also over cuts with no int view
-    (floats), whose union then sorts by ``num.real_key``; a float value or
-    coefficient, or a scale past the budget, sums them as they are.
-    Sequences sum their deviations from the summed tail the same way.
+    (floats), whose union then sorts by ``num.real_key``.  Sequences sum
+    their deviations from the summed tail as ints the same way.  A float
+    value or coefficient, or a scale past the budget, runs the same loop at
+    scale 1, over the values and coefficients themselves.
     """
     if len(coeffs) != len(fns) or not fns:
         raise ValueError("need equally many (>=1) coefficients and functions")
@@ -389,28 +408,19 @@ def linear_combine(coeffs, fns) -> MeasFn:
         if f.space != sp:
             raise ValueError("functions live on different spaces")
     if isinstance(fns[0], AtomSeq):
-        # c_i v / D_i = k_i v / M over the exact views, summed as deviations
-        # from the summed tail T, k_i v - k_i tail_i, where T / M is the tail
-        views = [f._view for f in fns]
+        # c_i v / D_i = k_i v / M (M = 1, k_i = c_i at scale 1), summed as
+        # deviations k_i v - k_i tail_i from the summed tail T, T / M the tail
+        views = _seq_views(fns)
         M, ks = scaled([c / V.D for c, V in zip(coeffs, views)])
-        if all(V.exact for V in views) and all(type(k) is int for k in ks):
-            T = sum(k * V.tail for k, V in zip(ks, views))
-            dev: dict[int, int] = {}
-            for k, V in zip(ks, views):
-                kt = k * V.tail
-                for j, w in zip(V.indices, V.vals):
-                    dev[j] = dev.get(j, 0) + k * w - kt
-            js = sorted(j for j, d in dev.items() if d)
-            return _int_seq(sp, js, [T + dev[j] for j in js], M, Fraction(T, M))
-        # a float value or coefficient, or a scale past the budget: the values themselves
-        tail = sum(c * f.tail for c, f in zip(coeffs, fns))
-        acc: dict[int, Real] = {}
-        for c, f in zip(coeffs, fns):
-            base = c * f.tail
-            for j, v in f.entries:
-                acc[j] = acc.get(j, Fraction(0)) + c * v - base
-        # acc[j] holds the deviation from the summed tail at j
-        return _merged_seq(sp, ((j, tail + d) for j, d in acc.items()), tail)
+        if not (views[0].exact and all(type(k) is int for k in ks)):
+            views, M, ks = [_plain_seq(f) for f in fns], 1, coeffs
+        T = sum(k * V.tail for k, V in zip(ks, views))
+        dev: dict[int, Real] = {}
+        for k, V in zip(ks, views):
+            kt = k * V.tail
+            for j, w in zip(V.indices, V.vals):
+                dev[j] = dev.get(j, 0) + k * w - kt
+        return _merged_seq(sp, ((j, T + d) for j, d in dev.items()), T, views[0]._replace(D=M))
     # step functions: collect jump events, as ints over one value scale M
     # wherever the values and coefficients are exact, c_i v / D_i = k_i v / M,
     # and over one cut scale too where the cuts have an int view
@@ -482,35 +492,27 @@ def _refine(f: StepFn, g: StepFn):
     return cuts, _on_cells(f, cuts), _on_cells(g, cuts)
 
 
-def _seq_pairs(f: AtomSeq, g: AtomSeq):
-    fd, gd = f._values, g._values
-    for j in sorted(fd.keys() | gd.keys()):
-        yield j, fd.get(j, f.tail), gd.get(j, g.tail)
-
-
 def _view_pairs(F: SeqView, G: SeqView):
-    """(x, y), the values of two sequence views (each over its own D) at
-    every index that either lists, in no set order."""
+    """(j, x, y), the values of two sequence views (each over its own D) at
+    every index j that either lists, in no set order."""
     gd = dict(zip(G.indices, G.vals))
-    yield from ((x, gd.pop(j, G.tail)) for j, x in zip(F.indices, F.vals))
-    yield from ((F.tail, y) for y in gd.values())
+    yield from ((j, x, gd.pop(j, G.tail)) for j, x in zip(F.indices, F.vals))
+    yield from ((j, F.tail, y) for j, y in gd.items())
 
 
 def pointwise_leq(f: MeasFn, g: MeasFn) -> bool:
-    """Exact f <= g everywhere (union partition / union index set), over
-    the int views of exact sequences, x D_g <= y D_f."""
+    """Exact f <= g everywhere, x D_g <= y D_f over the views of f and g: on
+    each cell of their refinement, or at the tails and each listed index."""
     if f.space != g.space:
         raise ValueError("functions live on different spaces")
     if isinstance(f, AtomSeq):
-        F, G = f._view, g._view
-        if F.exact and G.exact:
-            return F.tail * G.D <= G.tail * F.D and all(x * G.D <= y * F.D for x, y in _view_pairs(F, G))
-        if f.tail > g.tail:
-            return False
-        return all(fv <= gv for _, fv, gv in _seq_pairs(f, g))
-    (F, G), _ = _views([f, g])
-    _, fvals, gvals = _refine(F, G)
-    return all(x * G.D <= y * F.D for x, y in zip(fvals, gvals))
+        F, G = _seq_views([f, g])
+        pairs = chain([(F.tail, G.tail)], ((x, y) for _, x, y in _view_pairs(F, G)))
+    else:
+        (F, G), _ = _views([f, g])
+        _, fvals, gvals = _refine(F, G)
+        pairs = zip(fvals, gvals)
+    return all(x * G.D <= y * F.D for x, y in pairs)
 
 
 def pointwise_map(op, f: MeasFn, g: MeasFn) -> MeasFn:
@@ -519,8 +521,8 @@ def pointwise_map(op, f: MeasFn, g: MeasFn) -> MeasFn:
     if f.space != g.space:
         raise ValueError("functions live on different spaces")
     if isinstance(f, AtomSeq):
-        tail = op(f.tail, g.tail)
-        return _merged_seq(f.space, ((j, op(fv, gv)) for j, fv, gv in _seq_pairs(f, g)), tail)
+        pairs = _view_pairs(_plain_seq(f), _plain_seq(g))
+        return _merged_seq(f.space, ((j, op(x, y)) for j, x, y in pairs), op(f.tail, g.tail))
     cuts, fvals, gvals = _refine(f, g)
     return _merged_step(f.space, cuts, [op(fv, gv) for fv, gv in zip(fvals, gvals)])
 
@@ -534,14 +536,10 @@ def pointwise_mul(f: MeasFn, g: MeasFn) -> MeasFn:
 
 
 def abs_fn(f: MeasFn) -> MeasFn:
+    V = f._view
     if isinstance(f, AtomSeq):
-        V = f._view
-        if not V.exact:
-            return _merged_seq(f.space, ((j, abs(v)) for j, v in f.entries), abs(f.tail))
-        T = abs(V.tail)
-        kept = [(j, abs(w)) for j, w in zip(V.indices, V.vals) if abs(w) != T]
-        return _int_seq(f.space, [j for j, _ in kept], [w for _, w in kept], V.D, abs(f.tail))
-    return _merged_step(f.space, f.cuts, [abs(v) for v in f.vals])
+        return _merged_seq(f.space, ((j, abs(w)) for j, w in zip(V.indices, V.vals)), abs(V.tail), V)
+    return _merged_step(f.space, V.cuts, [abs(v) for v in V.vals], V)
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +556,12 @@ def _integrate_abs_product(f: MeasFn, g: MeasFn) -> Real:
     if f.space != g.space:
         raise ValueError("functions live on different spaces")
     if isinstance(f, AtomSeq):
-        (F, G), m = (f._view, g._view), f.space.atom_mass
-        if not (F.exact and G.exact and type(m) is Fraction):
+        (F, G), m = _seq_views([f, g]), f.space.atom_mass
+        if not (F.exact and type(m) is Fraction):
             return integrate(abs_fn(pointwise_mul(f, g)))
         if F.tail and G.tail:
             return INF
-        total = sum(abs(x * y) for x, y in _view_pairs(F, G))
+        total = sum(abs(x * y) for _, x, y in _view_pairs(F, G))
         return Fraction(total * m.numerator, F.D * G.D * m.denominator)
     (F, G), _ = _views([f, g])
     cuts, fvals, gvals = _refine(F, G)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Union
 
-from .num import INF, Real, as_int, as_real, is_finite, log_real, lt, nth_root, rational_pow
+from .num import INF, Real, as_int, as_real, is_finite, log_real, lt, nth_root, rational_pow, unscaled
 from .space import (
     ATOMIC_FINITE,
     ATOMIC_N,
@@ -45,7 +45,7 @@ from .space import (
     MeasureSpace,
     _normalize_intervals,
 )
-from .stepfn import AtomSeq, StepFn, _fn_from_pieces, _int_seq, _mapped_pieces, constant, linear_combine
+from .stepfn import AtomSeq, StepFn, _fn_from_pieces, _mapped_pieces, _merged_seq, constant, linear_combine
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,8 @@ class IntervalSymbol:
             rho = constant(self.space, 1)
             for n in range(1, horizon + 1):
                 rho = _transfer_once(self, rho)
-                yield n, max(rho.vals), min(rho.vals)
+                V = rho._view
+                yield n, unscaled(max(V.vals), V.D), unscaled(min(V.vals), V.D)
             return
         sets = _dyadic_family(self.space)
         widths = [b - a for ((a, b),) in (E.intervals for E in sets)]
@@ -400,8 +401,7 @@ class AtomicSymbol:
         if s is not None:  # on N an entry below s is the image of no index
             a = bisect_left(V.indices, self.space.domain[0] + s)
             pulled += [(t - s, w) for t, w in zip(V.indices[a:], V.vals[a:]) if t - s not in images]
-        js, ws = zip(*sorted(pulled)) if pulled else ((), ())
-        return _int_seq(self.space, js, ws, V.D, f.tail) if V.exact else AtomSeq(self.space, tuple(zip(js, ws)), f.tail)
+        return _merged_seq(self.space, pulled, V.tail, V)
 
     def bound_rows(self, horizon: int):
         """Yield (n, A_n, C_n), the max and min of the preimage counts of

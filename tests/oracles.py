@@ -644,3 +644,13 @@ def dilate_oracle(f, t):
     bounds = (Fraction(0), *(float(Fraction(c) / t) if tiny and isinstance(c, float) else c / t for c in f.cuts), INF)
     pieces = [(a, b, v) for a, b, v in zip(bounds, bounds[1:], f.vals) if a < b]
     return _fn_from_pieces(f.space, pieces)
+
+
+def plain_seq_map_oracle(op, f, g):
+    """op(f, g) over sequences: op at the tails, and at every index either
+    lists, in sorted order, op of the two values there, an entry dropped
+    where its value equals the tail."""
+    fd, gd = dict(f.entries), dict(g.entries)
+    tail = op(f.tail, g.tail)
+    pairs = ((j, fd.get(j, f.tail), gd.get(j, g.tail)) for j in sorted(fd.keys() | gd.keys()))
+    return _merged_seq(f.space, ((j, op(x, y)) for j, x, y in pairs), tail)

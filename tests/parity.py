@@ -36,13 +36,15 @@ runs ``rispace.cli.main`` in this process and writes into OUTDIR:
   combined and pulled back;
 * ``library/seqs-SEED.txt``: the reprs (or errors) of ``linear_combine``,
   ``add``, ``subtract``, ``scale``, ``rearrangement``, ``abs_fn``,
-  ``pointwise_leq``, ``hlp_leq``, ``hardy_littlewood_pair`` and
-  ``integrate`` on ``seqs_case(SEED)``, two ``properties.gen_seq``
-  sequences on one ``properties.gen_atomic_space`` space, with tails over
-  N, float values and values past the 1,024-bit budget, and coefficients
-  among them 0, floats and 2^-1100, for seeds 0-199.  No ``eval`` payload
-  combines sequences, so these are what shows a change in the sequence
-  operations on their int views and on their fallbacks.
+  ``pointwise_leq``, ``pointwise_max``, ``pointwise_mul``, ``hlp_leq``,
+  ``hardy_littlewood_pair`` and ``integrate`` on ``seqs_case(SEED)``, two
+  ``properties.gen_seq`` sequences on one ``properties.gen_atomic_space``
+  space, with tails over N, float values and values past the 1,024-bit
+  budget, and coefficients among them 0, floats and 2^-1100; and of
+  ``apply`` on them under a ``properties.gen_atomic_symbol`` symbol on
+  their space, for seeds 0-199.  No ``eval`` payload combines sequences, so
+  these are what shows a change in the sequence operations on their int
+  views and on their fallbacks.
 
 Every path the CLI prints is relative to OUTDIR, so the outputs of two
 checkouts compare with ``diff -r OUTDIR_A OUTDIR_B``.  OUTDIR must be new or
@@ -64,8 +66,8 @@ from rispace import (INF, NEG_INF, AffineTail, AtomicSymbol, Branch, ExpRecip, I
                      ShiftedPower, abs_fn, add, apply, atomic_finite, atomic_n, atomic_set, atomic_z,
                      cesaro_schedule, check_condition_I, cli, halfline, hardy_littlewood_pair, hlp_leq, integrate,
                      interval, interval_set, linear_combine, maximal_truncated, measure, pointwise_leq,
-                     rearrangement, scale, seq, step, subtract)
-from rispace.properties import gen_atomic_space, gen_seq, gen_set, gen_space, gen_symbol
+                     pointwise_max, pointwise_mul, rearrangement, scale, seq, step, subtract)
+from rispace.properties import gen_atomic_space, gen_atomic_symbol, gen_seq, gen_set, gen_space, gen_symbol
 
 from .payloads import eval_payload
 
@@ -240,16 +242,24 @@ def seqs_case(seed: int):
 
 def seqs_text(seed: int) -> str:
     """The sequence case of the seed, and what the sequence operations give
-    on it and on its combination h (or the error they raise)."""
+    on it and on its combination h (or the error they raise), apply under a
+    symbol of the seed among them."""
     f, g, coeffs = seqs_case(seed)
     h = linear_combine(coeffs, [f, g, f])  # its values are finite: no case raises
-    lines = [f"{f!r}", f"{g!r}", f"coeffs = {coeffs!r}", f"--- linear_combine\n{h!r}"]
+    sym = gen_atomic_symbol(random.Random(f"seqs-symbol:{seed}"), 3, f.space)
+    lines = [f"{f!r}", f"{g!r}", f"coeffs = {coeffs!r}", f"--- linear_combine\n{h!r}", f"{sym!r}"]
     for name, call in (("add", lambda: add(f, g)), ("subtract", lambda: subtract(f, g)),
                        ("subtract f f", lambda: subtract(f, f)), ("scale", lambda: scale(coeffs[0], g)),
                        ("rearrangement f", lambda: rearrangement(f)), ("rearrangement g", lambda: rearrangement(g)),
                        ("rearrangement h", lambda: rearrangement(h)), ("abs_fn f", lambda: abs_fn(f)),
                        ("abs_fn h", lambda: abs_fn(h)), ("pointwise_leq f g", lambda: pointwise_leq(f, g)),
-                       ("pointwise_leq g h", lambda: pointwise_leq(g, h)), ("hlp_leq f g", lambda: hlp_leq(f, g)),
+                       ("pointwise_leq g h", lambda: pointwise_leq(g, h)),
+                       ("pointwise_max f g", lambda: pointwise_max(f, g)),
+                       ("pointwise_max h g", lambda: pointwise_max(h, g)),
+                       ("pointwise_mul f g", lambda: pointwise_mul(f, g)),
+                       ("pointwise_mul g h", lambda: pointwise_mul(g, h)),
+                       ("apply f", lambda: apply(sym, f)), ("apply g", lambda: apply(sym, g)),
+                       ("apply h", lambda: apply(sym, h)), ("hlp_leq f g", lambda: hlp_leq(f, g)),
                        ("hardy_littlewood_pair f g", lambda: hardy_littlewood_pair(f, g)),
                        ("hardy_littlewood_pair h f", lambda: hardy_littlewood_pair(h, f)),
                        ("integrate f", lambda: integrate(f)), ("integrate h", lambda: integrate(h))):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from rispace import (
     atomic_z,
     constant,
     halfline,
+    hardy_integral,
     hlp_leq,
     indicator,
     integrate,
@@ -45,11 +47,13 @@ from rispace.properties import gen_atomic_space, gen_seq, gen_step
 from rispace.stepfn import _integrate_abs_product, _mapped_pieces, _union
 
 from .oracles import (
+    hardy_oracle,
     plain_combine_oracle,
     plain_seq_abs_oracle,
     plain_seq_abs_product_oracle,
     plain_seq_combine_oracle,
     plain_seq_leq_oracle,
+    plain_seq_map_oracle,
     plain_seq_star_oracle,
     refinement_points,
     star_cuts_oracle,
@@ -353,6 +357,15 @@ def test_views_agree_with_the_oracles_and_with_the_loops_at_scale_1(f, g):
     _check_views(g, f, f)
 
 
+def test_a_float_point_puts_exact_views_at_scale_1():
+    f = step(halfline(), [Fraction(1, 3), 2], [5, Fraction(7, 2), 0])
+    ts = [0.75, Fraction(5, 6), 2.5, INF]
+    got = [hardy_integral(f, t) for t in ts]
+    assert repr(got) == repr(at_scale_1(lambda f: [hardy_integral(f, t) for t in ts], f))
+    assert isinstance(got[0], float)
+    assert all(agree(h, hardy_oracle(f, t), False) for h, t in zip(got, ts))
+
+
 @given(deep_fn().filter(lambda f: isinstance(f, StepFn)), st.data())
 def test_views_of_deep_functions_agree_with_the_oracles_and_at_scale_1(f, data):
     _check_views(f, data.draw(partner(f)), data.draw(partner(f)))
@@ -621,7 +634,7 @@ _F = seq(_N, {0: Fraction(1, 3), 2: -2, 5: Fraction(7, 4)}, tail=Fraction(1, 2))
 _G = seq(_N, {0: 1, 2: Fraction(-5, 6), 6: Fraction(1, 2)}, tail=Fraction(1, 3))
 
 
-@pytest.mark.parametrize("coeffs, fns", [
+_SEQ_EDGE_CASES = [
     # a float value, a float tail, a float coefficient
     ([1, 2], [seq(_N, {0: 0.1, 3: Fraction(1, 3)}, tail=Fraction(1, 2)), _G]),
     ([1, -1], [seq(_N, {1: 2}, tail=0.5), _G]),
@@ -634,7 +647,17 @@ _G = seq(_N, {0: 1, 2: Fraction(-5, 6), 6: Fraction(1, 2)}, tail=Fraction(1, 3))
     ([0, 0], [_F, _G]),
     ([1, -1], [seq(_N, {0: 3, 1: 2, 4: 5}, tail=1), seq(_N, {0: 1, 1: 1, 4: 4})]),
     ([Fraction(-5, 2), Fraction(5, 2)], [_G, _G]),
-])
+    # an exact sequence beside a float one and beside one past the budget,
+    # and a float coefficient over exact views
+    ([1, 2], [_F, seq(_N, {1: 0.25, 5: Fraction(1, 3), 6: -1.5}, tail=Fraction(1, 3))]),
+    ([1, -1], [_G, seq(_N, {0: Fraction(1, 2**1100), 2: -2, 7: 3}, tail=Fraction(1, 2))]),
+    ([Fraction(2, 3), -1.5], [_F, _G]),
+    # a float value where both tails are 0, so the |f g| integral is finite
+    ([1, -1], [seq(_N, {0: 0.1, 3: Fraction(1, 3)}), seq(_N, {0: 2, 3: Fraction(-1, 5), 4: 1})]),
+]
+
+
+@pytest.mark.parametrize("coeffs, fns", _SEQ_EDGE_CASES)
 def test_sequence_fallbacks_and_edge_cases_equal_the_fraction_loops(coeffs, fns):
     f, g = fns
     assert repr(linear_combine(coeffs, fns)) == repr(plain_seq_combine_oracle(coeffs, fns))
@@ -682,3 +705,63 @@ def test_subtract_and_rearrangement_of_exact_sequences_form_no_fraction(monkeypa
         assert "cuts" not in s.__dict__ and "vals" not in s.__dict__
     assert repr(d) == repr(plain_seq_combine_oracle([1, -1], [g, f]))
     assert repr(r) == repr(plain_seq_star_oracle(d))
+
+
+def _check_seq_maps(a, b):
+    """pointwise_max and pointwise_mul of a and b read as the sorted-union
+    loop of ``tests.oracles`` does by every reader, the wire included."""
+    for r, want in ((pointwise_max(a, b), plain_seq_map_oracle(max, a, b)),
+                    (pointwise_mul(a, b), plain_seq_map_oracle(operator.mul, a, b))):
+        assert repr(r) == repr(want)
+        for name, agrees in _SEQ_READERS.items():
+            assert agrees(r, want), name
+
+
+@pytest.mark.parametrize("coeffs, fns", _SEQ_EDGE_CASES)
+def test_sequence_maps_and_orders_of_mixed_pairs_equal_the_sorted_union_loop(coeffs, fns):
+    f, g = fns
+    h = linear_combine(coeffs, fns)
+    for a, b in ((f, g), (g, f), (h, f), (f, h), (h, h)):
+        _check_seq_maps(a, b)
+        assert pointwise_leq(a, b) is plain_seq_leq_oracle(a, b)
+        assert repr(_integrate_abs_product(a, b)) == repr(plain_seq_abs_product_oracle(a, b))
+        got, want = linear_combine(coeffs[::-1], [a, b]), plain_seq_combine_oracle(coeffs[::-1], [a, b])
+        assert repr(got) == repr(want)
+        for name, agrees in _SEQ_READERS.items():
+            assert agrees(got, want), name
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_sequence_maps_equal_the_sorted_union_loop(seed):
+    f, g, coeffs = _seq_case(seed)
+    for a, b in ((f, g), (g, f), (linear_combine(coeffs, [f, g, f]), g)):
+        _check_seq_maps(a, b)
+
+
+def test_abs_and_hlp_leq_of_lazily_built_step_functions_form_no_fraction(monkeypatch):
+    # f and g are built by int loops and hold only their views, as do f* and
+    # g*; |f| and both Hardy-Littlewood-Polya tests read those views alone
+    rng = random.Random(11)
+    sp = halfline()
+
+    def built(n):
+        cuts = sorted({Fraction(rng.randint(1, 900), rng.choice((2, 3, 5, 8))) for _ in range(n)})
+        h = step(sp, cuts, [Fraction(rng.randint(-9, 9), rng.choice((1, 4, 7))) for _ in cuts] + [0])
+        return linear_combine([Fraction(3, 7), Fraction(-1, 2)], [h, scale(Fraction(5, 3), h)])
+
+    f, g = built(30), built(40)
+    rearrangement(f), rearrangement(g)
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: made.append(args) or new(cls, *args, **kw))
+    r = abs_fn(f)
+    fg, gf = hlp_leq(f, g), hlp_leq(g, f)
+    monkeypatch.undo()
+    assert made == []
+    for k in (f, g, r, rearrangement(f), rearrangement(g)):
+        assert "cuts" not in k.__dict__ and "vals" not in k.__dict__
+    want = step(sp, f.cuts, [abs(v) for v in f.vals])
+    for name, agrees in _SEQ_READERS.items():
+        assert agrees(r, want), name
+    plain_f, plain_g = step(sp, f.cuts, f.vals), step(sp, g.cuts, g.vals)
+    assert (fg, gf) == (hlp_leq(plain_f, plain_g), hlp_leq(plain_g, plain_f))
