@@ -426,7 +426,8 @@ def maximal_truncated(sym: Symbol, f: MeasFn, K: int) -> MeasFn:
         return _Orbits(sym, f, absolute=True).maximal(K)
     stream = islice(_iterates(sym, abs_fn(f)), K)
     best = running = next(stream)
-    if not any(isinstance(v, float) for v in best.vals):
+    V = best._view  # an exact view holds no float
+    if V.exact or not any(isinstance(v, float) for v in V.vals):
         return _maximal_interval([best, *stream])
     for n, cur in enumerate(stream, 2):
         running = add(running, cur)

@@ -9,6 +9,12 @@ can find, as a JSON-ready payload.
 The checks compare exact rationals with ``==``; values that pass through
 floating point (fractional-power norms, the log profile) are compared with a
 relative tolerance of 1e-12.
+
+The function generators draw cuts as ints over 8 and values as ints over 4,
+and build their results from those ints, unchecked, as the int loops of
+``stepfn`` do: a step function from its exact view (``_grid_step``), a
+sequence by ``_int_seq``.  They equal what ``step`` and ``seq`` build from the
+same draws, which outside input still goes through.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from . import jsonio
 from .ergodic import _cycles, apply, cesaro, iterate_apply, maximal_truncated, permutation_limit
-from .num import INF, NEG_INF, Real, to_float, unscaled
+from .num import INF, NEG_INF, Real, is_finite, to_float, unscaled
 from .rearrange import (
     dilate,
     distribution_at,
@@ -68,6 +74,9 @@ from .stepfn import (
     AtomSeq,
     MeasFn,
     StepFn,
+    View,
+    _int_seq,
+    _merged_step,
     abs_fn,
     add,
     integrate,
@@ -124,19 +133,46 @@ def _leq(a: Real, b: Real) -> bool:
 # Generators
 # ---------------------------------------------------------------------------
 
-_DEN = 8
+_DEN = 8  # cuts are drawn as ints over this
+_VAL_DEN = 4  # values are drawn as ints over this
+_ATOM_MASSES = (Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2))
 
 
-def _dyadic(rng: random.Random, lo: int, hi: int, den: int = 4) -> Fraction:
-    return Fraction(rng.randint(lo * den, hi * den), den)
+def _quarter(rng: random.Random, lo: int, hi: int) -> int:
+    """A value draw: the numerator over ``_VAL_DEN`` of a dyadic in [lo, hi]."""
+    return rng.randint(lo * _VAL_DEN, hi * _VAL_DEN)
 
 
-def _sorted_cuts(rng: random.Random, size: int, lo, hi) -> list[Fraction]:
+def _dyadic(rng: random.Random, lo: int, hi: int) -> Fraction:
+    return Fraction(_quarter(rng, lo, hi), _VAL_DEN)
+
+
+def _cut_ints(rng: random.Random, size: int, lo, hi) -> list[int]:
+    """Up to size + 1 distinct cuts in the open (lo, hi), sorted, as ints
+    over ``_DEN``."""
     # random.sample draws by index, so sampling the integers draws the same
     # cuts as sampling a pool of Fractions would, at the cost of k of them
     pool = range(int(lo * _DEN) + 1, int(hi * _DEN))
     k = min(len(pool), rng.randint(0, size + 1))
-    return [Fraction(i, _DEN) for i in sorted(rng.sample(pool, k))]
+    return sorted(rng.sample(pool, k))
+
+
+def _sorted_cuts(rng: random.Random, size: int, lo, hi) -> list[Fraction]:
+    return [Fraction(i, _DEN) for i in _cut_ints(rng, size, lo, hi)]
+
+
+def _grid_step(sp: MeasureSpace, cuts: list[int], vals: list[int]) -> StepFn:
+    """The StepFn of drawn cut ints over ``_DEN`` and value ints over
+    ``_VAL_DEN``, built unchecked from its exact view over C, the lcm of
+    ``_DEN`` and the finite domain ends' denominators; a float end
+    (``interval(2.5)``) has no int view, so that one goes through ``step``."""
+    ends = sp.domain
+    if any(isinstance(e, float) and is_finite(e) for e in ends):
+        return step(sp, [Fraction(c, _DEN) for c in cuts], [Fraction(v, _VAL_DEN) for v in vals])
+    C = math.lcm(_DEN, *(e.denominator for e in ends if is_finite(e)))
+    k = C // _DEN
+    bounds = [e.numerator * (C // e.denominator) if is_finite(e) else e for e in ends]
+    return _merged_step(sp, [c * k for c in cuts], vals, View(C, bounds, _VAL_DEN, [], True))
 
 
 def gen_lebesgue_space(rng: random.Random, size: int) -> MeasureSpace:
@@ -149,7 +185,7 @@ def gen_lebesgue_space(rng: random.Random, size: int) -> MeasureSpace:
 
 
 def gen_atomic_space(rng: random.Random, size: int) -> MeasureSpace:
-    mass = rng.choice([Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2)])
+    mass = rng.choice(_ATOM_MASSES)
     r = rng.random()
     if r < 0.4:
         return atomic_finite(rng.randint(2, 4 + 2 * size), mass)
@@ -176,16 +212,16 @@ def _fn_bounds(sp: MeasureSpace, size: int):
 def gen_step(rng: random.Random, size: int, sp: MeasureSpace, *,
              nonneg: bool = False, compact: bool = True) -> StepFn:
     lo, hi = _fn_bounds(sp, size)
-    cuts = _sorted_cuts(rng, size, lo, hi)
+    cuts = _cut_ints(rng, size, lo, hi)
     vlo = 0 if nonneg else -6
-    vals = [_dyadic(rng, vlo, 6) for _ in range(len(cuts) + 1)]
+    vals = [_quarter(rng, vlo, 6) for _ in range(len(cuts) + 1)]
     if compact:
         if sp.kind == LEBESGUE_HALFLINE:
-            vals[-1] = Fraction(0)
+            vals[-1] = 0
         elif sp.kind == LEBESGUE_LINE:
-            vals[0] = Fraction(0)
-            vals[-1] = Fraction(0)
-    return step(sp, cuts, vals)
+            vals[0] = 0
+            vals[-1] = 0
+    return _grid_step(sp, cuts, vals)
 
 
 def _index_pool(sp: MeasureSpace, size: int) -> list[int]:
@@ -201,8 +237,9 @@ def gen_seq(rng: random.Random, size: int, sp: MeasureSpace, *,
     pool = _index_pool(sp, size)
     k = rng.randint(0, min(len(pool), size + 2))
     vlo = 0 if nonneg else -6
-    entries = [(j, _dyadic(rng, vlo, 6)) for j in rng.sample(pool, k)]
-    return seq(sp, entries)
+    # the sampled indices are distinct and in the space; a zero draw is the tail
+    kept = [(j, w) for j, w in sorted((j, _quarter(rng, vlo, 6)) for j in rng.sample(pool, k)) if w]
+    return _int_seq(sp, [j for j, _ in kept], [w for _, w in kept], _VAL_DEN, Fraction(0))
 
 
 def gen_fn(rng: random.Random, size: int, sp: MeasureSpace, *,
@@ -214,13 +251,13 @@ def gen_fn(rng: random.Random, size: int, sp: MeasureSpace, *,
 
 def gen_weight(rng: random.Random, size: int) -> StepFn:
     """Nonnegative nonincreasing step weight on the half-line, not all zero."""
-    cuts = _sorted_cuts(rng, size, Fraction(0), Fraction(4))
-    vals = sorted((_dyadic(rng, 0, 6) for _ in range(len(cuts) + 1)), reverse=True)
+    cuts = _cut_ints(rng, size, 0, 4)
+    vals = sorted((_quarter(rng, 0, 6) for _ in range(len(cuts) + 1)), reverse=True)
     if rng.random() < 0.8:
-        vals[-1] = Fraction(0)
+        vals[-1] = 0
     if vals[0] == 0:
-        vals[0] = Fraction(1)
-    return step(halfline(), cuts, vals)
+        vals[0] = _VAL_DEN
+    return _grid_step(halfline(), cuts, vals)
 
 
 def gen_phi(rng: random.Random, size: int):
@@ -586,14 +623,17 @@ def _p_dilate_composition(rng, size):
     return {"f": f, "a": a, "b": b}
 
 
+def _nonincreasing_step(rng, size, sp) -> StepFn:
+    """One nonincreasing factor of the Hardy-Littlewood equality case."""
+    cuts = _cut_ints(rng, size, 0, 6)
+    return _grid_step(sp, cuts, sorted((_quarter(rng, 0, 6) for _ in cuts), reverse=True) + [0])
+
+
 def _p_hardy_littlewood(rng, size):
     sp = gen_space(rng, size)
     if rng.random() < 0.4 and not sp.is_atomic and sp.kind == LEBESGUE_HALFLINE:
         # equality case: both factors already nonincreasing
-        cuts = _sorted_cuts(rng, size, Fraction(0), Fraction(6))
-        f = step(sp, cuts, sorted((_dyadic(rng, 0, 6) for _ in range(len(cuts))), reverse=True) + [Fraction(0)])
-        cuts2 = _sorted_cuts(rng, size, Fraction(0), Fraction(6))
-        g = step(sp, cuts2, sorted((_dyadic(rng, 0, 6) for _ in range(len(cuts2))), reverse=True) + [Fraction(0)])
+        f, g = _nonincreasing_step(rng, size, sp), _nonincreasing_step(rng, size, sp)
         lhs, rhs = hardy_littlewood_pair(f, g)
         if lhs == rhs:
             return None

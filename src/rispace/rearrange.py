@@ -123,12 +123,12 @@ def _rearranged(f: MeasFn) -> StepFn:
 
 
 def is_rearranged(f: MeasFn) -> bool:
-    """True when f is already a nonnegative nonincreasing StepFn on [0, inf)."""
+    """True when f is already a nonnegative nonincreasing StepFn on [0, inf),
+    read off its view: signs and order are the same at any positive scale."""
     if not isinstance(f, StepFn) or f.space != _HALFLINE:
         return False
-    if any(v < 0 for v in f.vals):
-        return False
-    return all(a > b for a, b in zip(f.vals, f.vals[1:]))
+    vals = f._view.vals
+    return vals[-1] >= 0 and all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def hardy_integral(f: MeasFn, t) -> Real:

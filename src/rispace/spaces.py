@@ -449,7 +449,7 @@ class XiWeight:
     def __post_init__(self):
         if not is_rearranged(self.weight):
             raise ValueError("weight must be nonnegative nonincreasing on [0, inf)")
-        if all(v == 0 for v in self.weight.vals):
+        if all(v == 0 for v in self.weight._view.vals):
             raise ValueError("weight must not vanish identically")
 
     label = "xi"

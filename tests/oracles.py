@@ -15,9 +15,10 @@ from fractions import Fraction
 import numpy as np
 
 from rispace import (INF, AtomicSymbol, AtomSeq, IntervalSet, StepFn, halfline, integrate, interval_set,
-                     linear_combine, pointwise_mul, to_float)
+                     linear_combine, pointwise_mul, seq, step, to_float)
 from rispace.num import as_real, is_finite, rational_pow
-from rispace.space import _normalize_intervals
+from rispace.properties import _dyadic, _fn_bounds, _index_pool, _sorted_cuts
+from rispace.space import LEBESGUE_HALFLINE, LEBESGUE_LINE, _normalize_intervals
 from rispace.stepfn import _fn_from_pieces, _merged_seq, _merged_step, _plain
 
 
@@ -654,3 +655,66 @@ def plain_seq_map_oracle(op, f, g):
     tail = op(f.tail, g.tail)
     pairs = ((j, fd.get(j, f.tail), gd.get(j, g.tail)) for j in sorted(fd.keys() | gd.keys()))
     return _merged_seq(f.space, ((j, op(x, y)) for j, x, y in pairs), tail)
+
+
+# ---------------------------------------------------------------------------
+# The property generators as they built their results before they built them
+# from their own int draws: each draw turned into Fractions and passed
+# through the checks of ``step``/``seq``, with the same rng calls in the same
+# order.
+# ---------------------------------------------------------------------------
+
+
+def gen_step_oracle(rng, size, sp, *, nonneg=False, compact=True):
+    lo, hi = _fn_bounds(sp, size)
+    cuts = _sorted_cuts(rng, size, lo, hi)
+    vlo = 0 if nonneg else -6
+    vals = [_dyadic(rng, vlo, 6) for _ in range(len(cuts) + 1)]
+    if compact:
+        if sp.kind == LEBESGUE_HALFLINE:
+            vals[-1] = Fraction(0)
+        elif sp.kind == LEBESGUE_LINE:
+            vals[0] = Fraction(0)
+            vals[-1] = Fraction(0)
+    return step(sp, cuts, vals)
+
+
+def gen_seq_oracle(rng, size, sp, *, nonneg=False):
+    pool = _index_pool(sp, size)
+    k = rng.randint(0, min(len(pool), size + 2))
+    vlo = 0 if nonneg else -6
+    entries = [(j, _dyadic(rng, vlo, 6)) for j in rng.sample(pool, k)]
+    return seq(sp, entries)
+
+
+def gen_weight_oracle(rng, size):
+    cuts = _sorted_cuts(rng, size, Fraction(0), Fraction(4))
+    vals = sorted((_dyadic(rng, 0, 6) for _ in range(len(cuts) + 1)), reverse=True)
+    if rng.random() < 0.8:
+        vals[-1] = Fraction(0)
+    if vals[0] == 0:
+        vals[0] = Fraction(1)
+    return step(halfline(), cuts, vals)
+
+
+def nonincreasing_step_oracle(rng, size, sp):
+    """One factor of the Hardy-Littlewood equality case of the property suite."""
+    cuts = _sorted_cuts(rng, size, Fraction(0), Fraction(6))
+    return step(sp, cuts, sorted((_dyadic(rng, 0, 6) for _ in range(len(cuts))), reverse=True) + [Fraction(0)])
+
+
+def is_rearranged_oracle(f):
+    """f is a StepFn on the half-line whose Fraction values are nonnegative
+    and strictly decreasing."""
+    return (isinstance(f, StepFn) and f.space == halfline() and all(v >= 0 for v in f.vals)
+            and all(a > b for a, b in zip(f.vals, f.vals[1:])))
+
+
+def xi_weight_error_oracle(w):
+    """The message ``XiWeight(w)`` refuses w with, read off w's Fraction
+    values; None for a valid weight."""
+    if not is_rearranged_oracle(w):
+        return "weight must be nonnegative nonincreasing on [0, inf)"
+    if all(v == 0 for v in w.vals):
+        return "weight must not vanish identically"
+    return None

@@ -37,6 +37,7 @@ from rispace import (
     pointwise_max,
     pointwise_mul,
     rearrangement,
+    scale,
     seq,
     seq_from_values,
     spec_label,
@@ -918,6 +919,28 @@ def test_maximal_on_generated_interval_symbols_is_the_chain_or_the_iterate_oracl
     iterates = [iterate_apply(sym, abs_fn(f), i) for i in range(K)]
     for x in refinement_points([got, *iterates]):
         assert got.value_at(x) == maximal_iterate_oracle(iterates, x)
+
+
+_DOUBLING = IntervalSymbol(interval(1), (Branch(Fraction(0), Fraction(1, 2), Affine(Fraction(2), Fraction(0))),
+                                          Branch(Fraction(1, 2), Fraction(1), Affine(Fraction(2), Fraction(-1)))))
+
+
+@pytest.mark.parametrize("vals", [
+    [1, Fraction(-1, 3), 0],  # an exact view
+    [Fraction(1, 2**1100), 3, Fraction(-5, 3**700)],  # exact values past the budget, at scale 1
+    [0.5, Fraction(1, 3), 0],  # a float value
+])
+def test_maximal_on_an_interval_symbol_takes_the_chain_only_for_float_values(vals):
+    f = step(interval(1), [Fraction(1, 4), Fraction(2, 3)], vals)
+    for g in (f, scale(1, f)):  # the second built from its view
+        got = maximal_truncated(_DOUBLING, g, 4)
+        if any(isinstance(v, float) for v in vals):
+            assert repr(got) == repr(maximal_chain_oracle(_DOUBLING, g, 4))
+            continue
+        iterates = [iterate_apply(_DOUBLING, abs_fn(f), i) for i in range(4)]
+        assert not any(isinstance(v, float) for v in got.vals)
+        for x in refinement_points([got, *iterates]):
+            assert got.value_at(x) == maximal_iterate_oracle(iterates, x)
 
 
 def _mean_reference(sym, f, n):

@@ -1,8 +1,15 @@
+import copy
 import json
+import pickle
+import random
+from fractions import Fraction
 
 import pytest
 
-from rispace import PROPERTIES, jsonio, properties, verify_suite
+from rispace import (PROPERTIES, AtomSeq, Lorentz, LogClip, Lp, MarcStrong, MarcWeak, Power, WeakLp, atomic_finite,
+                     atomic_n, atomic_z, halfline, interval, jsonio, line, norm_eval, properties, verify_suite)
+
+from .oracles import gen_seq_oracle, gen_step_oracle, gen_weight_oracle, nonincreasing_step_oracle
 
 
 def test_registry_names_are_unique_and_substantial():
@@ -118,3 +125,84 @@ def test_sorted_cuts_draws_what_a_fraction_pool_draws():
         a, b = random.Random(seed), random.Random(seed)
         assert _sorted_cuts(a, size, lo, hi) == by_pool(b, size, lo, hi)
         assert a.random() == b.random()
+
+
+# ---------------------------------------------------------------------------
+# The generators build their results from their own int draws
+# ---------------------------------------------------------------------------
+
+_GEN_SPACES = (
+    halfline(), line(), interval(1), interval(4), interval(Fraction(1, 3)), interval(Fraction(7, 3)), interval(2.5),
+    atomic_n(), atomic_n(Fraction(1, 2)), atomic_n(2), atomic_z(), atomic_z(Fraction(1, 2)), atomic_z(2),
+    atomic_finite(5), atomic_finite(3, Fraction(1, 2)), atomic_finite(6, 2),
+)
+
+
+def _norm_specs(sp):
+    return (Lp(sp, 1), Lorentz(sp, 2, 1), WeakLp(sp, 2), MarcWeak(sp, Power(Fraction(1, 2))), MarcStrong(sp, LogClip()))
+
+
+def _built_from_draws(seed, sp):
+    """(generator, oracle) pairs of the seed on sp, each a function of an rng;
+    the seed picks the size and both flags."""
+    size, nonneg, compact = seed % 6, bool(seed & 1), bool(seed & 2)
+    if sp.is_atomic:
+        fn = (lambda r: properties.gen_seq(r, size, sp, nonneg=nonneg),
+              lambda r: gen_seq_oracle(r, size, sp, nonneg=nonneg))
+    else:
+        fn = (lambda r: properties.gen_step(r, size, sp, nonneg=nonneg, compact=compact),
+              lambda r: gen_step_oracle(r, size, sp, nonneg=nonneg, compact=compact))
+    return [fn,
+            (lambda r: properties.gen_weight(r, size), lambda r: gen_weight_oracle(r, size)),
+            (lambda r: properties._nonincreasing_step(r, size, halfline()),
+             lambda r: nonincreasing_step_oracle(r, size, halfline()))]
+
+
+@pytest.mark.parametrize("sp", _GEN_SPACES, ids=repr)
+def test_generators_build_what_step_and_seq_built_from_the_same_draws(sp):
+    # 64 seeds per space, 1,024 in all, each with every flag setting 16 times
+    for seed in range(64):
+        for new, old in _built_from_draws(seed, sp):
+            a, b = random.Random(f"{seed}:{sp!r}"), random.Random(f"{seed}:{sp!r}")
+            got, want = new(a), old(b)
+            assert a.getstate() == b.getstate()
+            if not isinstance(got.space.domain[1], float):  # an exact end: built from the view alone
+                fields = {"space", "tail", "_view"} if isinstance(got, AtomSeq) else {"space", "_view"}
+                assert set(got.__dict__) == fields, (seed, got.__dict__)
+            for spec in _norm_specs(got.space):
+                assert repr(norm_eval(spec, got)) == repr(norm_eval(spec, want)), (seed, spec)
+            assert got == want and want == got and not got != want
+            assert hash(got) == hash(want) and repr(got) == repr(want)
+            for copied in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got)):
+                assert copied == want and repr(copied) == repr(want)
+            obj = jsonio.to_obj(got)
+            assert jsonio.dumps(obj) == jsonio.dumps(jsonio.to_obj(want))
+            assert jsonio.measfn_from_obj(jsonio.loads(jsonio.dumps(obj))) == want
+
+
+_GENERATOR_ORACLES = (("gen_step", gen_step_oracle), ("gen_seq", gen_seq_oracle), ("gen_weight", gen_weight_oracle),
+                      ("_nonincreasing_step", nonincreasing_step_oracle))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_suite_gives_the_same_results_with_the_generators_built_through_step(seed, monkeypatch):
+    want = verify_suite(seed, 20)
+    with monkeypatch.context() as m:
+        for name, oracle in _GENERATOR_ORACLES:
+            m.setattr(properties, name, oracle)
+        got = verify_suite(seed, 20)
+    assert got == want
+
+
+def test_counterexamples_are_the_same_with_the_generators_built_through_step(monkeypatch):
+    # every check forced to fail, so each property reports the inputs it drew
+    for name in ("_eq", "_leq", "hlp_leq", "pointwise_leq"):
+        monkeypatch.setattr(properties, name, lambda *args: False)
+    def counterexamples():
+        return [properties._run_property(prop, seed, 3).counterexample for prop in PROPERTIES for seed in range(2)]
+
+    want = counterexamples()
+    for name, oracle in _GENERATOR_ORACLES:
+        monkeypatch.setattr(properties, name, oracle)
+    assert jsonio.dumps(counterexamples()) == jsonio.dumps(want)
+    assert len({ce["property"] for ce in want if ce is not None}) >= 20

@@ -45,18 +45,20 @@ from rispace import (
     to_float,
     xi_seminorm,
 )
-from rispace.properties import gen_step
+from rispace.properties import gen_step, gen_weight
 
 from .oracles import (
     dilate_oracle,
     dist_oracle,
     hardy_oracle,
+    is_rearranged_oracle,
     marc_strong_oracle,
     product_integral_oracle,
     rearr_value_oracle,
     star_cuts_oracle,
     star_tail_oracle,
     xi_oracle,
+    xi_weight_error_oracle,
 )
 
 
@@ -531,3 +533,29 @@ def test_views_agree_with_the_oracles_and_with_the_loops_at_scale_1(f, g):
 @given(deep_fn(), st.data())
 def test_views_of_deep_functions_agree_with_the_oracles_and_at_scale_1(f, data):
     _check_views(f, data.draw(partner(f)))
+
+
+def _weight_cases():
+    """Step functions on which the order and sign tests read a view of every
+    kind: VIEW_CASES (scale 1 past a float or the budget) and their f*'s,
+    generated weights, and those scaled by 0 and -1 (all built from ints)."""
+    fns = [h for pair in VIEW_CASES.values() for f in pair for h in (f, rearrangement(f))]
+    rng = random.Random(3)
+    for size in range(1, 7):
+        w = gen_weight(rng, size)
+        fns += [w, scale(0, w), scale(-1, w)]
+    return fns + [constant(halfline(), 0), constant(line(), 1)]
+
+
+def test_rearranged_and_weight_checks_read_the_view_as_the_fraction_rule_reads_values():
+    for f in _weight_cases():
+        lazy = "vals" not in f.__dict__
+        got, error = is_rearranged(f), None
+        try:
+            XiWeight(f)
+        except ValueError as e:
+            error = str(e)
+        if lazy:
+            assert "vals" not in f.__dict__
+        assert got is is_rearranged_oracle(f), f
+        assert error == xi_weight_error_oracle(f), f
