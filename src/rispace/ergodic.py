@@ -8,8 +8,11 @@ shift in a few passes over the whole line, walking orbits one by one only
 near its table (a float maximal: wherever they meet an entry), at a cost set
 by the output for exact values, not by n; an interval symbol reads its
 iterates f, T f, T² f, … off one stream (``_iterates``), combines them with
-rational weights, cell by cell, and its maximal means of float values are
-the running-sum chain itself.
+rational weights, cell by cell.  Its exact maximal means read the iterates'
+int views and decide each cell's peak by ``_Orbits.peak``'s comparison of
+int running sums; its maximal means of float values are the running-sum
+chain itself.  An all-affine symbol pulls an exact view back in ints
+(``IntervalSymbol.pull_back``), so its iterates chain with no Fraction.
 Limits are only ever produced by oracles (orbit averages for finite
 permutations); nothing is extrapolated.
 """
@@ -33,6 +36,8 @@ from .stepfn import (
     _int_seq,
     _merged_seq,
     _merged_step,
+    _plain,
+    _views,
     abs_fn,
     add,
     linear_combine,
@@ -448,23 +453,51 @@ def _peak_mean(events) -> Real:
 
 
 def _maximal_interval(iterates: list[StepFn]) -> StepFn:
+    """max_n S_n / n for the iterates T^i |f| (exact values), cell by cell
+    over the union of their cuts, read off their views over one C
+    (``_views``) and one D.  A cell keeps the values of the iterates that
+    are nonzero on it; its running sums H of them are ints, and the peak is
+    decided as ``_Orbits.peak`` decides it, H n' > H' n, so ties keep the
+    smaller n.  The means are ints over D times the lcm of the peak n's (as
+    ``_Orbits.exact`` builds them), or one Fraction a cell past the budget."""
+    views, _ = _views(iterates)
+    D = views[0].exact and common_denominator(V.D for V in views)
+    if not D:  # the values themselves, over D = 1
+        views, D = [_plain(h) for h in iterates], 1
     # the (iterate, value) switches at each cut; active holds the iterates
     # that are nonzero on the current cell
     switches: dict[Real, list] = {}
-    for i, h in enumerate(iterates):
-        for c, v in zip(h.cuts, h.vals[1:]):
-            switches.setdefault(c, []).append((i, v))
-    active = {i: h.vals[0] for i, h in enumerate(iterates) if h.vals[0] != 0}
+    for i, V in enumerate(views):
+        k = D // V.D
+        for c, v in zip(V.cuts, V.vals[1:]):
+            switches.setdefault(c, []).append((i, v * k))
+    active = {i: V.vals[0] * (D // V.D) for i, V in enumerate(views) if V.vals[0] != 0}
     cuts = sorted(switches)
-    vals = [_peak_mean(sorted(active.items()))]
+    Hs, ns = [], []
+
+    def peak():
+        best = total = 0
+        best_n = 1
+        for i in sorted(active):
+            total += active[i]
+            if total * best_n > best * (i + 1):
+                best, best_n = total, i + 1
+        Hs.append(best)
+        ns.append(best_n)
+    peak()
     for c in cuts:
         for i, v in switches[c]:
             if v == 0:
                 del active[i]
             else:
                 active[i] = v
-        vals.append(_peak_mean(sorted(active.items())))
-    return _merged_step(iterates[0].space, cuts, vals)
+        peak()
+    M = views[0].exact and common_denominator([D, *(n * D for n in set(ns))])
+    if M:
+        return _merged_step(iterates[0].space, cuts, [H * (M // (n * D)) for H, n in zip(Hs, ns)],
+                            views[0]._replace(D=M))
+    return _merged_step(iterates[0].space, cuts, [Fraction(H, n * D) for H, n in zip(Hs, ns)],
+                        views[0]._replace(D=1, exact=False))
 
 
 def weak_type_ratio(

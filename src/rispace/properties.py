@@ -77,6 +77,7 @@ from .stepfn import (
     View,
     _int_seq,
     _merged_step,
+    _views,
     abs_fn,
     add,
     integrate,
@@ -136,6 +137,7 @@ def _leq(a: Real, b: Real) -> bool:
 _DEN = 8  # cuts are drawn as ints over this
 _VAL_DEN = 4  # values are drawn as ints over this
 _ATOM_MASSES = (Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2))
+_ZERO = Fraction(0)  # the tail of every generated sequence
 
 
 def _quarter(rng: random.Random, lo: int, hi: int) -> int:
@@ -147,12 +149,19 @@ def _dyadic(rng: random.Random, lo: int, hi: int) -> Fraction:
     return Fraction(_quarter(rng, lo, hi), _VAL_DEN)
 
 
+def _over_den(x) -> int:
+    """int(x * _DEN), truncated toward 0, from x's int ratio: no Fraction formed."""
+    n, d = x.as_integer_ratio()
+    q = abs(n) * _DEN // d
+    return q if n >= 0 else -q
+
+
 def _cut_ints(rng: random.Random, size: int, lo, hi) -> list[int]:
     """Up to size + 1 distinct cuts in the open (lo, hi), sorted, as ints
     over ``_DEN``."""
     # random.sample draws by index, so sampling the integers draws the same
     # cuts as sampling a pool of Fractions would, at the cost of k of them
-    pool = range(int(lo * _DEN) + 1, int(hi * _DEN))
+    pool = range(_over_den(lo) + 1, _over_den(hi))
     k = min(len(pool), rng.randint(0, size + 1))
     return sorted(rng.sample(pool, k))
 
@@ -201,11 +210,13 @@ def gen_space(rng: random.Random, size: int) -> MeasureSpace:
 
 
 def _fn_bounds(sp: MeasureSpace, size: int):
+    """The ends of the span the generators draw cuts in: ints, or the
+    interval's length."""
     if sp.kind == LEBESGUE_INTERVAL:
-        return Fraction(0), sp.length
+        return 0, sp.length
     if sp.kind == LEBESGUE_HALFLINE:
-        return Fraction(0), Fraction(3 * size + 2)
-    b = Fraction(2 * size + 2)
+        return 0, 3 * size + 2
+    b = 2 * size + 2
     return -b, b
 
 
@@ -239,7 +250,7 @@ def gen_seq(rng: random.Random, size: int, sp: MeasureSpace, *,
     vlo = 0 if nonneg else -6
     # the sampled indices are distinct and in the space; a zero draw is the tail
     kept = [(j, w) for j, w in sorted((j, _quarter(rng, vlo, 6)) for j in rng.sample(pool, k)) if w]
-    return _int_seq(sp, [j for j, _ in kept], [w for _, w in kept], _VAL_DEN, Fraction(0))
+    return _int_seq(sp, [j for j, _ in kept], [w for _, w in kept], _VAL_DEN, _ZERO)
 
 
 def gen_fn(rng: random.Random, size: int, sp: MeasureSpace, *,
@@ -377,7 +388,7 @@ def gen_interval_symbol(rng: random.Random, size: int, *,
     sp = interval(ln)
     cuts = _sorted_cuts(rng, min(size, 2), Fraction(0), ln)
     pts = [Fraction(0)] + cuts + [ln]
-    den = int(ln * _DEN)
+    den = _over_den(ln)
     branches = []
     for a, b in zip(pts, pts[1:]):
         ui = rng.randint(0, den - 1)
@@ -413,13 +424,17 @@ def _sup_abs(f: AtomSeq) -> Fraction:
 
 
 def _sample_times(*fns: StepFn) -> list[Fraction]:
-    """Positive probe points: the cuts plus midpoints and one point beyond."""
-    grid = sorted({c for f in fns for c in f.cuts} | {Fraction(0)})
-    pts = [t for t in grid if t > 0]
-    for a, b in zip(grid, grid[1:]):
-        pts.append((a + b) / 2)
-    pts.append(grid[-1] + 1)
-    return sorted(set(pts))
+    """Positive probe points: the cuts plus midpoints and one point beyond,
+    read off the functions' views over one C (``_views``) as ints over 2 C,
+    one Fraction formed per point (at scale 1, the sums of the cuts
+    themselves, halved)."""
+    views, _ = _views(fns)
+    C = views[0].C
+    grid = sorted({0, *(c for V in views for c in V.cuts)})
+    pts = {2 * t for t in grid if t > 0}
+    pts.update(a + b for a, b in zip(grid, grid[1:]))
+    pts.add(2 * (grid[-1] + C))
+    return [Fraction(x, 2 * C) if type(x) is int else x / 2 for x in sorted(pts)]
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +529,9 @@ def _p_combine_pointwise(rng, size):
             points.append((u + v) / 2)
         lo, hi = _fn_bounds(sp, size)
         if sp.kind != LEBESGUE_INTERVAL:
-            points.append(hi + 1)
+            points.append(Fraction(hi + 1))
         if sp.kind == LEBESGUE_LINE:
-            points.append(lo - 1)
+            points.append(Fraction(lo - 1))
         if not points:
             points = [Fraction(1, 2)]
     for x in points:

@@ -12,11 +12,17 @@ function, and every norm and comparison reads it from there.  Levels are
 grouped, sorted and laid out as ints over f's int view (``stepfn.View``, or
 for a sequence its ``SeqView``, each atom as wide as its mass).
 
+The distribution function reads f's cells as ints too: |v| d > n D for
+s = n / d, the widths summed over C.
+
 The Hardy integral H(t) = integral of f* over [0, t] is piecewise linear in
 t, so one left-to-right sweep over the pieces of f* gives H at every point of
 a sorted grid, in int running sums over the view.  That sweep is the one code
-path for H: ``hardy_integral``, the Hardy-Littlewood-Polya comparison and the
-MarcStrong norm all read it.  Once f* and g* are known, the comparison is
+path for H: the Hardy-Littlewood-Polya comparison and the MarcStrong norm
+sweep merged grids, and ``hardy_integral`` keeps the sweep's values at the
+cuts of f* on f* (as f keeps f*), so each t is one bisection plus the
+partial piece v (t - a).  A dilation by an exact t divides the int cuts of
+an exact view (``stepfn._affine_slice``).  Once f* and g* are known, the comparison is
 linear in their cuts (one merge of two sorted cut lists, then one sweep, with
 H_f D_g <= H_g D_f over one cut denominator).  The comparison is exact:
 checking the union of breakpoints plus the terminal slopes is a complete
@@ -33,32 +39,37 @@ from .stepfn import (
     MeasFn,
     StepFn,
     View,
-    _cells,
+    _affine_slice,
     _fn_from_pieces,
+    _held,
     _integrate_abs_product,
     _mapped_pieces,
     _merged_step,
-    _seq_cells,
+    _piece,
+    _tiled_step,
     _union,
     _views,
 )
 
 _HALFLINE = halfline()
-_SCALE_1 = View(1, [0, INF], 1, [], False)  # f* over its values themselves
 
 
 def distribution_at(f: MeasFn, s) -> Real:
-    """mu({|f| > s}), exactly."""
+    """mu({|f| > s}), exactly: over the view f holds, |v| d > n D for
+    s = n / d, and the widths summed as ints over C."""
     s = as_real(s)
     if s < 0:
         raise ValueError("distribution function needs s >= 0")
-    total: Real = Fraction(0)
-    for m, v in f.cells():
-        if abs(v) > s:
+    cells, V = f._scaled_cells()
+    n, d = s.as_integer_ratio() if V.exact and is_finite(s) else (s, 1)
+    nD = n * V.D
+    total: Real = 0
+    for m, v in cells:
+        if abs(v) * d > nD:
             if not is_finite(m):  # INF absorbs every other measure
                 return INF
             total += m
-    return total
+    return unscaled(total, V.C)
 
 
 def _levels(f: MeasFn, cells=None) -> dict[Real, Real]:
@@ -94,15 +105,9 @@ def _rearranged(f: MeasFn) -> StepFn:
     """f* from f's levels as ints over f's view, whose value denominator D f*
     keeps: a step function's widths over its view's C, an exact sequence's
     atom counts times the atom mass's numerator over its denominator, and a
-    nonzero tail over N the final ray.  Past a float or the budget, f*'s own
-    values at scale 1."""
-    V = f._view
-    if isinstance(f, StepFn):
-        scale, cells = V._replace(bounds=[0, INF]), _cells(V.bounds, V.vals)
-    elif V.exact and type(mass := f.space.atom_mass) is Fraction:
-        scale, cells = View(mass.denominator, [0, INF], V.D, [], True), _seq_cells(mass.numerator, V.vals, V.tail)
-    else:
-        scale, cells = _SCALE_1, None
+    nonzero tail over N the final ray (``_scaled_cells``).  Past a float or
+    the budget, f*'s own values at scale 1."""
+    cells, scale = f._scaled_cells(f._view)
     levels = _levels(f, cells)
     cuts: list = []
     vals: list = []
@@ -119,7 +124,7 @@ def _rearranged(f: MeasFn) -> StepFn:
         cuts.append(pos)
     else:
         vals.append(0)
-    return _merged_step(_HALFLINE, cuts, vals, scale)
+    return _merged_step(_HALFLINE, cuts, vals, scale._replace(bounds=[0, INF]))
 
 
 def is_rearranged(f: MeasFn) -> bool:
@@ -132,12 +137,32 @@ def is_rearranged(f: MeasFn) -> bool:
 
 
 def hardy_integral(f: MeasFn, t) -> Real:
-    """Exact integral of f* over [0, t] (t = inf allowed)."""
+    """Exact integral of f* over [0, t] (t = inf allowed): H at the left end
+    a of the piece of f* that holds t, from the sweep kept on f*
+    (``_hardy_at_cuts``), plus the partial piece v (t - a), as the sweep
+    adds it; for an exact t over the exact view, one Fraction."""
     t = as_real(t)
     if not t > 0:
         raise ValueError("hardy_integral needs t > 0")
-    (V,), ts = _views([rearrangement(f)], [t])
-    return unscaled(next(_hardy_sweep(V, ts)), V.C * V.D)
+    r = rearrangement(f)
+    V, H = r.__dict__.get("_hardy") or _hardy_at_cuts(r)
+    i = _piece(V, t)
+    total, a, v = H[i], V.bounds[i], V.vals[i]
+    if V.exact and type(t) is Fraction:  # over C D d for t = n / d
+        n, d = t.as_integer_ratio()
+        return Fraction(total * d + v * (n * V.C - a * d), V.C * V.D * d)
+    total, a, v = unscaled(total, V.C * V.D), unscaled(a, V.C), unscaled(v, V.D)
+    if v == 0 or a == t:
+        return total
+    return total + v * (t - a) if is_finite(t) else INF
+
+
+def _hardy_at_cuts(r: StepFn):
+    """(V, H): the view r holds and H at each left end of its pieces (over
+    C D), by one sweep, kept in r's ``__dict__`` as f keeps f*."""
+    V = _held(r)
+    r.__dict__["_hardy"] = V, [0, *_hardy_sweep(V, V.cuts)]
+    return r.__dict__["_hardy"]
 
 
 def _hardy_sweep(V: View, ts):
@@ -190,7 +215,9 @@ def hardy_littlewood_pair(f: MeasFn, g: MeasFn) -> tuple[Real, Real]:
 
 
 def dilate(f: StepFn, t) -> StepFn:
-    """Dilation (D_t f)(s) = f(t s) for f on the half-line; exact cuts.
+    """Dilation (D_t f)(s) = f(t s) for f on the half-line; exact cuts.  An
+    exact t on an exact view that f holds divides f's int cuts by t: the
+    pull-back by s -> t s (``stepfn._affine_slice``).
 
     Dividing float cuts by t can round a narrow piece to width 0.  No float
     lies in such a piece, so it is dropped and its neighbours merge.  By a t
@@ -200,6 +227,12 @@ def dilate(f: StepFn, t) -> StepFn:
         raise ValueError("dilation parameter must be positive")
     if not isinstance(f, StepFn) or f.space != _HALFLINE:
         raise ValueError("dilate needs a StepFn on the half-line")
+
+    V = f.__dict__.get("_view")
+    if V is not None and V.exact and type(t) is Fraction:  # the pull-back by s -> t s
+        d = _tiled_step(_HALFLINE, [(0, *_affine_slice(V, 0, INF, 1 / t, Fraction(0)))], V.D)
+        if d is not None:
+            return d
 
     def g(c):
         if type(c) is float and is_finite(c) and not to_float(t):

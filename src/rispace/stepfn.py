@@ -8,9 +8,10 @@ default may be nonzero only over N).  Values stay ``Fraction`` whenever the
 inputs are rational, so identities like canonical equality after a linear
 combination are exact, not epsilon-true.  Build both with ``step``/``seq``,
 which check outside input; the operations below share their merges.
-Both give their level cells (``cells()``), all that the distribution
-function, the rearrangement and sign checks read; the operations that need a
-different algorithm per carrier keep one branch each.  A StepFn also keeps
+Both give their level cells (``cells()``, over ints by ``_scaled_cells``),
+all that the integral, the distribution function, the rearrangement and sign
+checks read; the operations that need a different algorithm per carrier
+keep one branch each.  A StepFn also keeps
 its int view (``View``), cuts and values as ints over two denominators, which
 the hot loops here and in ``rearrange`` read in place of Fractions; past a
 float or 1,024 bits it is at scale 1, over the values themselves.  Where
@@ -19,7 +20,14 @@ still reads the exact values as ints, over the cuts as they are.  A StepFn
 that an int loop builds (``_merged_step`` over an exact view: f*, linear
 combinations) holds only its space and that view, and forms its Fraction
 ``cuts`` and ``vals`` the first time they are read; loops that chain read
-the view, so a comparison of rearrangements forms none.  An AtomSeq keeps
+the view, so a comparison of rearrangements forms none.  Every reader reads
+the view a function holds (``_held``), and builds none for a single read:
+a point value is one bisection of floor(x C) into its int bounds, an
+integral sums v (b - a) as ints and divides once, ``pieces()`` and
+``cells()`` form only the Fractions they return, and an affine change of
+variable (``_affine_slice``: pull-backs, dilations, the transfer step) maps
+a slice of int bounds, the slices laid end to end over one new C
+(``_tiled_step``).  An AtomSeq keeps
 its int view too (``SeqView``, entries and tail over one denominator), and
 every operation on sequences reads it: ``linear_combine`` sums the
 deviations from the summed tail as ints over one scale, ``abs_fn`` and
@@ -34,7 +42,8 @@ the builders, ``_merged_step`` and ``_merged_seq``, ask which scale it is.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -80,17 +89,27 @@ class StepFn:
         left, right = self.space.domain
         if not (left <= x < right):
             raise ValueError(f"{x} outside the domain")
-        return self.vals[bisect_right(self.cuts, x)]
+        V = _held(self)
+        return unscaled(V.vals[_piece(V, x)], V.D)
 
     def pieces(self):
-        """Yield (a, b, value) over the whole domain, tails included."""
-        bounds = _plain(self).bounds
-        return zip(bounds, bounds[1:], self.vals)
+        """Yield (a, b, value) over the whole domain, tails included: f's own
+        cuts and values where they are formed, else read off its view."""
+        V = _plain(self) if "cuts" in self.__dict__ else self._view
+        bounds = [unscaled(b, V.C) for b in V.bounds]
+        return zip(bounds, bounds[1:], (unscaled(v, V.D) for v in V.vals))
 
     def cells(self):
         """Yield (measure, value) for each nonzero piece; a ray's measure is
         INF, told by its end's type and not by subtracting its finite end."""
-        return _cells(_plain(self).bounds, self.vals)
+        return _unscaled_cells(*self._scaled_cells())
+
+    def _scaled_cells(self, V: View | None = None):
+        """(cells, V): the (measure, value) pair of each nonzero piece of V,
+        or of the view f holds, as V's ints, a ray's measure INF: measures
+        over V's C, values over its D."""
+        V = V or _held(self)
+        return _cells(V.bounds, V.vals), V
 
     @cached_property
     def _view(self) -> View:
@@ -121,6 +140,9 @@ class View(NamedTuple):
         return self.bounds[1:-1]
 
 
+_SCALE_1 = View(1, [0, INF], 1, [], False)  # values at scale 1, over themselves
+
+
 def _cells(bounds, vals):
     """Yield (measure, value) for each nonzero piece, a ray's measure INF."""
     for a, b, v in zip(bounds, bounds[1:], vals):
@@ -128,10 +150,32 @@ def _cells(bounds, vals):
             yield (b - a if is_finite(a) and is_finite(b) else INF), v
 
 
+def _unscaled_cells(cells, V: View):
+    """Yield the (measure, value) cells over the C and D of V as Fractions
+    (as themselves at scale 1)."""
+    return ((unscaled(m, V.C), unscaled(v, V.D)) for m, v in cells)
+
+
 def _plain(f: StepFn) -> View:
     """f's view at scale 1, over its own cuts and values."""
     left, right = f.space.domain
     return View(1, [left, *f.cuts, right], 1, list(f.vals), False)
+
+
+def _held(f: StepFn) -> View:
+    """The view f holds (built from it, or read before), else f's own cuts
+    and values at scale 1: a single read builds no view, which costs more
+    than one pass over the Fractions."""
+    return f.__dict__.get("_view") or _plain(f)
+
+
+def _piece(V: View, x) -> int:
+    """The index of V's piece that holds the point x: one bisection of x
+    into V's cuts, an exact view's as floor(x C), a float x read exactly."""
+    if V.exact and is_finite(x):  # c / C <= x just when c <= floor(x C)
+        n, d = x.as_integer_ratio()
+        x = n * V.C // d
+    return bisect_right(V.bounds, x, 1, len(V.bounds) - 1) - 1
 
 
 def _views(fns, points=()) -> tuple[list[View], list]:
@@ -237,6 +281,49 @@ def _mapped_pieces(pieces, lo, hi, g, increasing: bool) -> list:
     return out
 
 
+def _affine_slice(V: View, u, w, a: Fraction, b: Fraction):
+    """(vals, nums, E): the values of the exact view V's pieces that meet
+    [u, w) (exact or infinite ends), and V's cuts strictly inside (u, w)
+    mapped by y -> a y + b, as ints over E, the lcm of a's denominator times
+    C and b's denominator; both read in the image's order, reversed where
+    a < 0.  Two bisections find the slice: c / C > u just when c > floor(u C),
+    and c / C < w just when c < ceil(w C)."""
+    C, B = V.C, V.bounds
+    i = bisect_right(B, u.numerator * C // u.denominator if is_finite(u) else u, 1, len(B) - 1)
+    j = bisect_left(B, -(-w.numerator * C // w.denominator) if is_finite(w) else w, i, len(B) - 1)
+    E = math.lcm(a.denominator * C, b.denominator)
+    ka, kb = a.numerator * (E // (a.denominator * C)), b.numerator * (E // b.denominator)
+    vals, nums = V.vals[i - 1:j], [ka * c + kb for c in B[i:j]]
+    return (vals, nums, E) if a > 0 else (vals[::-1], nums[::-1], E)
+
+
+def _tiled_step(space: MeasureSpace, tiles, D: int) -> StepFn | None:
+    """The StepFn that on each tile [start, next start) of the domain, the
+    tiles in order from its left end, takes the int values (over D) between
+    the cuts nums / E of that tile: (start, vals, nums, E) each, as from
+    ``_affine_slice``.  It is built over one new C, the lcm of the E and the
+    denominators of the starts and the domain's ends, less the gcd of C, the
+    bounds and the cuts (and D less that of D and the values), so that
+    chained maps keep only the denominators they need; None past the
+    budget of ``num.common_denominator``."""
+    ends = space.domain
+    C = common_denominator([*(E for *_, E in tiles), *(e.denominator for e in (*(t[0] for t in tiles[1:]), *ends)
+                                                       if is_finite(e))])
+    if C is None:
+        return None
+    cuts, vals = [], []
+    for k, (start, vs, nums, E) in enumerate(tiles):
+        if k:
+            cuts.append(start.numerator * (C // start.denominator))
+        cuts += [x * (C // E) for x in nums]
+        vals += vs
+    cuts, vals = _merged(cuts, vals)
+    bounds = [e.numerator * (C // e.denominator) if is_finite(e) else e for e in ends]
+    g, h = math.gcd(C, *(e for e in bounds if is_finite(e)), *cuts), math.gcd(D, *vals)
+    bounds = [e // g if is_finite(e) else e for e in bounds]
+    return _merged_step(space, [c // g for c in cuts], [v // h for v in vals], View(C // g, bounds, D // h, [], True))
+
+
 @dataclass(frozen=True)
 class AtomSeq:
     """Sequence over an atomic space: finitely many entries over a default;
@@ -280,7 +367,18 @@ class AtomSeq:
     def cells(self):
         """Yield (measure, value) for each nonzero entry, then (INF, tail) for
         a nonzero tail: a tail over N is one cell."""
-        return _seq_cells(self.space.atom_mass, (v for _, v in self.entries), self.tail)
+        return _unscaled_cells(*self._scaled_cells())
+
+    def _scaled_cells(self, V: SeqView | None = None):
+        """(cells, scale): the cells of V, or of the view the sequence holds,
+        as ints, each atom as wide as the mass's numerator, and a ``View``
+        with the mass's denominator as C and V's D; at scale 1 (a view at
+        scale 1, or a float mass) the values and the mass themselves."""
+        V, mass = V or self.__dict__.get("_view") or _plain_seq(self), self.space.atom_mass
+        if V.exact and type(mass) is Fraction:
+            return _seq_cells(mass.numerator, V.vals, V.tail), View(mass.denominator, [0, INF], V.D, [], True)
+        V = _plain_seq(self)
+        return _seq_cells(mass, V.vals, V.tail), _SCALE_1
 
 
 class SeqView(NamedTuple):
@@ -578,11 +676,14 @@ def integrate(f: MeasFn) -> Real:
     """Exact integral against the space's measure.
 
     A nonzero value on an infinite piece contributes a signed infinity; when
-    both signs occur the integral is undefined and raises.
+    both signs occur the integral is undefined and raises.  The cells are
+    summed as ints over the view f holds (``_scaled_cells``), divided once
+    by C D.
     """
     pos_inf = neg_inf = False
-    total: Real = Fraction(0)
-    for m, v in f.cells():
+    cells, V = f._scaled_cells()
+    total: Real = 0
+    for m, v in cells:
         if m == INF:
             pos_inf, neg_inf = pos_inf or v > 0, neg_inf or v < 0
         else:
@@ -593,4 +694,4 @@ def integrate(f: MeasFn) -> Real:
         return INF
     if neg_inf:
         return NEG_INF
-    return total
+    return unscaled(total, V.C * V.D)

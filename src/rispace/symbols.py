@@ -45,7 +45,8 @@ from .space import (
     MeasureSpace,
     _normalize_intervals,
 )
-from .stepfn import AtomSeq, StepFn, _fn_from_pieces, _mapped_pieces, _merged_seq, constant, linear_combine
+from .stepfn import (AtomSeq, StepFn, _affine_slice, _fn_from_pieces, _mapped_pieces, _merged_seq, _tiled_step, constant,
+                     linear_combine)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +265,17 @@ class IntervalSymbol:
         """True when every branch is affine, so the bound rows are exact."""
         return all(br.form.coefficients for br in self.branches)
 
+    @cached_property
+    def _affine(self) -> tuple | None:
+        """(lo, hi, image low, image high, alpha, beta, 1 / alpha,
+        -beta / alpha) of each branch, in order, when every branch is affine
+        with exact coefficients and ends (the int change of variable of
+        ``stepfn._affine_slice``); else None."""
+        rows = [(br.lo, br.hi, *br.image(), *br.form.coefficients) for br in self.branches if br.form.coefficients]
+        if len(rows) < len(self.branches) or any(type(x) is float and is_finite(x) for r in rows for x in r):
+            return None
+        return tuple((*r, 1 / r[4], -r[5] / r[4]) for r in rows)
+
     def _pulled(self, pieces) -> list:
         """The preimages (a, b, v) of sorted, disjoint pieces (u, w, v), branch
         by branch: each cut to the branch's image and mapped by its inverse."""
@@ -276,7 +288,17 @@ class IntervalSymbol:
 
     def pull_back(self, f: StepFn) -> StepFn:
         """f ∘ phi: the preimages of the nonzero pieces of f tile the domain
-        up to null sets, so the result is again a step function."""
+        up to null sets, so the result is again a step function.  Over an
+        exact view that f holds, through affine branches with exact numbers
+        (``_affine``), each branch reads the slice of f's int bounds in its
+        image, mapped by x = (y - beta) / alpha, and the branches' slices,
+        in order, are the result (``stepfn._tiled_step``)."""
+        V = f.__dict__.get("_view")
+        if V is not None and V.exact and self._affine is not None:
+            g = _tiled_step(self.space, [(lo, *_affine_slice(V, u, w, a, b)) for lo, _, u, w, _, _, a, b in self._affine],
+                            V.D)
+            if g is not None:
+                return g
         return _fn_from_pieces(self.space, self._pulled([p for p in f.pieces() if p[2] != 0]))
 
     def bound_rows(self, horizon: int):
@@ -593,7 +615,22 @@ def power_measure_bound(sym: Symbol, horizon: int) -> PowerBounds:
 
 def _transfer_once(sym: IntervalSymbol, rho: StepFn) -> StepFn:
     """Density of phi^{-(n+1)} from the density rho of phi^{-n}:
-    rho'(y) = sum_b rho(inv_b(y)) / |alpha_b| on the image of b."""
+    rho'(y) = sum_b rho(inv_b(y)) / |alpha_b| on the image of b.  Over an
+    exact view that rho holds, each branch maps the slice of rho's int
+    bounds in its domain forward by y = alpha x + beta (``_affine_slice``),
+    its values times 1/|alpha|, 0 off its image."""
+    V = rho.__dict__.get("_view")
+    if V is not None and V.exact and sym._affine is not None:
+        parts, ends = [], sym.space.domain
+        for lo, hi, u, w, alpha, beta, _, _ in sym._affine:
+            vals, nums, E = _affine_slice(V, lo, hi, alpha, beta)
+            r, s = abs(alpha.numerator), alpha.denominator
+            tiles = [(ends[0], [0], [], 1)] if u != ends[0] else []
+            tiles.append((u, [v * s for v in vals], nums, E))
+            tiles += [(w, [0], [], 1)] if w != ends[1] else []
+            parts.append(_tiled_step(sym.space, tiles, V.D * r))
+        if None not in parts:
+            return linear_combine([1] * len(parts), parts)
     nonzero = [p for p in rho.pieces() if p[2] != 0]
     parts = []
     for br in sym.branches:

@@ -18,6 +18,7 @@ from rispace import (
     IntervalSymbol,
     PowerOnUnit,
     ShiftedPower,
+    abs_fn,
     apply,
     atomic_finite,
     atomic_n,
@@ -26,17 +27,22 @@ from rispace import (
     atomic_z,
     check_condition_I,
     constant,
+    dilate,
+    distribution_at,
     halfline,
+    hardy_integral,
     integrate,
     interval,
     interval_set,
     line,
     lower_bound,
+    maximal_truncated,
     measure_bound,
     pointwise_mul,
     power_measure_bound,
     preimage,
     preimage_measure,
+    rearrangement,
     scale,
     step,
 )
@@ -57,6 +63,10 @@ from rispace.symbols import _transfer_once
 from .oracles import (
     atomic_bound_rows_oracle,
     atomic_power_oracle,
+    dilate_oracle,
+    dist_oracle,
+    hardy_oracle,
+    maximal_iterate_oracle,
     preimage_oracle,
     pull_back_oracle,
     sampled_bound_rows_oracle,
@@ -520,6 +530,103 @@ def test_interval_maps_match_the_per_interval_rule():
                 fns.append(rho)
             for g in fns:
                 assert repr(_transfer_once(sym, g)) == repr(transfer_once_oracle(sym, g)), (sym, g)
+
+
+def _affine_cases(n):
+    """(symbol, functions) pairs: generated all-affine symbols (the line,
+    multi-branch half-lines and intervals), the decreasing ones above and two on
+    interval(1/3), each with functions on its space that read their int view
+    (a lazy generated one, a ``step``-built one whose view was read) and
+    that do not (a ``step``-built one, float cuts, a cut near 2^-1100)."""
+    third = interval(Fraction(1, 3))
+    fixed = [*_DECREASING,
+             IntervalSymbol(third, (Branch(0, Fraction(1, 6), Affine(2, 0)),
+                                    Branch(Fraction(1, 6), Fraction(1, 3), Affine(-1, Fraction(1, 3))))),
+             IntervalSymbol(third, (Branch(0, Fraction(1, 3), Affine(Fraction(-1, 2), Fraction(1, 6))),))]
+    for seed in range(n):
+        rng = random.Random(seed)
+        sym = fixed[seed] if seed < len(fixed) else gen_interval_symbol(rng, rng.randint(1, 4), affine_only=True)
+        sp = sym.space
+        f = gen_step(rng, rng.randint(0, 5), sp, compact=rng.random() < 0.5)
+        held = step(sp, f.cuts, f.vals)
+        held._view
+        fns = [f, held, step(sp, f.cuts, f.vals), step(sp, [float(c) for c in f.cuts], f.vals)]
+        if f.cuts and sp.domain[0] == 0:
+            fns.append(step(sp, [Fraction(1, 2**1100), *f.cuts], [1, *f.vals]))
+        yield sym, fns
+
+
+def test_int_maps_match_the_fraction_rules():
+    # the int pull-back, transfer step, dilation, Hardy prefix, distribution
+    # function and maximal means against the oracles' one-piece-at-a-time rules
+    for sym, fns in _affine_cases(120):
+        for g in fns:
+            assert repr(sym.pull_back(g)) == repr(pull_back_oracle(sym, g)), (sym, g)
+            assert repr(_transfer_once(sym, g)) == repr(transfer_once_oracle(sym, g)), (sym, g)
+            iterates = [abs_fn(g)]
+            for _ in range(2):
+                iterates.append(apply(sym, iterates[-1]))
+            m = maximal_truncated(sym, g, 3)
+            cuts = list(m.cuts)
+            for x in [*cuts, *((a + b) / 2 for a, b in zip(cuts, cuts[1:]))]:
+                assert repr(m.value_at(x)) == repr(maximal_iterate_oracle(iterates, x)), (sym, g, x)
+            if any(type(c) is float for c in g.cuts):
+                continue
+            levels = sorted({abs(v) for v in g.vals})
+            for s in [*levels, *((a + b) / 2 for a, b in zip(levels, levels[1:]))]:
+                assert repr(distribution_at(g, s)) == repr(dist_oracle(g, s)), (g, s)
+            r = rearrangement(g)
+            for t in [*r.cuts, Fraction(1, 3), Fraction(7, 2), INF]:
+                assert repr(hardy_integral(g, t)) == repr(hardy_oracle(g, t)), (g, t)
+            for t in (Fraction(3, 2), Fraction(1, 7), 2, 0.3):
+                assert repr(dilate(r, t)) == repr(dilate_oracle(r, t)), (r, t)
+
+
+def test_int_maps_past_the_budget_match_the_fraction_rules():
+    # a new cut denominator past 1,024 bits: the pull-back and the dilation
+    # take the Fraction map, whose results hold no view
+    f = step(halfline(), [Fraction(1, 2**1020), 1], [1, 2, 0])
+    assert f._view.exact
+    sym = IntervalSymbol(halfline(), (Branch(0, INF, Affine(2**20 + 1, 0)),))
+    for got, want in ((sym.pull_back(f), pull_back_oracle(sym, f)), (dilate(f, 2**20 + 1), dilate_oracle(f, 2**20 + 1))):
+        assert repr(got) == repr(want)
+        assert "_view" not in got.__dict__
+    assert repr(_transfer_once(sym, f)) == repr(transfer_once_oracle(sym, f))
+
+
+def test_chained_affine_pull_backs_keep_their_denominators_small():
+    # pulled back by 3x/2 and then 2x/3 (or dilated by 3/2 and 2/3), the cuts
+    # come back, but their ints over C are 6 times theirs over C / 6: the gcd
+    # taken out keeps C at the cuts' own lcm, as a Fraction-built view's, and
+    # away from the budget a 6-fold C reaches in 400 rounds
+    there, back = (IntervalSymbol(line(), (Branch(-INF, INF, Affine(a, 0)),))
+                   for a in (Fraction(3, 2), Fraction(2, 3)))
+    g = step(line(), [Fraction(-1), Fraction(3)], [0, 1, 0])
+    h = step(halfline(), [Fraction(1, 3), 3], [2, 1, 0])
+    g._view, h._view
+    for _ in range(20):
+        g, h = apply(back, apply(there, g)), dilate(dilate(h, Fraction(3, 2)), Fraction(2, 3))
+        assert g == step(line(), [-1, 3], [0, 1, 0]) and h == step(halfline(), [Fraction(1, 3), 3], [2, 1, 0])
+        for k in (g, h):
+            assert k._view.C == step(k.space, k.cuts, k.vals)._view.C
+
+
+def test_readers_leave_a_lazy_function_lazy():
+    # point reads, integrals, the distribution function, the Hardy integral,
+    # dilations and affine pull-backs read the view; no Fraction field forms
+    for seed in range(60):
+        rng = random.Random(seed)
+        sym = gen_interval_symbol(rng, 3, affine_only=True)
+        f, h = gen_step(rng, 4, sym.space), gen_step(rng, 4, halfline())
+        for g in (f, h):
+            g.value_at(Fraction(1, 3))
+            g.value_at(0.3)
+            integrate(g)
+            distribution_at(g, Fraction(1, 2))
+            hardy_integral(g, Fraction(5, 7))
+        pulled, dilated = apply(sym, f), dilate(h, Fraction(3, 2))
+        assert "cuts" not in f.__dict__ and "cuts" not in h.__dict__
+        assert "cuts" not in pulled.__dict__ and "cuts" not in dilated.__dict__
 
 
 def test_a_preimage_that_rounds_to_width_0_is_dropped():
